@@ -4,7 +4,9 @@ Two problem forms are handled:
 
 * Lagrangian, either ``||y - Az||^2 + lam*R(z)`` (multiplier on the penalty)
   or ``lam*||y - Az||^2 + R(z)`` (multiplier on the loss), solved with
-  accelerated proximal gradient descent plus a monotone restart;
+  accelerated proximal gradient descent with a gradient restart and one
+  gradient evaluation (one Gram product, or one forward and one adjoint
+  product) per iteration;
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by a
   homotopy on the Lagrangian multiplier: bisection when ``eps > 0``, and for
   ``eps = 0`` a multiplier ramp followed by a least-squares polish on the
@@ -17,12 +19,13 @@ raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .kkt import kkt_residual, subdiff_distance
+from .kkt import subdiff_distance
 from .regularizers import PenaltyKind, RegularizerSpec, penalty_value, prox, _soft
 
 __all__ = [
@@ -106,7 +109,6 @@ class SolverOptions:
     feas_tol: float = 1e-6
     obj_tol: float = 1e-8
     max_iters: int = 50_000
-    x0: Optional[np.ndarray] = None
     check_every: int = 25
     power_iters: int = 50
     power_tol: float = 1e-10
@@ -144,11 +146,12 @@ class PathPoint:
 
 
 class _Quadratic:
-    """Evaluates ``||Ax - y||^2`` and its half-gradient ``A^T(Ax - y)``.
+    """Half-gradient ``A^T(Ax - y)`` of ``||Ax - y||^2``, and its residual.
 
     For tall-ish problems the Gram matrix ``A^T A`` is precomputed; one
     Gram matvec (n^2 flops) then beats the two rectangular products
-    (2*m*n flops) whenever n < 2m.
+    (2*m*n flops) whenever n < 2m.  Values and residual norms always come
+    from ``Ax - y``, which keeps their precision at any residual size.
     """
 
     def __init__(self, A, y, use_gram=None):
@@ -156,28 +159,21 @@ class _Quadratic:
         if use_gram is None:
             use_gram = n <= 2 * m and n <= 2048
         self.A, self.y = A, y
-        self.m, self.n = m, n
-        self.use_gram = bool(use_gram)
+        self.n = n
         self.aty = A.T @ y
-        self.yy = float(y @ y)
-        self.gram = A.T @ A if self.use_gram else None
+        self.gram = A.T @ A if use_gram else None
+
+    def normal(self, x):
+        """``A^T A x``: one Gram product, or one forward plus one adjoint."""
+        if self.gram is not None:
+            return self.gram @ x
+        return self.A.T @ (self.A @ x)
 
     def half_grad(self, x):
-        if self.use_gram:
-            return self.gram @ x - self.aty
-        return self.A.T @ (self.A @ x) - self.aty
+        return self.normal(x) - self.aty
 
-    def value(self, x):
-        if self.use_gram:
-            v = float(x @ (self.gram @ x)) - 2.0 * float(self.aty @ x) + self.yy
-            return max(v, 0.0)
-        r = self.A @ x - self.y
-        return float(r @ r)
-
-    def residual_norm(self, x):
-        if self.use_gram:
-            return float(np.sqrt(self.value(x)))
-        return float(np.linalg.norm(self.A @ x - self.y))
+    def residual(self, x):
+        return self.A @ x - self.y
 
     def sigma_sq_max(self, iters=50, tol=1e-10, seed=0):
         """Largest squared singular value of A, by power iteration on A^T A."""
@@ -186,7 +182,7 @@ class _Quadratic:
         v /= np.linalg.norm(v)
         lam_prev = 0.0
         for _ in range(iters):
-            w = self.gram @ v if self.use_gram else self.A.T @ (self.A @ v)
+            w = self.normal(v)
             lam = float(np.linalg.norm(w))
             if lam == 0.0:
                 return 0.0
@@ -208,86 +204,86 @@ class _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# accelerated proximal gradient with monotone restart
+# accelerated proximal gradient with gradient restart, one gradient
+# evaluation per iteration
 # ---------------------------------------------------------------------------
+
+_MAX_HALVINGS = 60
+
+
+class _StepSearchExhausted(ArithmeticError):
+    pass
 
 
 def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
+    """FISTA on ``loss_w*||Ax - y||^2 + pen_w*R(x)``.
+
+    The half-gradient ``h = A^T(A . - y)`` is carried next to each point.  It
+    is affine, so the extrapolated point's ``h`` is the same combination of
+    two freshly evaluated ones and costs no product.  Returns
+    ``(x, iterations, kkt, converged, stats)``.
+    """
     quad = ws.quad
-    n = quad.n
+    c = 2.0 * loss_w  # gradient of the smooth part = c * h
+    tol = opts.kkt_tol * max(1.0, c * float(np.max(np.abs(quad.aty), initial=0.0)))
+    stats = {"restarts": 0, "backtracks": 0, "grad_evals": 1, "step_search_exhausted": False}
 
-    def smooth(x):
-        return loss_w * quad.value(x)
-
-    def smooth_grad(x):
-        return 2.0 * loss_w * quad.half_grad(x)
-
-    def objective(x):
-        return smooth(x) + pen_w * penalty_value(spec, x)
-
-    grad_scale = max(1.0, 2.0 * loss_w * float(np.max(np.abs(quad.aty), initial=0.0)))
-    tol = opts.kkt_tol * grad_scale
-
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    kkt = subdiff_distance(spec, x, -smooth_grad(x), pen_w)
+    x = np.zeros(quad.n) if x0 is None else np.array(x0, dtype=float)
+    hx = quad.half_grad(x)
+    kkt = subdiff_distance(spec, x, -c * hx, pen_w)
     if kkt <= tol:
-        return x, 0, kkt, True, objective(x)
+        return x, 0, kkt, True, stats
+    step = 1.0 / (c * ws.sigma2)
 
-    step = 1.0 / (2.0 * loss_w * ws.sigma2)
-    best_x, best_f = x, objective(x)
-    z = x.copy()
-    t = 1.0
+    def descend(z, hz):
+        """Prox-gradient step ``d`` from z to w.  For the quadratic the
+        descent lemma reads ``c * d^T(h_w - h_z) <= |d|^2 / step``; the step
+        is halved only when that fails beyond rounding and the power
+        iteration's tolerance."""
+        nonlocal step
+        for halving in range(_MAX_HALVINGS + 1):
+            if halving:
+                step *= 0.5
+                stats["backtracks"] += 1
+            w = prox(spec, z - (step * c) * hz, step * pen_w)
+            hw = quad.half_grad(w)
+            stats["grad_evals"] += 1
+            d = w - z
+            dd = float(d @ d)
+            excess = c * float(d @ (hw - hz)) - dd / step
+            if excess <= 1e-9 * dd / step or excess <= 1e-14 * c * np.sqrt(dd) * (
+                    np.linalg.norm(hw) + np.linalg.norm(hz)):
+                return w, hw, d
+        raise _StepSearchExhausted
+
+    z, hz, t = x, hx, 1.0
     iters = 0
-    kkt = np.inf
     converged = False
+    try:
+        while iters < opts.max_iters:
+            iters += 1
+            w, hw, d = descend(z, hz)
+            wx = w - x
+            if float(d @ wx) < 0.0:
+                # momentum points uphill (O'Donoghue & Candes): redo the step from x
+                stats["restarts"] += 1
+                t = 1.0
+                w, hw, wx = descend(x, hx)
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            z = w + beta * wx
+            hz = hw + beta * (hw - hx)
+            x, hx, t = w, hw, t_next
 
-    while iters < opts.max_iters:
-        iters += 1
-        g = smooth_grad(z)
-        w, step = _backtracked_step(quad, spec, loss_w, pen_w, z, g, step, smooth)
-        if float((z - w) @ (w - x)) > 0.0:
-            # momentum points uphill: restart it from the best point so far,
-            # which keeps the objective at restarts nonincreasing
-            if objective(x) > best_f:
-                x = best_x
-            t = 1.0
-            z = x
-            g = smooth_grad(z)
-            w, step = _backtracked_step(quad, spec, loss_w, pen_w, z, g, step, smooth)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = w + ((t - 1.0) / t_next) * (w - x)
-        x, t = w, t_next
-        fx = objective(x)
-        if fx < best_f:
-            best_x, best_f = x, fx
-
-        if iters % opts.check_every == 0 or iters == opts.max_iters:
-            kkt = subdiff_distance(spec, x, -smooth_grad(x), pen_w)
-            if kkt <= tol:
-                converged = True
-                break
-
-    if not converged:
-        kkt = subdiff_distance(spec, x, -smooth_grad(x), pen_w)
-        if best_f < objective(x):
-            kkt_best = subdiff_distance(spec, best_x, -smooth_grad(best_x), pen_w)
-            if kkt_best < kkt:
-                x, kkt = best_x, kkt_best
-        converged = kkt <= tol
-    return x, iters, kkt, converged, objective(x)
-
-
-def _backtracked_step(quad, spec, loss_w, pen_w, z, g, step, smooth):
-    """One prox-gradient step with halving until the descent lemma holds."""
-    fz = smooth(z)
-    for _ in range(60):
-        w = prox(spec, z - step * g, step * pen_w)
-        d = w - z
-        quad_bound = fz + float(g @ d) + float(d @ d) / (2.0 * step)
-        if smooth(w) <= quad_bound + 1e-12 * max(1.0, abs(fz)):
-            return w, step
-        step *= 0.5
-    return w, step
+            if iters % opts.check_every == 0 or iters == opts.max_iters:
+                kkt = subdiff_distance(spec, x, -c * hx, pen_w)
+                if kkt <= tol:
+                    converged = True
+                    break
+    except _StepSearchExhausted:
+        stats["step_search_exhausted"] = True
+        kkt = subdiff_distance(spec, x, -c * hx, pen_w)
+    return x, iters, kkt, converged, stats
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +292,15 @@ def _backtracked_step(quad, spec, loss_w, pen_w, z, g, step, smooth):
 
 
 def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOptions = None,
-                     _ws: _Workspace = None) -> SolveResult:
-    """Solve the multiplier form of the program given by ``problem.form``.
+                     _ws: _Workspace = None, *, x0=None) -> SolveResult:
+    """Solve the multiplier form of the program given by ``problem.form``,
+    starting from ``x0`` (zero by default).
 
     Returns a result whose ``kkt_residual`` comes from the independent
     subgradient check; non-convergence sets ``converged=False`` instead of
-    raising.
+    raising.  ``info`` counts the ``restarts``, ``backtracks`` and
+    ``grad_evals`` (Gram products, or forward-plus-adjoint pairs) of the
+    solve, and flags a ``step_search_exhausted`` after 60 halvings.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -312,16 +311,17 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     loss_w = form.lam if form.side == "loss" else 1.0
     pen_w = 1.0 if form.side == "loss" else form.lam
 
-    x, iters, kkt, converged, fx = _fista(ws, spec, loss_w, pen_w, opts, opts.x0)
-    objective = loss_w * ws.quad.value(x) + pen_w * penalty_value(spec, x)
+    x, iters, kkt, converged, stats = _fista(ws, spec, loss_w, pen_w, opts, x0)
+    r = ws.quad.residual(x)
+    rr = float(r @ r)
     return SolveResult(
         x_hat=x,
-        objective=objective,
-        residual_l2=ws.quad.residual_norm(x),
+        objective=loss_w * rr + pen_w * penalty_value(spec, x),
+        residual_l2=math.sqrt(rr),
         iterations=iters,
         kkt_residual=kkt,
         converged=converged,
-        info={"form": "lagrangian", "lambda": form.lam, "side": form.side},
+        info={"form": "lagrangian", "lambda": form.lam, "side": form.side, **stats},
     )
 
 
@@ -373,13 +373,13 @@ def _solve_eps_zero(problem, spec, opts, ws, feas_slack):
     total_iters = 0
     lam_path = []
     inner = None
+    # stages only need to hand a good warm start to the next multiplier;
+    # the polish and the feasibility check decide the final quality
+    stage_opts = replace(opts, max_iters=min(opts.max_iters, opts.ramp_stage_iters))
     for stage in range(1, opts.ramp_max_stages + 1):
         lam = lam0 * opts.ramp_factor**stage
-        stage_opts = _with_x0(opts, x)
-        # stages only need to hand a good warm start to the next multiplier;
-        # the polish and the feasibility check decide the final quality
-        stage_opts.max_iters = min(opts.max_iters, opts.ramp_stage_iters)
-        inner = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, stage_opts, _ws=ws)
+        inner = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, stage_opts,
+                                 _ws=ws, x0=x)
         x = inner.x_hat
         total_iters += inner.iterations
         lam_path.append(lam)
@@ -418,8 +418,7 @@ def _solve_eps_positive(problem, spec, opts, ws, eps, feas_slack):
     A, y = problem.A, problem.y
 
     def solve_at(lam, x0):
-        inner_opts = _with_x0(opts, x0)
-        return solve_lagrangian(Problem(A, y, Lagrangian(lam, "penalty")), spec, inner_opts, _ws=ws)
+        return solve_lagrangian(Problem(A, y, Lagrangian(lam, "penalty")), spec, opts, _ws=ws, x0=x0)
 
     gauge = penalty_gauge_at_zero(spec, ws.quad.aty)
     warm = np.zeros(A.shape[1])
@@ -480,8 +479,10 @@ def _solve_eps_positive(problem, spec, opts, ws, eps, feas_slack):
 def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: SolverOptions = None):
     """Solve the Lagrangian program along a strictly monotone multiplier grid.
 
-    Each point is warm-started from the previous one.  A failing point is
-    recorded with its error message instead of aborting the path.
+    Each point is warm-started from the previous one.  A point that fails
+    with a solver error (``ValueError``, ``ArithmeticError`` or
+    ``LinAlgError``) is recorded with its message instead of aborting the
+    path; any other exception propagates.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -498,23 +499,16 @@ def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: So
 
     ws = _Workspace(problem.A, problem.y, opts)
     points = []
-    warm = opts.x0
+    warm = None
     for lam in grid:
         try:
-            point_opts = _with_x0(opts, warm)
             res = solve_lagrangian(Problem(problem.A, problem.y, Lagrangian(float(lam), form.side)),
-                                   spec, point_opts, _ws=ws)
+                                   spec, opts, _ws=ws, x0=warm)
             warm = res.x_hat
             points.append(PathPoint(float(lam), res))
-        except Exception as exc:  # keep walking the path
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:  # keep walking the path
             points.append(PathPoint(float(lam), None, error=str(exc)))
     return points
-
-
-def _with_x0(opts: SolverOptions, x0):
-    out = SolverOptions(**{k: getattr(opts, k) for k in opts.__dataclass_fields__})
-    out.x0 = None if x0 is None else np.asarray(x0, dtype=float)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from clotkit.kkt import kkt_residual
 from clotkit.matrices import DeVoreParams, devore_matrix, fixture_matrix
 from clotkit.regularizers import Partition, RegularizerSpec, penalty_value
+from clotkit import solvers
 from clotkit.solvers import (
     Constrained,
     InfeasibleError,
@@ -132,6 +133,59 @@ class TestLagrangian:
         assert not res.converged
         assert np.isfinite(res.kkt_residual)
 
+    def test_warm_start_at_solution_needs_no_iterations(self, rng):
+        A, _, y = small_instance(rng, noise=0.1)
+        prob = Problem(A, y, Lagrangian(0.05))
+        spec = RegularizerSpec.clot(0.3)
+        cold = solve_lagrangian(prob, spec, TIGHT)
+        warm = solve_lagrangian(prob, spec, TIGHT, x0=cold.x_hat)
+        assert cold.iterations > 0 and warm.iterations == 0
+        np.testing.assert_array_equal(warm.x_hat, cold.x_hat)
+
+
+class TestSolveStats:
+    def test_gradient_evaluations_are_accounted_for(self, rng):
+        A, _, y = small_instance(rng, noise=0.1)
+        for spec in (RegularizerSpec.lasso(), RegularizerSpec.clot(0.3)):
+            res = solve_lagrangian(Problem(A, y, Lagrangian(0.05)), spec, TIGHT)
+            info = res.info
+            assert res.converged and res.iterations > 0
+            assert all(type(info[k]) is int for k in ("restarts", "backtracks", "grad_evals"))
+            assert info["grad_evals"] == 1 + res.iterations + info["restarts"] + info["backtracks"]
+            assert info["step_search_exhausted"] is False
+
+    def test_ill_conditioned_solve_restarts(self, rng):
+        A = fixture_matrix("gaussian", 30, 20, seed=3) * np.logspace(0, -2, 20)
+        y = A @ rng.standard_normal(20)
+        res = solve_lagrangian(Problem(A, y, Lagrangian(1e-4)), RegularizerSpec.lasso(), TIGHT)
+        assert res.converged
+        assert res.info["restarts"] >= 1
+
+    def test_exhausted_step_search_is_reported(self, rng):
+        A, _, y = small_instance(rng, noise=0.1)
+        ws = solvers._Workspace(A, y, SolverOptions())
+        ws.sigma2 *= 1e-30  # a step 1e30 too long: 60 halvings cannot repair it
+        res = solve_lagrangian(Problem(A, y, Lagrangian(0.05)), RegularizerSpec.lasso(), _ws=ws)
+        assert res.info["step_search_exhausted"] is True
+        assert not res.converged
+        assert np.all(np.isfinite(res.x_hat))
+
+
+class TestRouting:
+    def test_gram_and_direct_routing_agree(self):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((60, 40))
+        x = np.zeros(40)
+        x[rng.choice(40, size=3, replace=False)] = rng.standard_normal(3)
+        prob = Problem(A, A @ x, Constrained(0.0))
+        spec = RegularizerSpec.clot(0.2)
+        gram = solve_constrained(prob, spec, SolverOptions(use_gram=True))
+        direct = solve_constrained(prob, spec, SolverOptions(use_gram=False))
+        assert gram.converged and direct.converged
+        np.testing.assert_allclose(gram.x_hat, direct.x_hat, rtol=0,
+                                   atol=1e-6 * np.linalg.norm(direct.x_hat))
+        assert max(gram.iterations, direct.iterations) <= 2 * min(gram.iterations, direct.iterations)
+
 
 class TestConstrained:
     def test_zero_rhs(self):
@@ -228,3 +282,15 @@ class TestSolutionPath:
         bad_spec = RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([3, 3]))  # wrong n
         pts = solution_path(Problem(A, y, Lagrangian(1.0)), bad_spec, [1.0, 0.5])
         assert all(p.result is None and p.error for p in pts)
+
+    def test_programming_errors_propagate(self, rng, monkeypatch):
+        A, _, y = small_instance(rng)
+
+        def broken_prox(*args):
+            raise TypeError("broken prox")
+
+        spec = RegularizerSpec.lasso()
+        grid = lambda_zero_threshold(spec, A, y) * np.array([0.5, 0.1])  # nonzero solutions
+        monkeypatch.setattr(solvers, "prox", broken_prox)
+        with pytest.raises(TypeError, match="broken prox"):
+            solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid)
