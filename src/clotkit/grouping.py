@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .kkt import kkt_residual
-from .regularizers import Partition, PenaltyKind, RegularizerSpec
+from .regularizers import Partition, RegularizerSpec
 
 __all__ = [
     "Preprocessed",
@@ -139,7 +139,7 @@ def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
     part = partition if partition is not None else Partition.single(n)
     if part.n != n:
         raise ValueError(f"partition covers {part.n} indices but A has {n} columns")
-    spec = RegularizerSpec(PenaltyKind.SGL, mu, part)
+    spec = RegularizerSpec.sparse_group_lasso(mu, part)
 
     kkt = kkt_residual(A, y, x, spec, lam, side="loss")
     report = GroupingReport(lam=float(lam), mu=float(mu), kkt_ok=kkt <= kkt_tol,
@@ -148,10 +148,8 @@ def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
         return report
 
     ynorm = float(np.linalg.norm(y))
-    group_of = np.empty(n, dtype=np.intp)
-    for s, idx in enumerate(part.index_arrays):
-        group_of[idx] = s
-    group_norms = [float(np.linalg.norm(x[idx])) for idx in part.index_arrays]
+    group_of = part.labels
+    group_norms = np.sqrt(np.bincount(group_of, x * x, part.g))
     full_norm = float(np.linalg.norm(x))
 
     active = np.nonzero(x)[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .regularizers import PenaltyKind, RegularizerSpec, _soft
+from .regularizers import RegularizerSpec, _group_norms, _per_coordinate
 
 __all__ = ["subdiff_distance", "loss_gradient", "kkt_residual", "prox_optimality_residual"]
 
@@ -18,46 +18,38 @@ __all__ = ["subdiff_distance", "loss_gradient", "kkt_residual", "prox_optimality
 def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> float:
     """Distance from ``target`` to ``weight * (subdifferential of R at x)``.
 
-    Coordinatewise parts are measured in the max norm.  For a group whose
-    block of ``x`` is entirely zero, the distance to the Minkowski-sum ball
-    ``{u + w : |u|_inf <= weight*(1-mu), ||w||_2 <= weight*mu}`` is measured
-    in the Euclidean norm (which upper-bounds the per-coordinate gap).
+    With the family weights ``(a, b, c)`` the smooth part ``2*weight*b*x`` is
+    subtracted first.  Coordinates are measured in the max norm.  For a group
+    whose block of ``x`` is entirely zero, the distance to the Minkowski-sum
+    ball ``{u + w : |u|_inf <= weight*a, ||w||_2 <= weight*c}`` is measured in
+    the Euclidean norm (which upper-bounds the per-coordinate gap); with
+    ``c = 0`` the coordinates are singleton groups and that is the max norm.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(target, dtype=float)
     if x.shape != t.shape:
         raise ValueError("x and target must have the same shape")
-    kind, mu, w = spec.kind, spec.mu, float(weight)
-
-    if kind is PenaltyKind.L1:
-        return _separable_gap(t, x, w)
-    if kind is PenaltyKind.L2SQ:
-        return float(np.max(np.abs(t - 2.0 * w * x))) if x.size else 0.0
-    if kind is PenaltyKind.EN:
-        return _separable_gap(t - 2.0 * w * (1.0 - mu) * x, x, w * mu)
-
-    # CLOT / SGL / GL: per group, l1 part plus the Euclidean-norm part.
-    worst = 0.0
-    for idx in spec.group_indices(x.shape[0]):
-        xg, tg = x[idx], t[idx]
-        nrm = float(np.linalg.norm(xg))
-        if nrm == 0.0:
-            gap = float(np.linalg.norm(_soft(tg, w * (1.0 - mu)))) - w * mu
-            worst = max(worst, max(gap, 0.0))
-        else:
-            resid = tg - w * mu * xg / nrm
-            worst = max(worst, _separable_gap(resid, xg, w * (1.0 - mu)))
-    return worst
-
-
-def _separable_gap(target, x, thr) -> float:
-    """Max-norm distance from ``target`` to ``thr*sign(x_i)`` (or to
-    ``[-thr, thr]`` where ``x_i = 0``)."""
     if x.size == 0:
         return 0.0
-    on = x != 0
-    gap = np.where(on, np.abs(target - thr * np.sign(x)), np.maximum(np.abs(target) - thr, 0.0))
-    return float(np.max(gap))
+    a, b, c = spec.weights
+    w = float(weight)
+    if b:
+        t = t - (2.0 * w * b) * x
+    if c:
+        norms = _group_norms(spec.groups, x)
+        zero = norms == 0
+        t = t - (w * c) * x / _per_coordinate(spec.groups, norms + zero)
+    if a:
+        thr = w * a
+        gap = np.where(x != 0, np.abs(t - thr * np.sign(x)), np.maximum(np.abs(t) - thr, 0.0))
+    else:
+        gap = np.abs(t)
+    if c and np.count_nonzero(zero):
+        # the coordinates of a zero group count through the group's Euclidean gap
+        zero_gap = np.max(np.where(zero, _group_norms(spec.groups, gap) - w * c, 0.0))
+        return max(float(np.max(np.where(_per_coordinate(spec.groups, zero), 0.0, gap))),
+                   float(zero_gap))
+    return float(gap.max())
 
 
 def loss_gradient(A, y, x, lam: float = 1.0, side: str = "penalty") -> np.ndarray:

@@ -1,17 +1,26 @@
 """Penalty functions for sparse regression: values, exact proximal maps, sparsity index.
 
-Six penalties are supported.  Four of them are norms (absolutely homogeneous):
+The six penalties are one family, ``a*||z||_1 + b*||z||_2^2 + c*sum_g ||z_g||_2``,
+with weights ``(a, b, c)`` and groups ``g``:
 
-* ``L1``    sum of absolute values (lasso),
-* ``GL``    sum of per-group Euclidean norms (group lasso),
-* ``SGL``   per-group combination ``(1 - mu)*l1 + mu*l2`` (sparse group lasso),
-* ``CLOT``  ``(1 - mu)*l1 + mu*l2`` over all coordinates; identical to SGL
-  with a single group covering everything,
+    ``L1``    lasso               (1, 0, 0)
+    ``L2SQ``  ridge               (0, 1, 0)
+    ``EN``    elastic net         (mu, 1 - mu, 0)
+    ``CLOT``  one group           (1 - mu, 0, mu)
+    ``GL``    group lasso         (0, 0, 1)
+    ``SGL``   sparse group lasso  (1 - mu, 0, mu)
 
-and two are not:
+GL and SGL take their groups from a partition; CLOT is SGL with one group
+covering every coordinate.  With ``c = 0`` the coordinates act as singleton
+groups.  L1, GL, SGL and CLOT are norms (absolutely homogeneous); ridge and
+EN are not.
 
-* ``L2SQ``  squared Euclidean norm (ridge),
-* ``EN``    elastic net ``mu*l1 + (1 - mu)*l2^2``.
+Each family function (:func:`penalty_value`, :func:`prox`,
+:func:`penalty_gauge_at_zero` and :func:`clotkit.kkt.subdiff_distance`) is
+written once against the weights.  The prox of ``step*R`` is exact:
+soft-threshold at ``step*a``, shrink each group's Euclidean norm by
+``step*c``, then divide by ``q = 1 + 2*step*b`` (the same as both shrinks on
+``v/q`` with thresholds divided by ``q``).
 
 Mind the two ``mu`` conventions: EN puts ``mu`` on the l1 term, while CLOT
 and SGL put ``1 - mu`` on the l1 term.  Both conventions are kept exactly as
@@ -23,7 +32,8 @@ Group-lasso terms are not divided or weighted by group size here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Sequence
@@ -36,6 +46,7 @@ __all__ = [
     "RegularizerSpec",
     "penalty_value",
     "prox",
+    "penalty_gauge_at_zero",
     "sparsity_index",
 ]
 
@@ -90,8 +101,12 @@ class Partition:
         return len(self.groups)
 
     @cached_property
-    def index_arrays(self) -> tuple:
-        return tuple(np.asarray(g, dtype=np.intp) for g in self.groups)
+    def labels(self) -> np.ndarray:
+        """Group number of each coordinate."""
+        labels = np.empty(self.n, dtype=np.intp)
+        for s, g in enumerate(self.groups):
+            labels[list(g)] = s
+        return labels
 
     @classmethod
     def contiguous(cls, sizes: Sequence[int]) -> "Partition":
@@ -112,11 +127,17 @@ class RegularizerSpec:
     ``mu`` is required to lie in [0, 1] for EN, CLOT, and SGL.  GL ignores
     ``mu`` (it behaves as SGL with mu = 1).  SGL and GL require a partition;
     CLOT takes an optional one but always acts as a single group.
+
+    Construction resolves the spec to the family's ``weights`` ``(a, b, c)``
+    and the ``groups`` of its group term (None: one group of all
+    coordinates); nothing past this class reads ``kind``.
     """
 
     kind: PenaltyKind
     mu: float = 0.0
     partition: Optional[Partition] = None
+    weights: tuple = field(init=False, repr=False, compare=False)
+    groups: Optional[Partition] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = PenaltyKind(self.kind.lower() if isinstance(self.kind, str) else self.kind)
@@ -131,6 +152,13 @@ class RegularizerSpec:
         object.__setattr__(self, "mu", mu)
         if kind in _GROUPED and self.partition is None:
             raise ValueError(f"{kind.value} requires a partition")
+        weights = {
+            PenaltyKind.L1: (1.0, 0.0, 0.0),
+            PenaltyKind.L2SQ: (0.0, 1.0, 0.0),
+            PenaltyKind.EN: (mu, 1.0 - mu, 0.0),
+        }.get(kind, (1.0 - mu, 0.0, mu))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "groups", self.partition if kind in _GROUPED else None)
 
     # -- convenience constructors -------------------------------------------
     @classmethod
@@ -157,15 +185,10 @@ class RegularizerSpec:
     def sparse_group_lasso(cls, mu: float, partition: Partition):
         return cls(PenaltyKind.SGL, mu, partition)
 
-    def group_indices(self, n: int) -> tuple:
-        """Index arrays of the groups this spec acts on, for dimension ``n``."""
-        if self.partition is not None:
-            if self.partition.n != n:
-                raise ValueError(
-                    f"vector has length {n} but the partition covers {self.partition.n}"
-                )
-            return self.partition.index_arrays
-        return (np.arange(n, dtype=np.intp),)
+    def check_dimension(self, n: int) -> None:
+        """Raise ``ValueError`` unless the partition, if any, covers ``n`` coordinates."""
+        if self.partition is not None and self.partition.n != n:
+            raise ValueError(f"vector has length {n} but the partition covers {self.partition.n}")
 
     def label(self) -> str:
         if self.kind in _MU_KINDS:
@@ -175,59 +198,86 @@ class RegularizerSpec:
 
 def _soft(v: np.ndarray, t: float) -> np.ndarray:
     """Componentwise soft threshold at level ``t >= 0``."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
-def _block_shrink(u: np.ndarray, t: float) -> np.ndarray:
-    """Euclidean-norm shrinkage ``u * max(1 - t/||u||, 0)``."""
-    nrm = float(np.linalg.norm(u))
-    if nrm <= t:
-        return np.zeros_like(u)
-    return u * (1.0 - t / nrm)
+def _group_norms(groups: Optional[Partition], v: np.ndarray):
+    """Euclidean norm of each group of ``v``: a float for one group (``groups``
+    None or a single block), else an array from one ``bincount`` over the labels."""
+    if groups is None or groups.g == 1:
+        return math.sqrt(v @ v)
+    return np.sqrt(np.bincount(groups.labels, v * v, groups.g))
+
+
+def _per_coordinate(groups: Optional[Partition], per_group):
+    """Spread per-group values over the coordinates (one group's value broadcasts)."""
+    return per_group if groups is None or groups.g == 1 else per_group[groups.labels]
 
 
 def penalty_value(spec: RegularizerSpec, z) -> float:
     """Value of the penalty at ``z``; nonnegative, zero only at the origin."""
     z = np.asarray(z, dtype=float)
-    kind, mu = spec.kind, spec.mu
-    if kind is PenaltyKind.L1:
-        return float(np.sum(np.abs(z)))
-    if kind is PenaltyKind.L2SQ:
-        return float(z @ z)
-    if kind is PenaltyKind.EN:
-        return float(mu * np.sum(np.abs(z)) + (1.0 - mu) * (z @ z))
-    if kind is PenaltyKind.CLOT and spec.partition is None:
-        return float((1.0 - mu) * np.sum(np.abs(z)) + mu * np.linalg.norm(z))
+    a, b, c = spec.weights
     total = 0.0
-    for idx in spec.group_indices(z.shape[0]):
-        zg = z[idx]
-        total += (1.0 - mu) * float(np.sum(np.abs(zg))) + mu * float(np.linalg.norm(zg))
+    if a:
+        total += a * float(np.abs(z).sum())
+    if b:
+        total += b * float(z @ z)
+    if c:
+        total += c * float(np.add.reduce(_group_norms(spec.groups, z)))
     return total
 
 
 def prox(spec: RegularizerSpec, v, step: float) -> np.ndarray:
-    """Exact minimizer of ``step * R(z) + 0.5 * ||z - v||^2``.
-
-    Closed forms: soft thresholding for L1; scaling for ridge; threshold
-    then rescale for EN; and per group, soft threshold at ``step*(1 - mu)``
-    followed by a Euclidean shrink at ``step*mu`` for CLOT/SGL/GL.
-    """
+    """Exact minimizer of ``step * R(z) + 0.5 * ||z - v||^2``: soft threshold
+    at ``step*a``, group shrink at ``step*c``, division by ``1 + 2*step*b``."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    a, b, c = spec.weights
+    u = np.asarray(v, dtype=float)
+    if a:
+        u = _soft(u, step * a)
+    t = step * c
+    if t:  # zero also when step*c underflows
+        u = u * _per_coordinate(spec.groups, 1.0 - t / np.maximum(_group_norms(spec.groups, u), t))
+    if b:
+        u = u / (1.0 + 2.0 * step * b)
+    return u
+
+
+def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
+    """Minkowski gauge of ``v`` with respect to the subdifferential of the
+    penalty at the origin, ``{u + w : |u|_inf <= a, ||w_g||_2 <= c}``.
+
+    The origin solves ``||y - Az||^2 + lam*R(z)`` exactly when
+    ``lam >= 2 * gauge(A^T y)``.  Penalties with neither an l1 nor a group
+    term (ridge, and EN with mu = 0) have gauge infinity for nonzero ``v``.
+    """
     v = np.asarray(v, dtype=float)
-    kind, mu = spec.kind, spec.mu
-    if kind is PenaltyKind.L1:
-        return _soft(v, step)
-    if kind is PenaltyKind.L2SQ:
-        return v / (1.0 + 2.0 * step)
-    if kind is PenaltyKind.EN:
-        return _soft(v, step * mu) / (1.0 + 2.0 * step * (1.0 - mu))
-    if kind is PenaltyKind.CLOT and spec.partition is None:
-        return _block_shrink(_soft(v, step * (1.0 - mu)), step * mu)
-    out = np.empty_like(v)
-    for idx in spec.group_indices(v.shape[0]):
-        out[idx] = _block_shrink(_soft(v[idx], step * (1.0 - mu)), step * mu)
-    return out
+    if not np.any(v):
+        return 0.0
+    a, _, c = spec.weights
+    if not c:
+        return float(np.max(np.abs(v))) / a if a else np.inf
+    if not a:
+        return float(np.max(_group_norms(spec.groups, v))) / c
+
+    # Both terms: the smallest s with every group of soft(v/s, a) inside the
+    # c-ball, by bisection in log scale; v/hi lies in the a-box.
+    def inside(s):
+        return np.max(_group_norms(spec.groups, _soft(v / s, a))) <= c
+
+    hi = float(np.max(np.abs(v))) / a
+    lo = hi * 1e-20
+    if inside(lo):
+        return lo
+    for _ in range(100):
+        mid = float(np.sqrt(lo * hi))
+        if inside(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def sparsity_index(x, k: int, norm: str = "l1") -> float:

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .kkt import subdiff_distance
-from .regularizers import PenaltyKind, RegularizerSpec, penalty_value, prox, _soft
+from .regularizers import RegularizerSpec, penalty_gauge_at_zero, penalty_value, prox
 
 __all__ = [
     "Lagrangian",
@@ -306,7 +306,7 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     form = problem.form
     if not isinstance(form, Lagrangian):
         raise ValueError("solve_lagrangian needs a Lagrangian-form problem")
-    spec.group_indices(problem.A.shape[1])  # dimension check up front
+    spec.check_dimension(problem.A.shape[1])
     ws = _ws or _Workspace(problem.A, problem.y, opts)
     loss_w = form.lam if form.side == "loss" else 1.0
     pen_w = 1.0 if form.side == "loss" else form.lam
@@ -339,7 +339,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     if not isinstance(form, Constrained):
         raise ValueError("solve_constrained needs a Constrained-form problem")
     A, y, eps = problem.A, problem.y, form.eps
-    spec.group_indices(A.shape[1])
+    spec.check_dimension(A.shape[1])
     ynorm = float(np.linalg.norm(y))
     feas_slack = opts.feas_tol * max(1.0, ynorm)
 
@@ -514,55 +514,6 @@ def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: So
 # ---------------------------------------------------------------------------
 # zero-solution thresholds
 # ---------------------------------------------------------------------------
-
-
-def penalty_gauge_at_zero(spec: RegularizerSpec, c) -> float:
-    """Minkowski gauge of ``c`` with respect to the subdifferential of the
-    penalty at the origin.
-
-    The origin solves ``||y - Az||^2 + lam*R(z)`` exactly when
-    ``lam >= 2 * gauge(A^T y)``.  Penalties with a smooth quadratic part
-    (ridge, and EN with mu = 0) have gauge infinity for nonzero ``c``.
-    """
-    c = np.asarray(c, dtype=float)
-    kind, mu = spec.kind, spec.mu
-    if not np.any(c):
-        return 0.0
-    if kind is PenaltyKind.L1:
-        return float(np.max(np.abs(c)))
-    if kind is PenaltyKind.L2SQ:
-        return np.inf
-    if kind is PenaltyKind.EN:
-        return float(np.max(np.abs(c))) / mu if mu > 0 else np.inf
-    worst = 0.0
-    for idx in spec.group_indices(c.shape[0]):
-        worst = max(worst, _combined_ball_gauge(c[idx], mu))
-    return worst
-
-
-def _combined_ball_gauge(cg, mu) -> float:
-    """Gauge of the Minkowski sum of the (1-mu) max-norm ball and the mu
-    Euclidean ball, computed by bisection in log scale."""
-    cinf = float(np.max(np.abs(cg), initial=0.0))
-    if cinf == 0.0:
-        return 0.0
-    if mu >= 1.0:
-        return float(np.linalg.norm(cg))
-    hi = cinf / (1.0 - mu)
-
-    def inside(s):
-        return float(np.linalg.norm(_soft(cg / s, 1.0 - mu))) <= mu
-
-    lo = hi * 1e-20
-    if inside(lo):
-        return lo
-    for _ in range(100):
-        mid = float(np.sqrt(lo * hi))
-        if inside(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def lambda_zero_threshold(spec: RegularizerSpec, A, y, side: str = "penalty") -> float:

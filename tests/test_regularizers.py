@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clotkit.kkt import prox_optimality_residual
+from clotkit.kkt import prox_optimality_residual, subdiff_distance
 from clotkit.regularizers import Partition, PenaltyKind, RegularizerSpec, penalty_value, prox, sparsity_index
 
 from oracles import prox_objective, prox_oracle, sparsity_index_ref
@@ -18,7 +18,7 @@ class TestPartition:
     def test_valid(self):
         p = Partition(((0, 1), (2,)), 3)
         assert p.g == 2
-        assert [a.tolist() for a in p.index_arrays] == [[0, 1], [2]]
+        assert p.labels.tolist() == [0, 0, 1]
 
     @pytest.mark.parametrize("groups,n", [
         (((0, 1),), 3),          # does not cover
@@ -186,6 +186,7 @@ class TestProx:
            v=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
            step=st.floats(0.01, 3.0))
     @settings(max_examples=100, deadline=None)
+    @example(mu=5e-324, v=[0.0], step=0.5)  # step*mu underflows to zero
     def test_clot_prox_optimality_property(self, mu, v, step):
         spec = RegularizerSpec.clot(mu)
         z = prox(spec, np.asarray(v), step)
@@ -215,6 +216,16 @@ class TestReductions:
         assert penalty_value(sgl, v) == pytest.approx(penalty_value(clot, v), abs=1e-14)
         np.testing.assert_allclose(prox(sgl, v, 0.9), prox(clot, v, 0.9), atol=1e-14)
 
+    def test_clot_with_partition_is_one_group(self, rng):
+        part = Partition.contiguous([2, 1])
+        given = RegularizerSpec("clot", 0.5, part)
+        assert penalty_value(given, [3.0, 4.0, -2.0]) == pytest.approx(
+            penalty_value(CLOT_HALF, [3.0, 4.0, -2.0]), abs=1e-14)
+        for _ in range(10):
+            v = rng.standard_normal(3) * 2
+            assert penalty_value(given, v) == pytest.approx(penalty_value(CLOT_HALF, v), abs=1e-14)
+            np.testing.assert_allclose(prox(given, v, 0.7), prox(CLOT_HALF, v, 0.7), atol=1e-14)
+
     def test_sgl_mu0_is_l1(self, rng):
         v = rng.standard_normal(4)
         sgl = RegularizerSpec.sparse_group_lasso(0.0, Partition.contiguous([2, 2]))
@@ -228,6 +239,32 @@ class TestReductions:
         gl = RegularizerSpec.group_lasso(part)
         assert penalty_value(sgl, v) == pytest.approx(penalty_value(gl, v), abs=1e-14)
         np.testing.assert_allclose(prox(sgl, v, 0.5), prox(gl, v, 0.5), atol=1e-14)
+
+
+class TestSubdiffDistanceMeasure:
+    """At the origin the certificate is the max-norm gap per coordinate when
+    there is no group term, and the Euclidean gap per zero group otherwise."""
+
+    def test_separable_kinds_use_coordinate_max_norm(self, rng):
+        t = rng.standard_normal(6) * 2
+        w = 0.7
+        for spec, thr in ((RegularizerSpec.lasso(), w), (RegularizerSpec.elastic_net(0.3), 0.3 * w),
+                          (RegularizerSpec.ridge(), 0.0)):
+            expect = np.max(np.maximum(np.abs(t) - thr, 0.0))
+            assert subdiff_distance(spec, np.zeros(6), t, w) == pytest.approx(expect, rel=1e-14)
+
+    def test_grouped_kinds_use_euclidean_gap_per_zero_group(self, rng):
+        part = Partition(((0, 3), (1, 4, 5), (2,)), 6)
+        w = 0.7
+        for spec, groups in ((RegularizerSpec.clot(0.4), [list(range(6))]),
+                             (RegularizerSpec.group_lasso(part), part.groups),
+                             (RegularizerSpec.sparse_group_lasso(0.25, part), part.groups)):
+            t = rng.standard_normal(6) * 3
+            l1_thr, l2_thr = w * (1.0 - spec.mu), w * spec.mu
+            soft = np.sign(t) * np.maximum(np.abs(t) - l1_thr, 0.0)
+            expect = max(max(np.sqrt(np.sum(soft[list(g)] ** 2)) - l2_thr, 0.0) for g in groups)
+            assert expect > 0.0
+            assert subdiff_distance(spec, np.zeros(6), t, w) == pytest.approx(expect, rel=1e-14)
 
 
 class TestSparsityIndex:

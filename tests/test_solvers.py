@@ -80,11 +80,10 @@ class TestLagrangian:
             res = solve_lagrangian(Problem(A, y, Lagrangian(lam_max * 1.000001, "penalty")), spec, TIGHT)
             assert np.all(res.x_hat == 0.0)
             assert res.converged
-        # just below the threshold the solution must be nonzero
-        res = solve_lagrangian(Problem(A, y, Lagrangian(
-            lambda_zero_threshold(RegularizerSpec.lasso(), A, y) * 0.99, "penalty")),
-            RegularizerSpec.lasso(), TIGHT)
-        assert np.any(res.x_hat != 0.0)
+            # the threshold is tight: just below it the solution is nonzero
+            res = solve_lagrangian(Problem(A, y, Lagrangian(lam_max * 0.99, "penalty")), spec, TIGHT)
+            assert np.any(res.x_hat != 0.0), spec.label()
+            assert res.converged
 
     def test_l1_threshold_formula(self, rng):
         A, _, y = small_instance(rng)
