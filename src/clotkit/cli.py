@@ -81,6 +81,9 @@ def _build_spec(args):
 
     partition = None
     if getattr(args, "groups", None):
+        if args.reg not in ("gl", "sgl"):
+            raise ValueError(f"--groups needs --reg gl or sgl, not {args.reg}; "
+                             "CLOT is one group, and sgl is CLOT's penalty over groups")
         with open(args.groups, "r", encoding="utf-8") as handle:
             groups = json.load(handle)
         n = max(i for g in groups for i in g) + 1
@@ -92,12 +95,8 @@ def _build_spec(args):
 def _solver_options(args):
     from .solvers import SolverOptions
 
-    opts = SolverOptions()
-    for name in ("kkt_tol", "feas_tol", "max_iters"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(opts, name, value)
-    return opts
+    return SolverOptions(**{name: getattr(args, name) for name in ("kkt_tol", "feas_tol", "max_iters")
+                            if getattr(args, name, None) is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ Two problem forms are handled:
   accelerated proximal gradient descent with a gradient restart and one
   gradient evaluation (one Gram product, or one forward and one adjoint
   product) per iteration;
-* noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by a
-  homotopy on the Lagrangian multiplier: bisection when ``eps > 0``, and for
-  ``eps = 0`` a multiplier ramp followed by a least-squares polish on the
-  detected support.
+* noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
+  search on the loss-side multiplier: a tenfold warm-started walk until the
+  residual meets the budget, then a safeguarded secant that closes the last
+  bracket when ``eps > 0``, or a least-squares refit on the detected support
+  when ``eps = 0``.
 
 Every Lagrangian solve is certified by the independent subgradient check in
 :mod:`clotkit.kkt`; failure to converge is reported through the result, not
@@ -97,29 +98,23 @@ class Problem:
         self.A, self.y = A, y
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Tolerances and iteration limits.
 
     ``kkt_tol`` is relative: a Lagrangian solve stops once the subgradient
     gap falls below ``kkt_tol * max(1, |gradient at the origin|_inf)``.
+    ``feas_tol`` is the relative slack of the noise budget, and for
+    ``eps > 0`` also the width of the residual window the multiplier search
+    aims for.  ``use_gram`` forces (True) or forbids (False) routing through
+    the Gram matrix; None decides from the shape.
     """
 
     kkt_tol: float = 1e-8
     feas_tol: float = 1e-6
-    obj_tol: float = 1e-8
     max_iters: int = 50_000
     check_every: int = 25
-    power_iters: int = 50
-    power_tol: float = 1e-10
     use_gram: Optional[bool] = None
-    bisection_steps: int = 60
-    lambda_floor: float = 1e-10
-    polish: bool = True
-    support_rel_tol: float = 1e-6
-    ramp_factor: float = 10.0
-    ramp_max_stages: int = 16
-    ramp_stage_iters: int = 3000
 
 
 @dataclass
@@ -198,7 +193,7 @@ class _Workspace:
 
     def __init__(self, A, y, opts: SolverOptions):
         self.quad = _Quadratic(A, y, opts.use_gram)
-        self.sigma2 = self.quad.sigma_sq_max(opts.power_iters, opts.power_tol)
+        self.sigma2 = self.quad.sigma_sq_max()
         if self.sigma2 <= 0.0:
             raise ValueError("A must be nonzero")
 
@@ -290,6 +285,10 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
 # public solvers
 # ---------------------------------------------------------------------------
 
+_MAX_STAGES = 16  # solves of the tenfold walk, and of the secant
+_STAGE_ITERS = 3000  # iteration cap of each eps = 0 solve
+_SUPPORT_REL_TOL = 1e-6  # eps = 0 refit support: |x_i| above this times max|x|
+
 
 def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOptions = None,
                      _ws: _Workspace = None, *, x0=None) -> SolveResult:
@@ -328,11 +327,24 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
 def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptions = None) -> SolveResult:
     """Minimize the penalty subject to ``||Az - y||_2 <= eps``.
 
-    ``eps > 0``: bisection on the penalty-side multiplier (the residual is
-    nondecreasing in it), warm-starting each inner solve.  ``eps = 0``: ramp
-    the loss-side multiplier until the residual is negligible, then refit on
-    the detected support by least squares, keeping the refit only if it does
-    not worsen the penalty.
+    One search on the loss-side multiplier ``lam`` of
+    ``lam*||Az - y||^2 + R(z)``, whose residual falls as ``lam`` grows.  From
+    the zero-solution threshold, ``lam`` grows tenfold per warm-started solve
+    until the residual meets the target: ``eps``, or ``1e-9*||y||`` when
+    ``eps = 0``.  A penalty with no exact zero solution (ridge) whose first
+    solve is already inside the budget walks ``lam`` down instead.
+
+    ``eps > 0``: an Illinois-safeguarded secant on ``(log lam, log residual)``
+    closes the last bracket and stops once the residual is within
+    ``feas_tol`` of ``eps``, relatively.  The window is two-sided because at
+    the default ``kkt_tol`` an inner solve pins the residual down only to
+    about 1e-7 relative, so a one-sided window can be stepped over.
+    ``eps = 0``: each solve is capped at 3000 iterations, and
+    the estimate is refit on its support by least squares, keeping the refit
+    only if it does not worsen the penalty.
+
+    ``info["stages"]`` lists one ``(lam, residual, iterations)`` entry per
+    inner solve, and ``info["inner_solves"]`` counts them.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -346,7 +358,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     if ynorm <= eps:
         x = np.zeros(A.shape[1])
         return SolveResult(x, 0.0, ynorm, 0, 0.0, True,
-                           info={"form": "constrained", "eps": eps, "trivial_zero": True})
+                           info={"form": "constrained", "eps": eps, "trivial_zero": True,
+                                 "inner_solves": 0, "stages": []})
 
     x_ls, *_ = np.linalg.lstsq(A, y, rcond=None)
     r_min = float(np.linalg.norm(A @ x_ls - y))
@@ -356,123 +369,93 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         )
 
     ws = _Workspace(A, y, opts)
-    if eps == 0.0:
-        return _solve_eps_zero(problem, spec, opts, ws, feas_slack)
-    return _solve_eps_positive(problem, spec, opts, ws, eps, feas_slack)
-
-
-def _solve_eps_zero(problem, spec, opts, ws, feas_slack):
-    A, y = problem.A, problem.y
-    ynorm = float(np.linalg.norm(y))
     gauge = penalty_gauge_at_zero(spec, ws.quad.aty)
-    lam0 = 1.0 / (2.0 * gauge) if np.isfinite(gauge) and gauge > 0 else \
+    exact_zero = bool(np.isfinite(gauge) and gauge > 0)
+    lam0 = 1.0 / (2.0 * gauge) if exact_zero else \
         1.0 / (2.0 * max(float(np.max(np.abs(ws.quad.aty), initial=0.0)), 1e-12))
-    r_target = 1e-9 * ynorm  # relative, so the ramp is scale-equivariant
+    target = eps if eps > 0 else 1e-9 * ynorm  # relative, so eps = 0 is scale-equivariant
+    # eps = 0 stages only hand a warm start to the next multiplier; the refit
+    # and the feasibility check decide the final quality
+    inner_opts = opts if eps > 0 else replace(opts, max_iters=min(opts.max_iters, _STAGE_ITERS))
+    stages = []
 
-    x = np.zeros(A.shape[1])
-    total_iters = 0
-    lam_path = []
-    inner = None
-    # stages only need to hand a good warm start to the next multiplier;
-    # the polish and the feasibility check decide the final quality
-    stage_opts = replace(opts, max_iters=min(opts.max_iters, opts.ramp_stage_iters))
-    for stage in range(1, opts.ramp_max_stages + 1):
-        lam = lam0 * opts.ramp_factor**stage
-        inner = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, stage_opts,
-                                 _ws=ws, x0=x)
-        x = inner.x_hat
-        total_iters += inner.iterations
-        lam_path.append(lam)
-        if inner.residual_l2 <= r_target:
-            break
+    def solve_at(lam, x0):
+        res = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, inner_opts,
+                               _ws=ws, x0=x0)
+        stages.append((lam, res.residual_l2, res.iterations))
+        return res
 
-    polished = False
-    residual = inner.residual_l2
-    if opts.polish and np.max(np.abs(x)) > 0:
-        support = np.abs(x) > opts.support_rel_tol * np.max(np.abs(x))
-        if 0 < support.sum():
-            xp = np.zeros_like(x)
-            sol, *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
-            xp[support] = sol
-            rp = float(np.linalg.norm(A @ xp - y))
-            pen_x = penalty_value(spec, x)
-            pen_p = penalty_value(spec, xp)
-            # scale-relative acceptance so equivariance survives the polish
-            if rp <= residual * (1.0 + 1e-9) + 1e-14 * ynorm and pen_p <= pen_x * (1.0 + 1e-9):
-                x, residual, polished = xp, rp, True
+    # tenfold walk; lo/hi are the last (lam, residual) above/within the target
+    lo = (lam0, ynorm) if exact_zero else None
+    hi = best = res = None
+    k, step = 0, 1
+    for _ in range(_MAX_STAGES):
+        k += step
+        lam = lam0 * 10.0**k
+        res = solve_at(lam, None if res is None else res.x_hat)
+        if res.residual_l2 <= target:
+            hi, best = (lam, res.residual_l2), res
+            if lo is not None or eps == 0.0:
+                break
+            step = -1  # no exact zero solution below: walk down to bracket the budget
+        else:
+            lo = (lam, res.residual_l2)
+            if hi is not None:
+                break
 
-    feasible = residual <= feas_slack
+    def settled(r):
+        return abs(r - eps) <= opts.feas_tol * eps
+
+    if eps > 0 and lo is not None and hi is not None and not settled(hi[1]):
+        # Illinois secant on f(t) = log(residual / eps), t = log(lam)
+        t_lo, f_lo = math.log(lo[0]), math.log(lo[1] / eps)
+        t_hi, f_hi = math.log(hi[0]), math.log(max(hi[1], 1e-300) / eps)
+        side = 0
+        for _ in range(_MAX_STAGES):
+            t = t_hi - f_hi * (t_hi - t_lo) / (f_hi - f_lo)
+            res = solve_at(math.exp(t), res.x_hat)
+            if settled(res.residual_l2):
+                best = res
+                break
+            f = math.log(max(res.residual_l2, 1e-300) / eps)
+            if f < 0:
+                t_hi, f_hi, best = t, f, res
+                if side == 1:
+                    f_lo *= 0.5
+                side = 1
+            else:
+                t_lo, f_lo = t, f
+                if side == -1:
+                    f_hi *= 0.5
+                side = -1
+
+    inner = res if best is None else best
+    x, residual, polished = inner.x_hat, inner.residual_l2, False
+    if eps == 0.0 and np.max(np.abs(x)) > 0:
+        support = np.abs(x) > _SUPPORT_REL_TOL * np.max(np.abs(x))
+        xp = np.zeros_like(x)
+        xp[support] = np.linalg.lstsq(A[:, support], y, rcond=None)[0]
+        rp = float(np.linalg.norm(A @ xp - y))
+        # scale-relative acceptance so equivariance survives the refit
+        if rp <= residual * (1.0 + 1e-9) + 1e-14 * ynorm and \
+                penalty_value(spec, xp) <= penalty_value(spec, x) * (1.0 + 1e-9):
+            x, residual, polished = xp, rp, True
+
+    if eps == 0.0:
+        feasible = residual <= feas_slack
+        converged = feasible and (inner.converged or polished)
+    else:
+        feasible = residual <= eps * (1.0 + opts.feas_tol) + 1e-12
+        converged = feasible and inner.converged
     return SolveResult(
         x_hat=x,
         objective=penalty_value(spec, x),
         residual_l2=residual,
-        iterations=total_iters,
+        iterations=sum(s[2] for s in stages),
         kkt_residual=inner.kkt_residual,
-        converged=bool(feasible and (inner.converged or polished)),
-        info={"form": "constrained", "eps": 0.0, "lambda_path": lam_path,
+        converged=bool(converged),
+        info={"form": "constrained", "eps": eps, "inner_solves": len(stages), "stages": stages,
               "polished": polished, "feasible": feasible},
-    )
-
-
-def _solve_eps_positive(problem, spec, opts, ws, eps, feas_slack):
-    A, y = problem.A, problem.y
-
-    def solve_at(lam, x0):
-        return solve_lagrangian(Problem(A, y, Lagrangian(lam, "penalty")), spec, opts, _ws=ws, x0=x0)
-
-    gauge = penalty_gauge_at_zero(spec, ws.quad.aty)
-    warm = np.zeros(A.shape[1])
-    if np.isfinite(gauge) and gauge > 0:
-        lam_hi = 2.0 * gauge
-    else:
-        lam_hi = 1.0  # ridge-like penalties never reach an exact zero solution
-        for _ in range(80):
-            res = solve_at(lam_hi, warm)
-            warm = res.x_hat
-            if res.residual_l2 >= eps:
-                break
-            lam_hi *= 4.0
-
-    lam_lo = opts.lambda_floor
-    best = None
-    total_iters = 0
-    stable = 0
-    for _ in range(opts.bisection_steps):
-        lam_mid = float(np.sqrt(lam_lo * lam_hi))
-        res = solve_at(lam_mid, warm)
-        warm = res.x_hat
-        total_iters += res.iterations
-        if res.residual_l2 <= eps:
-            lam_lo = lam_mid
-            prev = best
-            best = (lam_mid, res)
-            # stop once the feasible-side penalty has stabilized to obj_tol
-            if prev is not None:
-                pen_prev = penalty_value(spec, prev[1].x_hat)
-                pen_new = penalty_value(spec, res.x_hat)
-                stable = stable + 1 if abs(pen_new - pen_prev) <= opts.obj_tol * max(1.0, pen_prev) else 0
-                if stable >= 5:
-                    break
-        else:
-            lam_hi = lam_mid
-        if lam_hi / lam_lo < 1.0 + 1e-14:
-            break
-
-    if best is None:
-        res = solve_at(lam_lo, warm)
-        total_iters += res.iterations
-        best = (lam_lo, res)
-    lam_star, res = best
-    feasible = res.residual_l2 <= eps * (1.0 + opts.feas_tol) + 1e-12
-    return SolveResult(
-        x_hat=res.x_hat,
-        objective=penalty_value(spec, res.x_hat),
-        residual_l2=res.residual_l2,
-        iterations=total_iters,
-        kkt_residual=res.kkt_residual,
-        converged=bool(res.converged and feasible),
-        info={"form": "constrained", "eps": eps, "lambda_star": lam_star,
-              "feasible": feasible},
     )
 
 

@@ -90,6 +90,16 @@ class TestSolveCommand:
         assert code == EXIT_OK
         assert len(env["outputs"]["x_hat"]) == 3
 
+    @pytest.mark.parametrize("reg", ["clot", "lasso", "ridge", "en"])
+    def test_groups_rejected_without_group_penalty(self, capsys, io_dir, tmp_path, reg):
+        groups = tmp_path / "groups.json"
+        groups.write_text("[[0, 1], [2]]")
+        code = main(["solve", "--reg", reg, "--mu", "0.5", "--lambda", "0.2",
+                     "--groups", str(groups), "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert "--groups" in err and "sgl" in err and "CLOT is one group" in err
+
 
 class TestCertificateCommand:
     def test_published_values(self, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from clotkit.solvers import (
 from oracles import scalar_lasso_scan
 
 TIGHT = SolverOptions(kkt_tol=1e-10, check_every=10)
+FAMILY = [RegularizerSpec.lasso(), RegularizerSpec.ridge(), RegularizerSpec.elastic_net(0.5),
+          RegularizerSpec.clot(0.3), RegularizerSpec.group_lasso(Partition.contiguous([5] * 6)),
+          RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([5] * 6))]
 
 
 def small_instance(rng, m=12, n=20, k=3, noise=0.0):
@@ -246,6 +251,39 @@ class TestConstrained:
         spec = RegularizerSpec.clot(0.35)
         res = solve_constrained(Problem(A, y, Constrained(0.0)), spec)
         assert res.objective <= penalty_value(spec, x) * (1 + 1e-6)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("spec", FAMILY, ids=lambda s: s.label())
+    def test_positive_eps_across_family(self, spec, eps):
+        A = fixture_matrix("gaussian", 20, 30, seed=7)
+        x = np.zeros(30)
+        x[[2, 11, 23]] = (1.5, -1.0, 0.8)
+        y = A @ x + 0.1 * np.random.default_rng(7).standard_normal(20)
+        tol = SolverOptions().feas_tol
+        res = solve_constrained(Problem(A, y, Constrained(eps)), spec)
+        assert res.converged
+        assert eps * (1 - tol) <= res.residual_l2 <= eps * (1 + tol)
+        assert res.info["inner_solves"] <= 15
+
+    def test_info_lists_every_inner_solve(self, rng):
+        A, _, y = small_instance(rng, noise=0.1)
+        spec = RegularizerSpec.clot(0.3)
+        trivial = solve_constrained(Problem(A, y, Constrained(2 * np.linalg.norm(y))), spec)
+        assert trivial.info["inner_solves"] == 0 and trivial.info["stages"] == []
+        noisy, exact = (solve_constrained(Problem(A, y, Constrained(eps)), spec) for eps in (0.3, 0.0))
+        assert noisy.info.keys() == exact.info.keys()
+        for res in (noisy, exact):
+            stages = res.info["stages"]
+            assert res.info["inner_solves"] == len(stages) >= 1
+            assert res.iterations == sum(it for _, _, it in stages)
+            assert all(lam > 0 and r >= 0 for lam, r, _ in stages)
+        assert noisy.residual_l2 in [r for _, r, _ in noisy.info["stages"]]
+
+    def test_options_are_frozen(self):
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+            "kkt_tol", "feas_tol", "max_iters", "check_every", "use_gram"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TIGHT.max_iters = 1
 
 
 class TestSolutionPath:
