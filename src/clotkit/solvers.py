@@ -370,7 +370,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
 
     ws = _Workspace(A, y, opts)
     gauge = penalty_gauge_at_zero(spec, ws.quad.aty)
-    exact_zero = bool(np.isfinite(gauge) and gauge > 0)
+    exact_zero = np.isfinite(gauge) and gauge > 0
     lam0 = 1.0 / (2.0 * gauge) if exact_zero else \
         1.0 / (2.0 * max(float(np.max(np.abs(ws.quad.aty), initial=0.0)), 1e-12))
     target = eps if eps > 0 else 1e-9 * ynorm  # relative, so eps = 0 is scale-equivariant
