@@ -6,8 +6,10 @@ holding the tool version, the fully resolved configuration, the wall-clock
 time, and the outputs; the envelope schema ships with the package.  Exit
 codes: 0 success, 1 usage or input error, 2 numerical non-convergence.
 
-Heavy imports happen inside the handlers so that ``--threads`` can cap the
-BLAS worker count before the numeric stack loads.
+Each handler returns its outputs and exit code; :func:`main` times it and
+emits the envelope.  Heavy imports happen inside the handlers so that
+``--threads`` (or ``CLOTKIT_THREADS``) can cap the BLAS worker count before
+the numeric stack loads.
 """
 
 from __future__ import annotations
@@ -35,20 +37,17 @@ def _version() -> str:
         return "0.0.dev"
 
 
-def _envelope(command: str, config: dict, outputs: dict, t0: float) -> dict:
-    return {
+def _emit(args, outputs: dict, wall_time_s: float) -> None:
+    envelope = {
         "tool": {"name": "clotkit", "version": _version()},
-        "command": command,
-        "config": config,
-        "wall_time_s": time.perf_counter() - t0,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "wall_time_s": wall_time_s,
         "outputs": outputs,
     }
-
-
-def _emit(envelope: dict, out_path) -> None:
     text = json.dumps(envelope, indent=2, sort_keys=True, default=_json_default)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
@@ -57,14 +56,8 @@ def _emit(envelope: dict, out_path) -> None:
 def _json_default(obj):
     import numpy as np
 
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -80,23 +73,25 @@ def _build_spec(args):
     from .regularizers import Partition, RegularizerSpec
 
     partition = None
-    if getattr(args, "groups", None):
+    if args.groups:
         if args.reg not in ("gl", "sgl"):
             raise ValueError(f"--groups needs --reg gl or sgl, not {args.reg}; "
                              "CLOT is one group, and sgl is CLOT's penalty over groups")
         with open(args.groups, "r", encoding="utf-8") as handle:
             groups = json.load(handle)
+        if not (isinstance(groups, list) and all(
+                isinstance(g, list) and all(type(i) is int for i in g) for g in groups)):
+            raise ValueError(f"--groups file {args.groups} must hold a list of lists of integers")
         n = max(i for g in groups for i in g) + 1
         partition = Partition(tuple(tuple(g) for g in groups), n)
-    kind = {"lasso": "l1", "ridge": "l2sq"}.get(args.reg, args.reg)
-    return RegularizerSpec(kind, getattr(args, "mu", 0.0) or 0.0, partition)
+    return RegularizerSpec(args.reg, args.mu, partition)
 
 
 def _solver_options(args):
     from .solvers import SolverOptions
 
     return SolverOptions(**{name: getattr(args, name) for name in ("kkt_tol", "feas_tol", "max_iters")
-                            if getattr(args, name, None) is not None})
+                            if getattr(args, name) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +99,10 @@ def _solver_options(args):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     from . import fileio
     from .solvers import Constrained, Lagrangian, Problem, solve_constrained, solve_lagrangian
 
-    t0 = time.perf_counter()
     A = _read_matrix(args.matrix)
     y = fileio.read_vector_csv(args.rhs)
     spec = _build_spec(args)
@@ -139,14 +133,12 @@ def _cmd_solve(args) -> int:
     }
     if args.x_out is None:
         outputs["x_hat"] = result.x_hat.tolist()
-    _emit(_envelope("solve", _resolved(args), outputs, t0), args.out)
-    return EXIT_OK if result.converged else EXIT_NOCONV
+    return outputs, EXIT_OK if result.converged else EXIT_NOCONV
 
 
-def _cmd_certificate(args) -> int:
+def _cmd_certificate(args):
     from .rip import certificate, error_bounds
 
-    t0 = time.perf_counter()
     cert = certificate(args.t, args.k, args.delta, args.g, args.mu)
     outputs = {"certificate": cert.to_dict()}
     if args.sigma_k is not None or args.eps is not None:
@@ -160,15 +152,13 @@ def _cmd_certificate(args) -> int:
         else:
             outputs["bound_l1"] = None
             outputs["bound_lp"] = None
-    _emit(_envelope("certificate", _resolved(args), outputs, t0), args.out)
-    return EXIT_OK
+    return outputs, EXIT_OK
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args):
     from . import fileio
     from .matrices import DeVoreParams, devore_matrix, devore_min_prime, devore_threshold, fixture_matrix
 
-    t0 = time.perf_counter()
     outputs = {}
     if args.matrix_kind == "devore":
         if args.p is not None:
@@ -192,26 +182,19 @@ def _cmd_matrix(args) -> int:
             fileio.write_matrix_csv(args.matrix_out, A)
         outputs["matrix_out"] = args.matrix_out
         outputs["format"] = args.format
-    _emit(_envelope("matrix", _resolved(args), outputs, t0), args.out)
-    return EXIT_OK
+    return outputs, EXIT_OK
 
 
-def _cmd_riporacle(args) -> int:
+def _cmd_riporacle(args):
     from .rip import exact_rip
 
-    t0 = time.perf_counter()
-    A = _read_matrix(args.matrix)
-    est = exact_rip(A, args.k)
-    outputs = {"k": est.k, "delta_k": est.delta_k,
-               "argmax_support": list(est.argmax_support)}
-    _emit(_envelope("riporacle", _resolved(args), outputs, t0), args.out)
-    return EXIT_OK
+    est = exact_rip(_read_matrix(args.matrix), args.k)
+    return {"k": est.k, "delta_k": est.delta_k, "argmax_support": list(est.argmax_support)}, EXIT_OK
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args):
     from . import experiments
 
-    t0 = time.perf_counter()
     if args.study == "comparison":
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:
@@ -225,22 +208,13 @@ def _cmd_experiment(args) -> int:
         report = experiments.run_grouping_paths(seed=args.seed)
     elif args.study == "paths":
         report = experiments.run_path_nonequivalence(seed=args.seed)
-    elif args.study == "scaling":
-        preset = "small" if args.small else args.preset
-        report = experiments.run_scaling(preset=preset)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown study {args.study!r}")
+    else:  # scaling; argparse restricts the choices
+        report = experiments.run_scaling(preset="small" if args.small else args.preset)
 
     outputs = {"tables": report.tables, "metadata": report.metadata}
     if args.out_dir:
         outputs["files"] = report.write(args.out_dir)
-    _emit(_envelope("experiment", _resolved(args), outputs, t0), args.out)
-    return EXIT_OK
-
-
-def _resolved(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    return outputs, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +298,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    threads = os.environ.get("CLOTKIT_THREADS")
-    if "--threads" in argv:
-        at = argv.index("--threads")
-        if at + 1 < len(argv):
-            threads = argv[at + 1]
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    # the handlers import numpy, so the BLAS cap must be in place before them
+    threads = os.environ.get("CLOTKIT_THREADS") if args.threads is None else args.threads
     if threads:
         for var in _THREAD_VARS:
             os.environ.setdefault(var, str(threads))
 
-    parser = build_parser()
+    t0 = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
+        outputs, code = args.func(args)
+        _emit(args, outputs, time.perf_counter() - t0)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return code
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -60,11 +60,7 @@ class StudyReport:
     series: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name, "config": self.config, "metadata": self.metadata,
-            "tables": self.tables, "records": self.records, "series": self.series,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def write(self, out_dir) -> list:
         """Write report.json plus one CSV per series; returns the paths."""
@@ -128,9 +124,7 @@ class ScenarioConfig:
                    seed=int(d["seed"]), methods=d["methods"], lambda_grid=d["lambda_grid"])
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "generator": self.generator,
-                "replications": self.replications, "seed": self.seed,
-                "methods": self.methods, "lambda_grid": self.lambda_grid}
+        return asdict(self)
 
 
 def builtin_scenario_names() -> list:
@@ -212,7 +206,10 @@ def _support_size(beta_hat, rel_tol=1e-6) -> int:
     return int(np.sum(np.abs(beta_hat) > rel_tol * top))
 
 
-def run_comparison(config: ScenarioConfig, solver_opts: SolverOptions = None) -> StudyReport:
+_COMPARISON_OPTS = SolverOptions(kkt_tol=1e-6, max_iters=2500, check_every=10)
+
+
+def run_comparison(config: ScenarioConfig) -> StudyReport:
     """Replicated train/validate/test comparison of the configured methods.
 
     The multiplier and (where applicable) the mixing parameter are chosen per
@@ -222,7 +219,6 @@ def run_comparison(config: ScenarioConfig, solver_opts: SolverOptions = None) ->
     scenarios.  Reported error is mean squared prediction error against the
     noiseless test signal.
     """
-    opts = solver_opts or SolverOptions(kkt_tol=1e-6, max_iters=2500, check_every=10)
     lg = config.lambda_grid
     lam_grid = np.logspace(np.log10(float(lg["hi"])), np.log10(float(lg["lo"])), int(lg["num"]))
 
@@ -244,7 +240,7 @@ def run_comparison(config: ScenarioConfig, solver_opts: SolverOptions = None) ->
             any_failed = False
             for mu in mu_grid:
                 spec = _method_spec(kind, mu)
-                path = solution_path(template, spec, lam_grid, opts)
+                path = solution_path(template, spec, lam_grid, _COMPARISON_OPTS)
                 for point in path:
                     if point.result is None:
                         any_failed = True
@@ -328,18 +324,21 @@ def _trio_spread(beta_row) -> float:
     return float((trio.max() - trio.min()) / trio.mean())
 
 
-def _path_matrix(A, y, spec, lam_grid, opts) -> np.ndarray:
-    template = Problem(A, y, Lagrangian(1.0, "penalty"))
-    points = solution_path(template, spec, lam_grid, opts)
+_PATH_OPTS = SolverOptions(kkt_tol=1e-10, max_iters=20000, check_every=10)
+
+
+def _descending_path(pre, spec, n_lambdas, decades):
+    """Solutions over ``n_lambdas`` multipliers spanning ``decades`` down from
+    the zero threshold ``lam_max``; returns ``(lam_max, grid, betas)``."""
+    lam_max = lambda_zero_threshold(spec, pre.A, pre.y, "penalty")
+    grid = lam_max * np.logspace(0.0, -decades, n_lambdas)
+    points = solution_path(Problem(pre.A, pre.y, Lagrangian(1.0, "penalty")), spec, grid, _PATH_OPTS)
     rows = []
     for p in points:
         if p.result is None:
             raise RuntimeError(f"path solve failed at lam={p.lam:g}: {p.error}")
         rows.append(p.result.x_hat)
-    return np.asarray(rows)
-
-
-_PATH_OPTS = SolverOptions(kkt_tol=1e-10, max_iters=20000, check_every=10)
+    return lam_max, grid, np.asarray(rows)
 
 
 def run_grouping_paths(seed: int = 0, n_samples: int = 100, mu: float = 0.5,
@@ -357,9 +356,7 @@ def run_grouping_paths(seed: int = 0, n_samples: int = 100, mu: float = 0.5,
     spread_stats = {}
     window = {}
     for label, spec in methods.items():
-        lam_max = lambda_zero_threshold(spec, pre.A, pre.y, "penalty")
-        grid = lam_max * np.logspace(0.0, -decades, n_lambdas)
-        betas = _path_matrix(pre.A, pre.y, spec, grid, _PATH_OPTS)
+        lam_max, grid, betas = _descending_path(pre, spec, n_lambdas, decades)
         series[label] = {
             "lambda": grid.tolist(),
             **{f"beta{i + 1}": betas[:, i].tolist() for i in range(betas.shape[1])},
@@ -416,10 +413,7 @@ def run_path_nonequivalence(seed: int = 0, n_samples: int = 100, mu: float = 0.5
     paths = {}
     grids = {}
     for label, spec in (("clot", RegularizerSpec.clot(mu)), ("en", RegularizerSpec.elastic_net(mu))):
-        lam_max = lambda_zero_threshold(spec, pre.A, pre.y, "penalty")
-        grid = lam_max * np.logspace(0.0, -decades, n_lambdas)
-        paths[label] = _path_matrix(pre.A, pre.y, spec, grid, _PATH_OPTS)
-        grids[label] = grid
+        _, grids[label], paths[label] = _descending_path(pre, spec, n_lambdas, decades)
 
     # grids are descending, so beta1 increases with grid index
     runs = {label: _longest_increasing_run(paths[label][:, 0]) for label in paths}
@@ -489,7 +483,7 @@ _SCALING_TRUE = (0.8147, 0.9058, 0.1270)
 
 
 def run_scaling(c_list: Sequence[int] = (0, 1, 2, 3, 4), preset: str = "small",
-                mu: float = 0.2, solver_opts: SolverOptions = None) -> StudyReport:
+                mu: float = 0.2) -> StudyReport:
     """Noise-free recovery of a 3-sparse vector scaled by powers of ten.
 
     Both methods share the same mixing weight on the l1 term: CLOT uses
@@ -501,7 +495,6 @@ def run_scaling(c_list: Sequence[int] = (0, 1, 2, 3, 4), preset: str = "small",
     if preset not in SCALING_PRESETS:
         raise ValueError(f"unknown preset {preset!r}; have {sorted(SCALING_PRESETS)}")
     params = SCALING_PRESETS[preset]
-    opts = solver_opts or SolverOptions()
     A = devore_matrix(DeVoreParams(params["p"], params["r"], params["n"]), normalize=False)
     n = A.shape[1]
     x0 = np.zeros(n)
@@ -516,7 +509,7 @@ def run_scaling(c_list: Sequence[int] = (0, 1, 2, 3, 4), preset: str = "small",
         y = A @ x_true
         row = {"c": int(c)}
         for label, spec in (("clot", clot_spec), ("en", en_spec)):
-            res = solve_constrained(Problem(A, y, Constrained(0.0)), spec, opts)
+            res = solve_constrained(Problem(A, y, Constrained(0.0)), spec)
             rel = float(np.linalg.norm(res.x_hat - x_true) / np.linalg.norm(x_true))
             row[label] = {
                 "rel_err": rel,

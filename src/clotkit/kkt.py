@@ -12,7 +12,7 @@ import numpy as np
 
 from .regularizers import RegularizerSpec, _group_norms, _per_coordinate
 
-__all__ = ["subdiff_distance", "loss_gradient", "kkt_residual", "prox_optimality_residual"]
+__all__ = ["subdiff_distance", "kkt_residual", "prox_optimality_residual"]
 
 
 def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> float:
@@ -52,13 +52,6 @@ def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> f
     return float(gap.max())
 
 
-def loss_gradient(A, y, x, lam: float = 1.0, side: str = "penalty") -> np.ndarray:
-    """Gradient of the squared-residual term, including a multiplier on the
-    loss when ``side == 'loss'``."""
-    w = float(lam) if side == "loss" else 1.0
-    return 2.0 * w * (A.T @ (A @ x - y))
-
-
 def kkt_residual(A, y, x, spec: RegularizerSpec, lam: float, side: str = "penalty") -> float:
     """Stationarity gap of ``x`` for the Lagrangian program.
 
@@ -67,9 +60,9 @@ def kkt_residual(A, y, x, spec: RegularizerSpec, lam: float, side: str = "penalt
     """
     if side not in ("penalty", "loss"):
         raise ValueError(f"side must be 'penalty' or 'loss', got {side!r}")
-    grad = loss_gradient(A, y, x, lam, side)
-    pen_weight = 1.0 if side == "loss" else float(lam)
-    return subdiff_distance(spec, x, -grad, pen_weight)
+    loss_w, pen_w = (float(lam), 1.0) if side == "loss" else (1.0, float(lam))
+    grad = 2.0 * loss_w * (A.T @ (A @ x - y))
+    return subdiff_distance(spec, x, -grad, pen_w)
 
 
 def prox_optimality_residual(spec: RegularizerSpec, z, v, step: float) -> float:

@@ -59,6 +59,11 @@ class PenaltyKind(str, Enum):
     GL = "gl"
     SGL = "sgl"
 
+    @classmethod
+    def _missing_(cls, value):
+        """Accept the common names ``lasso`` and ``ridge``."""
+        return {"lasso": cls.L1, "ridge": cls.L2SQ}.get(value)
+
 
 _GROUPED = (PenaltyKind.GL, PenaltyKind.SGL)
 _MU_KINDS = (PenaltyKind.EN, PenaltyKind.CLOT, PenaltyKind.SGL)

@@ -14,7 +14,7 @@ parameter stays below ``mu_max``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, islice
 from typing import Optional
 
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _SUBSET_GUARD = 10_000_000
+_CHUNK = 200_000  # supports per eigenvalue batch
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,7 @@ class Certificate:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t, "k": self.k, "delta": self.delta, "g": self.g, "mu": self.mu,
-            "nu": self.nu, "a": self.a, "b": self.b, "c": self.c,
-            "rho": self.rho, "tau": self.tau, "gamma": self.gamma, "mu_max": self.mu_max,
-            "c_sigma": self.c_sigma, "c_eps": self.c_eps,
-            "valid": self.valid, "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def certificate(t: float, k: int, delta: float, g: int = 1, mu: float = 0.0) -> Certificate:
@@ -193,7 +188,7 @@ class RipEstimate:
     argmax_support: tuple
 
 
-def exact_rip(A, k: int, max_subsets: int = _SUBSET_GUARD, chunk: int = 200_000) -> RipEstimate:
+def exact_rip(A, k: int, max_subsets: int = _SUBSET_GUARD) -> RipEstimate:
     """Exact ``delta_k`` of a matrix by enumerating every size-``k`` support.
 
     Supports of size below ``k`` are dominated by eigenvalue interlacing, so
@@ -217,7 +212,7 @@ def exact_rip(A, k: int, max_subsets: int = _SUBSET_GUARD, chunk: int = 200_000)
     combos = combinations(range(n), k)
     while True:
         block = np.fromiter(
-            (i for combo in islice(combos, chunk) for i in combo), dtype=np.intp
+            (i for combo in islice(combos, _CHUNK) for i in combo), dtype=np.intp
         )
         if block.size == 0:
             break

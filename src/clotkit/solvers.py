@@ -136,66 +136,57 @@ class PathPoint:
 
 
 # ---------------------------------------------------------------------------
-# quadratic data-fit term, optionally routed through the Gram matrix
+# per-(A, y) data-fit state, optionally routed through the Gram matrix
 # ---------------------------------------------------------------------------
 
-
-class _Quadratic:
-    """Half-gradient ``A^T(Ax - y)`` of ``||Ax - y||^2``, and its residual.
-
-    For tall-ish problems the Gram matrix ``A^T A`` is precomputed; one
-    Gram matvec (n^2 flops) then beats the two rectangular products
-    (2*m*n flops) whenever n < 2m.  Values and residual norms always come
-    from ``Ax - y``, which keeps their precision at any residual size.
-    """
-
-    def __init__(self, A, y, use_gram=None):
-        m, n = A.shape
-        if use_gram is None:
-            use_gram = n <= 2 * m and n <= 2048
-        self.A, self.y = A, y
-        self.n = n
-        self.aty = A.T @ y
-        self.gram = A.T @ A if use_gram else None
-
-    def normal(self, x):
-        """``A^T A x``: one Gram product, or one forward plus one adjoint."""
-        if self.gram is not None:
-            return self.gram @ x
-        return self.A.T @ (self.A @ x)
-
-    def half_grad(self, x):
-        return self.normal(x) - self.aty
-
-    def residual(self, x):
-        return self.A @ x - self.y
-
-    def sigma_sq_max(self, iters=50, tol=1e-10, seed=0):
-        """Largest squared singular value of A, by power iteration on A^T A."""
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.n)
-        v /= np.linalg.norm(v)
-        lam_prev = 0.0
-        for _ in range(iters):
-            w = self.normal(v)
-            lam = float(np.linalg.norm(w))
-            if lam == 0.0:
-                return 0.0
-            v = w / lam
-            if abs(lam - lam_prev) <= tol * lam:
-                break
-            lam_prev = lam
-        return lam
+_POWER_ITERS = 50
+_POWER_TOL = 1e-10
 
 
 class _Workspace:
-    """Per-(A, y) state shared across warm-started solves."""
+    """Per-(A, y) state shared across warm-started solves: the half-gradient
+    ``A^T(Ax - y)`` of ``||Ax - y||^2``, and ``sigma2``, the largest squared
+    singular value of A.
+
+    The product ``A^T A x`` is chosen once, here.  For tall-ish problems the
+    Gram matrix ``A^T A`` is precomputed; one Gram matvec (n^2 flops) then
+    beats the two rectangular products (2*m*n flops) whenever n < 2m.  Values
+    and residual norms always come from ``Ax - y``, which keeps their
+    precision at any residual size.
+    """
 
     def __init__(self, A, y, opts: SolverOptions):
-        self.quad = _Quadratic(A, y, opts.use_gram)
-        self.sigma2 = self.quad.sigma_sq_max()
-        if self.sigma2 <= 0.0:
+        m, n = A.shape
+        use_gram = opts.use_gram
+        if use_gram is None:
+            use_gram = n <= 2 * m and n <= 2048
+        if use_gram:
+            gram = A.T @ A
+            self.normal = lambda x: gram @ x
+        else:
+            self.normal = lambda x: A.T @ (A @ x)
+        self.A, self.y, self.n = A, y, n
+        self.aty = A.T @ y
+
+        # power iteration on A^T A
+        v = np.random.default_rng(0).standard_normal(n)
+        v /= np.linalg.norm(v)
+        lam = lam_prev = 0.0
+        for _ in range(_POWER_ITERS):
+            w = self.normal(v)
+            lam = float(np.linalg.norm(w))
+            if lam == 0.0:
+                break
+            v = w / lam
+            if abs(lam - lam_prev) <= _POWER_TOL * lam:
+                break
+            lam_prev = lam
+        if lam <= 0.0:
             raise ValueError("A must be nonzero")
+        self.sigma2 = lam
+
+    def half_grad(self, x):
+        return self.normal(x) - self.aty
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +209,12 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
     two freshly evaluated ones and costs no product.  Returns
     ``(x, iterations, kkt, converged, stats)``.
     """
-    quad = ws.quad
     c = 2.0 * loss_w  # gradient of the smooth part = c * h
-    tol = opts.kkt_tol * max(1.0, c * float(np.max(np.abs(quad.aty), initial=0.0)))
+    tol = opts.kkt_tol * max(1.0, c * float(np.max(np.abs(ws.aty), initial=0.0)))
     stats = {"restarts": 0, "backtracks": 0, "grad_evals": 1, "step_search_exhausted": False}
 
-    x = np.zeros(quad.n) if x0 is None else np.array(x0, dtype=float)
-    hx = quad.half_grad(x)
+    x = np.zeros(ws.n) if x0 is None else np.array(x0, dtype=float)
+    hx = ws.half_grad(x)
     kkt = subdiff_distance(spec, x, -c * hx, pen_w)
     if kkt <= tol:
         return x, 0, kkt, True, stats
@@ -241,7 +231,7 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
                 step *= 0.5
                 stats["backtracks"] += 1
             w = prox(spec, z - (step * c) * hz, step * pen_w)
-            hw = quad.half_grad(w)
+            hw = ws.half_grad(w)
             stats["grad_evals"] += 1
             d = w - z
             dd = float(d @ d)
@@ -311,7 +301,7 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     pen_w = 1.0 if form.side == "loss" else form.lam
 
     x, iters, kkt, converged, stats = _fista(ws, spec, loss_w, pen_w, opts, x0)
-    r = ws.quad.residual(x)
+    r = ws.A @ x - ws.y
     rr = float(r @ r)
     return SolveResult(
         x_hat=x,
@@ -338,7 +328,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     closes the last bracket and stops once the residual is within
     ``feas_tol`` of ``eps``, relatively.  The window is two-sided because at
     the default ``kkt_tol`` an inner solve pins the residual down only to
-    about 1e-7 relative, so a one-sided window can be stepped over.
+    about 1e-7 relative, so a one-sided window can be stepped over.  A
+    search that ends outside the window reports ``converged=False``.
     ``eps = 0``: each solve is capped at 3000 iterations, and
     the estimate is refit on its support by least squares, keeping the refit
     only if it does not worsen the penalty.
@@ -369,10 +360,10 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         )
 
     ws = _Workspace(A, y, opts)
-    gauge = penalty_gauge_at_zero(spec, ws.quad.aty)
+    gauge = penalty_gauge_at_zero(spec, ws.aty)
     exact_zero = np.isfinite(gauge) and gauge > 0
     lam0 = 1.0 / (2.0 * gauge) if exact_zero else \
-        1.0 / (2.0 * max(float(np.max(np.abs(ws.quad.aty), initial=0.0)), 1e-12))
+        1.0 / (2.0 * max(float(np.max(np.abs(ws.aty), initial=0.0)), 1e-12))
     target = eps if eps > 0 else 1e-9 * ynorm  # relative, so eps = 0 is scale-equivariant
     # eps = 0 stages only hand a warm start to the next multiplier; the refit
     # and the feasibility check decide the final quality
@@ -446,7 +437,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         converged = feasible and (inner.converged or polished)
     else:
         feasible = residual <= eps * (1.0 + opts.feas_tol) + 1e-12
-        converged = feasible and inner.converged
+        converged = settled(residual) and inner.converged  # an unsettled search is not hidden
     return SolveResult(
         x_hat=x,
         objective=penalty_value(spec, x),

@@ -1,11 +1,12 @@
 import json
+import os
 
 import jsonschema
 import numpy as np
 import pytest
 
 from clotkit import fileio
-from clotkit.cli import EXIT_INPUT, EXIT_NOCONV, EXIT_OK, main
+from clotkit.cli import _THREAD_VARS, EXIT_INPUT, EXIT_NOCONV, EXIT_OK, main
 from clotkit.matrices import DeVoreParams, devore_matrix
 
 SCHEMA = json.loads(
@@ -99,6 +100,16 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         assert code == EXIT_INPUT and out == ""
         assert "--groups" in err and "sgl" in err and "CLOT is one group" in err
+
+    @pytest.mark.parametrize("text", ['[[0, "x"], [2]]', '{"a": 1}', '[[0, 1], 2]'])
+    def test_malformed_groups_file_is_an_input_error(self, capsys, io_dir, tmp_path, text):
+        groups = tmp_path / "groups.json"
+        groups.write_text(text)
+        code = main(["solve", "--reg", "sgl", "--mu", "0.5", "--lambda", "0.2",
+                     "--groups", str(groups), "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and "list of lists of integers" in err
 
 
 class TestCertificateCommand:
@@ -207,6 +218,16 @@ class TestEnvelope:
         jsonschema.validate(env, SCHEMA)
         assert env["tool"]["name"] == "clotkit"
         assert env["wall_time_s"] >= 0
+
+    @pytest.mark.parametrize("flag", [["--threads=3"], ["--threads", "3"]])
+    def test_threads_flag_caps_blas(self, capsys, monkeypatch, flag):
+        monkeypatch.setattr(os, "environ", dict(os.environ))  # keep the cap out of later tests
+        for var in ("CLOTKIT_THREADS", *_THREAD_VARS):
+            monkeypatch.delenv(var, raising=False)
+        code = main([*flag, "certificate", "--t", "2", "--k", "1", "--delta", "0.3"])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert all(os.environ[var] == "3" for var in _THREAD_VARS)
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_INPUT

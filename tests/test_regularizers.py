@@ -52,6 +52,8 @@ class TestSpecValidation:
 
     def test_string_kind_coercion(self):
         assert RegularizerSpec("clot", 0.3).kind is PenaltyKind.CLOT
+        assert RegularizerSpec("lasso") == RegularizerSpec.lasso()
+        assert RegularizerSpec("ridge") == RegularizerSpec.ridge()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -265,6 +265,17 @@ class TestConstrained:
         assert eps * (1 - tol) <= res.residual_l2 <= eps * (1 + tol)
         assert res.info["inner_solves"] <= 15
 
+    def test_unsettled_search_is_not_converged(self):
+        # the family instance at a window too narrow for the inner solves to hit
+        A = fixture_matrix("gaussian", 20, 30, seed=7)
+        x = np.zeros(30)
+        x[[2, 11, 23]] = (1.5, -1.0, 0.8)
+        y = A @ x + 0.1 * np.random.default_rng(7).standard_normal(20)
+        opts = SolverOptions(feas_tol=1e-9)
+        res = solve_constrained(Problem(A, y, Constrained(0.05)), RegularizerSpec.clot(0.3), opts)
+        assert abs(res.residual_l2 - 0.05) > opts.feas_tol * 0.05
+        assert not res.converged
+
     def test_info_lists_every_inner_solve(self, rng):
         A, _, y = small_instance(rng, noise=0.1)
         spec = RegularizerSpec.clot(0.3)
