@@ -119,20 +119,9 @@ def _cmd_solve(args):
         problem = Problem(A, y, Lagrangian(args.lam, args.lambda_side))
         result = solve_lagrangian(problem, spec, opts)
 
+    outputs = {**vars(result), "nnz": int((result.x_hat != 0).sum()), "x_out": args.x_out}
     if args.x_out:
-        fileio.write_vector_csv(args.x_out, result.x_hat)
-    outputs = {
-        "objective": result.objective,
-        "residual_l2": result.residual_l2,
-        "iterations": result.iterations,
-        "kkt_residual": result.kkt_residual,
-        "converged": result.converged,
-        "nnz": int((result.x_hat != 0).sum()),
-        "info": result.info,
-        "x_out": args.x_out,
-    }
-    if args.x_out is None:
-        outputs["x_hat"] = result.x_hat.tolist()
+        fileio.write_vector_csv(args.x_out, outputs.pop("x_hat"))
     return outputs, EXIT_OK if result.converged else EXIT_NOCONV
 
 
@@ -161,6 +150,8 @@ def _cmd_matrix(args):
 
     outputs = {}
     if args.matrix_kind == "devore":
+        if args.p is None and args.n is None:
+            raise ValueError("matrix devore needs --p or --n")
         if args.p is not None:
             p = args.p
         else:
@@ -173,6 +164,8 @@ def _cmd_matrix(args):
         outputs["p"] = p
         outputs["shape"] = list(A.shape)
     else:
+        if args.m is None or args.n is None:
+            raise ValueError(f"matrix {args.matrix_kind} needs --m and --n")
         A = fixture_matrix(args.matrix_kind, args.m, args.n, args.seed)
         outputs["shape"] = list(A.shape)
     if args.matrix_out:
@@ -302,17 +295,18 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    # the handlers import numpy, so the BLAS cap must be in place before them
-    threads = os.environ.get("CLOTKIT_THREADS") if args.threads is None else args.threads
-    if threads:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, str(threads))
-
-    t0 = time.perf_counter()
+    threads = os.environ.get("CLOTKIT_THREADS", "") if args.threads is None else str(args.threads)
     try:
+        # the handlers import numpy, so the BLAS cap must be in place before them
+        if threads:
+            if not (threads.isdecimal() and int(threads) > 0):
+                raise ValueError(f"the thread count must be a positive integer, got {threads!r}")
+            for var in _THREAD_VARS:
+                os.environ.setdefault(var, threads)
+        t0 = time.perf_counter()
         outputs, code = args.func(args)
         _emit(args, outputs, time.perf_counter() - t0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -72,16 +72,12 @@ class StudyReport:
         with open(report_path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
         paths.append(report_path)
-        for series_name, data in self.series.items():
+        for series_name, columns in self.series.items():
             csv_path = os.path.join(out_dir, f"{self.name}_{series_name}.csv")
-            columns = dict(data)
-            keys = list(columns)
-            length = len(columns[keys[0]])
             with open(csv_path, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle)
-                writer.writerow(keys)
-                for row in range(length):
-                    writer.writerow([columns[k][row] for k in keys])
+                writer.writerow(columns.keys())
+                writer.writerows(zip(*columns.values()))
             paths.append(csv_path)
         return paths
 
@@ -120,6 +116,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        names = [f.name for f in fields(cls)]
+        if not isinstance(d, dict) or not all(name in d for name in names):
+            raise ValueError(f"a scenario config must be an object with keys {names}")
         return cls(name=d["name"], generator=d["generator"], replications=int(d["replications"]),
                    seed=int(d["seed"]), methods=d["methods"], lambda_grid=d["lambda_grid"])
 
@@ -325,38 +324,40 @@ def _trio_spread(beta_row) -> float:
 
 
 _PATH_OPTS = SolverOptions(kkt_tol=1e-10, max_iters=20000, check_every=10)
+# fixed settings of the grouping and path studies; each report echoes them
+_FIXTURE = {"n_samples": 100, "mu": 0.5, "decades": 4.0}
 
 
-def _descending_path(pre, spec, n_lambdas, decades):
-    """Solutions over ``n_lambdas`` multipliers spanning ``decades`` down from
-    the zero threshold ``lam_max``; returns ``(lam_max, grid, betas)``."""
-    lam_max = lambda_zero_threshold(spec, pre.A, pre.y, "penalty")
-    grid = lam_max * np.logspace(0.0, -decades, n_lambdas)
-    points = solution_path(Problem(pre.A, pre.y, Lagrangian(1.0, "penalty")), spec, grid, _PATH_OPTS)
-    rows = []
-    for p in points:
-        if p.result is None:
-            raise RuntimeError(f"path solve failed at lam={p.lam:g}: {p.error}")
-        rows.append(p.result.x_hat)
-    return lam_max, grid, np.asarray(rows)
+def _fixture_paths(config, labels):
+    """Solve the two-factor fixture drawn from ``config`` along each labelled
+    method's own grid: ``n_lambdas`` multipliers spanning ``decades`` down
+    from its zero threshold ``lam_max``.  Maps each label to
+    ``(lam_max, grid, betas)``."""
+    pre = preprocess(*grouping_fixture(config["seed"], config["n_samples"]))
+    mu = config["mu"]
+    specs = {"clot": RegularizerSpec.clot(mu), "en": RegularizerSpec.elastic_net(mu),
+             "lasso": RegularizerSpec.lasso()}
+    out = {}
+    for label in labels:
+        lam_max = lambda_zero_threshold(specs[label], pre.A, pre.y, "penalty")
+        grid = lam_max * np.logspace(0.0, -config["decades"], config["n_lambdas"])
+        points = solution_path(Problem(pre.A, pre.y, Lagrangian(1.0, "penalty")), specs[label],
+                               grid, _PATH_OPTS)
+        for p in points:
+            if p.result is None:
+                raise RuntimeError(f"path solve failed at lam={p.lam:g}: {p.error}")
+        out[label] = (lam_max, grid, np.asarray([p.result.x_hat for p in points]))
+    return out
 
 
-def run_grouping_paths(seed: int = 0, n_samples: int = 100, mu: float = 0.5,
-                       n_lambdas: int = 61, decades: float = 4.0) -> StudyReport:
+def run_grouping_paths(seed: int = 0) -> StudyReport:
     """Coefficient trajectories of CLOT, EN, and lasso on the two-factor
     fixture, over each method's own descending multiplier grid."""
-    X, y = grouping_fixture(seed, n_samples)
-    pre = preprocess(X, y)
-    methods = {
-        "clot": RegularizerSpec.clot(mu),
-        "en": RegularizerSpec.elastic_net(mu),
-        "lasso": RegularizerSpec.lasso(),
-    }
+    config = {"seed": seed, "n_lambdas": 61, **_FIXTURE}
     series = {}
     spread_stats = {}
     window = {}
-    for label, spec in methods.items():
-        lam_max, grid, betas = _descending_path(pre, spec, n_lambdas, decades)
+    for label, (lam_max, grid, betas) in _fixture_paths(config, ("clot", "en", "lasso")).items():
         series[label] = {
             "lambda": grid.tolist(),
             **{f"beta{i + 1}": betas[:, i].tolist() for i in range(betas.shape[1])},
@@ -376,15 +377,12 @@ def run_grouping_paths(seed: int = 0, n_samples: int = 100, mu: float = 0.5,
         window[label] = [float(0.10 * lam_max), float(0.60 * lam_max)]
 
     metadata = {
-        "mu": mu, "n_samples": n_samples, "seed": seed,
+        "mu": config["mu"], "n_samples": config["n_samples"], "seed": seed,
         "mid_range_window": window,
         "trio_spread": spread_stats,
         "spread_definition": "(max - min)/mean of (b1, -b2, b3); infinite if any sign is wrong",
     }
-    return StudyReport(name="grouping_paths", metadata=metadata,
-                       config={"seed": seed, "n_samples": n_samples, "mu": mu,
-                               "n_lambdas": n_lambdas, "decades": decades},
-                       series=series)
+    return StudyReport(name="grouping_paths", config=config, metadata=metadata, series=series)
 
 
 def _longest_increasing_run(values, tol=1e-12):
@@ -399,8 +397,7 @@ def _longest_increasing_run(values, tol=1e-12):
     return best
 
 
-def run_path_nonequivalence(seed: int = 0, n_samples: int = 100, mu: float = 0.5,
-                            n_lambdas: int = 81, decades: float = 4.0) -> StudyReport:
+def run_path_nonequivalence(seed: int = 0) -> StudyReport:
     """Test whether the EN path is a reparametrization of the CLOT path.
 
     The first coefficient is monotone along each path (except at the very
@@ -408,15 +405,11 @@ def run_path_nonequivalence(seed: int = 0, n_samples: int = 100, mu: float = 0.5
     between the two multiplier scales; the remaining coefficients are then
     compared at the matched points.
     """
-    X, y = grouping_fixture(seed, n_samples)
-    pre = preprocess(X, y)
-    paths = {}
-    grids = {}
-    for label, spec in (("clot", RegularizerSpec.clot(mu)), ("en", RegularizerSpec.elastic_net(mu))):
-        _, grids[label], paths[label] = _descending_path(pre, spec, n_lambdas, decades)
+    config = {"seed": seed, "n_lambdas": 81, **_FIXTURE}
+    fits = _fixture_paths(config, ("clot", "en"))
 
     # grids are descending, so beta1 increases with grid index
-    runs = {label: _longest_increasing_run(paths[label][:, 0]) for label in paths}
+    runs = {label: _longest_increasing_run(betas[:, 0]) for label, (_, _, betas) in fits.items()}
     for label, (lo, hi) in runs.items():
         if hi - lo < 5:
             raise RuntimeError(f"first coefficient of the {label} path is not monotone "
@@ -424,10 +417,11 @@ def run_path_nonequivalence(seed: int = 0, n_samples: int = 100, mu: float = 0.5
 
     c_lo, c_hi = runs["clot"]
     e_lo, e_hi = runs["en"]
-    beta1_c = paths["clot"][c_lo:c_hi + 1, 0]
-    beta1_e = paths["en"][e_lo:e_hi + 1, 0]
-    lam_c = grids["clot"][c_lo:c_hi + 1]
-    lam_e = grids["en"][e_lo:e_hi + 1]
+    (_, grid_c, path_c), (_, grid_e, path_e) = fits["clot"], fits["en"]
+    beta1_c = path_c[c_lo:c_hi + 1, 0]
+    beta1_e = path_e[e_lo:e_hi + 1, 0]
+    lam_c = grid_c[c_lo:c_hi + 1]
+    lam_e = grid_e[e_lo:e_hi + 1]
     lo_val = max(beta1_c.min(), beta1_e.min())
     hi_val = min(beta1_c.max(), beta1_e.max())
     keep = (beta1_c >= lo_val) & (beta1_c <= hi_val)
@@ -438,15 +432,15 @@ def run_path_nonequivalence(seed: int = 0, n_samples: int = 100, mu: float = 0.5
     lam_c_kept = lam_c[keep]
     lam_en_mapped = np.interp(b1, beta1_e, lam_e)
     en_matched = np.column_stack([
-        np.interp(b1, beta1_e, paths["en"][e_lo:e_hi + 1, col])
-        for col in range(paths["en"].shape[1])
+        np.interp(b1, beta1_e, path_e[e_lo:e_hi + 1, col])
+        for col in range(path_e.shape[1])
     ])
-    clot_matched = paths["clot"][c_lo:c_hi + 1][keep]
+    clot_matched = path_c[c_lo:c_hi + 1][keep]
     diff = np.linalg.norm(clot_matched - en_matched, axis=1)
     ref = np.linalg.norm(clot_matched, axis=1)
 
     metadata = {
-        "mu": mu, "seed": seed,
+        "mu": config["mu"], "seed": seed,
         "max_diff": float(diff.max()),
         "max_beta_norm": float(ref.max()),
         "max_first_component_gap": float(np.max(np.abs(clot_matched[:, 0] - en_matched[:, 0]))),
@@ -462,9 +456,7 @@ def run_path_nonequivalence(seed: int = 0, n_samples: int = 100, mu: float = 0.5
         "lambda_map": {"lambda_clot": lam_c_kept.tolist(),
                        "lambda_en": lam_en_mapped.tolist()},
     }
-    return StudyReport(name="path_nonequivalence", metadata=metadata,
-                       config={"seed": seed, "n_samples": n_samples, "mu": mu,
-                               "n_lambdas": n_lambdas, "decades": decades},
+    return StudyReport(name="path_nonequivalence", config=config, metadata=metadata,
                        series=series)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -34,6 +34,8 @@ __all__ = [
     "grouping_check",
     "grouping_bound",
 ]
+
+_KKT_TOL = 1e-7  # stationarity pre-check on the loss-side subgradient distance
 
 
 @dataclass
@@ -86,19 +88,13 @@ class GroupingReport:
         return [p for p in self.pairs if p.same_group and not p.holds]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "lam": self.lam, "mu": self.mu, "kkt_ok": self.kkt_ok,
-            "kkt_residual": self.kkt_residual, "slack": self.slack,
-            "pairs": [vars(p) for p in self.pairs],
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def write_csv(self, path) -> None:
-        fields = ["i", "j", "same_group", "rho_ij", "d_ij", "bound_ij", "holds", "sign_flipped_j"]
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fields)
+            writer = csv.DictWriter(handle, fieldnames=[f.name for f in fields(GroupingPair)])
             writer.writeheader()
-            for p in self.pairs:
-                writer.writerow({k: getattr(p, k) for k in fields})
+            writer.writerows(asdict(p) for p in self.pairs)
 
 
 def grouping_bound(rho: float, group_norm: float, mu: float) -> float:
@@ -110,15 +106,15 @@ def grouping_bound(rho: float, group_norm: float, mu: float) -> float:
 
 
 def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
-                   partition: Optional[Partition] = None, kkt_tol: float = 1e-7,
-                   slack: float = 1e-9, include_cross_group: bool = False) -> GroupingReport:
+                   partition: Optional[Partition] = None, slack: float = 1e-9,
+                   include_cross_group: bool = False) -> GroupingReport:
     """Evaluate the grouping inequality for every same-group pair of nonzero
     coefficients of a solved instance.
 
     ``lam`` is the multiplier on the loss term (the solve being certified is
     ``lam*||y - Az||^2 + R(z)``; a penalty-side solve at multiplier ``t``
     corresponds to ``lam = 1/t``).  If ``x_hat`` fails the stationarity
-    pre-check at ``kkt_tol`` the pairs are skipped and the report says so.
+    pre-check at ``_KKT_TOL`` the pairs are skipped and the report says so.
     Cross-group pairs can be included for reference; the inequality is not
     required to hold for them, and their bound uses the full vector norm.
     """
@@ -142,7 +138,7 @@ def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
     spec = RegularizerSpec.sparse_group_lasso(mu, part)
 
     kkt = kkt_residual(A, y, x, spec, lam, side="loss")
-    report = GroupingReport(lam=float(lam), mu=float(mu), kkt_ok=kkt <= kkt_tol,
+    report = GroupingReport(lam=float(lam), mu=float(mu), kkt_ok=kkt <= _KKT_TOL,
                             kkt_residual=float(kkt), slack=slack)
     if not report.kkt_ok:
         return report

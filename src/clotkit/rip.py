@@ -33,6 +33,7 @@ __all__ = [
 
 _SUBSET_GUARD = 10_000_000
 _CHUNK = 200_000  # supports per eigenvalue batch
+_RNSP_SLACK = 1e-9  # relative tolerance of the null-space inequality
 
 
 @dataclass(frozen=True)
@@ -66,29 +67,33 @@ class Certificate:
         return asdict(self)
 
 
+def _chain_inputs(t, g, mu):
+    """Validated ``(t, g, mu)`` and the chain's ``nu``, shared by the
+    certificate and the mixing-parameter bound."""
+    t, g, mu = float(t), int(g), float(mu)
+    if t < 4.0 / 3.0:
+        raise ValueError(f"t must be at least 4/3, got {t}")
+    if g < 1:
+        raise ValueError(f"g must be at least 1, got {g}")
+    if not 0.0 <= mu < 1.0:
+        raise ValueError(f"mu must lie in [0, 1), got {mu}")
+    return t, g, mu, math.sqrt(t * (t - 1.0)) - (t - 1.0)
+
+
 def certificate(t: float, k: int, delta: float, g: int = 1, mu: float = 0.0) -> Certificate:
     """Compute the recovery-certificate constants.
 
     Never raises for in-range inputs: configurations that fail the
     sufficient conditions come back with ``valid=False`` and a reason.
     """
-    t = float(t)
+    t, g, mu, nu = _chain_inputs(t, g, mu)
     k = int(k)
-    g = int(g)
     delta = float(delta)
-    mu = float(mu)
-    if t < 4.0 / 3.0:
-        raise ValueError(f"t must be at least 4/3, got {t}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if g < 1:
-        raise ValueError(f"g must be at least 1, got {g}")
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mu must lie in [0, 1), got {mu}")
 
-    nu = math.sqrt(t * (t - 1.0)) - (t - 1.0)
     a_sq = nu * (1.0 - nu) - delta * (0.5 - nu + nu * nu)
     b = nu * (1.0 - nu) * math.sqrt(1.0 + delta)
     c = math.sqrt(delta * nu * nu / (2.0 * (t - 1.0)))
@@ -154,18 +159,9 @@ def delta_bound_from_mu(t: float, mu: float, g: int = 1) -> float:
     certificate at the same ``(t, g, mu)``.  At ``mu = 0`` the bound
     degenerates to the plain l1 threshold ``sqrt((t-1)/t)``.
     """
-    t = float(t)
-    mu = float(mu)
-    g = int(g)
-    if t < 4.0 / 3.0:
-        raise ValueError(f"t must be at least 4/3, got {t}")
-    if g < 1:
-        raise ValueError(f"g must be at least 1, got {g}")
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mu must lie in [0, 1), got {mu}")
+    t, g, mu, nu = _chain_inputs(t, g, mu)
     if mu == 0.0:
         return math.sqrt((t - 1.0) / t)
-    nu = math.sqrt(t * (t - 1.0)) - (t - 1.0)
     theta1 = nu * (1.0 - nu)
     theta2 = 0.5 - theta1
     theta3 = nu * nu / (2.0 * (t - 1.0))
@@ -247,7 +243,7 @@ class RnspReport:
 
 
 def rnsp_check(A, k: int, rho: float, tau: float, trials: int = 1000, seed: int = 0,
-               slack: float = 1e-9, random_supports: int = 3) -> RnspReport:
+               random_supports: int = 3) -> RnspReport:
     """Sample vectors and supports against the l2 robust null-space inequality
 
         ||h_S||_2 <= (rho/sqrt(k)) * ||h_{S^c}||_1 + (tau/sqrt(k)) * ||A h||_2.
@@ -298,7 +294,7 @@ def rnsp_check(A, k: int, rho: float, tau: float, trials: int = 1000, seed: int 
             report.checked += 1
             margin = rhs - lhs
             report.min_margin = min(report.min_margin, margin)
-            if lhs > rhs + slack * max(1.0, rhs):
+            if lhs > rhs + _RNSP_SLACK * max(1.0, rhs):
                 if len(report.violations) < 20:
                     report.violations.append(
                         {"trial": trial, "support": [int(i) for i in S],

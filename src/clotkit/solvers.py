@@ -349,8 +349,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     if ynorm <= eps:
         x = np.zeros(A.shape[1])
         return SolveResult(x, 0.0, ynorm, 0, 0.0, True,
-                           info={"form": "constrained", "eps": eps, "trivial_zero": True,
-                                 "inner_solves": 0, "stages": []})
+                           info={"form": "constrained", "eps": eps, "inner_solves": 0, "stages": [],
+                                 "polished": False, "feasible": True})
 
     x_ls, *_ = np.linalg.lstsq(A, y, rcond=None)
     r_min = float(np.linalg.norm(A @ x_ls - y))

@@ -208,6 +208,23 @@ class TestExperimentCommand:
         assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix", "gaussian"], ["matrix", "identity", "--m", "3"],
+    ["matrix", "duplicated_column", "--n", "4"], ["matrix", "devore"],
+    ["experiment", "--study", "comparison", "--config", "[]"],
+    ["experiment", "--study", "comparison", "--config",
+     '{"name": "x", "replications": 1, "seed": 0, "methods": [], "lambda_grid": {}}'],
+], ids=["gaussian", "identity", "duplicated_column", "devore", "config_list", "config_no_generator"])
+def test_malformed_input_is_an_input_error(capsys, tmp_path, argv):
+    if "--config" in argv:  # the config text goes to a file
+        (tmp_path / "cfg.json").write_text(argv[-1])
+        argv = [*argv[:-1], str(tmp_path / "cfg.json")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ")
+
+
 class TestEnvelope:
     def test_out_file(self, tmp_path, capsys, io_dir):
         out = tmp_path / "env.json"
@@ -228,6 +245,20 @@ class TestEnvelope:
         capsys.readouterr()
         assert code == EXIT_OK
         assert all(os.environ[var] == "3" for var in _THREAD_VARS)
+
+    @pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), (["--threads", "-2"], None),
+                                           ([], "abc"), ([], "0")],
+                             ids=["flag_zero", "flag_negative", "env_text", "env_zero"])
+    def test_bad_thread_count_is_an_input_error(self, capsys, monkeypatch, flag, env):
+        monkeypatch.setattr(os, "environ", dict(os.environ))  # keep the cap out of later tests
+        for var in ("CLOTKIT_THREADS", *_THREAD_VARS):
+            monkeypatch.delenv(var, raising=False)
+        if env is not None:
+            monkeypatch.setenv("CLOTKIT_THREADS", env)
+        code = main([*flag, "certificate", "--t", "2", "--k", "1", "--delta", "0.3"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(var in os.environ for var in _THREAD_VARS)
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_INPUT

@@ -96,6 +96,21 @@ class TestLagrangian:
             2.0 * np.max(np.abs(A.T @ y)), rel=1e-12)
         assert penalty_gauge_at_zero(RegularizerSpec.ridge(), A.T @ y) == np.inf
 
+    def test_loss_side_threshold(self, rng):
+        A, _, y = small_instance(rng)
+        sgl = RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([10, 10]))
+        for spec in (RegularizerSpec.lasso(), RegularizerSpec.clot(0.3), sgl):
+            lam_loss = lambda_zero_threshold(spec, A, y, "loss")
+            assert lam_loss * lambda_zero_threshold(spec, A, y, "penalty") == pytest.approx(1.0, rel=1e-12)
+            # loss side: zero is optimal at or below the threshold, and only there
+            res = solve_lagrangian(Problem(A, y, Lagrangian(lam_loss * 0.999999, "loss")), spec, TIGHT)
+            assert np.all(res.x_hat == 0.0) and res.converged, spec.label()
+            res = solve_lagrangian(Problem(A, y, Lagrangian(lam_loss * 1.01, "loss")), spec, TIGHT)
+            assert np.any(res.x_hat != 0.0) and res.converged, spec.label()
+        assert lambda_zero_threshold(RegularizerSpec.ridge(), A, y, "loss") == 0.0
+        # A.T @ y = 0: zero is optimal at every multiplier
+        assert lambda_zero_threshold(RegularizerSpec.lasso(), A, np.zeros_like(y), "loss") == np.inf
+
     def test_loss_side_equivalent_to_penalty_side(self, rng):
         A, _, y = small_instance(rng, noise=0.1)
         lam = 0.05
@@ -289,6 +304,14 @@ class TestConstrained:
             assert res.iterations == sum(it for _, _, it in stages)
             assert all(lam > 0 and r >= 0 for lam, r, _ in stages)
         assert noisy.residual_l2 in [r for _, r, _ in noisy.info["stages"]]
+
+    def test_trivial_result_has_the_common_info_keys(self, rng):
+        A, _, y = small_instance(rng, noise=0.1)
+        spec = RegularizerSpec.clot(0.3)
+        trivial, noisy = (solve_constrained(Problem(A, y, Constrained(eps)), spec)
+                          for eps in (2 * np.linalg.norm(y), 0.3))
+        assert trivial.info.keys() == noisy.info.keys()
+        assert trivial.info["feasible"] and not trivial.info["polished"]
 
     def test_options_are_frozen(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == [
