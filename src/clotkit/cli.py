@@ -61,12 +61,14 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _is_triplet(path) -> bool:
+    return str(path).endswith((".spt", ".triplet", ".txt"))
+
+
 def _read_matrix(path):
     from . import fileio
 
-    if str(path).endswith((".spt", ".triplet", ".txt")):
-        return fileio.read_triplet(path)
-    return fileio.read_matrix_csv(path)
+    return (fileio.read_triplet if _is_triplet(path) else fileio.read_matrix_csv)(path)
 
 
 def _build_spec(args):
@@ -108,16 +110,13 @@ def _cmd_solve(args):
     spec = _build_spec(args)
     opts = _solver_options(args)
 
-    if args.form == "constrained":
-        if args.eps is None:
-            raise ValueError("--eps is required for the constrained form")
-        problem = Problem(A, y, Constrained(args.eps))
-        result = solve_constrained(problem, spec, opts)
+    if (args.lam is None) == (args.eps is None):
+        raise ValueError("give --lambda for the multiplier form or --eps for the constrained form, "
+                         "not both or neither")
+    if args.eps is not None:
+        result = solve_constrained(Problem(A, y, Constrained(args.eps)), spec, opts)
     else:
-        if args.lam is None:
-            raise ValueError("--lambda is required for the lagrangian form")
-        problem = Problem(A, y, Lagrangian(args.lam, args.lambda_side))
-        result = solve_lagrangian(problem, spec, opts)
+        result = solve_lagrangian(Problem(A, y, Lagrangian(args.lam, args.lambda_side)), spec, opts)
 
     outputs = {**vars(result), "nnz": int((result.x_hat != 0).sum()), "x_out": args.x_out}
     if args.x_out:
@@ -169,12 +168,10 @@ def _cmd_matrix(args):
         A = fixture_matrix(args.matrix_kind, args.m, args.n, args.seed)
         outputs["shape"] = list(A.shape)
     if args.matrix_out:
-        if args.format == "triplet":
-            fileio.write_triplet(args.matrix_out, A)
-        else:
-            fileio.write_matrix_csv(args.matrix_out, A)
+        triplet = _is_triplet(args.matrix_out)
+        (fileio.write_triplet if triplet else fileio.write_matrix_csv)(args.matrix_out, A)
         outputs["matrix_out"] = args.matrix_out
-        outputs["format"] = args.format
+        outputs["format"] = "triplet" if triplet else "csv"
     return outputs, EXIT_OK
 
 
@@ -202,7 +199,7 @@ def _cmd_experiment(args):
     elif args.study == "paths":
         report = experiments.run_path_nonequivalence(seed=args.seed)
     else:  # scaling; argparse restricts the choices
-        report = experiments.run_scaling(preset="small" if args.small else args.preset)
+        report = experiments.run_scaling(preset="small" if args.small else "full")
 
     outputs = {"tables": report.tables, "metadata": report.metadata}
     if args.out_dir:
@@ -225,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve a recovery program from CSV inputs")
-    ps.add_argument("--form", choices=("lagrangian", "constrained"), default="lagrangian")
     ps.add_argument("--reg", required=True,
                     choices=("lasso", "l1", "ridge", "l2sq", "en", "clot", "gl", "sgl"))
     ps.add_argument("--mu", type=float, default=0.0)
@@ -267,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--strict", action="store_true",
                     help="require the prime to strictly exceed the threshold")
     pm.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
-    pm.add_argument("--format", choices=("csv", "triplet"), default="csv")
-    pm.add_argument("--matrix-out", default=None)
+    pm.add_argument("--matrix-out", default=None,
+                    help="write the matrix here: triplet for .spt, .triplet or .txt, else CSV")
     pm.set_defaults(func=_cmd_matrix)
 
     pr = sub.add_parser("riporacle", help="exact restricted-isometry constant (small instances)")
@@ -282,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--config", default=None, help="scenario config JSON (comparison)")
     pe.add_argument("--scenario", default=None, help="builtin scenario name (comparison)")
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--preset", choices=("full", "small"), default="full")
-    pe.add_argument("--small", action="store_true", help="shortcut for --preset small")
+    pe.add_argument("--small", action="store_true", help="the small scaling preset")
     pe.add_argument("--out-dir", dest="out_dir", default=None)
     pe.set_defaults(func=_cmd_experiment)
 
@@ -302,7 +297,7 @@ def main(argv=None) -> int:
             if not (threads.isdecimal() and int(threads) > 0):
                 raise ValueError(f"the thread count must be a positive integer, got {threads!r}")
             for var in _THREAD_VARS:
-                os.environ.setdefault(var, threads)
+                os.environ[var] = threads
         t0 = time.perf_counter()
         outputs, code = args.func(args)
         _emit(args, outputs, time.perf_counter() - t0)

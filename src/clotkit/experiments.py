@@ -13,7 +13,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,6 +98,15 @@ def bootstrap_sd_of_median(values, resamples: int = 200, seed: int = 0) -> float
 # ---------------------------------------------------------------------------
 
 
+# the comparison methods, by config ``kind``; each maps a mixing parameter to a penalty
+_METHOD_SPECS = {"lasso": lambda mu: RegularizerSpec.lasso(), "en": RegularizerSpec.elastic_net,
+                 "clot": RegularizerSpec.clot, "ridge": lambda mu: RegularizerSpec.ridge()}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ScenarioConfig:
     name: str
@@ -110,9 +119,26 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if not isinstance(self.generator, dict):
+            raise ValueError("generator must be an object")
         for key in ("beta", "covariance", "noise_sigma", "n_train", "n_val", "n_test"):
             if key not in self.generator:
                 raise ValueError(f"generator config missing {key!r}")
+        lg = self.lambda_grid
+        if not (isinstance(lg, dict) and all(_is_number(lg.get(key)) and lg[key] > 0
+                                             for key in ("hi", "lo", "num"))):
+            raise ValueError("lambda_grid must be an object with positive numbers hi, lo and num")
+        if not (isinstance(self.methods, list) and self.methods):
+            raise ValueError("methods must be a nonempty list of objects")
+        for method in self.methods:
+            kind = str(method.get("kind")).lower() if isinstance(method, dict) else None
+            if kind not in _METHOD_SPECS:
+                raise ValueError(f"each entry of methods needs a kind in {sorted(_METHOD_SPECS)}, "
+                                 f"got {method!r}")
+            grid = method.get("mu_grid")
+            if kind in ("en", "clot") and not (isinstance(grid, list) and grid
+                                               and all(map(_is_number, grid))):
+                raise ValueError(f"methods: {kind} needs a nonempty mu_grid of numbers")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -185,19 +211,6 @@ def _draw_linear_model(gen: dict, rng: np.random.Generator) -> dict:
     return out
 
 
-def _method_spec(kind: str, mu: Optional[float]):
-    kind = kind.lower()
-    if kind == "lasso":
-        return RegularizerSpec.lasso()
-    if kind == "en":
-        return RegularizerSpec.elastic_net(mu)
-    if kind == "clot":
-        return RegularizerSpec.clot(mu)
-    if kind == "ridge":
-        return RegularizerSpec.ridge()
-    raise ValueError(f"unsupported comparison method {kind!r}")
-
-
 def _support_size(beta_hat, rel_tol=1e-6) -> int:
     top = float(np.max(np.abs(beta_hat), initial=0.0))
     if top == 0.0:
@@ -238,7 +251,7 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
             best = None
             any_failed = False
             for mu in mu_grid:
-                spec = _method_spec(kind, mu)
+                spec = _METHOD_SPECS[kind.lower()](mu)
                 path = solution_path(template, spec, lam_grid, _COMPARISON_OPTS)
                 for point in path:
                     if point.result is None:

@@ -106,15 +106,13 @@ class SolverOptions:
     gap falls below ``kkt_tol * max(1, |gradient at the origin|_inf)``.
     ``feas_tol`` is the relative slack of the noise budget, and for
     ``eps > 0`` also the width of the residual window the multiplier search
-    aims for.  ``use_gram`` forces (True) or forbids (False) routing through
-    the Gram matrix; None decides from the shape.
+    aims for.
     """
 
     kkt_tol: float = 1e-8
     feas_tol: float = 1e-6
     max_iters: int = 50_000
     check_every: int = 25
-    use_gram: Optional[bool] = None
 
 
 @dataclass
@@ -141,6 +139,7 @@ class PathPoint:
 
 _POWER_ITERS = 50
 _POWER_TOL = 1e-10
+_GRAM_MAX_N = 2048  # the Gram matrix holds n^2 floats
 
 
 class _Workspace:
@@ -148,19 +147,16 @@ class _Workspace:
     ``A^T(Ax - y)`` of ``||Ax - y||^2``, and ``sigma2``, the largest squared
     singular value of A.
 
-    The product ``A^T A x`` is chosen once, here.  For tall-ish problems the
-    Gram matrix ``A^T A`` is precomputed; one Gram matvec (n^2 flops) then
-    beats the two rectangular products (2*m*n flops) whenever n < 2m.  Values
-    and residual norms always come from ``Ax - y``, which keeps their
-    precision at any residual size.
+    The product ``A^T A x`` is chosen once, here, from the shape.  A tall-ish
+    problem with at most ``_GRAM_MAX_N`` columns precomputes ``A^T A``; one
+    Gram matvec (n^2 flops) then beats the two rectangular products (2*m*n
+    flops) whenever n < 2m.  Values and residual norms always come from
+    ``Ax - y``, which keeps their precision at any residual size.
     """
 
-    def __init__(self, A, y, opts: SolverOptions):
+    def __init__(self, A, y):
         m, n = A.shape
-        use_gram = opts.use_gram
-        if use_gram is None:
-            use_gram = n <= 2 * m and n <= 2048
-        if use_gram:
+        if n <= 2 * m and n <= _GRAM_MAX_N:
             gram = A.T @ A
             self.normal = lambda x: gram @ x
         else:
@@ -296,7 +292,7 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     if not isinstance(form, Lagrangian):
         raise ValueError("solve_lagrangian needs a Lagrangian-form problem")
     spec.check_dimension(problem.A.shape[1])
-    ws = _ws or _Workspace(problem.A, problem.y, opts)
+    ws = _ws or _Workspace(problem.A, problem.y)
     loss_w = form.lam if form.side == "loss" else 1.0
     pen_w = 1.0 if form.side == "loss" else form.lam
 
@@ -359,7 +355,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
             f"least-squares residual {r_min:.6g} exceeds the noise budget eps={eps:.6g}"
         )
 
-    ws = _Workspace(A, y, opts)
+    ws = _Workspace(A, y)
     gauge = penalty_gauge_at_zero(spec, ws.aty)
     exact_zero = np.isfinite(gauge) and gauge > 0
     lam0 = 1.0 / (2.0 * gauge) if exact_zero else \
@@ -471,7 +467,7 @@ def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: So
     if np.any(grid <= 0):
         raise ValueError("lambda_grid entries must be positive")
 
-    ws = _Workspace(problem.A, problem.y, opts)
+    ws = _Workspace(problem.A, problem.y)
     points = []
     warm = None
     for lam in grid:

@@ -1,12 +1,14 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from clotkit import fileio
-from clotkit.cli import _THREAD_VARS, EXIT_INPUT, EXIT_NOCONV, EXIT_OK, main
+from clotkit import experiments, fileio
+from clotkit.cli import _THREAD_VARS, EXIT_INPUT, EXIT_NOCONV, EXIT_OK, build_parser, main
 from clotkit.matrices import DeVoreParams, devore_matrix
 
 SCHEMA = json.loads(
@@ -53,7 +55,7 @@ class TestSolveCommand:
         x[3] = 2.0
         fileio.write_matrix_csv(tmp_path / "dev.csv", A)
         fileio.write_vector_csv(tmp_path / "y.csv", A @ x)
-        code, env = run_cli(capsys, "solve", "--form", "constrained", "--eps", "0",
+        code, env = run_cli(capsys, "solve", "--eps", "0",
                             "--reg", "clot", "--mu", "0.2",
                             "-A", str(tmp_path / "dev.csv"), "-y", str(tmp_path / "y.csv"),
                             "--x-out", str(tmp_path / "xhat.csv"))
@@ -71,6 +73,13 @@ class TestSolveCommand:
         code, _ = run_cli(capsys, "solve", "--reg", "lasso",
                           "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv"))
         assert code == EXIT_INPUT
+
+    def test_lambda_and_eps_together_are_an_input_error(self, capsys, io_dir):
+        code = main(["solve", "--reg", "lasso", "--lambda", "0.3", "--eps", "0.1",
+                     "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and "--lambda" in err and "--eps" in err
 
     def test_nonconvergence_exit_code(self, capsys, tmp_path, rng):
         A = rng.standard_normal((10, 30))
@@ -152,10 +161,23 @@ class TestMatrixCommand:
         run_cli(capsys, "matrix", "devore", "--p", "3", "--r", "2",
                 "--no-normalize", "--matrix-out", str(csv_out))
         run_cli(capsys, "matrix", "devore", "--p", "3", "--r", "2", "--no-normalize",
-                "--format", "triplet", "--matrix-out", str(spt_out))
+                "--matrix-out", str(spt_out))
         A = fileio.read_matrix_csv(csv_out)
         B = fileio.read_triplet(spt_out)
         np.testing.assert_array_equal(A, B)
+
+    @pytest.mark.parametrize("suffix, fmt", [(".csv", "csv"), (".txt", "triplet"),
+                                             (".spt", "triplet"), (".triplet", "triplet")])
+    def test_suffix_picks_the_format_both_ways(self, capsys, tmp_path, suffix, fmt):
+        path = tmp_path / f"m{suffix}"
+        code, env = run_cli(capsys, "matrix", "devore", "--p", "3", "--r", "2",
+                            "--matrix-out", str(path))
+        assert code == EXIT_OK and env["outputs"]["format"] == fmt
+        code, env = run_cli(capsys, "riporacle", "-A", str(path), "--k", "1")
+        assert code == EXIT_OK
+        reference = fileio.read_matrix_csv if fmt == "csv" else fileio.read_triplet
+        np.testing.assert_array_equal(reference(path),
+                                      devore_matrix(DeVoreParams(3, 2), normalize=True))
 
     def test_fixture_kinds(self, capsys, tmp_path):
         out = tmp_path / "g.csv"
@@ -207,6 +229,61 @@ class TestExperimentCommand:
         code, _ = run_cli(capsys, "experiment", "--study", "comparison")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv, study", [
+        (["--study", "grouping", "--seed", "3"], "run_grouping_paths"),
+        (["--study", "paths", "--seed", "3"], "run_path_nonequivalence"),
+        (["--study", "comparison", "--scenario", "example1"], "run_comparison"),
+    ])
+    def test_study_dispatch(self, capsys, monkeypatch, argv, study):
+        calls = []
+        for name in ("run_grouping_paths", "run_path_nonequivalence", "run_comparison"):
+            def record(*args, _name=name, **kwargs):
+                calls.append((_name, args, kwargs))
+                return experiments.StudyReport(name="stub", config={}, tables={"t": {"x": 1.0}})
+            monkeypatch.setattr(experiments, name, record)
+        code, env = run_cli(capsys, "experiment", *argv)
+        assert code == EXIT_OK and env["outputs"]["tables"] == {"t": {"x": 1.0}}
+        if study == "run_comparison":
+            assert calls == [(study, (experiments.load_builtin_scenario("example1"),), {})]
+        else:
+            assert calls == [(study, (), {"seed": 3})]
+
+    def test_unknown_scenario_is_an_input_error(self, capsys):
+        code = main(["experiment", "--study", "comparison", "--scenario", "nosuch"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and "nosuch" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--form", "constrained", "--eps", "0", "--reg", "lasso", "-A", "A.csv", "-y", "y.csv"],
+    ["matrix", "identity", "--m", "3", "--n", "3", "--format", "triplet"],
+    ["experiment", "--study", "scaling", "--preset", "small"],
+], ids=["solve_form", "matrix_format", "experiment_preset"])
+def test_removed_options_are_parse_errors(capsys, argv):
+    assert main(argv) == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("clotkit ")]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
+_CONFIG = {"name": "x", "replications": 1, "seed": 0,
+           "generator": {"beta": [1.0, 0.0], "covariance": {"kind": "identity"}, "noise_sigma": 1.0,
+                         "n_train": 5, "n_val": 5, "n_test": 5},
+           "methods": [{"kind": "lasso"}], "lambda_grid": {"lo": 0.1, "hi": 1.0, "num": 3}}
+
 
 @pytest.mark.parametrize("argv", [
     ["matrix", "gaussian"], ["matrix", "identity", "--m", "3"],
@@ -214,7 +291,12 @@ class TestExperimentCommand:
     ["experiment", "--study", "comparison", "--config", "[]"],
     ["experiment", "--study", "comparison", "--config",
      '{"name": "x", "replications": 1, "seed": 0, "methods": [], "lambda_grid": {}}'],
-], ids=["gaussian", "identity", "duplicated_column", "devore", "config_list", "config_no_generator"])
+    *(["experiment", "--study", "comparison", "--config", json.dumps({**_CONFIG, **field})]
+      for field in ({"lambda_grid": {}}, {"generator": 5}, {"methods": ["lasso"]},
+                    {"methods": [{"kind": "en"}]})),
+], ids=["gaussian", "identity", "duplicated_column", "devore", "config_list", "config_no_generator",
+        "config_empty_lambda_grid", "config_generator_number", "config_method_string",
+        "config_en_without_mu_grid"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, argv):
     if "--config" in argv:  # the config text goes to a file
         (tmp_path / "cfg.json").write_text(argv[-1])
@@ -236,11 +318,16 @@ class TestEnvelope:
         assert env["tool"]["name"] == "clotkit"
         assert env["wall_time_s"] >= 0
 
-    @pytest.mark.parametrize("flag", [["--threads=3"], ["--threads", "3"]])
-    def test_threads_flag_caps_blas(self, capsys, monkeypatch, flag):
+    @pytest.mark.parametrize("flag, preset", [(["--threads=3"], None), (["--threads", "3"], None),
+                                              (["--threads=3"], "8"), (["--threads", "3"], "8")],
+                             ids=["flag0", "flag1", "flag0_preset", "flag1_preset"])
+    def test_threads_flag_caps_blas(self, capsys, monkeypatch, flag, preset):
         monkeypatch.setattr(os, "environ", dict(os.environ))  # keep the cap out of later tests
         for var in ("CLOTKIT_THREADS", *_THREAD_VARS):
             monkeypatch.delenv(var, raising=False)
+        if preset is not None:  # the clotkit thread count is the one source
+            for var in _THREAD_VARS:
+                monkeypatch.setenv(var, preset)
         code = main([*flag, "certificate", "--t", "2", "--k", "1", "--delta", "0.3"])
         capsys.readouterr()
         assert code == EXIT_OK

@@ -182,7 +182,7 @@ class TestSolveStats:
 
     def test_exhausted_step_search_is_reported(self, rng):
         A, _, y = small_instance(rng, noise=0.1)
-        ws = solvers._Workspace(A, y, SolverOptions())
+        ws = solvers._Workspace(A, y)
         ws.sigma2 *= 1e-30  # a step 1e30 too long: 60 halvings cannot repair it
         res = solve_lagrangian(Problem(A, y, Lagrangian(0.05)), RegularizerSpec.lasso(), _ws=ws)
         assert res.info["step_search_exhausted"] is True
@@ -191,15 +191,16 @@ class TestSolveStats:
 
 
 class TestRouting:
-    def test_gram_and_direct_routing_agree(self):
+    def test_gram_and_direct_routing_agree(self, monkeypatch):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((60, 40))
         x = np.zeros(40)
         x[rng.choice(40, size=3, replace=False)] = rng.standard_normal(3)
         prob = Problem(A, A @ x, Constrained(0.0))
         spec = RegularizerSpec.clot(0.2)
-        gram = solve_constrained(prob, spec, SolverOptions(use_gram=True))
-        direct = solve_constrained(prob, spec, SolverOptions(use_gram=False))
+        gram = solve_constrained(prob, spec)  # 40 <= 2*60 columns: the shape picks the Gram route
+        monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
+        direct = solve_constrained(prob, spec)
         assert gram.converged and direct.converged
         np.testing.assert_allclose(gram.x_hat, direct.x_hat, rtol=0,
                                    atol=1e-6 * np.linalg.norm(direct.x_hat))
@@ -315,7 +316,7 @@ class TestConstrained:
 
     def test_options_are_frozen(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-            "kkt_tol", "feas_tol", "max_iters", "check_every", "use_gram"]
+            "kkt_tol", "feas_tol", "max_iters", "check_every"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             TIGHT.max_iters = 1
 
