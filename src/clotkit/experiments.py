@@ -103,8 +103,50 @@ _METHOD_SPECS = {"lasso": lambda mu: RegularizerSpec.lasso(), "en": RegularizerS
                  "clot": RegularizerSpec.clot, "ridge": lambda mu: RegularizerSpec.ridge()}
 
 
+_COVARIANCE_KINDS = ("identity", "ar1", "equi", "blocks")  # a missing kind means identity
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_number(value) and isinstance(value, int) and value > 0
+
+
+def _check_generator(gen: dict):
+    """Raise a ``ValueError`` naming the first missing or malformed generator field."""
+    if not isinstance(gen, dict):
+        raise ValueError("generator must be an object")
+    for key in ("beta", "covariance", "noise_sigma", "n_train", "n_val", "n_test"):
+        if key not in gen:
+            raise ValueError(f"generator config missing {key!r}")
+    beta = gen["beta"]
+    if not (isinstance(beta, list) and beta and all(map(_is_number, beta))):
+        raise ValueError("generator: beta must be a nonempty list of numbers")
+    cov = gen["covariance"]
+    kind = cov.get("kind", "identity") if isinstance(cov, dict) else None
+    if kind not in _COVARIANCE_KINDS:
+        raise ValueError(f"generator: covariance must be an object with a kind in "
+                         f"{list(_COVARIANCE_KINDS)}")
+    if kind in ("ar1", "equi") and not _is_number(cov.get("rho")):
+        raise ValueError(f"generator: covariance {kind} needs a number rho")
+    if kind == "blocks":
+        blocks = cov.get("blocks")
+        if not (isinstance(blocks, list) and blocks and all(
+                isinstance(b, dict) and _is_count(b.get("size"))
+                and _is_number(b.get("var", 1.0)) and _is_number(b.get("cov", 0.0))
+                for b in blocks)):
+            raise ValueError("generator: covariance blocks needs a nonempty list of objects "
+                             "with a positive integer size and numbers var and cov")
+        if sum(b["size"] for b in blocks) != len(beta):
+            raise ValueError(f"generator: covariance block sizes sum to "
+                             f"{sum(b['size'] for b in blocks)}, expected len(beta) = {len(beta)}")
+    if not (_is_number(gen["noise_sigma"]) and gen["noise_sigma"] >= 0):
+        raise ValueError("generator: noise_sigma must be a nonnegative number")
+    for key in ("n_train", "n_val", "n_test"):
+        if not _is_count(gen[key]):
+            raise ValueError(f"generator: {key} must be a positive integer")
 
 
 @dataclass
@@ -119,11 +161,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if not isinstance(self.generator, dict):
-            raise ValueError("generator must be an object")
-        for key in ("beta", "covariance", "noise_sigma", "n_train", "n_val", "n_test"):
-            if key not in self.generator:
-                raise ValueError(f"generator config missing {key!r}")
+        _check_generator(self.generator)
         lg = self.lambda_grid
         if not (isinstance(lg, dict) and all(_is_number(lg.get(key)) and lg[key] > 0
                                              for key in ("hi", "lo", "num"))):
@@ -177,20 +215,15 @@ def _covariance_matrix(cov: dict, p: int) -> np.ndarray:
     if kind == "equi":
         rho = float(cov["rho"])
         return np.full((p, p), rho) + (1.0 - rho) * np.eye(p)
-    if kind == "blocks":
-        sizes = [int(b["size"]) for b in cov["blocks"]]
-        if sum(sizes) != p:
-            raise ValueError(f"block sizes sum to {sum(sizes)}, expected {p}")
-        sigma = np.zeros((p, p))
-        at = 0
-        for b in cov["blocks"]:
-            s = int(b["size"])
-            var = float(b.get("var", 1.0))
-            cross = float(b.get("cov", 0.0))
-            sigma[at:at + s, at:at + s] = np.full((s, s), cross) + (var - cross) * np.eye(s)
-            at += s
-        return sigma
-    raise ValueError(f"unknown covariance kind {kind!r}")
+    sigma = np.zeros((p, p))  # blocks, the one kind left after the config checks
+    at = 0
+    for b in cov["blocks"]:
+        s = b["size"]
+        var = float(b.get("var", 1.0))
+        cross = float(b.get("cov", 0.0))
+        sigma[at:at + s, at:at + s] = np.full((s, s), cross) + (var - cross) * np.eye(s)
+        at += s
+    return sigma
 
 
 def _draw_linear_model(gen: dict, rng: np.random.Generator) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, islice
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -184,12 +184,86 @@ class RipEstimate:
     argmax_support: tuple
 
 
+def _lex_supports(n: int, k: int):
+    """Every size-``k`` subset of ``range(n)`` in lexicographic order, as
+    ``(rows, k)`` index blocks of at most ``_CHUNK`` rows.
+
+    Lexicographic rank ``r`` is unranked through the combinatorial number
+    system: ``C(n, k) - 1 - r`` is the colex rank of the support mirrored by
+    ``i -> n - 1 - i``, whose elements fall out largest first from one
+    ``searchsorted`` per position on a table of ``C(c, j)``.
+    """
+    count = math.comb(n, k)
+    # entries at or above ``count`` never fit under a rank, so they are capped
+    binom = np.array([[min(math.comb(c, j), count) for c in range(n)] for j in range(k + 1)],
+                     dtype=np.int64)
+    for start in range(0, count, _CHUNK):
+        rest = count - 1 - np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
+        supports = np.empty((rest.size, k), dtype=np.intp, order="F")  # contiguous columns
+        for j in range(k, 1, -1):
+            c = np.searchsorted(binom[j], rest, side="right") - 1
+            supports[:, k - j] = n - 1 - c
+            rest -= binom[j, c]
+        supports[:, k - 1] = n - 1 - rest  # C(c, 1) = c
+        yield supports
+
+
+def _deviations(gram, supports):
+    """``max(lambda_max - 1, 1 - lambda_min)`` of each support's sub-Gram matrix."""
+    evals = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+    return np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
+
+
+def _pattern_deviations(gram, k: int, count: int):
+    """A function giving a block of supports' deviations by overlap pattern,
+    or ``None`` when the Gram matrix has too many distinct values to pay.
+
+    With ``d`` exactly distinct Gram values, a support's sub-Gram matrix is
+    fixed by the value indices of the triangle ``eigvalsh`` reads, one base-``d``
+    code.  Each code that occurs is sent through ``eigvalsh`` once, on one
+    support carrying it, so every deviation equals the batched route's.  The
+    route is taken only when the code table is no larger than the support count,
+    and never at ``k = 1``: there each sub-Gram matrix is one diagonal entry, and
+    sorting all ``n**2`` Gram values would cost more than the whole enumeration.
+    """
+    if k == 1:
+        return None
+    values, idx = np.unique(gram, return_inverse=True)
+    idx = idx.reshape(gram.shape)
+    rows, cols = np.tril_indices(k)
+    size = values.size ** rows.size
+    if size > count:
+        return None
+    table = np.empty(size)
+    known = np.zeros(size, dtype=bool)
+    holder = np.empty(size, dtype=np.intp)
+
+    def deviations(supports):
+        codes = np.zeros(len(supports), dtype=np.int64)
+        for a, b in zip(rows, cols):
+            codes *= values.size
+            codes += idx[supports[:, a], supports[:, b]]
+        fresh = np.flatnonzero(~known[codes])
+        if fresh.size:
+            holder[codes[fresh]] = fresh  # one support per new code keeps its slot
+            fresh = fresh[holder[codes[fresh]] == fresh]
+            table[codes[fresh]] = _deviations(gram, supports[fresh])
+            known[codes[fresh]] = True
+        return table[codes]
+
+    return deviations
+
+
 def exact_rip(A, k: int, max_subsets: int = _SUBSET_GUARD) -> RipEstimate:
     """Exact ``delta_k`` of a matrix by enumerating every size-``k`` support.
 
     Supports of size below ``k`` are dominated by eigenvalue interlacing, so
-    only exact size-``k`` subsets are visited.  Refuses combinatorially
-    infeasible requests (more than ``max_subsets`` subsets).
+    only exact size-``k`` subsets are visited, in lexicographic order; the
+    reported support is the first one attaining the maximum.  A Gram matrix
+    with few distinct values (a binary construction such as DeVore's) is
+    evaluated once per overlap pattern instead of once per support.  Refuses
+    a non-finite matrix and combinatorially infeasible requests (more than
+    ``max_subsets`` subsets).
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
@@ -201,21 +275,15 @@ def exact_rip(A, k: int, max_subsets: int = _SUBSET_GUARD) -> RipEstimate:
         raise ValueError(
             f"C({n},{k}) = {count} supports exceeds the enumeration guard of {max_subsets}"
         )
+    if not np.isfinite(A).all():
+        raise ValueError("the matrix has non-finite entries")
     gram = A.T @ A
+    deviations = _pattern_deviations(gram, k, count) or partial(_deviations, gram)
 
     best = -np.inf
     best_support = None
-    combos = combinations(range(n), k)
-    while True:
-        block = np.fromiter(
-            (i for combo in islice(combos, _CHUNK) for i in combo), dtype=np.intp
-        )
-        if block.size == 0:
-            break
-        supports = block.reshape(-1, k)
-        sub = gram[supports[:, :, None], supports[:, None, :]]
-        evals = np.linalg.eigvalsh(sub)
-        dev = np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
+    for supports in _lex_supports(n, k):
+        dev = deviations(supports)
         j = int(np.argmax(dev))
         if dev[j] > best:
             best = float(dev[j])

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is written against the mathematical definitions only, in
-plain Python, so it shares no code path with the package implementations it
-checks.
+plain Python (numpy only for symmetric eigenvalues), so it shares no code path
+with the package implementations it checks.
 """
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 def penalty_ref(kind, mu, groups, z):
@@ -106,3 +108,16 @@ def scalar_lasso_scan(y_i, lam, span=20.0, points=2_000_001):
     lo, hi = -span, span
     mid = _ternary_min(f, lo, hi, iters=200)
     return 0.0 if f(0.0) <= f(mid) else mid
+
+
+def rip_ref(A, k):
+    """``(delta_k, argmax_support)`` by one ``eigvalsh`` per size-``k`` support,
+    keeping the first support in lexicographic order that attains the maximum."""
+    gram = A.T @ A
+    best, best_support = -math.inf, None
+    for support in combinations(range(A.shape[1]), k):
+        evals = np.linalg.eigvalsh(gram[np.ix_(support, support)])
+        dev = max(evals[-1] - 1.0, 1.0 - evals[0])
+        if dev > best:
+            best, best_support = dev, support
+    return max(best, 0.0), best_support

@@ -294,13 +294,25 @@ _CONFIG = {"name": "x", "replications": 1, "seed": 0,
     *(["experiment", "--study", "comparison", "--config", json.dumps({**_CONFIG, **field})]
       for field in ({"lambda_grid": {}}, {"generator": 5}, {"methods": ["lasso"]},
                     {"methods": [{"kind": "en"}]})),
+    *(["experiment", "--study", "comparison", "--config",
+       json.dumps({**_CONFIG, "generator": {**_CONFIG["generator"], **field}})]
+      for field in ({"beta": 3}, {"beta": []}, {"covariance": 5}, {"covariance": {"kind": "ar1"}},
+                    {"covariance": {"kind": "nosuch"}},
+                    {"covariance": {"kind": "blocks", "blocks": [{"size": 3}]}},
+                    {"noise_sigma": [1]}, {"noise_sigma": -1.0}, {"n_train": -3}, {"n_val": 2.5})),
+    ["riporacle", "-A", "nan,0\n0,1\n", "--k", "2"],
 ], ids=["gaussian", "identity", "duplicated_column", "devore", "config_list", "config_no_generator",
         "config_empty_lambda_grid", "config_generator_number", "config_method_string",
-        "config_en_without_mu_grid"])
+        "config_en_without_mu_grid", "config_beta_number", "config_beta_empty",
+        "config_covariance_number", "config_ar1_without_rho", "config_covariance_unknown_kind",
+        "config_block_sizes_off", "config_noise_sigma_list", "config_noise_sigma_negative",
+        "config_n_train_negative", "config_n_val_fraction", "riporacle_nan_matrix"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, argv):
-    if "--config" in argv:  # the config text goes to a file
-        (tmp_path / "cfg.json").write_text(argv[-1])
-        argv = [*argv[:-1], str(tmp_path / "cfg.json")]
+    for flag in ("--config", "-A"):  # the text after the flag goes to a file
+        if flag in argv:
+            at = argv.index(flag) + 1
+            (tmp_path / "input").write_text(argv[at])
+            argv = [*argv[:at], str(tmp_path / "input"), *argv[at + 1:]]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_INPUT

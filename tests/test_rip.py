@@ -1,11 +1,14 @@
 import math
 from decimal import Decimal, getcontext
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from clotkit import rip
 from clotkit.matrices import DeVoreParams, devore_matrix, fixture_matrix
 from clotkit.rip import certificate, delta_bound_from_mu, error_bounds, exact_rip, rnsp_check
+from oracles import rip_ref
 
 
 def chain_decimal(t, k, delta, g, mu):
@@ -210,6 +213,61 @@ class TestExactRip:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             exact_rip(np.eye(3), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_refused(self, bad):
+        A = np.eye(3)
+        A[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            exact_rip(A, 2)
+
+
+def _devore_rows_permuted():
+    A = devore_matrix(DeVoreParams(5, 2), normalize=True)
+    return A[np.random.default_rng(3).permutation(A.shape[0])]
+
+
+def _uneven_binary():
+    """Every 0/1 column of length 6 with one or two ones: column weights 1 and 2."""
+    cols = [np.isin(np.arange(6), s).astype(float)
+            for size in (1, 2) for s in combinations(range(6), size)]
+    return np.column_stack(cols)
+
+
+def _duplicated_pair():
+    return np.column_stack([np.eye(3)[:, 0]] * 2)
+
+
+def _gaussian():
+    return fixture_matrix("gaussian", 30, 36, seed=1)
+
+
+@pytest.mark.parametrize("make, k, patterned", [
+    (_devore_rows_permuted, 1, False), (_devore_rows_permuted, 2, True),
+    (_devore_rows_permuted, 3, True),
+    (lambda: devore_matrix(DeVoreParams(5, 2), normalize=False), 2, True),
+    (_uneven_binary, 1, False), (_uneven_binary, 2, True), (_uneven_binary, 3, True),
+    (_duplicated_pair, 1, False), (_duplicated_pair, 2, True),
+    (_gaussian, 2, False), (_gaussian, 3, False),
+], ids=["devore_k1", "devore_k2", "devore_k3", "devore_unnormalised_k2", "binary_k1",
+        "binary_k2", "binary_k3", "duplicated_k1", "duplicated_k2", "gaussian_k2", "gaussian_k3"])
+def test_exact_rip_matches_per_support_reference(make, k, patterned):
+    A = make()
+    pattern_route = rip._pattern_deviations(A.T @ A, k, math.comb(A.shape[1], k))
+    assert (pattern_route is not None) == patterned
+    delta, support = rip_ref(A, k)
+    est = exact_rip(A, k)
+    assert est.delta_k == pytest.approx(delta, abs=1e-12)
+    assert est.argmax_support == support
+
+
+@pytest.mark.parametrize("make, k", [(_uneven_binary, 3), (_gaussian, 2)], ids=["binary", "gaussian"])
+def test_chunk_boundaries_do_not_change_the_answer(monkeypatch, make, k):
+    A = make()
+    whole = exact_rip(A, k)
+    monkeypatch.setattr(rip, "_CHUNK", 7)
+    assert math.comb(A.shape[1], k) > 7 * 10
+    assert exact_rip(A, k) == whole
 
 
 class TestRnspCheck:
