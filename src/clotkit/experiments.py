@@ -13,7 +13,6 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 
@@ -107,7 +106,10 @@ _COVARIANCE_KINDS = ("identity", "ar1", "equi", "blocks")  # a missing kind mean
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int, or a finite float; not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or bool(np.isfinite(value))
 
 
 def _is_count(value) -> bool:
@@ -142,6 +144,7 @@ def _check_generator(gen: dict):
         if sum(b["size"] for b in blocks) != len(beta):
             raise ValueError(f"generator: covariance block sizes sum to "
                              f"{sum(b['size'] for b in blocks)}, expected len(beta) = {len(beta)}")
+    _covariance_factor(cov, len(beta))
     if not (_is_number(gen["noise_sigma"]) and gen["noise_sigma"] >= 0):
         raise ValueError("generator: noise_sigma must be a nonnegative number")
     for key in ("n_train", "n_val", "n_test"):
@@ -159,13 +162,14 @@ class ScenarioConfig:
     lambda_grid: dict
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        if not _is_count(self.replications):
+            raise ValueError("replications must be a positive integer")
         _check_generator(self.generator)
         lg = self.lambda_grid
         if not (isinstance(lg, dict) and all(_is_number(lg.get(key)) and lg[key] > 0
-                                             for key in ("hi", "lo", "num"))):
-            raise ValueError("lambda_grid must be an object with positive numbers hi, lo and num")
+                                             for key in ("hi", "lo")) and _is_count(lg.get("num"))):
+            raise ValueError("lambda_grid must be an object with positive numbers hi and lo "
+                             "and a positive integer num")
         if not (isinstance(self.methods, list) and self.methods):
             raise ValueError("methods must be a nonempty list of objects")
         for method in self.methods:
@@ -183,7 +187,7 @@ class ScenarioConfig:
         names = [f.name for f in fields(cls)]
         if not isinstance(d, dict) or not all(name in d for name in names):
             raise ValueError(f"a scenario config must be an object with keys {names}")
-        return cls(name=d["name"], generator=d["generator"], replications=int(d["replications"]),
+        return cls(name=d["name"], generator=d["generator"], replications=d["replications"],
                    seed=int(d["seed"]), methods=d["methods"], lambda_grid=d["lambda_grid"])
 
     def to_dict(self) -> dict:
@@ -226,15 +230,21 @@ def _covariance_matrix(cov: dict, p: int) -> np.ndarray:
     return sigma
 
 
-def _draw_linear_model(gen: dict, rng: np.random.Generator) -> dict:
+def _covariance_factor(cov: dict, p: int) -> np.ndarray:
+    """Cholesky factor of the covariance plus ``1e-12 * I``; a ``ValueError``
+    naming the covariance if that is not positive definite."""
+    try:
+        return np.linalg.cholesky(_covariance_matrix(cov, p) + 1e-12 * np.eye(p))
+    except np.linalg.LinAlgError:
+        raise ValueError("generator: covariance must be positive definite") from None
+
+
+def _draw_linear_model(gen: dict, chol: np.ndarray, rng: np.random.Generator) -> dict:
     beta = np.asarray(gen["beta"], dtype=float)
-    p = beta.size
     sigma = float(gen["noise_sigma"])
-    cov = _covariance_matrix(gen["covariance"], p)
-    chol = np.linalg.cholesky(cov + 1e-12 * np.eye(p))
     sizes = [int(gen["n_train"]), int(gen["n_val"]), int(gen["n_test"])]
     total = sum(sizes)
-    X = rng.standard_normal((total, p)) @ chol.T
+    X = rng.standard_normal((total, beta.size)) @ chol.T
     y = X @ beta + sigma * rng.standard_normal(total)
     parts = np.split(np.arange(total), np.cumsum(sizes)[:-1])
     out = {"beta": beta}
@@ -267,12 +277,12 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
     lg = config.lambda_grid
     lam_grid = np.logspace(np.log10(float(lg["hi"])), np.log10(float(lg["lo"])), int(lg["num"]))
 
+    chol = _covariance_factor(config.generator["covariance"], len(config.generator["beta"]))
     streams = np.random.SeedSequence(config.seed).spawn(config.replications)
     records = []
-    failures = []
     for rep in range(config.replications):
         rng = np.random.default_rng(streams[rep])
-        data = _draw_linear_model(config.generator, rng)
+        data = _draw_linear_model(config.generator, chol, rng)
         scale = np.sqrt(data["X_train"].shape[0])
         A = data["X_train"] / scale
         y = data["y_train"] / scale
@@ -282,22 +292,14 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
             kind = method["kind"]
             mu_grid = method.get("mu_grid", [None])
             best = None
-            any_failed = False
             for mu in mu_grid:
                 spec = _METHOD_SPECS[kind.lower()](mu)
-                path = solution_path(template, spec, lam_grid, _COMPARISON_OPTS)
-                for point in path:
-                    if point.result is None:
-                        any_failed = True
-                        continue
+                for point in solution_path(template, spec, lam_grid, _COMPARISON_OPTS):
                     beta_hat = point.result.x_hat
                     val_mse = float(np.mean((data["X_val"] @ beta_hat - data["y_val"]) ** 2))
                     if best is None or val_mse < best["val_mse"]:
                         best = {"val_mse": val_mse, "lambda": point.lam, "mu": mu,
                                 "beta": beta_hat, "converged": point.result.converged}
-            if best is None:
-                failures.append({"rep": rep, "method": kind})
-                continue
             err = data["X_test"] @ (best["beta"] - data["beta"])
             records.append({
                 "rep": rep,
@@ -308,7 +310,6 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
                 "mu": None if best["mu"] is None else float(best["mu"]),
                 "val_mse": best["val_mse"],
                 "converged": bool(best["converged"]),
-                "path_failures": bool(any_failed),
             })
 
     tables = {"median_mse": {}, "bootstrap_sd_of_median_mse": {}, "median_nnz": {}}
@@ -317,8 +318,6 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
         kind = method["kind"]
         mses = [r["mse"] for r in records if r["method"] == kind]
         nnzs = [r["nnz"] for r in records if r["method"] == kind]
-        if not mses:
-            continue
         tables["median_mse"][kind] = float(np.median(mses))
         tables["bootstrap_sd_of_median_mse"][kind] = bootstrap_sd_of_median(
             mses, resamples=200, seed=config.seed + 1)
@@ -332,7 +331,6 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
         "design_scaling": "train design and response divided by sqrt(n_train)",
         "note": "medians and their orderings are the reported outcome; absolute "
                 "values depend on the tuning protocol and are not comparison targets",
-        "solver_failures": failures,
     }
     return StudyReport(name=config.name, config=config.to_dict(), metadata=metadata,
                        tables=tables, records=records, series=series)
@@ -389,9 +387,6 @@ def _fixture_paths(config, labels):
         grid = lam_max * np.logspace(0.0, -config["decades"], config["n_lambdas"])
         points = solution_path(Problem(pre.A, pre.y, Lagrangian(1.0, "penalty")), specs[label],
                                grid, _PATH_OPTS)
-        for p in points:
-            if p.result is None:
-                raise RuntimeError(f"path solve failed at lam={p.lam:g}: {p.error}")
         out[label] = (lam_max, grid, np.asarray([p.result.x_hat for p in points]))
     return out
 
@@ -518,13 +513,14 @@ SCALING_PRESETS = {
 }
 
 _SCALING_TRUE = (0.8147, 0.9058, 0.1270)
+_SCALING_C = (0, 1, 2, 3, 4)  # the true vector is scaled by 10**c
+_SCALING_MU = 0.2
 
 
-def run_scaling(c_list: Sequence[int] = (0, 1, 2, 3, 4), preset: str = "small",
-                mu: float = 0.2) -> StudyReport:
-    """Noise-free recovery of a 3-sparse vector scaled by powers of ten.
+def run_scaling(preset: str = "small") -> StudyReport:
+    """Noise-free recovery of a 3-sparse vector scaled by ``10**c``, c = 0..4.
 
-    Both methods share the same mixing weight on the l1 term: CLOT uses
+    Both methods share the mixing weight ``mu = 0.2`` on the l1 term: CLOT uses
     ``(1-mu)*l1 + mu*l2`` and the elastic net uses ``(1-mu)*l1 + mu*l2^2``
     (as an EN spec that means ``mu_en = 1 - mu``).  The CLOT estimate must
     simply scale with the data; the elastic net's quadratic term eventually
@@ -538,14 +534,15 @@ def run_scaling(c_list: Sequence[int] = (0, 1, 2, 3, 4), preset: str = "small",
     x0 = np.zeros(n)
     x0[:3] = _SCALING_TRUE
 
+    mu = _SCALING_MU
     clot_spec = RegularizerSpec.clot(mu)
     en_spec = RegularizerSpec.elastic_net(1.0 - mu)
 
     records = []
-    for c in c_list:
+    for c in _SCALING_C:
         x_true = (10.0**c) * x0
         y = A @ x_true
-        row = {"c": int(c)}
+        row = {"c": c}
         for label, spec in (("clot", clot_spec), ("en", en_spec)):
             res = solve_constrained(Problem(A, y, Constrained(0.0)), spec)
             rel = float(np.linalg.norm(res.x_hat - x_true) / np.linalg.norm(x_true))
@@ -571,5 +568,5 @@ def run_scaling(c_list: Sequence[int] = (0, 1, 2, 3, 4), preset: str = "small",
         "en_convention": "elastic net solved as (1-mu)*l1 + mu*l2^2, i.e. an EN spec with mu_en = 1 - mu",
     }
     return StudyReport(name="scaling", metadata=metadata,
-                       config={"c_list": [int(c) for c in c_list], "preset": preset, "mu": mu},
+                       config={"c_list": list(_SCALING_C), "preset": preset, "mu": mu},
                        tables=tables, records=records)

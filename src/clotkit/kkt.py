@@ -36,9 +36,9 @@ def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> f
     if b:
         t = t - (2.0 * w * b) * x
     if c:
-        norms = _group_norms(spec.groups, x)
+        norms = _group_norms(spec.partition, x)
         zero = norms == 0
-        t = t - (w * c) * x / _per_coordinate(spec.groups, norms + zero)
+        t = t - (w * c) * x / _per_coordinate(spec.partition, norms + zero)
     if a:
         thr = w * a
         gap = np.where(x != 0, np.abs(t - thr * np.sign(x)), np.maximum(np.abs(t) - thr, 0.0))
@@ -46,8 +46,8 @@ def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> f
         gap = np.abs(t)
     if c and np.count_nonzero(zero):
         # the coordinates of a zero group count through the group's Euclidean gap
-        zero_gap = np.max(np.where(zero, _group_norms(spec.groups, gap) - w * c, 0.0))
-        return max(float(np.max(np.where(_per_coordinate(spec.groups, zero), 0.0, gap))),
+        zero_gap = np.max(np.where(zero, _group_norms(spec.partition, gap) - w * c, 0.0))
+        return max(float(np.max(np.where(_per_coordinate(spec.partition, zero), 0.0, gap))),
                    float(zero_gap))
     return float(gap.max())
 

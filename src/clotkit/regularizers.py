@@ -130,19 +130,18 @@ class RegularizerSpec:
     """Which penalty to use, with its mixing parameter and group structure.
 
     ``mu`` is required to lie in [0, 1] for EN, CLOT, and SGL.  GL ignores
-    ``mu`` (it behaves as SGL with mu = 1).  SGL and GL require a partition;
-    CLOT takes an optional one but always acts as a single group.
+    ``mu`` (it behaves as SGL with mu = 1).  GL and SGL require a partition,
+    and no other kind takes one: CLOT is one group of all coordinates.
 
-    Construction resolves the spec to the family's ``weights`` ``(a, b, c)``
-    and the ``groups`` of its group term (None: one group of all
-    coordinates); nothing past this class reads ``kind``.
+    Construction resolves the spec to the family's ``weights`` ``(a, b, c)``;
+    the ``partition`` gives the groups of the group term (None: one group of
+    all coordinates).  Nothing past this class reads ``kind``.
     """
 
     kind: PenaltyKind
     mu: float = 0.0
     partition: Optional[Partition] = None
     weights: tuple = field(init=False, repr=False, compare=False)
-    groups: Optional[Partition] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = PenaltyKind(self.kind.lower() if isinstance(self.kind, str) else self.kind)
@@ -157,13 +156,15 @@ class RegularizerSpec:
         object.__setattr__(self, "mu", mu)
         if kind in _GROUPED and self.partition is None:
             raise ValueError(f"{kind.value} requires a partition")
+        if kind not in _GROUPED and self.partition is not None:
+            raise ValueError(f"{kind.value} takes no partition; only gl and sgl do, "
+                             "and sgl is CLOT's penalty over groups")
         weights = {
             PenaltyKind.L1: (1.0, 0.0, 0.0),
             PenaltyKind.L2SQ: (0.0, 1.0, 0.0),
             PenaltyKind.EN: (mu, 1.0 - mu, 0.0),
         }.get(kind, (1.0 - mu, 0.0, mu))
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "groups", self.partition if kind in _GROUPED else None)
 
     # -- convenience constructors -------------------------------------------
     @classmethod
@@ -229,7 +230,7 @@ def penalty_value(spec: RegularizerSpec, z) -> float:
     if b:
         total += b * float(z @ z)
     if c:
-        total += c * float(np.add.reduce(_group_norms(spec.groups, z)))
+        total += c * float(np.add.reduce(_group_norms(spec.partition, z)))
     return total
 
 
@@ -244,7 +245,8 @@ def prox(spec: RegularizerSpec, v, step: float) -> np.ndarray:
         u = _soft(u, step * a)
     t = step * c
     if t:  # zero also when step*c underflows
-        u = u * _per_coordinate(spec.groups, 1.0 - t / np.maximum(_group_norms(spec.groups, u), t))
+        u = u * _per_coordinate(spec.partition,
+                                1.0 - t / np.maximum(_group_norms(spec.partition, u), t))
     if b:
         u = u / (1.0 + 2.0 * step * b)
     return u
@@ -265,12 +267,12 @@ def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
     if not c:
         return float(np.max(np.abs(v))) / a if a else np.inf
     if not a:
-        return float(np.max(_group_norms(spec.groups, v))) / c
+        return float(np.max(_group_norms(spec.partition, v))) / c
 
     # Both terms: the smallest s with every group of soft(v/s, a) inside the
     # c-ball, by bisection in log scale; v/hi lies in the a-box.
     def inside(s):
-        return np.max(_group_norms(spec.groups, _soft(v / s, a))) <= c
+        return np.max(_group_norms(spec.partition, _soft(v / s, a))) <= c
 
     hi = float(np.max(np.abs(v))) / a
     lo = hi * 1e-20

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -129,8 +128,7 @@ class SolveResult:
 @dataclass
 class PathPoint:
     lam: float
-    result: Optional[SolveResult]
-    error: Optional[str] = None
+    result: SolveResult
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +447,9 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
 def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: SolverOptions = None):
     """Solve the Lagrangian program along a strictly monotone multiplier grid.
 
-    Each point is warm-started from the previous one.  A point that fails
-    with a solver error (``ValueError``, ``ArithmeticError`` or
-    ``LinAlgError``) is recorded with its message instead of aborting the
-    path; any other exception propagates.
+    Each point is warm-started from the previous one.  A bad grid is refused
+    before the first solve; otherwise every point is returned, and any error
+    a solve raises propagates.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -464,20 +461,17 @@ def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: So
     diffs = np.diff(grid)
     if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("lambda_grid must be strictly monotone")
-    if np.any(grid <= 0):
-        raise ValueError("lambda_grid entries must be positive")
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError("lambda_grid entries must be positive and finite")
 
     ws = _Workspace(problem.A, problem.y)
     points = []
     warm = None
     for lam in grid:
-        try:
-            res = solve_lagrangian(Problem(problem.A, problem.y, Lagrangian(float(lam), form.side)),
-                                   spec, opts, _ws=ws, x0=warm)
-            warm = res.x_hat
-            points.append(PathPoint(float(lam), res))
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:  # keep walking the path
-            points.append(PathPoint(float(lam), None, error=str(exc)))
+        res = solve_lagrangian(Problem(problem.A, problem.y, Lagrangian(float(lam), form.side)),
+                               spec, opts, _ws=ws, x0=warm)
+        warm = res.x_hat
+        points.append(PathPoint(float(lam), res))
     return points
 
 

@@ -66,7 +66,7 @@ def test_c2_devore_reproduction():
 
 def test_c3_exact_recovery_and_scaling():
     with criterion(3, "exact recovery and scaling"):
-        report = run_scaling(c_list=(0, 1, 2, 3, 4), preset="small", mu=0.2)
+        report = run_scaling(preset="small")
         clot_errs = report.tables["clot_rel_err"]
         assert set(clot_errs) == {"0", "1", "2", "3", "4"}
         for c, err in clot_errs.items():

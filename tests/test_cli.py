@@ -279,6 +279,12 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {line}")
 
 
+def test_readme_library_example_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 _CONFIG = {"name": "x", "replications": 1, "seed": 0,
            "generator": {"beta": [1.0, 0.0], "covariance": {"kind": "identity"}, "noise_sigma": 1.0,
                          "n_train": 5, "n_val": 5, "n_test": 5},
@@ -293,7 +299,8 @@ _CONFIG = {"name": "x", "replications": 1, "seed": 0,
      '{"name": "x", "replications": 1, "seed": 0, "methods": [], "lambda_grid": {}}'],
     *(["experiment", "--study", "comparison", "--config", json.dumps({**_CONFIG, **field})]
       for field in ({"lambda_grid": {}}, {"generator": 5}, {"methods": ["lasso"]},
-                    {"methods": [{"kind": "en"}]})),
+                    {"methods": [{"kind": "en"}]},
+                    {"lambda_grid": {"lo": 0.1, "hi": 1.0, "num": 2.7}}, {"replications": 2.7})),
     *(["experiment", "--study", "comparison", "--config",
        json.dumps({**_CONFIG, "generator": {**_CONFIG["generator"], **field}})]
       for field in ({"beta": 3}, {"beta": []}, {"covariance": 5}, {"covariance": {"kind": "ar1"}},
@@ -303,7 +310,8 @@ _CONFIG = {"name": "x", "replications": 1, "seed": 0,
     ["riporacle", "-A", "nan,0\n0,1\n", "--k", "2"],
 ], ids=["gaussian", "identity", "duplicated_column", "devore", "config_list", "config_no_generator",
         "config_empty_lambda_grid", "config_generator_number", "config_method_string",
-        "config_en_without_mu_grid", "config_beta_number", "config_beta_empty",
+        "config_en_without_mu_grid", "config_num_fraction", "config_replications_fraction",
+        "config_beta_number", "config_beta_empty",
         "config_covariance_number", "config_ar1_without_rho", "config_covariance_unknown_kind",
         "config_block_sizes_off", "config_noise_sigma_list", "config_noise_sigma_negative",
         "config_n_train_negative", "config_n_val_fraction", "riporacle_nan_matrix"])
@@ -317,6 +325,20 @@ def test_malformed_input_is_an_input_error(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("covariance", [
+    {"kind": "ar1", "rho": 2.0}, {"kind": "equi", "rho": -0.9},
+    {"kind": "blocks", "blocks": [{"size": 3, "var": 1.0, "cov": 2.0}]},
+    {"kind": "ar1", "rho": float("nan")},
+], ids=["ar1", "equi", "blocks", "ar1_nan"])
+def test_unusable_covariance_is_named(capsys, tmp_path, covariance):
+    generator = {**_CONFIG["generator"], "beta": [1.0, 0.0, 2.0], "covariance": covariance}
+    (tmp_path / "cfg.json").write_text(json.dumps({**_CONFIG, "generator": generator}))
+    code = main(["experiment", "--study", "comparison", "--config", str(tmp_path / "cfg.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and "covariance" in err
 
 
 class TestEnvelope:

@@ -218,15 +218,11 @@ class TestReductions:
         assert penalty_value(sgl, v) == pytest.approx(penalty_value(clot, v), abs=1e-14)
         np.testing.assert_allclose(prox(sgl, v, 0.9), prox(clot, v, 0.9), atol=1e-14)
 
-    def test_clot_with_partition_is_one_group(self, rng):
+    def test_partition_refused_without_group_penalty(self):
         part = Partition.contiguous([2, 1])
-        given = RegularizerSpec("clot", 0.5, part)
-        assert penalty_value(given, [3.0, 4.0, -2.0]) == pytest.approx(
-            penalty_value(CLOT_HALF, [3.0, 4.0, -2.0]), abs=1e-14)
-        for _ in range(10):
-            v = rng.standard_normal(3) * 2
-            assert penalty_value(given, v) == pytest.approx(penalty_value(CLOT_HALF, v), abs=1e-14)
-            np.testing.assert_allclose(prox(given, v, 0.7), prox(CLOT_HALF, v, 0.7), atol=1e-14)
+        for kind in ("clot", "l1", "l2sq", "en"):
+            with pytest.raises(ValueError, match="sgl"):
+                RegularizerSpec(kind, 0.5, part)
 
     def test_sgl_mu0_is_l1(self, rng):
         v = rng.standard_normal(4)

@@ -349,11 +349,21 @@ class TestSolutionPath:
         pts = solution_path(Problem(A, y, Lagrangian(1.0)), spec, lam_max * np.logspace(0, -2, 5), TIGHT)
         assert np.all(pts[0].result.x_hat == 0.0)
 
-    def test_failed_points_marked_not_raised(self, rng):
+    @pytest.mark.parametrize("spec, grid", [
+        # the partition covers 6 columns, the instance has more
+        (RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([3, 3])), [1.0, 0.5]),
+        (RegularizerSpec.lasso(), [1.0, np.inf]),
+        (RegularizerSpec.lasso(), [np.nan]),
+    ], ids=["wrong_dimension", "infinite", "nan"])
+    def test_bad_input_raises_before_any_solve(self, rng, monkeypatch, spec, grid):
         A, _, y = small_instance(rng)
-        bad_spec = RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([3, 3]))  # wrong n
-        pts = solution_path(Problem(A, y, Lagrangian(1.0)), bad_spec, [1.0, 0.5])
-        assert all(p.result is None and p.error for p in pts)
+
+        def no_prox(*args):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(solvers, "prox", no_prox)
+        with pytest.raises(ValueError):
+            solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid)
 
     def test_programming_errors_propagate(self, rng, monkeypatch):
         A, _, y = small_instance(rng)
