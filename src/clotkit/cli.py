@@ -71,7 +71,7 @@ def _read_matrix(path):
     return (fileio.read_triplet if _is_triplet(path) else fileio.read_matrix_csv)(path)
 
 
-def _build_spec(args):
+def _build_spec(args, n: int):
     from .regularizers import Partition, RegularizerSpec
 
     partition = None
@@ -84,7 +84,6 @@ def _build_spec(args):
         if not (isinstance(groups, list) and all(
                 isinstance(g, list) and all(type(i) is int for i in g) for g in groups)):
             raise ValueError(f"--groups file {args.groups} must hold a list of lists of integers")
-        n = max(i for g in groups for i in g) + 1
         partition = Partition(tuple(tuple(g) for g in groups), n)
     return RegularizerSpec(args.reg, args.mu, partition)
 
@@ -107,7 +106,7 @@ def _cmd_solve(args):
 
     A = _read_matrix(args.matrix)
     y = fileio.read_vector_csv(args.rhs)
-    spec = _build_spec(args)
+    spec = _build_spec(args, A.shape[1])
     opts = _solver_options(args)
 
     if (args.lam is None) == (args.eps is None):

@@ -164,12 +164,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if not _is_count(self.replications):
             raise ValueError("replications must be a positive integer")
+        if not (_is_number(self.seed) and isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         _check_generator(self.generator)
         lg = self.lambda_grid
         if not (isinstance(lg, dict) and all(_is_number(lg.get(key)) and lg[key] > 0
                                              for key in ("hi", "lo")) and _is_count(lg.get("num"))):
             raise ValueError("lambda_grid must be an object with positive numbers hi and lo "
                              "and a positive integer num")
+        if lg["num"] > 1 and lg["hi"] == lg["lo"]:
+            raise ValueError("lambda_grid: hi and lo must differ when num > 1")
         if not (isinstance(self.methods, list) and self.methods):
             raise ValueError("methods must be a nonempty list of objects")
         for method in self.methods:
@@ -178,9 +182,9 @@ class ScenarioConfig:
                 raise ValueError(f"each entry of methods needs a kind in {sorted(_METHOD_SPECS)}, "
                                  f"got {method!r}")
             grid = method.get("mu_grid")
-            if kind in ("en", "clot") and not (isinstance(grid, list) and grid
-                                               and all(map(_is_number, grid))):
-                raise ValueError(f"methods: {kind} needs a nonempty mu_grid of numbers")
+            if kind in ("en", "clot") and not (isinstance(grid, list) and grid and all(
+                    _is_number(mu) and 0 <= mu <= 1 for mu in grid)):
+                raise ValueError(f"methods: {kind} needs a nonempty mu_grid of numbers in [0, 1]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -188,7 +192,7 @@ class ScenarioConfig:
         if not isinstance(d, dict) or not all(name in d for name in names):
             raise ValueError(f"a scenario config must be an object with keys {names}")
         return cls(name=d["name"], generator=d["generator"], replications=d["replications"],
-                   seed=int(d["seed"]), methods=d["methods"], lambda_grid=d["lambda_grid"])
+                   seed=d["seed"], methods=d["methods"], lambda_grid=d["lambda_grid"])
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -261,7 +265,7 @@ def _support_size(beta_hat, rel_tol=1e-6) -> int:
     return int(np.sum(np.abs(beta_hat) > rel_tol * top))
 
 
-_COMPARISON_OPTS = SolverOptions(kkt_tol=1e-6, max_iters=2500, check_every=10)
+_COMPARISON_OPTS = SolverOptions(kkt_tol=1e-6, max_iters=2500)
 
 
 def run_comparison(config: ScenarioConfig) -> StudyReport:
@@ -367,7 +371,7 @@ def _trio_spread(beta_row) -> float:
     return float((trio.max() - trio.min()) / trio.mean())
 
 
-_PATH_OPTS = SolverOptions(kkt_tol=1e-10, max_iters=20000, check_every=10)
+_PATH_OPTS = SolverOptions(kkt_tol=1e-10, max_iters=20000)
 # fixed settings of the grouping and path studies; each report echoes them
 _FIXTURE = {"n_samples": 100, "mu": 0.5, "decades": 4.0}
 

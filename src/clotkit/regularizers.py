@@ -1,4 +1,4 @@
-"""Penalty functions for sparse regression: values, exact proximal maps, sparsity index.
+"""Penalty functions for sparse regression: values, proxes, certificates, sparsity index.
 
 The six penalties are one family, ``a*||z||_1 + b*||z||_2^2 + c*sum_g ||z_g||_2``,
 with weights ``(a, b, c)`` and groups ``g``:
@@ -16,11 +16,11 @@ groups.  L1, GL, SGL and CLOT are norms (absolutely homogeneous); ridge and
 EN are not.
 
 Each family function (:func:`penalty_value`, :func:`prox`,
-:func:`penalty_gauge_at_zero` and :func:`clotkit.kkt.subdiff_distance`) is
-written once against the weights.  The prox of ``step*R`` is exact:
-soft-threshold at ``step*a``, shrink each group's Euclidean norm by
-``step*c``, then divide by ``q = 1 + 2*step*b`` (the same as both shrinks on
-``v/q`` with thresholds divided by ``q``).
+:func:`penalty_gauge_at_zero` and :func:`subdiff_distance`, the certificate
+every solve is checked by) is written once against the weights.  The prox of
+``step*R`` is exact: soft-threshold at ``step*a``, shrink each group's
+Euclidean norm by ``step*c``, then divide by ``q = 1 + 2*step*b`` (the same
+as both shrinks on ``v/q`` with thresholds divided by ``q``).
 
 Mind the two ``mu`` conventions: EN puts ``mu`` on the l1 term, while CLOT
 and SGL put ``1 - mu`` on the l1 term.  Both conventions are kept exactly as
@@ -47,6 +47,7 @@ __all__ = [
     "penalty_value",
     "prox",
     "penalty_gauge_at_zero",
+    "subdiff_distance",
     "sparsity_index",
 ]
 
@@ -285,6 +286,43 @@ def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
         else:
             lo = mid
     return hi
+
+
+def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> float:
+    """Distance from ``target`` to ``weight * (subdifferential of R at x)``.
+
+    With the family weights ``(a, b, c)`` the smooth part ``2*weight*b*x`` is
+    subtracted first.  Coordinates are measured in the max norm.  For a group
+    whose block of ``x`` is entirely zero, the distance to the Minkowski-sum
+    ball ``{u + w : |u|_inf <= weight*a, ||w||_2 <= weight*c}`` is measured in
+    the Euclidean norm (which upper-bounds the per-coordinate gap); with
+    ``c = 0`` the coordinates are singleton groups and that is the max norm.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(target, dtype=float)
+    if x.shape != t.shape:
+        raise ValueError("x and target must have the same shape")
+    if x.size == 0:
+        return 0.0
+    a, b, c = spec.weights
+    w = float(weight)
+    if b:
+        t = t - (2.0 * w * b) * x
+    if c:
+        norms = _group_norms(spec.partition, x)
+        zero = norms == 0
+        t = t - (w * c) * x / _per_coordinate(spec.partition, norms + zero)
+    if a:
+        thr = w * a
+        gap = np.where(x != 0, np.abs(t - thr * np.sign(x)), np.maximum(np.abs(t) - thr, 0.0))
+    else:
+        gap = np.abs(t)
+    if c and np.count_nonzero(zero):
+        # the coordinates of a zero group count through the group's Euclidean gap
+        zero_gap = np.max(np.where(zero, _group_norms(spec.partition, gap) - w * c, 0.0))
+        return max(float(np.max(np.where(_per_coordinate(spec.partition, zero), 0.0, gap))),
+                   float(zero_gap))
+    return float(gap.max())
 
 
 def sparsity_index(x, k: int, norm: str = "l1") -> float:

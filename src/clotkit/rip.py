@@ -34,6 +34,7 @@ __all__ = [
 _SUBSET_GUARD = 10_000_000
 _CHUNK = 200_000  # supports per eigenvalue batch
 _RNSP_SLACK = 1e-9  # relative tolerance of the null-space inequality
+_RNSP_RANDOM_SUPPORTS = 3  # random supports checked per trial vector, beside the top-k one
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def _pattern_deviations(gram, k: int, count: int):
     return deviations
 
 
-def exact_rip(A, k: int, max_subsets: int = _SUBSET_GUARD) -> RipEstimate:
+def exact_rip(A, k: int) -> RipEstimate:
     """Exact ``delta_k`` of a matrix by enumerating every size-``k`` support.
 
     Supports of size below ``k`` are dominated by eigenvalue interlacing, so
@@ -263,7 +264,7 @@ def exact_rip(A, k: int, max_subsets: int = _SUBSET_GUARD) -> RipEstimate:
     with few distinct values (a binary construction such as DeVore's) is
     evaluated once per overlap pattern instead of once per support.  Refuses
     a non-finite matrix and combinatorially infeasible requests (more than
-    ``max_subsets`` subsets).
+    ``_SUBSET_GUARD`` subsets).
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
@@ -271,9 +272,9 @@ def exact_rip(A, k: int, max_subsets: int = _SUBSET_GUARD) -> RipEstimate:
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
     count = math.comb(n, k)
-    if count > max_subsets:
+    if count > _SUBSET_GUARD:
         raise ValueError(
-            f"C({n},{k}) = {count} supports exceeds the enumeration guard of {max_subsets}"
+            f"C({n},{k}) = {count} supports exceeds the enumeration guard of {_SUBSET_GUARD}"
         )
     if not np.isfinite(A).all():
         raise ValueError("the matrix has non-finite entries")
@@ -310,21 +311,22 @@ class RnspReport:
         return not self.violations
 
 
-def rnsp_check(A, k: int, rho: float, tau: float, trials: int = 1000, seed: int = 0,
-               random_supports: int = 3) -> RnspReport:
+def rnsp_check(A, k: int, rho: float, tau: float, trials: int = 1000, seed: int = 0) -> RnspReport:
     """Sample vectors and supports against the l2 robust null-space inequality
 
         ||h_S||_2 <= (rho/sqrt(k)) * ||h_{S^c}||_1 + (tau/sqrt(k)) * ||A h||_2.
 
     For each trial vector the top-``k``-magnitude support (the worst case
-    over supports) is always checked, plus a few random supports of size up
-    to ``k``.  Vectors are drawn dense, sparse-plus-noise, and projected
-    onto the null space when one exists.  Report-only: violations are
-    collected, not raised.
+    over supports) is always checked, plus ``_RNSP_RANDOM_SUPPORTS`` random
+    supports of size up to ``k``.  Vectors are drawn dense, sparse-plus-noise,
+    and projected onto the null space when one exists.  Report-only:
+    violations are collected, not raised.  ``k`` must lie in ``1..n``.
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     k = int(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside 1..{n}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if tau < 0:
@@ -350,7 +352,7 @@ def rnsp_check(A, k: int, rho: float, tau: float, trials: int = 1000, seed: int 
         ah = float(np.linalg.norm(A @ h))
         order = np.argsort(-np.abs(h), kind="stable")
         supports = [order[:k]]
-        for _ in range(random_supports):
+        for _ in range(_RNSP_RANDOM_SUPPORTS):
             size = int(rng.integers(1, k + 1))
             supports.append(rng.choice(n, size=size, replace=False))
 

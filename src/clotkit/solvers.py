@@ -13,9 +13,9 @@ Two problem forms are handled:
   bracket when ``eps > 0``, or a least-squares refit on the detected support
   when ``eps = 0``.
 
-Every Lagrangian solve is certified by the independent subgradient check in
-:mod:`clotkit.kkt`; failure to converge is reported through the result, not
-raised.
+Every Lagrangian solve is certified by the penalty family's subgradient
+distance, checked every ``_CHECK_EVERY`` (10) iterations; failure to converge
+is reported through the result, not raised.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kkt import subdiff_distance
-from .regularizers import RegularizerSpec, penalty_gauge_at_zero, penalty_value, prox
+from .regularizers import RegularizerSpec, penalty_gauge_at_zero, penalty_value, prox, subdiff_distance
 
 __all__ = [
     "Lagrangian",
@@ -105,13 +104,22 @@ class SolverOptions:
     gap falls below ``kkt_tol * max(1, |gradient at the origin|_inf)``.
     ``feas_tol`` is the relative slack of the noise budget, and for
     ``eps > 0`` also the width of the residual window the multiplier search
-    aims for.
+    aims for.  Both must be positive and finite, and ``max_iters`` an integer
+    of at least 1.  The certificate is checked every ``_CHECK_EVERY`` iterations.
     """
 
     kkt_tol: float = 1e-8
     feas_tol: float = 1e-6
     max_iters: int = 50_000
-    check_every: int = 25
+
+    def __post_init__(self):
+        for name in ("kkt_tol", "feas_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {n!r}")
 
 
 @dataclass
@@ -189,6 +197,7 @@ class _Workspace:
 # ---------------------------------------------------------------------------
 
 _MAX_HALVINGS = 60
+_CHECK_EVERY = 10  # iterations between certificate checks
 
 
 class _StepSearchExhausted(ArithmeticError):
@@ -254,7 +263,7 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
             hz = hw + beta * (hw - hx)
             x, hx, t = w, hw, t_next
 
-            if iters % opts.check_every == 0 or iters == opts.max_iters:
+            if iters % _CHECK_EVERY == 0 or iters == opts.max_iters:
                 kkt = subdiff_distance(spec, x, -c * hx, pen_w)
                 if kkt <= tol:
                     converged = True

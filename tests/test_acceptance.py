@@ -156,15 +156,14 @@ def test_c5_brute_force_rip_and_recovery_bound(devore_5_2, gaussian_30_36):
             for name, A in fixtures.items():
                 for k in (1, 2):
                     cert = certificate(t, k, min(deltas[name][2 * k], 0.69), 1, 0.0)
-                    rep = rnsp_check(A, k, cert.rho, cert.tau, trials=2500, seed=5,
-                                     random_supports=3)
+                    rep = rnsp_check(A, k, cert.rho, cert.tau, trials=2500, seed=5)
                     assert rep.checked >= 10_000
                     assert rep.ok, (name, k, rep.violations[:3])
 
 
 def test_c6_grouping_effect_suite():
     with criterion(6, "grouping effect"):
-        opts = SolverOptions(kkt_tol=1e-10, max_iters=40_000, check_every=20)
+        opts = SolverOptions(kkt_tol=1e-10, max_iters=40_000)
         part = Partition.contiguous([3, 3])
         checked = 0
         for seed in range(50):
@@ -259,7 +258,7 @@ def test_c9_homogeneity_and_identity_suite(rng):
                 z = rng.standard_normal(dim or 60)
                 assert abs(penalty_value(spec_a, z) - penalty_value(spec_b, z)) <= 1e-10
 
-        opts = SolverOptions(kkt_tol=1e-10, check_every=10)
+        opts = SolverOptions(kkt_tol=1e-10)
         y_noisy = y + 0.1 * np.random.default_rng(3).standard_normal(14)
         for spec_a, spec_b in ((RegularizerSpec.clot(0.0), RegularizerSpec.lasso()),
                                (RegularizerSpec.sparse_group_lasso(0.37, Partition.single(60)),

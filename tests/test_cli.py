@@ -120,6 +120,26 @@ class TestSolveCommand:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error:") and "list of lists of integers" in err
 
+    @pytest.mark.parametrize("text", ["[]", "[[]]"])
+    def test_empty_groups_are_named(self, capsys, io_dir, tmp_path, text):
+        groups = tmp_path / "groups.json"
+        groups.write_text(text)
+        code = main(["solve", "--reg", "sgl", "--mu", "0.5", "--lambda", "0.2",
+                     "--groups", str(groups), "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and "group" in err
+
+    @pytest.mark.parametrize("flag, value", [("--kkt-tol", "nan"), ("--kkt-tol", "0"),
+                                             ("--feas-tol", "-1"), ("--feas-tol", "inf"),
+                                             ("--max-iters", "0")])
+    def test_bad_solver_option_is_named(self, capsys, io_dir, flag, value):
+        code = main(["solve", "--reg", "lasso", "--eps", "0.5", flag, value,
+                     "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+
 
 class TestCertificateCommand:
     def test_published_values(self, capsys):

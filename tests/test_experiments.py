@@ -60,6 +60,28 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="beta"):
             ScenarioConfig.from_dict(d)
 
+    @pytest.mark.parametrize("seed", [2.7, True, "5", -3])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        d = tiny_scenario().to_dict()
+        d["seed"] = seed
+        with pytest.raises(ValueError, match="seed"):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("grid", [[1.5], [0.5, -0.1]])
+    def test_mu_grid_outside_unit_interval_is_refused(self, grid):
+        d = tiny_scenario().to_dict()
+        d["methods"][1]["mu_grid"] = grid
+        with pytest.raises(ValueError, match="mu_grid"):
+            ScenarioConfig.from_dict(d)
+
+    def test_constant_lambda_grid_is_refused(self):
+        d = tiny_scenario().to_dict()
+        d["lambda_grid"] = {"lo": 0.1, "hi": 0.1, "num": 5}
+        with pytest.raises(ValueError, match="lambda_grid"):
+            ScenarioConfig.from_dict(d)
+        d["lambda_grid"]["num"] = 1
+        assert ScenarioConfig.from_dict(d).lambda_grid["num"] == 1
+
     def test_true_support_counts_of_builtins(self):
         expected = {"example1": 3, "example2": 8, "example3": 20, "example4": 15}
         for name, nnz in expected.items():

@@ -205,10 +205,11 @@ class TestExactRip:
         attained = max(evals[-1] - 1.0, 1.0 - evals[0])
         assert attained == pytest.approx(est.delta_k, rel=1e-12)
 
-    def test_guard_refuses_large_enumerations(self):
+    def test_guard_refuses_large_enumerations(self, monkeypatch):
+        monkeypatch.setattr(rip, "_SUBSET_GUARD", 1000)
         A = np.ones((2, 60))
         with pytest.raises(ValueError, match="supports"):
-            exact_rip(A, 10, max_subsets=1000)
+            exact_rip(A, 10)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -298,3 +299,8 @@ class TestRnspCheck:
             rnsp_check(np.eye(3), 1, rho=1.5, tau=1.0)
         with pytest.raises(ValueError):
             rnsp_check(np.eye(3), 1, rho=0.5, tau=-1.0)
+
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError, match=f"k={k} outside 1..3"):
+            rnsp_check(np.eye(3), k, rho=0.5, tau=1.0)

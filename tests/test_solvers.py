@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from clotkit.solvers import (
 
 from oracles import scalar_lasso_scan
 
-TIGHT = SolverOptions(kkt_tol=1e-10, check_every=10)
+TIGHT = SolverOptions(kkt_tol=1e-10)
 FAMILY = [RegularizerSpec.lasso(), RegularizerSpec.ridge(), RegularizerSpec.elastic_net(0.5),
           RegularizerSpec.clot(0.3), RegularizerSpec.group_lasso(Partition.contiguous([5] * 6)),
           RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([5] * 6))]
@@ -122,7 +123,7 @@ class TestLagrangian:
     def test_kkt_certified_independently(self, rng):
         A, _, y = small_instance(rng, noise=0.2)
         part = Partition.contiguous([5, 15])
-        opts = SolverOptions(kkt_tol=1e-9, check_every=10)
+        opts = SolverOptions(kkt_tol=1e-9)
         for spec in (RegularizerSpec.lasso(), RegularizerSpec.elastic_net(0.6),
                      RegularizerSpec.clot(0.5), RegularizerSpec.sparse_group_lasso(0.4, part),
                      RegularizerSpec.ridge()):
@@ -316,9 +317,17 @@ class TestConstrained:
 
     def test_options_are_frozen(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-            "kkt_tol", "feas_tol", "max_iters", "check_every"]
+            "kkt_tol", "feas_tol", "max_iters"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             TIGHT.max_iters = 1
+
+    @pytest.mark.parametrize("name, value", [
+        ("kkt_tol", 0.0), ("kkt_tol", -1e-8), ("kkt_tol", math.nan), ("kkt_tol", math.inf),
+        ("feas_tol", -1.0), ("feas_tol", math.nan), ("max_iters", 0), ("max_iters", -5),
+        ("max_iters", 2.5), ("max_iters", True)])
+    def test_bad_options_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverOptions(**{name: value})
 
 
 class TestSolutionPath:
