@@ -117,9 +117,9 @@ class SolverOptions:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        n = self.max_iters
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {n!r}")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {iters!r}")
 
 
 @dataclass

@@ -4,7 +4,6 @@ from pathlib import Path
 import clotkit
 
 MODULES = sorted(Path(clotkit.__file__).parent.glob("*.py"))
-SIBLINGS = {path.stem for path in MODULES}
 
 
 def _private_sibling_imports(path):
@@ -21,10 +20,7 @@ def _private_sibling_imports(path):
     return found
 
 
-def test_modules_found():
-    assert {"kkt", "regularizers", "solvers"} <= SIBLINGS
-
-
 def test_no_module_imports_a_private_name_from_a_sibling():
+    assert {"kkt.py", "regularizers.py", "solvers.py"} <= {path.name for path in MODULES}
     offenders = {path.name: hits for path in MODULES if (hits := _private_sibling_imports(path))}
     assert not offenders, offenders
