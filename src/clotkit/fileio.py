@@ -9,6 +9,8 @@ significant digits so a write/read round trip reproduces every float bit.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 __all__ = [
@@ -73,13 +75,35 @@ def write_triplet(path, A) -> None:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
     rows, cols = np.nonzero(A)
+    entries = "".join(map("{} {} {:.17g}\n".format, rows.tolist(), cols.tolist(), A[rows, cols].tolist()))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{m} {n} {rows.size}\n")
-        for i, j in zip(rows, cols):
-            handle.write(f"{i} {j} {A[i, j]:.17g}\n")
+        handle.write(entries)
+
+
+_TRIPLET_ENTRY = [("row", np.intp), ("col", np.intp), ("value", float)]
 
 
 def read_triplet(path) -> np.ndarray:
+    """Parse a triplet file in one numpy pass.  A file that pass or its checks
+    refuse is read again line by line, which raises the error naming the line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        header, body = handle.readline(), handle.read()
+    try:
+        m, n, nnz = (int(p) for p in header.split())
+        if m >= 1 and n >= 1 and nnz >= 1 and body.strip():
+            entries = np.loadtxt(io.StringIO(body), dtype=_TRIPLET_ENTRY, comments=None, ndmin=1)
+            i, j = entries["row"], entries["col"]
+            if entries.size == nnz and i.min() >= 0 and i.max() < m and j.min() >= 0 and j.max() < n:
+                A = np.zeros((m, n))
+                A[i, j] = entries["value"]
+                return A
+    except ValueError:
+        pass
+    return _read_triplet_by_line(path)
+
+
+def _read_triplet_by_line(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         lines = [(no, ln.strip()) for no, ln in enumerate(handle, start=1) if ln.strip()]
     if not lines:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from clotkit import fileio
 from clotkit.fileio import (
     read_matrix_csv,
     read_triplet,
@@ -158,6 +159,8 @@ class TestFileIO:
         path = tmp_path / "m.spt"
         write_triplet(path, A)
         np.testing.assert_array_equal(read_triplet(path), A)
+        # the per-line reader that names errors is the reference for the numpy pass
+        np.testing.assert_array_equal(fileio._read_triplet_by_line(path), A)
 
     def test_csv_error_reports_line_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -178,6 +181,12 @@ class TestFileIO:
             read_triplet(path)
         path.write_text("2 2 1\n5 0 1.0\n")
         with pytest.raises(ValueError, match="outside"):
+            read_triplet(path)
+        path.write_text("2 2 2\n0 0 1.0\n1.0 1 2.0\n")
+        with pytest.raises(ValueError, match=r"bad.spt:3: malformed entry '1.0 1 2.0'"):
+            read_triplet(path)
+        path.write_text("2 2 2\n0 0 1.0\n1 -1 2.0\n")
+        with pytest.raises(ValueError, match=r"bad.spt:3: index \(1, -1\) outside 2x2"):
             read_triplet(path)
 
     def test_vector_shape_rejected(self, tmp_path):

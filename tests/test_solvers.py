@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from clotkit.grouping import preprocess
 from clotkit.kkt import kkt_residual
 from clotkit.matrices import DeVoreParams, devore_matrix, fixture_matrix
-from clotkit.regularizers import Partition, RegularizerSpec, penalty_value
+from clotkit.regularizers import Partition, RegularizerSpec, penalty_gauge_at_zero, penalty_value
 from clotkit import solvers
 from clotkit.solvers import (
     Constrained,
@@ -15,7 +16,6 @@ from clotkit.solvers import (
     Problem,
     SolverOptions,
     lambda_zero_threshold,
-    penalty_gauge_at_zero,
     solution_path,
     solve_constrained,
     solve_lagrangian,
@@ -170,8 +170,13 @@ class TestSolveStats:
             res = solve_lagrangian(Problem(A, y, Lagrangian(0.05)), spec, TIGHT)
             info = res.info
             assert res.converged and res.iterations > 0
-            assert all(type(info[k]) is int for k in ("restarts", "backtracks", "grad_evals"))
-            assert info["grad_evals"] == 1 + res.iterations + info["restarts"] + info["backtracks"]
+            counts = ("restarts", "backtracks", "grad_evals", "newton_attempts", "newton_checks",
+                      "newton_accepts")
+            assert all(type(info[k]) is int for k in counts)
+            # every Newton candidate costs one gradient evaluation for its certificate
+            assert info["grad_evals"] == (1 + res.iterations + info["restarts"] + info["backtracks"]
+                                          + info["newton_checks"])
+            assert info["newton_attempts"] >= info["newton_checks"] >= info["newton_accepts"]
             assert info["step_search_exhausted"] is False
 
     def test_ill_conditioned_solve_restarts(self, rng):
@@ -189,6 +194,46 @@ class TestSolveStats:
         assert res.info["step_search_exhausted"] is True
         assert not res.converged
         assert np.all(np.isfinite(res.x_hat))
+
+
+class TestNewtonFinish:
+    @pytest.mark.parametrize("spec", [
+        RegularizerSpec.lasso(), RegularizerSpec.elastic_net(0.5), RegularizerSpec.clot(0.3),
+        RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([5] * 8))],
+        ids=["lasso", "en", "clot", "sgl"])
+    def test_accepted_candidate_passes_an_independent_check(self, spec):
+        A = fixture_matrix("gaussian", 30, 40, seed=11)
+        beta = np.zeros(40)
+        beta[[2, 3, 4, 17, 30]] = (1.5, -2.0, 1.0, 0.7, -1.2)
+        y = A @ beta + 0.05 * np.random.default_rng(5).standard_normal(30)
+        lam = 0.1 * lambda_zero_threshold(spec, A, y)
+        opts = SolverOptions(kkt_tol=1e-8)
+        res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, opts)
+        assert res.converged and res.info["newton_accepts"] >= 1
+        tol = opts.kkt_tol * max(1.0, 2.0 * float(np.max(np.abs(A.T @ y))))
+        assert kkt_residual(A, y, res.x_hat, spec, lam) <= tol
+        if spec.partition is not None:  # the support spans several groups
+            assert len(set(spec.partition.labels[np.flatnonzero(res.x_hat)])) >= 2
+
+    def test_singular_support_gram_is_refused(self):
+        # C6's duplicated-column fixture: the lasso keeps both twins, so A_S^T A_S is singular
+        A = fixture_matrix("gaussian", 40, 5, seed=17)
+        A[:, 1] = A[:, 0]
+        y = A @ np.array([1.0, 1.0, -0.5, 0.0, 0.3]) + 0.05 * np.random.default_rng(17).standard_normal(40)
+        pre = preprocess(A, y)
+        spec = RegularizerSpec.lasso()
+        lam = 0.05 * lambda_zero_threshold(spec, pre.A, pre.y)
+        res = solve_lagrangian(Problem(pre.A, pre.y, Lagrangian(lam)), spec, TIGHT)
+        assert res.converged
+        assert res.info["newton_attempts"] >= 1 and res.info["newton_checks"] == 0
+        assert res.x_hat[0] == res.x_hat[1] != 0.0
+        tol = TIGHT.kkt_tol * max(1.0, 2.0 * float(np.max(np.abs(pre.A.T @ pre.y))))
+        assert kkt_residual(pre.A, pre.y, res.x_hat, spec, lam) <= tol
+        ws = solvers._Workspace(pre.A, pre.y)
+        assert solvers._newton_candidate(ws, spec, 1.0, lam, res.x_hat) is None
+        single = res.x_hat.copy()  # one twin carries both weights: a regular support Gram
+        single[0], single[1] = 2.0 * single[0], 0.0
+        assert solvers._newton_candidate(ws, spec, 1.0, lam, single) is not None
 
 
 class TestRouting:

@@ -20,6 +20,25 @@ def _private_sibling_imports(path):
     return found
 
 
+def _sibling_reexports(path):
+    """Names a module lists in ``__all__`` although it imports them from a sibling."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("clotkit"))
+                for alias in node.names}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(imported & exported)
+
+
+def test_no_module_reexports_a_sibling_name():
+    offenders = {path.name: names for path in MODULES
+                 if path.name != "__init__.py" and (names := _sibling_reexports(path))}
+    assert not offenders, offenders
+
+
 def test_no_module_imports_a_private_name_from_a_sibling():
     assert {"kkt.py", "regularizers.py", "solvers.py"} <= {path.name for path in MODULES}
     offenders = {path.name: hits for path in MODULES if (hits := _private_sibling_imports(path))}
