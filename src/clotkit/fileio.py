@@ -10,6 +10,7 @@ significant digits so a write/read round trip reproduces every float bit.
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 
@@ -86,19 +87,25 @@ _TRIPLET_ENTRY = [("row", np.intp), ("col", np.intp), ("value", float)]
 
 def read_triplet(path) -> np.ndarray:
     """Parse a triplet file in one numpy pass.  A file that pass or its checks
-    refuse is read again line by line, which raises the error naming the line."""
+    refuse is read again line by line, which raises the error naming the line.
+
+    numpy before 2.0 parses an index such as ``1.7`` into an integer field by
+    truncation, with only a ``DeprecationWarning``; that warning is made an
+    error here, so such a file is refused whatever the caller's filters."""
     with open(path, "r", encoding="utf-8") as handle:
         header, body = handle.readline(), handle.read()
     try:
         m, n, nnz = (int(p) for p in header.split())
         if m >= 1 and n >= 1 and nnz >= 1 and body.strip():
-            entries = np.loadtxt(io.StringIO(body), dtype=_TRIPLET_ENTRY, comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                entries = np.loadtxt(io.StringIO(body), dtype=_TRIPLET_ENTRY, comments=None, ndmin=1)
             i, j = entries["row"], entries["col"]
             if entries.size == nnz and i.min() >= 0 and i.max() < m and j.min() >= 0 and j.max() < n:
                 A = np.zeros((m, n))
                 A[i, j] = entries["value"]
                 return A
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         pass
     return _read_triplet_by_line(path)
 

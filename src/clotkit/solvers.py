@@ -6,10 +6,11 @@ Two problem forms are handled:
   or ``lam*||y - Az||^2 + R(z)`` (multiplier on the loss), solved with
   accelerated proximal gradient descent with a gradient restart and one
   gradient evaluation (one Gram product, or one forward and one adjoint
-  product) per iteration, and a Newton finish: once the sign pattern holds
-  between two certificate checks, up to ``_NEWTON_STEPS`` (8) Newton steps on
-  the support, where the objective is smooth, propose a candidate that is
-  kept only if the certificate passes at the solve's tolerance;
+  product) per iteration, and a Newton finish: at a certificate check that
+  fails after the sign pattern held since the previous one, up to
+  ``_NEWTON_STEPS`` (8) Newton steps on the support, where the objective is
+  smooth, propose a candidate that is kept only if the certificate passes at
+  the solve's tolerance;
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
   search on the loss-side multiplier: a tenfold warm-started walk until the
   residual meets the budget, then a safeguarded secant that closes the last
@@ -201,7 +202,7 @@ class _Workspace:
 _MAX_HALVINGS = 60
 _CHECK_EVERY = 10  # iterations between certificate checks
 _NEWTON_STEPS = 8  # Newton steps of one attempt
-_NEWTON_MAX_SUPPORT = 256  # wider supports are left to FISTA
+_NEWTON_MAX_SUPPORT = 256  # wider supports, or wider than A has rows, are left to FISTA
 
 
 class _StepSearchExhausted(ArithmeticError):
@@ -216,11 +217,13 @@ def _newton_candidate(ws: _Workspace, spec, loss_w, pen_w, x):
     The Hessian is ``2*loss_w*A_S^T A_S + 2*pen_w*b*I`` plus
     ``pen_w*c*(I/||z_g|| - z_g z_g^T/||z_g||^3)`` on each group's block.
     Returns the zero-padded minimizer, or None when S is empty or wider than
-    ``_NEWTON_MAX_SUPPORT``, the Hessian is singular, or a step leaves the
-    finite numbers or changes a sign.
+    ``_NEWTON_MAX_SUPPORT`` or than A has rows, the Hessian is singular, or a
+    step leaves the finite numbers or changes a sign.  Beyond A's row count
+    ``A_S^T A_S`` is singular, only the penalty curves the restriction across
+    its null space, and the minimizer is seldom on the same sign pattern.
     """
     S = np.flatnonzero(x)
-    if not 0 < S.size <= _NEWTON_MAX_SUPPORT:
+    if not 0 < S.size <= min(_NEWTON_MAX_SUPPORT, ws.A.shape[0]):
         return None
     a, b, c = spec.weights
     z = x[S]
@@ -263,12 +266,10 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
     two freshly evaluated ones and costs no product.  Returns
     ``(x, iterations, kkt, converged, stats)``.
 
-    At each check whose sign pattern held since the previous check (or the
-    warm start) and is new in this solve, :func:`_newton_candidate` proposes a
-    candidate that ends the solve if it passes the same certificate at the same
-    ``tol``.  It is tried even when x passes, so a solve on a settled pattern
-    ends at that pattern's minimizer and the residuals the constrained search
-    compares are pinned down; a refused candidate leaves FISTA untouched.
+    At each failing check whose sign pattern held since the previous check
+    (or the warm start) and is new in this solve, :func:`_newton_candidate`
+    proposes a candidate that ends the solve if it passes the same certificate
+    at the same ``tol``; a refused candidate leaves FISTA untouched.
     """
     c = 2.0 * loss_w  # gradient of the smooth part = c * h
     tol = opts.kkt_tol * max(1.0, c * float(np.max(np.abs(ws.aty), initial=0.0)))
@@ -327,7 +328,7 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
                 kkt = subdiff_distance(spec, x, -c * hx, pen_w)
                 converged = kkt <= tol
                 prev, signs = signs, np.sign(x)
-                if np.array_equal(signs, prev) and (key := signs.tobytes()) not in tried:
+                if not converged and np.array_equal(signs, prev) and (key := signs.tobytes()) not in tried:
                     tried.add(key)
                     stats["newton_attempts"] += 1
                     cand = _newton_candidate(ws, spec, loss_w, pen_w, x)
@@ -366,14 +367,14 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     ``grad_evals`` (Gram products, or forward-plus-adjoint pairs) of the
     solve, and flags a ``step_search_exhausted`` after 60 halvings.
 
-    Newton finish: at a certificate check whose sign pattern held since the
-    previous check and was not tried before in this solve, Newton's method on
-    the support proposes a candidate (``info["newton_attempts"]``), even when
-    the iterate itself passes.  An attempt is abandoned at the first sign
-    change, a non-finite value, a singular Hessian, or a support wider than
-    ``_NEWTON_MAX_SUPPORT`` (256).  Each candidate costs one gradient
-    evaluation for its certificate (``info["newton_checks"]``), and ends the
-    solve when that certificate passes at the same tolerance as FISTA's own
+    Newton finish: at a failing certificate check whose sign pattern held
+    since the previous check and was not tried before in this solve, Newton's
+    method on the support proposes a candidate (``info["newton_attempts"]``).
+    An attempt is abandoned at the first sign change, a non-finite value, a
+    singular Hessian, or a support wider than ``_NEWTON_MAX_SUPPORT`` (256) or
+    than A has rows.  Each candidate costs one gradient evaluation for its
+    certificate (``info["newton_checks"]``), and ends the solve when that
+    certificate passes at the same tolerance as FISTA's own
     (``info["newton_accepts"]``).
     """
     opts = opts or SolverOptions()
@@ -411,10 +412,13 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
 
     ``eps > 0``: an Illinois-safeguarded secant on ``(log lam, log residual)``
     closes the last bracket and stops once the residual is within
-    ``feas_tol`` of ``eps``, relatively.  The window is two-sided because at
-    the default ``kkt_tol`` an inner solve pins the residual down only to
-    about 1e-7 relative, so a one-sided window can be stepped over.  A
-    search that ends outside the window reports ``converged=False``.
+    ``feas_tol`` of ``eps``, relatively.  The inner solves run at
+    ``kkt_tol * eps/||y||``: the certificate is relative to the gradient at
+    the origin, which scales with ``||y||``, while the window is relative to
+    ``eps``.  The window is two-sided because even so an inner
+    solve pins the residual down only to about 1e-7 relative, so a one-sided
+    window can be stepped over.  A search that ends outside the window
+    reports ``converged=False``.
     ``eps = 0``: each solve is capped at 3000 iterations, and
     the estimate is refit on its support by least squares, keeping the refit
     only if it does not worsen the penalty.
@@ -452,7 +456,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     target = eps if eps > 0 else 1e-9 * ynorm  # relative, so eps = 0 is scale-equivariant
     # eps = 0 stages only hand a warm start to the next multiplier; the refit
     # and the feasibility check decide the final quality
-    inner_opts = opts if eps > 0 else replace(opts, max_iters=min(opts.max_iters, _STAGE_ITERS))
+    inner_opts = replace(opts, kkt_tol=opts.kkt_tol * eps / ynorm) if eps > 0 else \
+        replace(opts, max_iters=min(opts.max_iters, _STAGE_ITERS))
     stages = []
 
     def solve_at(lam, x0):

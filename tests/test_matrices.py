@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,22 @@ class TestFileIO:
             read_triplet(path)
         path.write_text("2 2 2\n0 0 1.0\n1 -1 2.0\n")
         with pytest.raises(ValueError, match=r"bad.spt:3: index \(1, -1\) outside 2x2"):
+            read_triplet(path)
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_triplet_float_index_refused_when_warnings_are_ignored(self, tmp_path, monkeypatch):
+        path = tmp_path / "bad.spt"
+        path.write_text("2 2 1\n1.7 0 3.0\n")
+        with pytest.raises(ValueError, match=r"bad.spt:2: malformed entry '1.7 0 3.0'"):
+            read_triplet(path)
+
+        # numpy before 2.0 truncates such an index and only warns
+        def truncating_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.array([(1, 0, 3.0)], dtype=fileio._TRIPLET_ENTRY)
+
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        with pytest.raises(ValueError, match=r"bad.spt:2: malformed entry '1.7 0 3.0'"):
             read_triplet(path)
 
     def test_vector_shape_rejected(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from clotkit.grouping import preprocess
 from clotkit.kkt import kkt_residual
 from clotkit.matrices import DeVoreParams, devore_matrix, fixture_matrix
-from clotkit.regularizers import Partition, RegularizerSpec, penalty_gauge_at_zero, penalty_value
+from clotkit.regularizers import Partition, RegularizerSpec, penalty_gauge_at_zero, penalty_value, subdiff_distance
 from clotkit import solvers
 from clotkit.solvers import (
     Constrained,
@@ -215,6 +215,31 @@ class TestNewtonFinish:
         if spec.partition is not None:  # the support spans several groups
             assert len(set(spec.partition.labels[np.flatnonzero(res.x_hat)])) >= 2
 
+    def test_tried_only_at_a_failing_check(self, monkeypatch):
+        A = fixture_matrix("gaussian", 30, 40, seed=11)
+        beta = np.zeros(40)
+        beta[[2, 3, 4, 17, 30]] = (1.5, -2.0, 1.0, 0.7, -1.2)
+        y = A @ beta + 0.05 * np.random.default_rng(5).standard_normal(30)
+        spec = RegularizerSpec.clot(0.3)
+        gaps, real = [], solvers._newton_candidate
+
+        def spy(ws, spec, loss_w, pen_w, x):
+            gaps.append(subdiff_distance(spec, x, -2.0 * loss_w * ws.half_grad(x), pen_w))
+            return real(ws, spec, loss_w, pen_w, x)
+
+        monkeypatch.setattr(solvers, "_newton_candidate", spy)
+        grid = lambda_zero_threshold(spec, A, y) * np.logspace(-0.5, -3, 12)
+        points = solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid)
+        assert sum(p.result.info["newton_attempts"] for p in points) == len(gaps) >= 1
+        tol = SolverOptions().kkt_tol * max(1.0, 2.0 * float(np.max(np.abs(A.T @ y))))
+        assert min(gaps) > tol
+        # a nudged solution fails at the warm start and passes at the first
+        # in-loop check with its sign pattern unchanged: nothing to try
+        prob = Problem(A, y, Lagrangian(grid[-1]))
+        nudged = solve_lagrangian(prob, spec, x0=points[-1].result.x_hat * (1 + 1e-7))
+        assert nudged.converged and nudged.iterations == 10
+        assert nudged.info["newton_attempts"] == 0
+
     def test_singular_support_gram_is_refused(self):
         # C6's duplicated-column fixture: the lasso keeps both twins, so A_S^T A_S is singular
         A = fixture_matrix("gaussian", 40, 5, seed=17)
@@ -305,6 +330,17 @@ class TestConstrained:
         assert res.residual_l2 <= eps * (1 + 1e-6) + 1e-12
         # the constraint should bind: far smaller residuals would be suboptimal
         assert res.residual_l2 >= eps * 0.9
+
+    def test_exact_recovery_gaussian_60x40(self):
+        # every eps = 0 stage hands on a warm start; the refit on the final
+        # support must recover the 3-sparse vector to rounding
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((60, 40))
+        x = np.zeros(40)
+        x[rng.choice(40, 3, replace=False)] = rng.standard_normal(3)
+        res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), RegularizerSpec.clot(0.2))
+        assert res.converged and res.info["polished"]
+        assert np.linalg.norm(res.x_hat - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_penalty_not_above_truth(self, rng):
         # the reported objective is the penalty value and cannot exceed the
