@@ -97,11 +97,6 @@ def bootstrap_sd_of_median(values, resamples: int = 200, seed: int = 0) -> float
 # ---------------------------------------------------------------------------
 
 
-# the comparison methods, by config ``kind``; each maps a mixing parameter to a penalty
-_METHOD_SPECS = {"lasso": lambda mu: RegularizerSpec.lasso(), "en": RegularizerSpec.elastic_net,
-                 "clot": RegularizerSpec.clot, "ridge": lambda mu: RegularizerSpec.ridge()}
-
-
 _COVARIANCE_KINDS = ("identity", "ar1", "equi", "blocks")  # a missing kind means identity
 
 
@@ -116,8 +111,12 @@ def _is_count(value) -> bool:
     return _is_number(value) and isinstance(value, int) and value > 0
 
 
-def _check_generator(gen: dict):
-    """Raise a ``ValueError`` naming the first missing or malformed generator field."""
+def _generator_model(gen) -> tuple:
+    """The linear model a generator config describes, as ``(beta, chol,
+    noise_sigma, sizes)``: the true coefficients, the Cholesky factor of the
+    covariance plus ``1e-12 * I``, the noise level and the train, validation
+    and test sizes.  Raises a ``ValueError`` naming the first missing or
+    malformed field, or the covariance when it is not positive definite."""
     if not isinstance(gen, dict):
         raise ValueError("generator must be an object")
     for key in ("beta", "covariance", "noise_sigma", "n_train", "n_val", "n_test"):
@@ -126,14 +125,22 @@ def _check_generator(gen: dict):
     beta = gen["beta"]
     if not (isinstance(beta, list) and beta and all(map(_is_number, beta))):
         raise ValueError("generator: beta must be a nonempty list of numbers")
+    p = len(beta)
     cov = gen["covariance"]
     kind = cov.get("kind", "identity") if isinstance(cov, dict) else None
     if kind not in _COVARIANCE_KINDS:
         raise ValueError(f"generator: covariance must be an object with a kind in "
                          f"{list(_COVARIANCE_KINDS)}")
-    if kind in ("ar1", "equi") and not _is_number(cov.get("rho")):
-        raise ValueError(f"generator: covariance {kind} needs a number rho")
-    if kind == "blocks":
+    if kind in ("ar1", "equi"):
+        if not _is_number(cov.get("rho")):
+            raise ValueError(f"generator: covariance {kind} needs a number rho")
+        rho = float(cov["rho"])
+        if kind == "ar1":
+            idx = np.arange(p)
+            sigma = rho ** np.abs(idx[:, None] - idx[None, :])
+        else:
+            sigma = np.full((p, p), rho) + (1.0 - rho) * np.eye(p)
+    elif kind == "blocks":
         blocks = cov.get("blocks")
         if not (isinstance(blocks, list) and blocks and all(
                 isinstance(b, dict) and _is_count(b.get("size"))
@@ -141,15 +148,28 @@ def _check_generator(gen: dict):
                 for b in blocks)):
             raise ValueError("generator: covariance blocks needs a nonempty list of objects "
                              "with a positive integer size and numbers var and cov")
-        if sum(b["size"] for b in blocks) != len(beta):
+        if sum(b["size"] for b in blocks) != p:
             raise ValueError(f"generator: covariance block sizes sum to "
-                             f"{sum(b['size'] for b in blocks)}, expected len(beta) = {len(beta)}")
-    _covariance_factor(cov, len(beta))
+                             f"{sum(b['size'] for b in blocks)}, expected len(beta) = {p}")
+        sigma = np.zeros((p, p))
+        at = 0
+        for b in blocks:
+            s, var, cross = b["size"], float(b.get("var", 1.0)), float(b.get("cov", 0.0))
+            sigma[at:at + s, at:at + s] = np.full((s, s), cross) + (var - cross) * np.eye(s)
+            at += s
+    else:
+        sigma = np.eye(p)
+    try:
+        chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(p))
+    except np.linalg.LinAlgError:
+        raise ValueError("generator: covariance must be positive definite") from None
     if not (_is_number(gen["noise_sigma"]) and gen["noise_sigma"] >= 0):
         raise ValueError("generator: noise_sigma must be a nonnegative number")
     for key in ("n_train", "n_val", "n_test"):
         if not _is_count(gen[key]):
             raise ValueError(f"generator: {key} must be a positive integer")
+    return (np.asarray(beta, dtype=float), chol, float(gen["noise_sigma"]),
+            [gen["n_train"], gen["n_val"], gen["n_test"]])
 
 
 @dataclass
@@ -166,7 +186,7 @@ class ScenarioConfig:
             raise ValueError("replications must be a positive integer")
         if not (_is_number(self.seed) and isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        _check_generator(self.generator)
+        _generator_model(self.generator)  # raises on a malformed generator
         lg = self.lambda_grid
         if not (isinstance(lg, dict) and all(_is_number(lg.get(key)) and lg[key] > 0
                                              for key in ("hi", "lo")) and _is_count(lg.get("num"))):
@@ -178,9 +198,9 @@ class ScenarioConfig:
             raise ValueError("methods must be a nonempty list of objects")
         for method in self.methods:
             kind = str(method.get("kind")).lower() if isinstance(method, dict) else None
-            if kind not in _METHOD_SPECS:
-                raise ValueError(f"each entry of methods needs a kind in {sorted(_METHOD_SPECS)}, "
-                                 f"got {method!r}")
+            if kind not in ("clot", "en", "lasso", "ridge"):
+                raise ValueError("each entry of methods needs a kind in ['clot', 'en', 'lasso', "
+                                 f"'ridge'], got {method!r}")
             grid = method.get("mu_grid")
             if kind in ("en", "clot") and not (isinstance(grid, list) and grid and all(
                     _is_number(mu) and 0 <= mu <= 1 for mu in grid)):
@@ -212,41 +232,8 @@ def load_builtin_scenario(name: str) -> ScenarioConfig:
     return ScenarioConfig.from_dict(json.loads(text))
 
 
-def _covariance_matrix(cov: dict, p: int) -> np.ndarray:
-    kind = cov.get("kind", "identity")
-    if kind == "identity":
-        return np.eye(p)
-    if kind == "ar1":
-        rho = float(cov["rho"])
-        idx = np.arange(p)
-        return rho ** np.abs(idx[:, None] - idx[None, :])
-    if kind == "equi":
-        rho = float(cov["rho"])
-        return np.full((p, p), rho) + (1.0 - rho) * np.eye(p)
-    sigma = np.zeros((p, p))  # blocks, the one kind left after the config checks
-    at = 0
-    for b in cov["blocks"]:
-        s = b["size"]
-        var = float(b.get("var", 1.0))
-        cross = float(b.get("cov", 0.0))
-        sigma[at:at + s, at:at + s] = np.full((s, s), cross) + (var - cross) * np.eye(s)
-        at += s
-    return sigma
-
-
-def _covariance_factor(cov: dict, p: int) -> np.ndarray:
-    """Cholesky factor of the covariance plus ``1e-12 * I``; a ``ValueError``
-    naming the covariance if that is not positive definite."""
-    try:
-        return np.linalg.cholesky(_covariance_matrix(cov, p) + 1e-12 * np.eye(p))
-    except np.linalg.LinAlgError:
-        raise ValueError("generator: covariance must be positive definite") from None
-
-
-def _draw_linear_model(gen: dict, chol: np.ndarray, rng: np.random.Generator) -> dict:
-    beta = np.asarray(gen["beta"], dtype=float)
-    sigma = float(gen["noise_sigma"])
-    sizes = [int(gen["n_train"]), int(gen["n_val"]), int(gen["n_test"])]
+def _draw_linear_model(model: tuple, rng: np.random.Generator) -> dict:
+    beta, chol, sigma, sizes = model
     total = sum(sizes)
     X = rng.standard_normal((total, beta.size)) @ chol.T
     y = X @ beta + sigma * rng.standard_normal(total)
@@ -281,12 +268,12 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
     lg = config.lambda_grid
     lam_grid = np.logspace(np.log10(float(lg["hi"])), np.log10(float(lg["lo"])), int(lg["num"]))
 
-    chol = _covariance_factor(config.generator["covariance"], len(config.generator["beta"]))
+    model = _generator_model(config.generator)
     streams = np.random.SeedSequence(config.seed).spawn(config.replications)
     records = []
     for rep in range(config.replications):
         rng = np.random.default_rng(streams[rep])
-        data = _draw_linear_model(config.generator, chol, rng)
+        data = _draw_linear_model(model, rng)
         scale = np.sqrt(data["X_train"].shape[0])
         A = data["X_train"] / scale
         y = data["y_train"] / scale
@@ -297,7 +284,7 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
             mu_grid = method.get("mu_grid", [None])
             best = None
             for mu in mu_grid:
-                spec = _METHOD_SPECS[kind.lower()](mu)
+                spec = RegularizerSpec(kind, 0.0 if mu is None else mu)  # lasso and ridge ignore mu
                 for point in solution_path(template, spec, lam_grid, _COMPARISON_OPTS):
                     beta_hat = point.result.x_hat
                     val_mse = float(np.mean((data["X_val"] @ beta_hat - data["y_val"]) ** 2))
@@ -329,7 +316,7 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
         series[f"mse_{kind}"] = {"replication": list(range(len(mses))), "mse": mses}
 
     metadata = {
-        "true_nnz": _support_size(np.asarray(config.generator["beta"], dtype=float)),
+        "true_nnz": _support_size(model[0]),
         "mse_definition": "mean((X_test @ (beta_hat - beta_true))^2)",
         "tuning": "validation grid search over the multiplier grid and mu_grid",
         "design_scaling": "train design and response divided by sqrt(n_train)",
@@ -382,14 +369,12 @@ def _fixture_paths(config, labels):
     from its zero threshold ``lam_max``.  Maps each label to
     ``(lam_max, grid, betas)``."""
     pre = preprocess(*grouping_fixture(config["seed"], config["n_samples"]))
-    mu = config["mu"]
-    specs = {"clot": RegularizerSpec.clot(mu), "en": RegularizerSpec.elastic_net(mu),
-             "lasso": RegularizerSpec.lasso()}
     out = {}
     for label in labels:
-        lam_max = lambda_zero_threshold(specs[label], pre.A, pre.y, "penalty")
+        spec = RegularizerSpec(label, config["mu"])
+        lam_max = lambda_zero_threshold(spec, pre.A, pre.y, "penalty")
         grid = lam_max * np.logspace(0.0, -config["decades"], config["n_lambdas"])
-        points = solution_path(Problem(pre.A, pre.y, Lagrangian(1.0, "penalty")), specs[label],
+        points = solution_path(Problem(pre.A, pre.y, Lagrangian(1.0, "penalty")), spec,
                                grid, _PATH_OPTS)
         out[label] = (lam_max, grid, np.asarray([p.result.x_hat for p in points]))
     return out

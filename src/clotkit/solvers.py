@@ -47,7 +47,7 @@ __all__ = [
 
 
 class InfeasibleError(ValueError):
-    """The noise-constrained program has an empty feasible set."""
+    """The noise-constrained program has an empty feasible set, as judged after the search."""
 
 
 @dataclass(frozen=True)
@@ -425,6 +425,10 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
 
     ``info["stages"]`` lists one ``(lam, residual, iterations)`` entry per
     inner solve, and ``info["inner_solves"]`` counts them.
+
+    Feasibility is judged after the search: a final residual above
+    ``eps + feas_tol*max(1, ||y||)`` leads to one least-squares solve on A,
+    and ``InfeasibleError`` when that residual is above the threshold too.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -441,14 +445,18 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
                            info={"form": "constrained", "eps": eps, "inner_solves": 0, "stages": [],
                                  "polished": False, "feasible": True})
 
-    x_ls, *_ = np.linalg.lstsq(A, y, rcond=None)
-    r_min = float(np.linalg.norm(A @ x_ls - y))
-    if r_min > eps + feas_slack:
-        raise InfeasibleError(
-            f"least-squares residual {r_min:.6g} exceeds the noise budget eps={eps:.6g}"
-        )
+    def check_feasible(residual):  # least squares attains the least residual of any z
+        if residual > eps + feas_slack:
+            r_min = float(np.linalg.norm(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y))
+            if r_min > eps + feas_slack:
+                raise InfeasibleError(
+                    f"least-squares residual {r_min:.6g} exceeds the noise budget eps={eps:.6g}")
 
-    ws = _Workspace(A, y)
+    try:
+        ws = _Workspace(A, y)
+    except ValueError:  # a zero A, which leaves the residual at ||y|| for every z
+        check_feasible(ynorm)
+        raise
     gauge = penalty_gauge_at_zero(spec, ws.aty)
     exact_zero = np.isfinite(gauge) and gauge > 0
     lam0 = 1.0 / (2.0 * gauge) if exact_zero else \
@@ -522,6 +530,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
                 penalty_value(spec, xp) <= penalty_value(spec, x) * (1.0 + 1e-9):
             x, residual, polished = xp, rp, True
 
+    check_feasible(residual)
     if eps == 0.0:
         feasible = residual <= feas_slack
         converged = feasible and (inner.converged or polished)

@@ -162,6 +162,13 @@ class TestCertificateCommand:
         code, _ = run_cli(capsys, "certificate", "--t", "1.0", "--k", "3", "--delta", "0.4")
         assert code == EXIT_INPUT
 
+    def test_invalid_certificate_gives_null_bounds(self, capsys):
+        code, env = run_cli(capsys, "certificate", "--t", "1.5", "--k", "3", "--delta", "0.4",
+                            "--mu", "0.2", "--sigma-k", "0.1")
+        assert code == EXIT_OK
+        assert not env["outputs"]["certificate"]["valid"]
+        assert env["outputs"]["bound_l1"] is None and env["outputs"]["bound_lp"] is None
+
 
 class TestMatrixCommand:
     def test_devore_from_thresholds(self, capsys, tmp_path):
@@ -318,7 +325,7 @@ _CONFIG = {"name": "x", "replications": 1, "seed": 0,
     ["experiment", "--study", "comparison", "--config",
      '{"name": "x", "replications": 1, "seed": 0, "methods": [], "lambda_grid": {}}'],
     *(["experiment", "--study", "comparison", "--config", json.dumps({**_CONFIG, **field})]
-      for field in ({"lambda_grid": {}}, {"generator": 5}, {"methods": ["lasso"]},
+      for field in ({"lambda_grid": {}}, {"generator": 5}, {"methods": ["lasso"]}, {"methods": []},
                     {"methods": [{"kind": "en"}]},
                     {"lambda_grid": {"lo": 0.1, "hi": 1.0, "num": 2.7}}, {"replications": 2.7})),
     *(["experiment", "--study", "comparison", "--config",
@@ -326,14 +333,14 @@ _CONFIG = {"name": "x", "replications": 1, "seed": 0,
       for field in ({"beta": 3}, {"beta": []}, {"covariance": 5}, {"covariance": {"kind": "ar1"}},
                     {"covariance": {"kind": "nosuch"}},
                     {"covariance": {"kind": "blocks", "blocks": [{"size": 3}]}},
-                    {"noise_sigma": [1]}, {"noise_sigma": -1.0}, {"n_train": -3}, {"n_val": 2.5})),
+                    {"covariance": {"kind": "blocks", "blocks": []}}, {"noise_sigma": [1]}, {"noise_sigma": -1.0}, {"n_train": -3}, {"n_val": 2.5})),
     ["riporacle", "-A", "nan,0\n0,1\n", "--k", "2"],
 ], ids=["gaussian", "identity", "duplicated_column", "devore", "config_list", "config_no_generator",
-        "config_empty_lambda_grid", "config_generator_number", "config_method_string",
+        "config_empty_lambda_grid", "config_generator_number", "config_method_string", "config_no_methods",
         "config_en_without_mu_grid", "config_num_fraction", "config_replications_fraction",
         "config_beta_number", "config_beta_empty",
         "config_covariance_number", "config_ar1_without_rho", "config_covariance_unknown_kind",
-        "config_block_sizes_off", "config_noise_sigma_list", "config_noise_sigma_negative",
+        "config_block_sizes_off", "config_no_blocks", "config_noise_sigma_list", "config_noise_sigma_negative",
         "config_n_train_negative", "config_n_val_fraction", "riporacle_nan_matrix"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, argv):
     for flag in ("--config", "-A"):  # the text after the flag goes to a file

@@ -45,6 +45,11 @@ class TestPreprocess:
             preprocess(A, rng.standard_normal(10))
 
 
+    def test_shape_mismatch_rejected(self, rng):
+        with pytest.raises(ValueError, match="A must be m-by-n and y length m"):
+            preprocess(rng.standard_normal((10, 3)), rng.standard_normal(9))
+
+
 class TestGroupingBound:
     def test_monotone_decreasing_in_rho_and_mu(self):
         bounds_rho = [grouping_bound(r, 1.0, 0.5) for r in (0.0, 0.5, 0.9, 0.999)]
@@ -58,6 +63,10 @@ class TestGroupingBound:
 
     def test_perfect_correlation_gives_zero(self):
         assert grouping_bound(1.0, 3.0, 0.5) == 0.0
+
+    def test_mu_must_be_positive(self):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            grouping_bound(0.5, 1.0, 0.0)
 
 
 class TestGroupingCheck:
@@ -150,6 +159,15 @@ class TestGroupingCheck:
         pre = preprocess(X, y)
         with pytest.raises(ValueError, match="mu"):
             grouping_check(pre.A, pre.y, np.zeros(6), 1.0, 0.0, None)
+
+    @pytest.mark.parametrize("lam, partition, match", [
+        (0.0, None, "lam must be positive"),
+        (1.0, Partition.single(5), "partition covers 5 indices but A has 6 columns"),
+    ], ids=["lam_zero", "partition_size"])
+    def test_bad_arguments_rejected(self, lam, partition, match):
+        pre = preprocess(*grouping_fixture(seed=0, n_samples=50))
+        with pytest.raises(ValueError, match=match):
+            grouping_check(pre.A, pre.y, np.zeros(6), lam, 0.5, partition)
 
     def test_report_serialization(self, tmp_path):
         X, y = grouping_fixture(seed=0, n_samples=80)

@@ -134,10 +134,20 @@ class TestFixtureMatrices:
         with pytest.raises(ValueError):
             fixture_matrix("hadamard", 4, 4)
 
+    @pytest.mark.parametrize("kind, m, n, match", [
+        ("gaussian", 0, 3, "invalid dimensions 0x3"),
+        ("duplicated_column", 4, 1, "at least 2 columns"),
+    ])
+    def test_bad_dimensions(self, kind, m, n, match):
+        with pytest.raises(ValueError, match=match):
+            fixture_matrix(kind, m, n)
+
     def test_coherence_helper(self):
         assert coherence(np.eye(3)) == 0.0
         e1 = np.eye(3)[:, :1]
         assert coherence(np.column_stack([e1, e1])) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="zero column"):
+            coherence(np.column_stack([e1, 0.0 * e1]))
 
 
 class TestFileIO:
@@ -174,6 +184,29 @@ class TestFileIO:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ValueError, match="expected 2 columns"):
             read_matrix_csv(path)
+
+    def test_csv_blank_lines_and_empty_files(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n\n3.0,4.0\n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("1.0,2.0,3.0\n")  # a vector may also be one row
+        np.testing.assert_array_equal(read_vector_csv(path), [1.0, 2.0, 3.0])
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="m.csv: empty matrix file"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty triplet file"),
+        ("2 x 1\n0 0 1.0\n", "bad.spt:1: header must hold three integers"),
+        ("0 3 1\n0 0 1.0\n", "bad.spt:1: bad dimensions 0 3 1"),
+        ("2 2 2\n0 0 1.0\n", "header promises 2 entries, file has 1"),
+        ("2 2 1\n0 1.0\n", "bad.spt:2: expected 'row col value'"),
+    ], ids=["empty", "header_text", "zero_rows", "count", "two_fields"])
+    def test_triplet_errors_name_the_fault(self, tmp_path, text, match):
+        path = tmp_path / "bad.spt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_triplet(path)
 
     def test_triplet_header_validation(self, tmp_path):
         path = tmp_path / "bad.spt"

@@ -25,6 +25,7 @@ class TestPartition:
         (((0, 1), (1, 2)), 3),   # overlap
         (((0,), ()), 1),         # empty group
         (((0, 5),), 2),          # out of range
+        (((0,),), 0),            # no coordinates
     ])
     def test_invalid(self, groups, n):
         with pytest.raises(ValueError):
@@ -266,6 +267,12 @@ class TestSubdiffDistanceMeasure:
             assert subdiff_distance(spec, np.zeros(6), t, w) == pytest.approx(expect, rel=1e-14)
 
 
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="same shape"):
+            subdiff_distance(CLOT_HALF, np.zeros(3), np.zeros(4))
+        assert subdiff_distance(CLOT_HALF, np.zeros(0), np.zeros(0)) == 0.0
+
+
 class TestSparsityIndex:
     def test_drop_two_largest(self):
         assert sparsity_index([5.0, -3.0, 1.0], 2, "l1") == pytest.approx(1.0, abs=1e-15)
@@ -299,3 +306,7 @@ class TestSparsityIndex:
             sparsity_index([1.0], 2)
         with pytest.raises(ValueError):
             sparsity_index([1.0], -1)
+
+    def test_unknown_norm(self):
+        with pytest.raises(ValueError, match="unknown norm 'l3'"):
+            sparsity_index([1.0, 2.0], 1, norm="l3")

@@ -54,6 +54,13 @@ class TestCertificate:
             certificate(1.5, 3, 1.0)
         with pytest.raises(ValueError):
             certificate(1.5, 3, 0.4, mu=1.0)
+        with pytest.raises(ValueError, match="g must be at least 1"):
+            certificate(1.5, 3, 0.4, g=0)
+
+    def test_no_null_space_constant_when_a_squared_is_not_positive(self):
+        cert = certificate(4.0 / 3.0, 1, 0.9)
+        assert math.isinf(cert.rho) and math.isinf(cert.tau) and cert.a == 0.0
+        assert not cert.valid
 
     def test_chain_against_decimal_oracle(self):
         for (t, k, delta, g, mu) in [(2.0, 1, 0.4, 1, 0.2), (1.5, 3, 0.2, 2, 0.05),
@@ -130,6 +137,11 @@ class TestErrorBounds:
         with pytest.raises(ValueError):
             error_bounds(cert, 0.0, 0.1, p=2.5)
 
+    def test_negative_inputs_refused(self):
+        cert = certificate(2.0, 2, 0.3, 1, 0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            error_bounds(cert, -0.1, 0.1)
+
 
 class TestDeltaBoundFromMu:
     def test_theta_ranges(self):
@@ -143,6 +155,10 @@ class TestDeltaBoundFromMu:
     def test_mu_zero_degenerates_to_l1_threshold(self):
         for t in (1.5, 2.0, 4.0):
             assert delta_bound_from_mu(t, 0.0) == pytest.approx(math.sqrt((t - 1) / t), rel=1e-12)
+
+    def test_zero_when_gamma_reaches_one(self):
+        # gamma = 0.6/0.4 = 1.5 >= 1, so no delta is admissible
+        assert delta_bound_from_mu(2.0, 0.6) == 0.0
 
     def test_small_mu_limit(self):
         for t in (1.5, 2.0):

@@ -60,6 +60,32 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             Constrained(-1.0)
 
+    @pytest.mark.parametrize("A, y, form, match", [
+        (np.ones(3), np.ones(3), Lagrangian(1.0), "A must be a 2-D matrix"),
+        (np.eye(3), np.ones((3, 1)), Lagrangian(1.0), "y must be a 1-D vector"),
+        (np.eye(2), np.ones(2), 1.0, "form must be Lagrangian or Constrained"),
+    ], ids=["1d_matrix", "2d_rhs", "no_form"])
+    def test_malformed_problem_is_refused(self, A, y, form, match):
+        with pytest.raises(ValueError, match=match):
+            Problem(A, y, form)
+
+    @pytest.mark.parametrize("solve, form", [
+        (solve_lagrangian, Constrained(0.0)),
+        (solve_constrained, Lagrangian(1.0)),
+        (lambda problem, spec: solution_path(problem, spec, [1.0]), Constrained(0.0)),
+    ], ids=["lagrangian", "constrained", "path"])
+    def test_solver_refuses_the_other_form(self, solve, form):
+        with pytest.raises(ValueError, match="needs a"):
+            solve(Problem(np.eye(2), np.ones(2), form), RegularizerSpec.lasso())
+
+    @pytest.mark.parametrize("check", [
+        lambda: lambda_zero_threshold(RegularizerSpec.lasso(), np.eye(2), np.ones(2), side="dual"),
+        lambda: kkt_residual(np.eye(2), np.ones(2), np.zeros(2), RegularizerSpec.lasso(), 1.0, side="dual"),
+    ], ids=["lambda_zero_threshold", "kkt_residual"])
+    def test_unknown_side_is_refused(self, check):
+        with pytest.raises(ValueError, match="side must be 'penalty' or 'loss'"):
+            check()
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             solve_lagrangian(Problem(np.zeros((2, 2)), np.ones(2), Lagrangian(1.0)),
@@ -291,11 +317,42 @@ class TestConstrained:
                                 RegularizerSpec.lasso())
         assert np.all(res.x_hat == 0.0)
 
-    def test_infeasible_raises(self):
-        A = np.array([[1.0], [0.0]])
-        y = np.array([0.0, 1.0])  # residual >= 1 no matter what
-        with pytest.raises(InfeasibleError):
-            solve_constrained(Problem(A, y, Constrained(0.5)), RegularizerSpec.lasso())
+    @pytest.mark.parametrize("A, y, eps", [
+        (np.array([[1.0], [0.0]]), np.array([0.0, 1.0]), 0.5),  # residual >= 1 no matter what
+        (np.random.default_rng(3).standard_normal((40, 10)), np.random.default_rng(4).standard_normal(40), 0.0),
+        (np.random.default_rng(3).standard_normal((40, 10)), np.random.default_rng(4).standard_normal(40), 0.5),
+        (np.zeros((3, 2)), np.ones(3), 0.5),  # judged without a search
+    ], ids=["2x1", "gaussian_40x10_eps0", "gaussian_40x10_eps0.5", "zero_matrix"])
+    def test_infeasible_raises(self, A, y, eps):
+        with pytest.raises(InfeasibleError, match="^least-squares residual"):
+            solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.lasso())
+
+    def test_zero_matrix_within_the_slack_is_refused(self):
+        # ||y|| is above eps but within the feasibility slack: not infeasible
+        y = np.full(3, 0.1)
+        with pytest.raises(ValueError, match="A must be nonzero"):
+            solve_constrained(Problem(np.zeros((3, 2)), y, Constrained(np.linalg.norm(y) - 5e-7)),
+                              RegularizerSpec.lasso())
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_feasible_solve_runs_no_least_squares_on_all_of_a(self, monkeypatch, eps):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((30, 60))
+        x = np.zeros(60)
+        x[[4, 17, 40]] = [1.5, -2.0, 0.7]
+        y = A @ x + (0.02 * rng.standard_normal(30) if eps else 0.0)
+        widths = []
+        lstsq = np.linalg.lstsq
+
+        def spy(a, b, *args, **kwargs):
+            widths.append(np.shape(a)[1])
+            return lstsq(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        res = solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.clot(0.2))
+        assert res.info["feasible"]
+        # only the eps = 0 refit solves least squares, on the support alone
+        assert widths == ([3] if eps == 0 else [])
 
     def test_exact_recovery_devore(self):
         A = devore_matrix(DeVoreParams(5, 2), normalize=True)
@@ -444,7 +501,8 @@ class TestSolutionPath:
         (RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([3, 3])), [1.0, 0.5]),
         (RegularizerSpec.lasso(), [1.0, np.inf]),
         (RegularizerSpec.lasso(), [np.nan]),
-    ], ids=["wrong_dimension", "infinite", "nan"])
+        (RegularizerSpec.lasso(), []),
+    ], ids=["wrong_dimension", "infinite", "nan", "empty"])
     def test_bad_input_raises_before_any_solve(self, rng, monkeypatch, spec, grid):
         A, _, y = small_instance(rng)
 

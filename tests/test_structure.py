@@ -1,4 +1,7 @@
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import clotkit
@@ -43,3 +46,18 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert {"kkt.py", "regularizers.py", "solvers.py"} <= {path.name for path in MODULES}
     offenders = {path.name: hits for path in MODULES if (hits := _private_sibling_imports(path))}
     assert not offenders, offenders
+
+
+def test_benchmark_tracer_targets_exist(monkeypatch):
+    # the benchmark's tracer wraps these module attributes; a renamed or moved
+    # name would break its traced runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look themselves up there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave the benchmark's directory as it is
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TARGETS) >= 12
+    missing = [(module, name) for module, name, _ in tracer.TARGETS
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing
