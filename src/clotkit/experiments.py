@@ -27,6 +27,7 @@ from .solvers import (
     lambda_zero_threshold,
     solution_path,
     solve_constrained,
+    support,
 )
 
 __all__ = [
@@ -245,13 +246,6 @@ def _draw_linear_model(model: tuple, rng: np.random.Generator) -> dict:
     return out
 
 
-def _support_size(beta_hat, rel_tol=1e-6) -> int:
-    top = float(np.max(np.abs(beta_hat), initial=0.0))
-    if top == 0.0:
-        return 0
-    return int(np.sum(np.abs(beta_hat) > rel_tol * top))
-
-
 _COMPARISON_OPTS = SolverOptions(kkt_tol=1e-6, max_iters=2500)
 
 
@@ -296,7 +290,7 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
                 "rep": rep,
                 "method": kind,
                 "mse": float(np.mean(err**2)),
-                "nnz": _support_size(best["beta"]),
+                "nnz": support(best["beta"]).size,
                 "lambda": float(best["lambda"]),
                 "mu": None if best["mu"] is None else float(best["mu"]),
                 "val_mse": best["val_mse"],
@@ -316,7 +310,7 @@ def run_comparison(config: ScenarioConfig) -> StudyReport:
         series[f"mse_{kind}"] = {"replication": list(range(len(mses))), "mse": mses}
 
     metadata = {
-        "true_nnz": _support_size(model[0]),
+        "true_nnz": support(model[0]).size,
         "mse_definition": "mean((X_test @ (beta_hat - beta_true))^2)",
         "tuning": "validation grid search over the multiplier grid and mu_grid",
         "design_scaling": "train design and response divided by sqrt(n_train)",

@@ -14,8 +14,9 @@ Two problem forms are handled:
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
   search on the loss-side multiplier: a tenfold warm-started walk until the
   residual meets the budget, then a safeguarded secant that closes the last
-  bracket when ``eps > 0``, or a least-squares refit on the detected support
-  when ``eps = 0``.
+  bracket when ``eps > 0``.  When ``eps = 0`` a least-squares refit on the
+  detected support ends the walk at the first stage whose refit carries an
+  exact dual certificate.
 
 Every Lagrangian solve is certified by the penalty family's subgradient
 distance, checked every ``_CHECK_EVERY`` (10) iterations; failure to converge
@@ -43,6 +44,7 @@ __all__ = [
     "solve_constrained",
     "solution_path",
     "lambda_zero_threshold",
+    "support",
 ]
 
 
@@ -356,6 +358,11 @@ _STAGE_ITERS = 3000  # iteration cap of each eps = 0 solve
 _SUPPORT_REL_TOL = 1e-6  # eps = 0 refit support: |x_i| above this times max|x|
 
 
+def support(x) -> np.ndarray:
+    """Indices of the entries of ``x`` above ``1e-6`` times its largest magnitude."""
+    return np.flatnonzero(np.abs(x) > _SUPPORT_REL_TOL * np.max(np.abs(x), initial=0.0))
+
+
 def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOptions = None,
                      _ws: _Workspace = None, *, x0=None) -> SolveResult:
     """Solve the multiplier form of the program given by ``problem.form``,
@@ -419,9 +426,13 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     solve pins the residual down only to about 1e-7 relative, so a one-sided
     window can be stepped over.  A search that ends outside the window
     reports ``converged=False``.
-    ``eps = 0``: each solve is capped at 3000 iterations, and
-    the estimate is refit on its support by least squares, keeping the refit
-    only if it does not worsen the penalty.
+    ``eps = 0``: each solve is capped at 3000 iterations.  The walk ends at the
+    first stage whose least-squares refit on its :func:`support` S (each S once,
+    at most A's row count wide) meets the target and passes Fuchs's certificate:
+    ``theta = A_S (A_S^T A_S)^{-1} grad R_S`` with ``subdiff_distance(spec,
+    refit, A^T theta) <= kkt_tol*max(1, |grad R_S|_inf)``.  ``kkt_residual`` is
+    that distance if ``info["certified"]``, else the last inner solve's, and
+    the last stage's refit is then kept only if it worsens no penalty.
 
     ``info["stages"]`` lists one ``(lam, residual, iterations)`` entry per
     inner solve, and ``info["inner_solves"]`` counts them.
@@ -439,11 +450,11 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     ynorm = float(np.linalg.norm(y))
     feas_slack = opts.feas_tol * max(1.0, ynorm)
 
-    if ynorm <= eps:
+    if ynorm <= eps:  # zero is optimal, certified by theta = 0
         x = np.zeros(A.shape[1])
         return SolveResult(x, 0.0, ynorm, 0, 0.0, True,
                            info={"form": "constrained", "eps": eps, "inner_solves": 0, "stages": [],
-                                 "polished": False, "feasible": True})
+                                 "polished": False, "feasible": True, "certified": True})
 
     def check_feasible(residual):  # least squares attains the least residual of any z
         if residual > eps + feas_slack:
@@ -462,11 +473,42 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     lam0 = 1.0 / (2.0 * gauge) if exact_zero else \
         1.0 / (2.0 * max(float(np.max(np.abs(ws.aty), initial=0.0)), 1e-12))
     target = eps if eps > 0 else 1e-9 * ynorm  # relative, so eps = 0 is scale-equivariant
-    # eps = 0 stages only hand a warm start to the next multiplier; the refit
-    # and the feasibility check decide the final quality
     inner_opts = replace(opts, kkt_tol=opts.kkt_tol * eps / ynorm) if eps > 0 else \
         replace(opts, max_iters=min(opts.max_iters, _STAGE_ITERS))
-    stages = []
+    stages, refits, tried = [], {}, set()
+
+    def refit(S):  # least squares on the support S, solved once per support
+        if (key := S.tobytes()) not in refits:
+            xp = np.zeros(A.shape[1])
+            xp[S] = np.linalg.lstsq(A[:, S], y, rcond=None)[0]
+            refits[key] = xp, float(np.linalg.norm(A @ xp - y))
+        return refits[key]
+
+    def certify(x):
+        # (refit, residual, dual distance) when certified; grad R_S comes from the
+        # normal equations' refit, and an S where that misses the target or drops
+        # an entry is not refit
+        S = support(x)
+        if not 0 < S.size <= A.shape[0] or (key := S.tobytes()) in tried:
+            return None
+        tried.add(key)
+        A_S, (a, b, c) = A[:, S], spec.weights
+        gram = A_S.T @ A_S
+        try:
+            z = np.linalg.solve(gram, A_S.T @ y)
+            if support(z).size < S.size or np.linalg.norm(A_S @ z - y) > target:
+                return None
+            g = a * np.sign(z) + (2.0 * b) * z
+            if c:
+                labels = np.zeros(S.size, np.intp) if spec.partition is None else spec.partition.labels[S]
+                g = g + c * z / np.sqrt(np.bincount(labels, z * z))[labels]
+            theta = A_S @ np.linalg.solve(gram, g)
+        except np.linalg.LinAlgError:
+            return None
+        xp, rp = refit(S)
+        dist = subdiff_distance(spec, xp, A.T @ theta)
+        ok = rp <= target and dist <= opts.kkt_tol * max(1.0, float(np.max(np.abs(g))))
+        return (xp, rp, dist) if ok else None
 
     def solve_at(lam, x0):
         res = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, inner_opts,
@@ -476,12 +518,14 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
 
     # tenfold walk; lo/hi are the last (lam, residual) above/within the target
     lo = (lam0, ynorm) if exact_zero else None
-    hi = best = res = None
+    hi = best = res = cert = None
     k, step = 0, 1
     for _ in range(_MAX_STAGES):
         k += step
         lam = lam0 * 10.0**k
         res = solve_at(lam, None if res is None else res.x_hat)
+        if eps == 0.0 and (cert := certify(res.x_hat)):
+            break
         if res.residual_l2 <= target:
             hi, best = (lam, res.residual_l2), res
             if lo is not None or eps == 0.0:
@@ -519,12 +563,10 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
                 side = -1
 
     inner = res if best is None else best
-    x, residual, polished = inner.x_hat, inner.residual_l2, False
-    if eps == 0.0 and np.max(np.abs(x)) > 0:
-        support = np.abs(x) > _SUPPORT_REL_TOL * np.max(np.abs(x))
-        xp = np.zeros_like(x)
-        xp[support] = np.linalg.lstsq(A[:, support], y, rcond=None)[0]
-        rp = float(np.linalg.norm(A @ xp - y))
+    x, residual, kkt = cert or (inner.x_hat, inner.residual_l2, inner.kkt_residual)
+    polished = cert is not None
+    if not polished and eps == 0.0 and np.max(np.abs(x)) > 0:
+        xp, rp = refit(support(x))
         # scale-relative acceptance so equivariance survives the refit
         if rp <= residual * (1.0 + 1e-9) + 1e-14 * ynorm and \
                 penalty_value(spec, xp) <= penalty_value(spec, x) * (1.0 + 1e-9):
@@ -542,10 +584,10 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         objective=penalty_value(spec, x),
         residual_l2=residual,
         iterations=sum(s[2] for s in stages),
-        kkt_residual=inner.kkt_residual,
+        kkt_residual=kkt,
         converged=bool(converged),
         info={"form": "constrained", "eps": eps, "inner_solves": len(stages), "stages": stages,
-              "polished": polished, "feasible": feasible},
+              "polished": polished, "feasible": feasible, "certified": cert is not None},
     )
 
 

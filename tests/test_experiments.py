@@ -15,7 +15,9 @@ from clotkit.experiments import (
     run_path_nonequivalence,
     run_scaling,
 )
-from clotkit.solvers import SolverOptions
+from clotkit.matrices import DeVoreParams, devore_matrix
+from clotkit.regularizers import RegularizerSpec
+from clotkit.solvers import Lagrangian, Problem, SolverOptions, lambda_zero_threshold, solve_lagrangian
 
 
 def tiny_scenario(seed=7, replications=3, noise=1.5):
@@ -219,6 +221,21 @@ class TestScaling:
         failed = any(err > 0.1 for c, err in scaling_report.tables["en_rel_err"].items() if int(c) <= 3)
         diverged = any(scaling_report.tables["en_diverged"].values())
         assert failed or diverged
+
+    def test_clot_stops_at_the_first_stage(self, scaling_report):
+        # each CLOT solve is certified after the first multiplier of the walk,
+        # 10 times the zero-solution threshold, and runs only its iterations
+        meta = scaling_report.metadata
+        params = meta["matrix"]
+        A = devore_matrix(DeVoreParams(params["p"], params["r"], params["n"]), normalize=False)
+        spec = RegularizerSpec.clot(meta["mu"])
+        for row in scaling_report.records:
+            x = np.zeros(meta["n"])
+            x[:3] = 10.0 ** row["c"] * np.array(meta["true_first3"])
+            y = A @ x
+            lam = 10.0 * lambda_zero_threshold(spec, A, y, side="loss")
+            stage = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, SolverOptions(max_iters=3000))
+            assert row["clot"]["iterations"] == stage.iterations, row["c"]
 
     def test_c0_recovers_published_components(self, scaling_report):
         row = next(r for r in scaling_report.records if r["c"] == 0)

@@ -399,6 +399,117 @@ class TestConstrained:
         assert res.converged and res.info["polished"]
         assert np.linalg.norm(res.x_hat - x) <= 1e-12 * np.linalg.norm(x)
 
+    @staticmethod
+    def eps0_instance(name):
+        if name == "gaussian_60x40":  # the instance of test_exact_recovery_gaussian_60x40
+            rng = np.random.default_rng(0)
+            A = rng.standard_normal((60, 40))
+            x = np.zeros(40)
+            x[rng.choice(40, 3, replace=False)] = rng.standard_normal(3)
+        elif name == "devore_5_2":  # the instance of test_exact_recovery_devore
+            A = devore_matrix(DeVoreParams(5, 2), normalize=True)
+            x = np.zeros(125)
+            x[7] = 1.3
+        elif name == "wide":
+            A = np.random.default_rng(5).standard_normal((30, 60))
+            x = np.zeros(60)
+            x[[4, 5, 40]] = [1.5, -2.0, 0.7]
+        else:  # 5-sparse on 15 rows: the minimizer is not the truth
+            rng = np.random.default_rng(8)
+            A = rng.standard_normal((15, 40))
+            x = np.zeros(40)
+            x[rng.choice(40, 5, replace=False)] = rng.standard_normal(5)
+        return A, x
+
+    @pytest.mark.parametrize("name", ["gaussian_60x40", "devore_5_2"])
+    def test_first_certified_stage_ends_the_walk(self, name, monkeypatch):
+        A, x = self.eps0_instance(name)
+        spec = RegularizerSpec.clot(0.2)
+        real = solvers.solve_lagrangian  # a stage's own certificate is not the program's
+        monkeypatch.setattr(solvers, "solve_lagrangian",
+                            lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), kkt_residual=1.0))
+        res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), spec)
+        assert res.converged and res.info["certified"] and res.info["polished"]
+        assert res.info["inner_solves"] == 1 and res.iterations == res.info["stages"][0][2]
+        assert res.kkt_residual <= SolverOptions().kkt_tol
+        np.testing.assert_allclose(res.x_hat, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+
+    def test_certified_flag_on_the_other_branches(self, rng):
+        A, _, y = small_instance(rng, noise=0.1)
+        spec = RegularizerSpec.clot(0.3)
+        trivial, noisy = (solve_constrained(Problem(A, y, Constrained(eps)), spec)
+                          for eps in (2 * np.linalg.norm(y), 0.3))
+        assert trivial.info["certified"] and trivial.kkt_residual == 0.0  # theta = 0 certifies zero
+        assert noisy.converged and not noisy.info["certified"]
+
+    def test_refit_short_of_the_target_is_not_certified(self):
+        # the first stages miss the small entry; their refits leave a residual of
+        # about 1e-3 and must not end the walk, however their dual points look
+        A, x = self.eps0_instance("devore_5_2")
+        x[[40, 90]] = (-0.9, 1e-3)
+        y = A @ x
+        res = solve_constrained(Problem(A, y, Constrained(0.0)), RegularizerSpec.clot(0.2))
+        assert res.converged and res.info["certified"] and res.info["inner_solves"] > 1
+        assert res.residual_l2 <= 1e-9 * np.linalg.norm(y)
+        np.testing.assert_allclose(res.x_hat, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("spec, name", [
+        (RegularizerSpec.clot(0.2), "devore_5_2"), (RegularizerSpec.lasso(), "devore_5_2"),
+        (RegularizerSpec.elastic_net(0.8), "devore_5_2"), (RegularizerSpec.clot(0.2), "wide"),
+        (RegularizerSpec.sparse_group_lasso(0.3, Partition.contiguous([3] * 20)), "wide"),
+        (RegularizerSpec.lasso(), "no_recovery")],
+        ids=["clot-devore", "lasso-devore", "en-devore", "clot-wide", "sgl-wide", "lasso-no-recovery"])
+    def test_certified_solution_is_optimal_along_the_null_space(self, spec, name):
+        # checked without the solver's dual point: no feasible direction lowers the
+        # penalty, and for sublinear penalties no dual bound lies below it
+        A, x = self.eps0_instance(name)
+        res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), spec)
+        assert res.info["certified"]
+        best = penalty_value(spec, res.x_hat)
+        if name == "no_recovery":  # refits the certificate refuses come first
+            assert res.info["inner_solves"] > 1 and best < penalty_value(spec, x) * (1 - 1e-3)
+        if spec.weights[1] == 0:
+            # weak duality for a sublinear R: R(z) >= y^T theta / R°(A^T theta) whenever Az = y,
+            # with theta the residual of a Lagrangian solve at a large multiplier
+            y = A @ x
+            lam = 1e4 * lambda_zero_threshold(spec, A, y, side="loss")
+            theta = y - A @ solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, TIGHT).x_hat
+            assert best <= float(y @ theta) / penalty_gauge_at_zero(spec, A.T @ theta) * (1 + 1e-8)
+        null = np.linalg.svd(A)[2][A.shape[0]:]
+        scale = np.linalg.norm(res.x_hat)
+        for h in np.random.default_rng(1).standard_normal((20, null.shape[0])) @ null:
+            h /= np.linalg.norm(h)
+            for t in (1e-8, -1e-5, 1e-2, -1.0, 10.0):
+                assert penalty_value(spec, res.x_hat + t * scale * h) >= best * (1 - 1e-12)
+
+    def test_uncertified_walk_keeps_the_refit_rule(self, monkeypatch):
+        # the elastic net at 10^4 on the small scaling matrix does not recover the truth
+        A = devore_matrix(DeVoreParams(11, 2, 1000), normalize=False)
+        x = np.zeros(1000)
+        x[:3] = 1e4 * np.array([0.8147, 0.9058, 0.1270])
+        spec = RegularizerSpec.elastic_net(0.8)
+        inner, real = [], solvers.solve_lagrangian
+
+        def spy(*args, **kwargs):
+            inner.append(real(*args, **kwargs))
+            return inner[-1]
+
+        monkeypatch.setattr(solvers, "solve_lagrangian", spy)
+        res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), spec)
+        assert not res.info["certified"] and res.info["inner_solves"] == len(inner) > 1
+        last = inner[-1]
+        assert res.kkt_residual == last.kkt_residual
+        # the refit on the last stage's support replaces it only if no residual
+        # and no penalty is lost
+        support = np.abs(last.x_hat) > solvers._SUPPORT_REL_TOL * np.max(np.abs(last.x_hat))
+        refit = np.zeros(1000)
+        refit[support] = np.linalg.lstsq(A[:, support], A @ x, rcond=None)[0]
+        r_refit = np.linalg.norm(A @ refit - A @ x)
+        kept = r_refit <= last.residual_l2 * (1 + 1e-9) + 1e-14 * np.linalg.norm(A @ x) and \
+            penalty_value(spec, refit) <= penalty_value(spec, last.x_hat) * (1 + 1e-9)
+        assert res.info["polished"] == kept
+        np.testing.assert_array_equal(res.x_hat, refit if kept else last.x_hat)
+
     def test_penalty_not_above_truth(self, rng):
         # the reported objective is the penalty value and cannot exceed the
         # penalty of any feasible point, up to solver slack
