@@ -102,7 +102,7 @@ def _solver_options(args):
 
 def _cmd_solve(args):
     from . import fileio
-    from .solvers import Constrained, Lagrangian, Problem, solve_constrained, solve_lagrangian
+    from .solvers import Constrained, Lagrangian, Problem, solve_constrained, solve_lagrangian, support
 
     A = _read_matrix(args.matrix)
     y = fileio.read_vector_csv(args.rhs)
@@ -117,7 +117,7 @@ def _cmd_solve(args):
     else:
         result = solve_lagrangian(Problem(A, y, Lagrangian(args.lam, args.lambda_side)), spec, opts)
 
-    outputs = {**vars(result), "nnz": int((result.x_hat != 0).sum()), "x_out": args.x_out}
+    outputs = {**vars(result), "nnz": int(support(result.x_hat).size), "x_out": args.x_out}
     if args.x_out:
         fileio.write_vector_csv(args.x_out, outputs.pop("x_hat"))
     return outputs, EXIT_OK if result.converged else EXIT_NOCONV

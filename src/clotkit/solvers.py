@@ -427,12 +427,13 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     window can be stepped over.  A search that ends outside the window
     reports ``converged=False``.
     ``eps = 0``: each solve is capped at 3000 iterations.  The walk ends at the
-    first stage whose least-squares refit on its :func:`support` S (each S once,
-    at most A's row count wide) meets the target and passes Fuchs's certificate:
-    ``theta = A_S (A_S^T A_S)^{-1} grad R_S`` with ``subdiff_distance(spec,
-    refit, A^T theta) <= kkt_tol*max(1, |grad R_S|_inf)``.  ``kkt_residual`` is
-    that distance if ``info["certified"]``, else the last inner solve's, and
-    the last stage's refit is then kept only if it worsens no penalty.
+    first stage whose normal-equation refit z on its :func:`support` S (each S
+    once, at most A's row count wide) keeps S, meets the target and passes
+    Fuchs's certificate: ``theta = A_S (A_S^T A_S)^{-1} grad R_S(z)`` with
+    ``subdiff_distance(spec, z, A^T theta) <= kkt_tol*max(1, |grad R_S|_inf)``.
+    That z is returned, with the distance as ``kkt_residual``.  Otherwise
+    ``kkt_residual`` is the last inner solve's, and that solve's ``lstsq`` refit
+    on its support is kept only if it worsens no residual and no penalty.
 
     ``info["stages"]`` lists one ``(lam, residual, iterations)`` entry per
     inner solve, and ``info["inner_solves"]`` counts them.
@@ -450,11 +451,17 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     ynorm = float(np.linalg.norm(y))
     feas_slack = opts.feas_tol * max(1.0, ynorm)
 
+    stages, tried = [], set()
+
+    def result(x, residual, kkt, converged, polished, feasible, certified):  # every return builds this
+        info = {"form": "constrained", "eps": eps, "inner_solves": len(stages), "stages": stages,
+                "polished": polished, "feasible": feasible, "certified": certified}
+        return SolveResult(x, penalty_value(spec, x), residual, sum(s[2] for s in stages), kkt,
+                           bool(converged), info)
+
     if ynorm <= eps:  # zero is optimal, certified by theta = 0
-        x = np.zeros(A.shape[1])
-        return SolveResult(x, 0.0, ynorm, 0, 0.0, True,
-                           info={"form": "constrained", "eps": eps, "inner_solves": 0, "stages": [],
-                                 "polished": False, "feasible": True, "certified": True})
+        return result(np.zeros(A.shape[1]), ynorm, 0.0, converged=True, polished=False, feasible=True,
+                      certified=True)
 
     def check_feasible(residual):  # least squares attains the least residual of any z
         if residual > eps + feas_slack:
@@ -475,19 +482,10 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     target = eps if eps > 0 else 1e-9 * ynorm  # relative, so eps = 0 is scale-equivariant
     inner_opts = replace(opts, kkt_tol=opts.kkt_tol * eps / ynorm) if eps > 0 else \
         replace(opts, max_iters=min(opts.max_iters, _STAGE_ITERS))
-    stages, refits, tried = [], {}, set()
-
-    def refit(S):  # least squares on the support S, solved once per support
-        if (key := S.tobytes()) not in refits:
-            xp = np.zeros(A.shape[1])
-            xp[S] = np.linalg.lstsq(A[:, S], y, rcond=None)[0]
-            refits[key] = xp, float(np.linalg.norm(A @ xp - y))
-        return refits[key]
 
     def certify(x):
-        # (refit, residual, dual distance) when certified; grad R_S comes from the
-        # normal equations' refit, and an S where that misses the target or drops
-        # an entry is not refit
+        # (refit, residual, dual distance) when certified; the refit solves the normal
+        # equations on S, and an S where it drops an entry or misses the target fails
         S = support(x)
         if not 0 < S.size <= A.shape[0] or (key := S.tobytes()) in tried:
             return None
@@ -496,7 +494,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         gram = A_S.T @ A_S
         try:
             z = np.linalg.solve(gram, A_S.T @ y)
-            if support(z).size < S.size or np.linalg.norm(A_S @ z - y) > target:
+            r = float(np.linalg.norm(A_S @ z - y))
+            if support(z).size < S.size or r > target:
                 return None
             g = a * np.sign(z) + (2.0 * b) * z
             if c:
@@ -505,10 +504,10 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
             theta = A_S @ np.linalg.solve(gram, g)
         except np.linalg.LinAlgError:
             return None
-        xp, rp = refit(S)
+        xp = np.zeros(A.shape[1])
+        xp[S] = z
         dist = subdiff_distance(spec, xp, A.T @ theta)
-        ok = rp <= target and dist <= opts.kkt_tol * max(1.0, float(np.max(np.abs(g))))
-        return (xp, rp, dist) if ok else None
+        return (xp, r, dist) if dist <= opts.kkt_tol * max(1.0, float(np.max(np.abs(g)))) else None
 
     def solve_at(lam, x0):
         res = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, inner_opts,
@@ -566,7 +565,9 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     x, residual, kkt = cert or (inner.x_hat, inner.residual_l2, inner.kkt_residual)
     polished = cert is not None
     if not polished and eps == 0.0 and np.max(np.abs(x)) > 0:
-        xp, rp = refit(support(x))
+        S, xp = support(x), np.zeros_like(x)
+        xp[S] = np.linalg.lstsq(A[:, S], y, rcond=None)[0]
+        rp = float(np.linalg.norm(A @ xp - y))
         # scale-relative acceptance so equivariance survives the refit
         if rp <= residual * (1.0 + 1e-9) + 1e-14 * ynorm and \
                 penalty_value(spec, xp) <= penalty_value(spec, x) * (1.0 + 1e-9):
@@ -579,16 +580,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     else:
         feasible = residual <= eps * (1.0 + opts.feas_tol) + 1e-12
         converged = settled(residual) and inner.converged  # an unsettled search is not hidden
-    return SolveResult(
-        x_hat=x,
-        objective=penalty_value(spec, x),
-        residual_l2=residual,
-        iterations=sum(s[2] for s in stages),
-        kkt_residual=kkt,
-        converged=bool(converged),
-        info={"form": "constrained", "eps": eps, "inner_solves": len(stages), "stages": stages,
-              "polished": polished, "feasible": feasible, "certified": cert is not None},
-    )
+    return result(x, residual, kkt, converged, polished, feasible, cert is not None)
 
 
 def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: SolverOptions = None):

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from clotkit import experiments, fileio
+from clotkit import experiments, fileio, solvers
 from clotkit.cli import _THREAD_VARS, EXIT_INPUT, EXIT_NOCONV, EXIT_OK, build_parser, main
 from clotkit.matrices import DeVoreParams, devore_matrix
 
@@ -48,6 +48,14 @@ class TestSolveCommand:
         assert code == EXIT_OK
         assert env["outputs"]["x_hat"] == [0.0, 0.0, 0.0]
         assert env["outputs"]["nnz"] == 0
+
+    def test_nnz_counts_the_support(self, capsys, io_dir, monkeypatch):
+        # the rule the studies count nonzeros by: entries above 1e-6 times the largest
+        stub = solvers.SolveResult(np.array([1.0, 1e-9, 0.0]), 0.0, 0.0, 1, 0.0, True, {})
+        monkeypatch.setattr(solvers, "solve_lagrangian", lambda *args, **kwargs: stub)
+        code, env = run_cli(capsys, "solve", "--reg", "lasso", "--lambda", "0.3",
+                            "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv"))
+        assert code == EXIT_OK and env["outputs"]["nnz"] == 1
 
     def test_constrained_solve_devore(self, capsys, tmp_path):
         A = devore_matrix(DeVoreParams(5, 2), normalize=True)

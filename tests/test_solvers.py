@@ -334,13 +334,17 @@ class TestConstrained:
             solve_constrained(Problem(np.zeros((3, 2)), y, Constrained(np.linalg.norm(y) - 5e-7)),
                               RegularizerSpec.lasso())
 
-    @pytest.mark.parametrize("eps", [0.0, 0.2])
-    def test_feasible_solve_runs_no_least_squares_on_all_of_a(self, monkeypatch, eps):
+    @pytest.mark.parametrize("eps, name, expected", [
+        (0.0, None, [3]), (0.2, None, []), (0.0, "devore_5_2", [])], ids=["0.0", "0.2", "devore_5_2"])
+    def test_feasible_solve_runs_no_least_squares_on_all_of_a(self, monkeypatch, eps, name, expected):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((30, 60))
         x = np.zeros(60)
         x[[4, 17, 40]] = [1.5, -2.0, 0.7]
         y = A @ x + (0.02 * rng.standard_normal(30) if eps else 0.0)
+        if name:
+            A, x = self.eps0_instance(name)
+            y = A @ x
         widths = []
         lstsq = np.linalg.lstsq
 
@@ -350,9 +354,10 @@ class TestConstrained:
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         res = solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.clot(0.2))
-        assert res.info["feasible"]
-        # only the eps = 0 refit solves least squares, on the support alone
-        assert widths == ([3] if eps == 0 else [])
+        assert res.info["feasible"] and res.info["certified"] == (name is not None)
+        # only the uncertified eps = 0 refit solves least squares, on the support
+        # alone; a certified solve returns the refit its certificate was built from
+        assert widths == expected
 
     def test_exact_recovery_devore(self):
         A = devore_matrix(DeVoreParams(5, 2), normalize=True)
@@ -433,6 +438,12 @@ class TestConstrained:
         assert res.info["inner_solves"] == 1 and res.iterations == res.info["stages"][0][2]
         assert res.kkt_residual <= SolverOptions().kkt_tol
         np.testing.assert_allclose(res.x_hat, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+        # the answer is the normal-equation refit on its support, which theta is built from
+        S = solvers.support(res.x_hat)
+        A_S = A[:, S]
+        z = np.linalg.solve(A_S.T @ A_S, A_S.T @ (A @ x))
+        np.testing.assert_array_equal(res.x_hat[S], z)
+        assert res.residual_l2 == np.linalg.norm(A_S @ z - A @ x)
 
     def test_certified_flag_on_the_other_branches(self, rng):
         A, _, y = small_instance(rng, noise=0.1)
@@ -531,15 +542,28 @@ class TestConstrained:
         assert eps * (1 - tol) <= res.residual_l2 <= eps * (1 + tol)
         assert res.info["inner_solves"] <= 15
 
-    def test_unsettled_search_is_not_converged(self):
-        # the family instance at a window too narrow for the inner solves to hit
+    def test_unsettled_search_is_not_converged(self, monkeypatch):
+        # every stage that lands inside the feas_tol*eps window is reported just
+        # outside it, on its own side: the search cannot settle and must say so
         A = fixture_matrix("gaussian", 20, 30, seed=7)
         x = np.zeros(30)
         x[[2, 11, 23]] = (1.5, -1.0, 0.8)
         y = A @ x + 0.1 * np.random.default_rng(7).standard_normal(20)
-        opts = SolverOptions(feas_tol=1e-9)
-        res = solve_constrained(Problem(A, y, Constrained(0.05)), RegularizerSpec.clot(0.3), opts)
-        assert abs(res.residual_l2 - 0.05) > opts.feas_tol * 0.05
+        eps, tol = 0.05, SolverOptions().feas_tol
+        real, inner = solvers.solve_lagrangian, []
+
+        def outside(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if abs(res.residual_l2 - eps) <= tol * eps:
+                moved = eps + math.copysign(2 * tol * eps, res.residual_l2 - eps)
+                res = dataclasses.replace(res, residual_l2=moved)
+            inner.append(res)
+            return res
+
+        monkeypatch.setattr(solvers, "solve_lagrangian", outside)
+        res = solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.clot(0.3))
+        assert all(r.converged for r in inner) and res.info["inner_solves"] == len(inner)
+        assert abs(res.residual_l2 - eps) > tol * eps
         assert not res.converged
 
     def test_info_lists_every_inner_solve(self, rng):

@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 import clotkit
+from clotkit import solvers
 
 MODULES = sorted(Path(clotkit.__file__).parent.glob("*.py"))
 
@@ -61,3 +63,60 @@ def test_benchmark_tracer_targets_exist(monkeypatch):
     missing = [(module, name) for module, name, _ in tracer.TARGETS
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, missing
+
+
+BENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+
+def _clotkit_chains(path):
+    """Dotted names the file reaches through its clotkit imports, e.g.
+    ``clotkit.kkt.kkt_residual`` for ``kkt.kkt_residual`` after
+    ``from clotkit import kkt``; read from the syntax tree alone."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "clotkit":  # "import clotkit.x" binds "clotkit"
+                    roots[alias.asname or "clotkit"] = alias.name if alias.asname else "clotkit"
+        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "clotkit":
+            roots.update({alias.asname or alias.name: f"{node.module}.{alias.name}" for alias in node.names})
+    chains = set(roots.values())
+    for node in ast.walk(tree):
+        names, inner = [], node
+        while isinstance(inner, ast.Attribute):
+            names.append(inner.attr)
+            inner = inner.value
+        if names and isinstance(inner, ast.Name) and inner.id in roots:
+            chains.add(".".join([roots[inner.id], *reversed(names)]))
+    return chains
+
+
+def _resolves(dotted):
+    """Whether a dotted name is a module or an attribute reached from one."""
+    path, *rest = dotted.split(".")
+    obj = importlib.import_module(path)
+    for name in rest:
+        path += "." + name
+        try:
+            obj = getattr(obj, name) if hasattr(obj, name) else importlib.import_module(path)
+        except ImportError:
+            return False
+    return True
+
+
+def test_benchmark_clotkit_references_resolve():
+    # the benchmark is read, never imported, so nothing is written next to it
+    chains = {path.name: _clotkit_chains(path) for path in BENCH}
+    assert {"clotkit.kkt.kkt_residual", "clotkit.regularizers.RegularizerSpec.clot",
+            "clotkit.cli._THREAD_VARS"} <= set().union(*chains.values())
+    missing = {name: bad for name, found in chains.items() if (bad := sorted(c for c in found if not _resolves(c)))}
+    assert not missing, missing
+
+
+def test_benchmark_instance_attributes_exist():
+    # read off instances in the benchmark, where no import chain reaches them
+    fields = {cls: {f.name for f in dataclasses.fields(cls)} for cls in (solvers.PathPoint, solvers.SolveResult)}
+    assert {"lam", "result"} <= fields[solvers.PathPoint]
+    assert {"x_hat", "iterations", "converged"} <= fields[solvers.SolveResult]
+    assert solvers.SolverOptions().feas_tol > 0
