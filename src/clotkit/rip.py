@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,9 @@ __all__ = [
 ]
 
 _SUBSET_GUARD = 10_000_000
-_CHUNK = 200_000  # supports per eigenvalue batch
+_CHUNK = 200_000  # supports per enumeration block
+_BATCH = 64  # supports per eigvalsh call on the best-first route
+_SKIP_MARGIN = 1e-9  # relative; keeps every support whose float deviation could tie the best
 _RNSP_SLACK = 1e-9  # relative tolerance of the null-space inequality
 _RNSP_RANDOM_SUPPORTS = 3  # random supports checked per trial vector, beside the top-k one
 
@@ -215,6 +216,23 @@ def _deviations(gram, supports):
     return np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
 
 
+def _best_first_deviations(gram, supports, best):
+    """Deviations of a block of supports, sent to ``eigvalsh`` in batches by
+    descending Gershgorin bound ``max_i(|G_ii - 1| + sum_{j != i} |G_ij|)``; ``-inf``
+    once the largest bound left falls ``_SKIP_MARGIN`` (relative) below ``best``."""
+    flat = np.abs(gram - np.eye(len(gram))).ravel()
+    bound = np.maximum.reduce([sum(flat[r + s] for s in supports.T) for r in (supports * len(gram)).T])
+    dev = np.full(bound.size, -np.inf)
+    order = np.argsort(-bound)
+    for start in range(0, order.size, _BATCH):
+        batch = order[start:start + _BATCH]
+        if bound[batch[0]] < best - _SKIP_MARGIN * max(1.0, abs(best)):
+            break
+        dev[batch] = _deviations(gram, supports[batch])
+        best = max(best, dev[batch].max())
+    return dev
+
+
 def _pattern_deviations(gram, k: int, count: int):
     """A function giving a block of supports' deviations by overlap pattern,
     or ``None`` when the Gram matrix has too many distinct values to pay.
@@ -239,7 +257,7 @@ def _pattern_deviations(gram, k: int, count: int):
     known = np.zeros(size, dtype=bool)
     holder = np.empty(size, dtype=np.intp)
 
-    def deviations(supports):
+    def deviations(supports, _best):
         codes = np.zeros(len(supports), dtype=np.int64)
         for a, b in zip(rows, cols):
             codes *= values.size
@@ -255,6 +273,15 @@ def _pattern_deviations(gram, k: int, count: int):
     return deviations
 
 
+def _matrix_and_order(A, k):
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"the matrix must be 2-D, got shape {A.shape}")
+    if not (float(k).is_integer() and 1 <= k <= A.shape[1]):
+        raise ValueError(f"k={k} outside 1..{A.shape[1]} or not an integer")
+    return A, int(k)
+
+
 def exact_rip(A, k: int) -> RipEstimate:
     """Exact ``delta_k`` of a matrix by enumerating every size-``k`` support.
 
@@ -262,15 +289,13 @@ def exact_rip(A, k: int) -> RipEstimate:
     only exact size-``k`` subsets are visited, in lexicographic order; the
     reported support is the first one attaining the maximum.  A Gram matrix
     with few distinct values (a binary construction such as DeVore's) is
-    evaluated once per overlap pattern instead of once per support.  Refuses
-    a non-finite matrix and combinatorially infeasible requests (more than
-    ``_SUBSET_GUARD`` subsets).
+    evaluated once per overlap pattern; any other best-first, sending to
+    ``eigvalsh`` only the supports whose Gershgorin bound can reach the best
+    so far.  Refuses a non-finite matrix and combinatorially infeasible
+    requests (more than ``_SUBSET_GUARD`` subsets).
     """
-    A = np.asarray(A, dtype=float)
+    A, k = _matrix_and_order(A, k)
     n = A.shape[1]
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
     count = math.comb(n, k)
     if count > _SUBSET_GUARD:
         raise ValueError(
@@ -279,16 +304,14 @@ def exact_rip(A, k: int) -> RipEstimate:
     if not np.isfinite(A).all():
         raise ValueError("the matrix has non-finite entries")
     gram = A.T @ A
-    deviations = _pattern_deviations(gram, k, count) or partial(_deviations, gram)
+    deviations = _pattern_deviations(gram, k, count) or partial(_best_first_deviations, gram)
 
-    best = -np.inf
-    best_support = None
+    best, best_support = -np.inf, None
     for supports in _lex_supports(n, k):
-        dev = deviations(supports)
+        dev = deviations(supports, best)
         j = int(np.argmax(dev))
         if dev[j] > best:
-            best = float(dev[j])
-            best_support = tuple(int(i) for i in supports[j])
+            best, best_support = float(dev[j]), tuple(int(i) for i in supports[j])
     return RipEstimate(k=k, delta_k=max(best, 0.0), argmax_support=best_support)
 
 
@@ -322,11 +345,8 @@ def rnsp_check(A, k: int, rho: float, tau: float, trials: int = 1000, seed: int 
     and projected onto the null space when one exists.  Report-only:
     violations are collected, not raised.  ``k`` must lie in ``1..n``.
     """
-    A = np.asarray(A, dtype=float)
+    A, k = _matrix_and_order(A, k)
     m, n = A.shape
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if tau < 0:

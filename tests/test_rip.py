@@ -1,9 +1,12 @@
 import math
 from decimal import Decimal, getcontext
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from clotkit import rip
 from clotkit.matrices import DeVoreParams, devore_matrix, fixture_matrix
@@ -231,6 +234,17 @@ class TestExactRip:
         with pytest.raises(ValueError):
             exact_rip(np.eye(3), 4)
 
+    def test_non_integral_k_is_refused(self):
+        with pytest.raises(ValueError, match=r"k=2\.7"):
+            exact_rip(np.eye(4), 2.7)
+
+    def test_non_matrix_is_refused(self):
+        with pytest.raises(ValueError, match=r"2-D, got shape \(3,\)"):
+            exact_rip(np.ones(3), 1)
+
+    def test_integral_numpy_k_is_accepted(self):
+        assert exact_rip(np.eye(4), np.int64(2)) == exact_rip(np.eye(4), 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_is_refused(self, bad):
         A = np.eye(3)
@@ -259,6 +273,25 @@ def _gaussian():
     return fixture_matrix("gaussian", 30, 36, seed=1)
 
 
+def _gaussian_permuted():
+    return _gaussian()[:, np.random.default_rng(5).permutation(36)]
+
+
+def _gaussian_duplicated():
+    """Column 20 copied over column 29: supports that swap one copy for the
+    other tie exactly, and the copies' own pair is the maximum at k=2."""
+    A = _gaussian()
+    A[:, 29] = A[:, 20]
+    return A
+
+
+def _gaussian_triplicated():
+    """Column 20 copied over columns 7 and 29: three exactly tied maxima at k=2."""
+    A = _gaussian_duplicated()
+    A[:, 7] = A[:, 20]
+    return A
+
+
 @pytest.mark.parametrize("make, k, patterned", [
     (_devore_rows_permuted, 1, False), (_devore_rows_permuted, 2, True),
     (_devore_rows_permuted, 3, True),
@@ -266,8 +299,13 @@ def _gaussian():
     (_uneven_binary, 1, False), (_uneven_binary, 2, True), (_uneven_binary, 3, True),
     (_duplicated_pair, 1, False), (_duplicated_pair, 2, True),
     (_gaussian, 2, False), (_gaussian, 3, False),
+    (_gaussian, 1, False), (_gaussian, 4, False), (_gaussian_permuted, 3, False),
+    (_gaussian_duplicated, 2, False), (_gaussian_duplicated, 3, False),
+    (_gaussian_triplicated, 2, False),
 ], ids=["devore_k1", "devore_k2", "devore_k3", "devore_unnormalised_k2", "binary_k1",
-        "binary_k2", "binary_k3", "duplicated_k1", "duplicated_k2", "gaussian_k2", "gaussian_k3"])
+        "binary_k2", "binary_k3", "duplicated_k1", "duplicated_k2", "gaussian_k2", "gaussian_k3",
+        "gaussian_k1", "gaussian_k4", "gaussian_permuted_k3", "gaussian_duplicated_k2",
+        "gaussian_duplicated_k3", "gaussian_triplicated_k2"])
 def test_exact_rip_matches_per_support_reference(make, k, patterned):
     A = make()
     pattern_route = rip._pattern_deviations(A.T @ A, k, math.comb(A.shape[1], k))
@@ -278,13 +316,50 @@ def test_exact_rip_matches_per_support_reference(make, k, patterned):
     assert est.argmax_support == support
 
 
-@pytest.mark.parametrize("make, k", [(_uneven_binary, 3), (_gaussian, 2)], ids=["binary", "gaussian"])
+@pytest.mark.parametrize("make, k", [(_uneven_binary, 3), (_gaussian, 2), (_gaussian, 3)],
+                         ids=["binary", "gaussian", "gaussian_k3"])
 def test_chunk_boundaries_do_not_change_the_answer(monkeypatch, make, k):
     A = make()
     whole = exact_rip(A, k)
     monkeypatch.setattr(rip, "_CHUNK", 7)
     assert math.comb(A.shape[1], k) > 7 * 10
     assert exact_rip(A, k) == whole
+
+
+def test_best_first_sends_few_supports_to_eigvalsh(monkeypatch):
+    rows = []
+
+    def counted(gram, supports):
+        rows.append(len(supports))
+        return deviations(gram, supports)
+
+    deviations = rip._deviations
+    monkeypatch.setattr(rip, "_deviations", counted)
+    exact_rip(_gaussian(), 4)
+    assert 0 < sum(rows) < 0.01 * math.comb(36, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 8), n=st.integers(1, 10), k=st.integers(1, 3), rank=st.integers(0, 8),
+       scaled=st.booleans(), duplicated=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       batch=st.sampled_from([1, rip._BATCH]))
+# tied maxima whose float Gershgorin bound lies below their float deviation
+@example(m=5, n=10, k=3, rank=6, scaled=False, duplicated=True, seed=14409, batch=1)
+@example(m=2, n=8, k=3, rank=3, scaled=True, duplicated=True, seed=32459, batch=1)
+def test_exact_rip_matches_reference_on_small_matrices(m, n, k, rank, scaled, duplicated, seed,
+                                                       batch):
+    assume(k <= n)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, min(rank, m))) @ rng.standard_normal((min(rank, m), n)) / m
+    if scaled:
+        A = A * 10.0 ** rng.uniform(-2.0, 2.0, n)
+    if duplicated:
+        A = A[:, rng.integers(0, n, size=n)]
+    delta, support = rip_ref(A, k)
+    with mock.patch.object(rip, "_BATCH", batch):
+        est = exact_rip(A, k)
+    assert est.argmax_support == support
+    assert est.delta_k == pytest.approx(delta, abs=1e-12)
 
 
 class TestRnspCheck:
@@ -320,3 +395,7 @@ class TestRnspCheck:
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError, match=f"k={k} outside 1..3"):
             rnsp_check(np.eye(3), k, rho=0.5, tau=1.0)
+
+    def test_non_integral_k_is_refused(self):
+        with pytest.raises(ValueError, match=r"k=1\.9"):
+            rnsp_check(np.eye(3), 1.9, rho=0.5, tau=1.0)
