@@ -89,10 +89,10 @@ def certificate(t: float, k: int, delta: float, g: int = 1, mu: float = 0.0) -> 
     sufficient conditions come back with ``valid=False`` and a reason.
     """
     t, g, mu, nu = _chain_inputs(t, g, mu)
-    k = int(k)
     delta = float(delta)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    if not (float(k).is_integer() and k >= 1):
+        raise ValueError(f"k={k} below 1 or not an integer")
+    k = int(k)
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
 
@@ -279,6 +279,8 @@ def _matrix_and_order(A, k):
         raise ValueError(f"the matrix must be 2-D, got shape {A.shape}")
     if not (float(k).is_integer() and 1 <= k <= A.shape[1]):
         raise ValueError(f"k={k} outside 1..{A.shape[1]} or not an integer")
+    if not np.isfinite(A).all():
+        raise ValueError("the matrix has non-finite entries")
     return A, int(k)
 
 
@@ -301,8 +303,6 @@ def exact_rip(A, k: int) -> RipEstimate:
         raise ValueError(
             f"C({n},{k}) = {count} supports exceeds the enumeration guard of {_SUBSET_GUARD}"
         )
-    if not np.isfinite(A).all():
-        raise ValueError("the matrix has non-finite entries")
     gram = A.T @ A
     deviations = _pattern_deviations(gram, k, count) or partial(_best_first_deviations, gram)
 
@@ -343,7 +343,7 @@ def rnsp_check(A, k: int, rho: float, tau: float, trials: int = 1000, seed: int 
     over supports) is always checked, plus ``_RNSP_RANDOM_SUPPORTS`` random
     supports of size up to ``k``.  Vectors are drawn dense, sparse-plus-noise,
     and projected onto the null space when one exists.  Report-only:
-    violations are collected, not raised.  ``k`` must lie in ``1..n``.
+    violations are collected; a non-finite matrix or ``k`` outside ``1..n`` raises.
     """
     A, k = _matrix_and_order(A, k)
     m, n = A.shape

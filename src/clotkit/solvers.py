@@ -3,14 +3,16 @@
 Two problem forms are handled:
 
 * Lagrangian, either ``||y - Az||^2 + lam*R(z)`` (multiplier on the penalty)
-  or ``lam*||y - Az||^2 + R(z)`` (multiplier on the loss), solved with
-  accelerated proximal gradient descent with a gradient restart and one
-  gradient evaluation (one Gram product, or one forward and one adjoint
-  product) per iteration, and a Newton finish: at a certificate check that
-  fails after the sign pattern held since the previous one, up to
-  ``_NEWTON_STEPS`` (8) Newton steps on the support, where the objective is
-  smooth, propose a candidate that is kept only if the certificate passes at
-  the solve's tolerance;
+  or ``lam*||y - Az||^2 + R(z)`` (multiplier on the loss), solved first by an
+  active-set Newton route: Newton steps on the support with its signs fixed,
+  a coordinate dropped where a step crosses zero, and the zero groups that
+  violate optimality added once the support is optimal.  The route hands its
+  point over after ``_ROUTE_ROUNDS`` (32) rounds, at a singular Hessian, or
+  on a support too wide to solve, to accelerated proximal gradient descent
+  (FISTA) with a gradient restart and one gradient evaluation (one Gram
+  product, or one forward and one adjoint product) per iteration.  FISTA
+  runs the route again from its iterate at each failing certificate check
+  whose sign pattern held since the previous one;
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
   search on the loss-side multiplier: a tenfold warm-started walk until the
   residual meets the budget, then a safeguarded secant that closes the last
@@ -19,8 +21,8 @@ Two problem forms are handled:
   exact dual certificate.
 
 Every Lagrangian solve is certified by the penalty family's subgradient
-distance, checked every ``_CHECK_EVERY`` (10) iterations; failure to converge
-is reported through the result, not raised.
+distance, after every route round and every ``_CHECK_EVERY`` (10) FISTA
+iterations; failure to converge is reported through the result, not raised.
 """
 
 from __future__ import annotations
@@ -167,11 +169,8 @@ class _Workspace:
 
     def __init__(self, A, y):
         m, n = A.shape
-        if n <= 2 * m and n <= _GRAM_MAX_N:
-            gram = A.T @ A
-            self.normal = lambda x: gram @ x
-        else:
-            self.normal = lambda x: A.T @ (A @ x)
+        self.gram = gram = A.T @ A if n <= 2 * m and n <= _GRAM_MAX_N else None
+        self.normal = (lambda x: A.T @ (A @ x)) if gram is None else (lambda x: gram @ x)
         self.A, self.y, self.n = A, y, n
         self.aty = A.T @ y
 
@@ -203,86 +202,123 @@ class _Workspace:
 
 _MAX_HALVINGS = 60
 _CHECK_EVERY = 10  # iterations between certificate checks
-_NEWTON_STEPS = 8  # Newton steps of one attempt
-_NEWTON_MAX_SUPPORT = 256  # wider supports, or wider than A has rows, are left to FISTA
+_ROUTE_ROUNDS = 32  # rounds of one active-set route before it hands over to FISTA
+_BATCH_FRAC = 0.5  # violators added together: prox steps within this fraction of the largest
+_NEWTON_STEPS = 8  # Newton steps of one round when the group term curves the objective
+_NEWTON_MAX_SUPPORT = 256  # wider supports, and with b = 0 those wider than A has rows, go to FISTA
 
 
 class _StepSearchExhausted(ArithmeticError):
     pass
 
 
-def _newton_candidate(ws: _Workspace, spec, loss_w, pen_w, x):
-    """Newton's method on the objective restricted to the support S and sign
-    pattern s of ``x``, where it is smooth:
-    ``loss_w*||A_S z - y||^2 + pen_w*(a*s^T z + b*||z||^2 + c*sum_g ||z_g||)``.
+def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
+    """Active-set Newton on ``loss_w*||Ax - y||^2 + pen_w*R(x)`` from ``x``,
+    whose half-gradient is ``hx``.
 
-    The Hessian is ``2*loss_w*A_S^T A_S + 2*pen_w*b*I`` plus
-    ``pen_w*c*(I/||z_g|| - z_g z_g^T/||z_g||^3)`` on each group's block.
-    Returns the zero-padded minimizer, or None when S is empty or wider than
-    ``_NEWTON_MAX_SUPPORT`` or than A has rows, the Hessian is singular, or a
-    step leaves the finite numbers or changes a sign.  Beyond A's row count
-    ``A_S^T A_S`` is singular, only the penalty curves the restriction across
-    its null space, and the minimizer is seldom on the same sign pattern.
+    The certificate at ``tol`` is checked before each round, and each round
+    costs one gradient evaluation, at its end.  While the support S is not
+    known to be optimal, a round takes Newton steps on the objective
+    restricted to S and the signs there, where it is smooth:
+    ``loss_w*||A_S z - y||^2 + pen_w*(a*s^T z + b*||z||^2 + c*sum_g ||z_g||)``,
+    one exact step without the group term.  A step on which a coordinate
+    crosses zero (with ``a = 0``, a group turns round) stops at the first
+    crossing, drops it and goes on from there.  Once S is optimal, a round
+    first adds the zero coordinates where one prox-gradient step is nonzero
+    (the prox judges each zero group), at that step's values: those within
+    ``_BATCH_FRAC`` of the largest, or all of them once such a batch was
+    dropped whole, and the largest first where S would outgrow its width.
+
+    Returns ``(x, hx, kkt, reason)``.  ``reason`` is None when the certificate
+    passes, else why the route hands its last point over: ``"rounds"`` after
+    ``_ROUTE_ROUNDS`` rounds, ``"singular"`` for a singular Hessian, or
+    ``"width"`` for an S wider than ``_NEWTON_MAX_SUPPORT`` or, when ``b = 0``
+    (``A_S^T A_S`` is then singular), than A has rows.
     """
-    S = np.flatnonzero(x)
-    if not 0 < S.size <= min(_NEWTON_MAX_SUPPORT, ws.A.shape[0]):
-        return None
     a, b, c = spec.weights
-    z = x[S]
-    s = np.sign(z)
-    A_S = ws.A[:, S]
-    quad = (2.0 * loss_w) * (A_S.T @ A_S)
-    quad.flat[::S.size + 1] += 2.0 * pen_w * b
-    lin = (2.0 * loss_w) * ws.aty[S] - (pen_w * a) * s  # gradient = quad @ z - lin + group term
-    if c:
-        labels = np.zeros(S.size, dtype=np.intp) if spec.partition is None else spec.partition.labels[S]
-        same = labels[:, None] == labels
+    c2 = 2.0 * loss_w
+    labels = np.zeros(ws.n, np.intp) if spec.partition is None else spec.partition.labels
+    width = _NEWTON_MAX_SUPPORT if b else min(_NEWTON_MAX_SUPPORT, ws.A.shape[0])
+    optimal, frac = False, _BATCH_FRAC
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            grad, hess = quad @ z - lin, quad
-            if c:
-                norms = np.sqrt(np.bincount(labels, z * z))[labels]
-                u = z / norms
-                grad = grad + (pen_w * c) * u
-                hess = quad + (pen_w * c) * (np.diag(1.0 / norms) - same * np.outer(u, u / norms))
-            try:
-                d = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                return None
-            z = z - d
-            if not np.all(np.isfinite(z)) or np.any(np.sign(z) != s):
-                return None
-            # without the group term the restriction is quadratic: one step is exact
-            if not c or np.max(np.abs(d)) <= 1e-12 * np.max(np.abs(z)):
-                break
-    cand = np.zeros(ws.n)
-    cand[S] = z
-    return cand
+        for rounds in range(_ROUTE_ROUNDS + 1):
+            kkt = subdiff_distance(spec, x, -c2 * hx, pen_w)
+            if kkt <= tol or rounds == _ROUTE_ROUNDS:
+                return x, hx, kkt, None if kkt <= tol else "rounds"
+            xn, new = x.copy(), []
+            if optimal or not np.any(x):
+                w = prox(spec, x - hx / ws.sigma2, pen_w / (c2 * ws.sigma2))
+                new = np.flatnonzero((x == 0.0) & (w != 0.0))
+                # a coordinate's own step, or with a = 0, where whole groups enter, its group's
+                mag = np.abs(w) if a or not c else np.sqrt(np.bincount(labels, w * w))[labels]
+                new = new[mag[new] >= frac * np.max(mag[new], initial=0.0)]
+                new = new[np.argsort(-mag[new])[:max(1, width - np.count_nonzero(x))]]
+                xn[new] = w[new]
+            # with a = 0 no sign is fixed: S is every coordinate of a nonzero group, or all of them
+            S = np.flatnonzero(xn if a else np.bincount(labels, xn * xn)[labels] if c else np.ones(ws.n))
+            if S.size > width:
+                return x, hx, kkt, "width"
+            z, s, A_S = xn[S], np.sign(xn[S]), ws.A[:, S]
+            quad = c2 * (A_S.T @ A_S if ws.gram is None else ws.gram[np.ix_(S, S)])
+            quad.flat[::S.size + 1] += 2.0 * pen_w * b
+            lin = c2 * ws.aty[S] - (pen_w * a) * s  # restricted gradient = quad @ z - lin + group term
+            optimal, steps = True, 0
+            while S.size and steps < (_NEWTON_STEPS if c else 1):
+                grad, hess = quad @ z - lin, quad
+                if c:
+                    lab = labels[S]
+                    norms = np.sqrt(np.bincount(lab, z * z))[lab]
+                    u = z / norms
+                    grad = grad + (pen_w * c) * u
+                    if np.max(np.abs(grad)) <= 0.5 * tol:
+                        break
+                    hess = np.diag(1.0 / norms) - (lab[:, None] == lab) * np.outer(u, u / norms)
+                    hess = quad + (pen_w * c) * hess
+                try:
+                    d = np.linalg.solve(hess, grad)
+                except np.linalg.LinAlgError:
+                    return x, hx, kkt, "singular"
+                stats["route_solves"] += 1
+                if not np.all(np.isfinite(d)):
+                    return x, hx, kkt, "singular"
+                # with a = 0 no sign is fixed: a group reaches zero where the step turns it round
+                units = np.arange(S.size) if a else labels[S]
+                zz, zd, dd = (v if a else np.bincount(units, v) for v in (z * (z - d), z * d, d * d))
+                if (a or c) and np.any(cross := (zz <= 0.0) & (dd > 0.0)):  # drop the first to reach zero
+                    ratio = np.where(cross, zd / dd, np.inf)
+                    j = int(np.argmin(ratio))
+                    keep = units != j
+                    z, S, s, lin = (z - ratio[j] * d)[keep], S[keep], s[keep], lin[keep]
+                    quad = quad[keep][:, keep]
+                    continue
+                steps += 1
+                z = z - d
+                if not c or np.max(np.abs(d)) <= 1e-12 * np.max(np.abs(z)):
+                    break
+            else:
+                optimal = False
+            x = np.zeros(ws.n)
+            x[S] = z
+            if len(new) and not np.any(x[new]):
+                frac = 0.0  # the leading violators did not stay on their own: take them all
+            hx = ws.half_grad(x)
+            stats["grad_evals"] += 1
+            stats["route_rounds"] += 1
 
 
-def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
-    """FISTA on ``loss_w*||Ax - y||^2 + pen_w*R(x)``.
+def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx, stats):
+    """FISTA on ``loss_w*||Ax - y||^2 + pen_w*R(x)`` from ``x``; returns
+    ``(x, iterations, kkt, converged)``.
 
-    The half-gradient ``h = A^T(A . - y)`` is carried next to each point.  It
-    is affine, so the extrapolated point's ``h`` is the same combination of
-    two freshly evaluated ones and costs no product.  Returns
-    ``(x, iterations, kkt, converged, stats)``.
+    The half-gradient ``h = A^T(Ax - y)`` (``hx`` at ``x``) is carried next to
+    each point.  It is affine, so the extrapolated point's ``h`` is the same
+    combination of two freshly evaluated ones and costs no product.
 
     At each failing check whose sign pattern held since the previous check
-    (or the warm start) and is new in this solve, :func:`_newton_candidate`
-    proposes a candidate that ends the solve if it passes the same certificate
-    at the same ``tol``; a refused candidate leaves FISTA untouched.
+    (or the start), :func:`_route` runs from the iterate; a certified point
+    ends the solve, and on a give-up FISTA goes on from its own iterate.
     """
     c = 2.0 * loss_w  # gradient of the smooth part = c * h
-    tol = opts.kkt_tol * max(1.0, c * float(np.max(np.abs(ws.aty), initial=0.0)))
-    stats = {"restarts": 0, "backtracks": 0, "grad_evals": 1, "step_search_exhausted": False,
-             "newton_attempts": 0, "newton_checks": 0, "newton_accepts": 0}
-
-    x = np.zeros(ws.n) if x0 is None else np.array(x0, dtype=float)
-    hx = ws.half_grad(x)
-    kkt = subdiff_distance(spec, x, -c * hx, pen_w)
-    if kkt <= tol:
-        return x, 0, kkt, True, stats
     step = 1.0 / (c * ws.sigma2)
 
     def descend(z, hz):
@@ -309,7 +345,7 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
     z, hz, t = x, hx, 1.0
     iters = 0
     converged = False
-    signs, tried = np.sign(x), set()
+    signs = np.sign(x)
     try:
         while iters < opts.max_iters:
             iters += 1
@@ -330,23 +366,16 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, x0=None):
                 kkt = subdiff_distance(spec, x, -c * hx, pen_w)
                 converged = kkt <= tol
                 prev, signs = signs, np.sign(x)
-                if not converged and np.array_equal(signs, prev) and (key := signs.tobytes()) not in tried:
-                    tried.add(key)
-                    stats["newton_attempts"] += 1
-                    cand = _newton_candidate(ws, spec, loss_w, pen_w, x)
-                    if cand is not None:
-                        stats["grad_evals"] += 1
-                        stats["newton_checks"] += 1
-                        kc = subdiff_distance(spec, cand, -c * ws.half_grad(cand), pen_w)
-                        if kc <= tol:
-                            stats["newton_accepts"] += 1
-                            x, kkt, converged = cand, kc, True
+                if not converged and np.array_equal(signs, prev):
+                    xr, _, kr, stats["route_give_up"] = _route(ws, spec, loss_w, pen_w, tol, x, hx, stats)
+                    if stats["route_give_up"] is None:
+                        x, kkt, converged = xr, kr, True
                 if converged:
                     break
     except _StepSearchExhausted:
         stats["step_search_exhausted"] = True
         kkt = subdiff_distance(spec, x, -c * hx, pen_w)
-    return x, iters, kkt, converged, stats
+    return x, iters, kkt, converged
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +397,17 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     """Solve the multiplier form of the program given by ``problem.form``,
     starting from ``x0`` (zero by default).
 
-    Returns a result whose ``kkt_residual`` comes from the independent
-    subgradient check; non-convergence sets ``converged=False`` instead of
-    raising.  ``info`` counts the ``restarts``, ``backtracks`` and
-    ``grad_evals`` (Gram products, or forward-plus-adjoint pairs) of the
-    solve, and flags a ``step_search_exhausted`` after 60 halvings.
-
-    Newton finish: at a failing certificate check whose sign pattern held
-    since the previous check and was not tried before in this solve, Newton's
-    method on the support proposes a candidate (``info["newton_attempts"]``).
-    An attempt is abandoned at the first sign change, a non-finite value, a
-    singular Hessian, or a support wider than ``_NEWTON_MAX_SUPPORT`` (256) or
-    than A has rows.  Each candidate costs one gradient evaluation for its
-    certificate (``info["newton_checks"]``), and ends the solve when that
-    certificate passes at the same tolerance as FISTA's own
-    (``info["newton_accepts"]``).
+    The active-set route (:func:`_route`) runs first, and FISTA only when it
+    gives up.  Either way ``kkt_residual`` comes from the same subgradient
+    check at the same tolerance; non-convergence sets ``converged=False``
+    instead of raising.  ``info`` counts the route's ``route_rounds`` (one
+    gradient evaluation each) and ``route_solves`` (linear solves), and names
+    its ``route_give_up``: None when the route certified the solve, else the
+    reason of its last hand-over, ``"rounds"``, ``"singular"`` or ``"width"``.
+    ``iterations`` counts FISTA's iterations and ``info`` its ``restarts`` and
+    ``backtracks``; ``grad_evals`` counts the gradient evaluations (Gram
+    products, or forward-plus-adjoint pairs) of both, and
+    ``step_search_exhausted`` flags FISTA's 60 halvings.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -393,7 +418,14 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     loss_w = form.lam if form.side == "loss" else 1.0
     pen_w = 1.0 if form.side == "loss" else form.lam
 
-    x, iters, kkt, converged, stats = _fista(ws, spec, loss_w, pen_w, opts, x0)
+    tol = opts.kkt_tol * max(1.0, 2.0 * loss_w * float(np.max(np.abs(ws.aty), initial=0.0)))
+    stats = {"restarts": 0, "backtracks": 0, "grad_evals": 1, "step_search_exhausted": False,
+             "route_rounds": 0, "route_solves": 0, "route_give_up": None}
+    x = np.zeros(ws.n) if x0 is None else np.array(x0, dtype=float)
+    x, hx, kkt, stats["route_give_up"] = _route(ws, spec, loss_w, pen_w, tol, x, ws.half_grad(x), stats)
+    iters, converged = 0, stats["route_give_up"] is None
+    if not converged:
+        x, iters, kkt, converged = _fista(ws, spec, loss_w, pen_w, opts, tol, x, hx, stats)
     r = ws.A @ x - ws.y
     rr = float(r @ r)
     return SolveResult(
@@ -463,8 +495,12 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         return result(np.zeros(A.shape[1]), ynorm, 0.0, converged=True, polished=False, feasible=True,
                       certified=True)
 
-    def check_feasible(residual):  # least squares attains the least residual of any z
-        if residual > eps + feas_slack:
+    judged = False
+
+    def check_feasible(residual):  # least squares attains the least residual of any z; run once
+        nonlocal judged
+        if residual > eps + feas_slack and not judged:
+            judged = True
             r_min = float(np.linalg.norm(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y))
             if r_min > eps + feas_slack:
                 raise InfeasibleError(
@@ -518,11 +554,14 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     # tenfold walk; lo/hi are the last (lam, residual) above/within the target
     lo = (lam0, ynorm) if exact_zero else None
     hi = best = res = cert = None
-    k, step = 0, 1
+    k, step, r_prev = 0, 1, ynorm
     for _ in range(_MAX_STAGES):
         k += step
         lam = lam0 * 10.0**k
         res = solve_at(lam, None if res is None else res.x_hat)
+        if hi is None and res.residual_l2 > r_prev * (1.0 - opts.feas_tol):
+            check_feasible(res.residual_l2)  # the residual stopped falling short of the budget
+        r_prev = res.residual_l2
         if eps == 0.0 and (cert := certify(res.x_hat)):
             break
         if res.residual_l2 <= target:

@@ -237,6 +237,8 @@ class TestExactRip:
     def test_non_integral_k_is_refused(self):
         with pytest.raises(ValueError, match=r"k=2\.7"):
             exact_rip(np.eye(4), 2.7)
+        with pytest.raises(ValueError, match=r"k=2\.7"):  # certificate(1.5, 2.7, 0.4).k was 2
+            certificate(1.5, 2.7, 0.4)
 
     def test_non_matrix_is_refused(self):
         with pytest.raises(ValueError, match=r"2-D, got shape \(3,\)"):
@@ -251,6 +253,8 @@ class TestExactRip:
         A[0, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             exact_rip(A, 2)
+        with pytest.raises(ValueError, match="non-finite"):  # NaN was reported ok, margin inf
+            rnsp_check(A, 1, rho=0.5, tau=1.0, trials=30)
 
 
 def _devore_rows_permuted():

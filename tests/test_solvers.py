@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from clotkit import experiments
 from clotkit.grouping import preprocess
 from clotkit.kkt import kkt_residual
 from clotkit.matrices import DeVoreParams, devore_matrix, fixture_matrix
@@ -36,6 +37,27 @@ def small_instance(rng, m=12, n=20, k=3, noise=0.0):
     x[sup] = rng.standard_normal(k) * 2
     y = A @ x + noise * rng.standard_normal(m)
     return A, x, y
+
+
+def twin_instance():
+    """C6's duplicated-column fixture and a lasso multiplier at which both twins
+    are nonzero: the route's Hessian is singular there, so the solve reaches FISTA."""
+    A = fixture_matrix("gaussian", 40, 5, seed=17)
+    A[:, 1] = A[:, 0]
+    y = A @ np.array([1.0, 1.0, -0.5, 0.0, 0.3]) + 0.05 * np.random.default_rng(17).standard_normal(40)
+    pre = preprocess(A, y)
+    return pre.A, pre.y, 0.05 * lambda_zero_threshold(RegularizerSpec.lasso(), pre.A, pre.y)
+
+
+def cert_tol(A, y, kkt_tol):
+    """The tolerance a penalty-side Lagrangian solve certifies its answer at."""
+    return kkt_tol * max(1.0, 2.0 * float(np.max(np.abs(A.T @ y))))
+
+
+def without_route(monkeypatch):
+    """Lagrangian solves without the active-set route: it hands every point straight to FISTA."""
+    monkeypatch.setattr(solvers, "_route",
+                        lambda ws, spec, loss_w, pen_w, tol, x, hx, stats: (x, hx, math.inf, "rounds"))
 
 
 class TestProblemValidation:
@@ -179,33 +201,41 @@ class TestLagrangian:
         assert not res.converged
         assert np.isfinite(res.kkt_residual)
 
-    def test_warm_start_at_solution_needs_no_iterations(self, rng):
-        A, _, y = small_instance(rng, noise=0.1)
-        prob = Problem(A, y, Lagrangian(0.05))
-        spec = RegularizerSpec.clot(0.3)
+    def test_warm_start_at_solution_needs_no_iterations(self):
+        A, y, lam = twin_instance()  # the cold solve runs FISTA
+        prob = Problem(A, y, Lagrangian(lam))
+        spec = RegularizerSpec.lasso()
         cold = solve_lagrangian(prob, spec, TIGHT)
         warm = solve_lagrangian(prob, spec, TIGHT, x0=cold.x_hat)
-        assert cold.iterations > 0 and warm.iterations == 0
+        assert cold.iterations > 0 and warm.iterations == 0 and warm.info["route_rounds"] == 0
         np.testing.assert_array_equal(warm.x_hat, cold.x_hat)
 
 
 class TestSolveStats:
-    def test_gradient_evaluations_are_accounted_for(self, rng):
+    def test_gradient_evaluations_are_accounted_for(self, rng, monkeypatch):
         A, _, y = small_instance(rng, noise=0.1)
-        for spec in (RegularizerSpec.lasso(), RegularizerSpec.clot(0.3)):
-            res = solve_lagrangian(Problem(A, y, Lagrangian(0.05)), spec, TIGHT)
+        twins = twin_instance()
+        # (A, y, lam, spec, route rounds): the route alone, FISTA alone (the route gives up at
+        # once on the twins), and both (one round, then FISTA and its re-entries)
+        cases = [(A, y, 0.05, RegularizerSpec.lasso(), 32), (A, y, 0.05, RegularizerSpec.clot(0.3), 32),
+                 (*twins, RegularizerSpec.lasso(), 32), (A, y, 0.05, RegularizerSpec.clot(0.3), 1)]
+        work = []
+        for A, y, lam, spec, rounds in cases:
+            monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", rounds)
+            res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT)
             info = res.info
-            assert res.converged and res.iterations > 0
-            counts = ("restarts", "backtracks", "grad_evals", "newton_attempts", "newton_checks",
-                      "newton_accepts")
+            assert res.converged
+            counts = ("restarts", "backtracks", "grad_evals", "route_rounds", "route_solves")
             assert all(type(info[k]) is int for k in counts)
-            # every Newton candidate costs one gradient evaluation for its certificate
+            # one gradient evaluation at the start, then one per route round and per FISTA step
             assert info["grad_evals"] == (1 + res.iterations + info["restarts"] + info["backtracks"]
-                                          + info["newton_checks"])
-            assert info["newton_attempts"] >= info["newton_checks"] >= info["newton_accepts"]
+                                          + info["route_rounds"])
             assert info["step_search_exhausted"] is False
+            work.append((info["route_rounds"] > 0, res.iterations > 0))
+        assert work == [(True, False), (True, False), (False, True), (True, True)]
 
-    def test_ill_conditioned_solve_restarts(self, rng):
+    def test_ill_conditioned_solve_restarts(self, rng, monkeypatch):
+        without_route(monkeypatch)  # the route certifies this solve before FISTA takes a step
         A = fixture_matrix("gaussian", 30, 20, seed=3) * np.logspace(0, -2, 20)
         y = A @ rng.standard_normal(20)
         res = solve_lagrangian(Problem(A, y, Lagrangian(1e-4)), RegularizerSpec.lasso(), TIGHT)
@@ -223,68 +253,187 @@ class TestSolveStats:
 
 
 class TestNewtonFinish:
+    """The active-set Newton route every Lagrangian solve starts with, and its
+    hand-over to FISTA."""
+
+    @staticmethod
+    def sparse_instance():
+        A = fixture_matrix("gaussian", 30, 40, seed=11)
+        beta = np.zeros(40)
+        beta[[2, 3, 4, 17, 30]] = (1.5, -2.0, 1.0, 0.7, -1.2)
+        return A, A @ beta + 0.05 * np.random.default_rng(5).standard_normal(30)
+
     @pytest.mark.parametrize("spec", [
         RegularizerSpec.lasso(), RegularizerSpec.elastic_net(0.5), RegularizerSpec.clot(0.3),
-        RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([5] * 8))],
-        ids=["lasso", "en", "clot", "sgl"])
+        RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([5] * 8)), RegularizerSpec.ridge(),
+        RegularizerSpec.group_lasso(Partition.contiguous([5] * 8))],
+        ids=["lasso", "en", "clot", "sgl", "ridge", "gl"])
     def test_accepted_candidate_passes_an_independent_check(self, spec):
-        A = fixture_matrix("gaussian", 30, 40, seed=11)
-        beta = np.zeros(40)
-        beta[[2, 3, 4, 17, 30]] = (1.5, -2.0, 1.0, 0.7, -1.2)
-        y = A @ beta + 0.05 * np.random.default_rng(5).standard_normal(30)
-        lam = 0.1 * lambda_zero_threshold(spec, A, y)
+        A, y = self.sparse_instance()
+        lam = 0.1 * lambda_zero_threshold(spec, A, y) if spec.weights != (0.0, 1.0, 0.0) else 1.0
         opts = SolverOptions(kkt_tol=1e-8)
         res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, opts)
-        assert res.converged and res.info["newton_accepts"] >= 1
-        tol = opts.kkt_tol * max(1.0, 2.0 * float(np.max(np.abs(A.T @ y))))
-        assert kkt_residual(A, y, res.x_hat, spec, lam) <= tol
-        if spec.partition is not None:  # the support spans several groups
+        # the route alone certified the cold solve
+        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        assert kkt_residual(A, y, res.x_hat, spec, lam) <= cert_tol(A, y, opts.kkt_tol)
+        if spec.weights == (0.0, 1.0, 0.0):  # ridge: one full-vector Newton step
+            assert res.info["route_rounds"] == res.info["route_solves"] == 1
+            assert np.all(res.x_hat != 0.0)
+        if spec.partition is not None:  # the route started zero groups: the support spans several
             assert len(set(spec.partition.labels[np.flatnonzero(res.x_hat)])) >= 2
+        if spec.weights[0] == 0.0 and spec.partition is not None:  # gl: a group the Newton step
+            assert res.info["route_rounds"] <= 2  # turns round is dropped whole, not by coordinates
+
+    def test_zero_group_whose_leader_is_too_weak_alone_enters_whole(self):
+        # CLOT from zero, A = I: the leading violator alone is inside its threshold
+        # (2 - 1.05 < 1.05), the four together are not (0.95^2 + 3*0.35^2 > 1.05^2),
+        # and the others' steps are under half the leader's; the dropped leader
+        # brings the whole group in at the next round
+        y = np.array([1.0, 0.7, 0.7, 0.7])
+        spec = RegularizerSpec.clot(0.5)
+        res = solve_lagrangian(Problem(np.eye(4), y, Lagrangian(2.1)), spec, TIGHT)
+        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        assert np.all(res.x_hat > 0.0) and res.info["route_rounds"] == 2
+        assert kkt_residual(np.eye(4), y, res.x_hat, spec, 2.1) <= cert_tol(np.eye(4), y, TIGHT.kkt_tol)
+
+    @pytest.mark.parametrize("reason", ["rounds", "singular", "width"])
+    def test_each_give_up_hands_over_to_fista(self, reason, monkeypatch):
+        spec, x0 = RegularizerSpec.lasso(), None
+        if reason == "singular":
+            A, y, lam = twin_instance()
+        elif reason == "rounds":
+            A, y = self.sparse_instance()
+            lam = 0.1 * lambda_zero_threshold(spec, A, y)
+            monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", 1)
+        else:  # a lasso (b = 0) on 10 rows, from a support of all 200 columns
+            A = fixture_matrix("gaussian", 10, 200, seed=0)
+            beta = np.zeros(200)
+            beta[[3, 50, 120]] = (1.0, -1.5, 2.0)
+            y = A @ beta + 0.05 * np.random.default_rng(0).standard_normal(10)
+            lam = 0.1 * lambda_zero_threshold(spec, A, y)
+            x0 = np.ones(200)
+            # from zero, 29 violators are within half of the largest step: the
+            # largest that fit in 10 columns go first, and the route needs no FISTA
+            cold = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT)
+            assert cold.iterations == 0 and cold.info["route_give_up"] is None
+        reasons, real = [], solvers._route
+
+        def spy(*args):
+            out = real(*args)
+            reasons.append(out[3])
+            return out
+
+        monkeypatch.setattr(solvers, "_route", spy)
+        res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT, x0=x0)
+        assert reasons[0] == reason and res.info["route_give_up"] == reasons[-1]
+        assert res.converged and res.iterations > 0
+        assert kkt_residual(A, y, res.x_hat, spec, lam) <= cert_tol(A, y, TIGHT.kkt_tol)
 
     def test_tried_only_at_a_failing_check(self, monkeypatch):
-        A = fixture_matrix("gaussian", 30, 40, seed=11)
-        beta = np.zeros(40)
-        beta[[2, 3, 4, 17, 30]] = (1.5, -2.0, 1.0, 0.7, -1.2)
-        y = A @ beta + 0.05 * np.random.default_rng(5).standard_normal(30)
+        # with no route rounds every solve runs FISTA, and the route's entries show
+        # between the certificate checks: the first at the start, then one after each
+        # failing FISTA check whose sign pattern held since the previous check
+        A, y = self.sparse_instance()
         spec = RegularizerSpec.clot(0.3)
-        gaps, real = [], solvers._newton_candidate
+        tol = cert_tol(A, y, SolverOptions().kkt_tol)
+        events, real_check, real_route = [], solvers.subdiff_distance, solvers._route
 
-        def spy(ws, spec, loss_w, pen_w, x):
-            gaps.append(subdiff_distance(spec, x, -2.0 * loss_w * ws.half_grad(x), pen_w))
-            return real(ws, spec, loss_w, pen_w, x)
+        def check(spec, x, target, weight=1.0):
+            gap = real_check(spec, x, target, weight)
+            events.append((np.sign(x), gap))
+            return gap
 
-        monkeypatch.setattr(solvers, "_newton_candidate", spy)
+        def route(*args):
+            events.append("route")
+            return real_route(*args)
+
+        monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", 0)
+        monkeypatch.setattr(solvers, "subdiff_distance", check)
+        monkeypatch.setattr(solvers, "_route", route)
         grid = lambda_zero_threshold(spec, A, y) * np.logspace(-0.5, -3, 12)
-        points = solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid)
-        assert sum(p.result.info["newton_attempts"] for p in points) == len(gaps) >= 1
-        tol = SolverOptions().kkt_tol * max(1.0, 2.0 * float(np.max(np.abs(A.T @ y))))
-        assert min(gaps) > tol
-        # a nudged solution fails at the warm start and passes at the first
-        # in-loop check with its sign pattern unchanged: nothing to try
-        prob = Problem(A, y, Lagrangian(grid[-1]))
-        nudged = solve_lagrangian(prob, spec, x0=points[-1].result.x_hat * (1 + 1e-7))
-        assert nudged.converged and nudged.iterations == 10
-        assert nudged.info["newton_attempts"] == 0
+        warm, entries = None, 0
+        for lam in grid:
+            events.clear()
+            res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, x0=warm)
+            warm = res.x_hat
+            assert res.converged and events[0] == "route" and events[1][1] > tol
+            # the start's check is the route's first; the check after each later entry
+            # is the route's own, of FISTA's point
+            checks = [1] + [k for k in range(2, len(events)) if "route" not in (events[k], events[k - 1])]
+            for prev, k in zip(checks, checks[1:]):
+                (held, _), (signs, gap) = events[prev], events[k]
+                entered = k + 1 < len(events) and events[k + 1] == "route"
+                assert entered == (gap > tol and np.array_equal(signs, held))
+                entries += entered
+        assert entries >= 1
+        # a nudged solution fails at the start and passes at FISTA's first check
+        # with its sign pattern unchanged: the route is entered once, at the start
+        events.clear()
+        nudged = solve_lagrangian(Problem(A, y, Lagrangian(grid[-1])), spec, x0=warm * (1 + 1e-7))
+        assert nudged.converged and nudged.iterations == 10 and events.count("route") == 1
 
     def test_singular_support_gram_is_refused(self):
-        # C6's duplicated-column fixture: the lasso keeps both twins, so A_S^T A_S is singular
-        A = fixture_matrix("gaussian", 40, 5, seed=17)
-        A[:, 1] = A[:, 0]
-        y = A @ np.array([1.0, 1.0, -0.5, 0.0, 0.3]) + 0.05 * np.random.default_rng(17).standard_normal(40)
-        pre = preprocess(A, y)
+        A, y, lam = twin_instance()  # the lasso keeps both twins, so A_S^T A_S is singular
         spec = RegularizerSpec.lasso()
-        lam = 0.05 * lambda_zero_threshold(spec, pre.A, pre.y)
-        res = solve_lagrangian(Problem(pre.A, pre.y, Lagrangian(lam)), spec, TIGHT)
-        assert res.converged
-        assert res.info["newton_attempts"] >= 1 and res.info["newton_checks"] == 0
+        res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT)
+        assert res.converged and res.iterations > 0 and res.info["route_give_up"] == "singular"
         assert res.x_hat[0] == res.x_hat[1] != 0.0
-        tol = TIGHT.kkt_tol * max(1.0, 2.0 * float(np.max(np.abs(pre.A.T @ pre.y))))
-        assert kkt_residual(pre.A, pre.y, res.x_hat, spec, lam) <= tol
-        ws = solvers._Workspace(pre.A, pre.y)
-        assert solvers._newton_candidate(ws, spec, 1.0, lam, res.x_hat) is None
-        single = res.x_hat.copy()  # one twin carries both weights: a regular support Gram
+        tol = cert_tol(A, y, TIGHT.kkt_tol)
+        assert kkt_residual(A, y, res.x_hat, spec, lam) <= tol
+        ws = solvers._Workspace(A, y)
+        stats = {"grad_evals": 0, "route_rounds": 0, "route_solves": 0}
+
+        def route(x):
+            return solvers._route(ws, spec, 1.0, lam, tol, x, ws.half_grad(x), stats)
+
+        # from the nudged solution, Newton on both twins meets a singular Hessian ...
+        assert route(1.01 * res.x_hat)[3] == "singular" and stats["route_rounds"] == 0
+        single = res.x_hat.copy()  # ... and with one twin carrying both weights, a regular one
         single[0], single[1] = 2.0 * single[0], 0.0
-        assert solvers._newton_candidate(ws, spec, 1.0, lam, single) is not None
+        x, _, kkt, reason = route(1.01 * single)
+        assert reason is None and kkt <= tol and x[1] == 0.0 and stats["route_rounds"] >= 1
+
+    @pytest.mark.parametrize("fixture", ["c6", "c7", "c8"])
+    def test_route_and_fista_alone_agree(self, fixture, monkeypatch):
+        # (A, y, spec, multiplier grid, options) of each study's own solves
+        if fixture == "c6":
+            pre = preprocess(*experiments.grouping_fixture(seed=0, n_samples=100))
+            opts = SolverOptions(kkt_tol=1e-10, max_iters=40_000)
+            cases = [(pre.A, pre.y, spec, [0.1 * lambda_zero_threshold(spec, pre.A, pre.y)], opts)
+                     for spec in (RegularizerSpec.clot(0.5),
+                                  RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([3, 3])))]
+            A, y, lam = twin_instance()
+            cases.append((A, y, RegularizerSpec.clot(0.5), [lam], opts))
+        elif fixture == "c7":
+            config = experiments.load_builtin_scenario("example4")
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+            data = experiments._draw_linear_model(experiments._generator_model(config.generator), rng)
+            A, y = data["X_train"] / np.sqrt(50), data["y_train"] / np.sqrt(50)
+            grid = np.logspace(1, -4, 20)
+            cases = [(A, y, RegularizerSpec(kind, mu), grid, experiments._COMPARISON_OPTS)
+                     for kind, mu in (("lasso", 0.0), ("en", 0.5), ("clot", 0.5))]
+        else:
+            pre = preprocess(*experiments.grouping_fixture(seed=0, n_samples=100))
+            cases = []
+            for spec in (RegularizerSpec.clot(0.5), RegularizerSpec.elastic_net(0.5)):
+                grid = lambda_zero_threshold(spec, pre.A, pre.y) * np.logspace(0, -4, 21)
+                cases.append((pre.A, pre.y, spec, grid, experiments._PATH_OPTS))
+        paths = []
+        for route in (True, False):
+            if not route:
+                without_route(monkeypatch)
+            paths.append([solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid, opts)
+                          for A, y, spec, grid, opts in cases])
+        # both answers are certified at tol, so (F convex) their objectives differ by at
+        # most tol times their l1 distance, however far apart correlated columns let them lie
+        for (A, y, spec, grid, opts), with_route, alone in zip(cases, *paths):
+            tol = cert_tol(A, y, opts.kkt_tol)
+            for p, q in zip(with_route, alone):
+                assert p.result.converged and q.result.converged
+                for x in (p.result.x_hat, q.result.x_hat):
+                    assert kkt_residual(A, y, x, spec, p.lam) <= tol
+                dx = float(np.sum(np.abs(p.result.x_hat - q.result.x_hat)))
+                assert abs(p.result.objective - q.result.objective) <= tol * dx + 1e-12 * q.result.objective
 
 
 class TestRouting:
@@ -302,6 +451,8 @@ class TestRouting:
         np.testing.assert_allclose(gram.x_hat, direct.x_hat, rtol=0,
                                    atol=1e-6 * np.linalg.norm(direct.x_hat))
         assert max(gram.iterations, direct.iterations) <= 2 * min(gram.iterations, direct.iterations)
+        # the route certifies both walks without a FISTA iteration: they must also take the same stages
+        assert [s[0] for s in gram.info["stages"]] == [s[0] for s in direct.info["stages"]]
 
 
 class TestConstrained:
@@ -326,6 +477,29 @@ class TestConstrained:
     def test_infeasible_raises(self, A, y, eps):
         with pytest.raises(InfeasibleError, match="^least-squares residual"):
             solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.lasso())
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_infeasible_walk_stops_early(self, monkeypatch, eps):
+        # once the residual stops falling above the budget, least squares on A is
+        # solved, once, and refuses the problem without the rest of the walk
+        A = np.random.default_rng(3).standard_normal((40, 10))
+        y = np.random.default_rng(4).standard_normal(40)
+        stages, widths = [], []
+        real, lstsq = solvers.solve_lagrangian, np.linalg.lstsq
+
+        def solve(*args, **kwargs):
+            stages.append(args[0].form.lam)
+            return real(*args, **kwargs)
+
+        def spy(a, b, *args, **kwargs):
+            widths.append(np.shape(a)[1])
+            return lstsq(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_lagrangian", solve)
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        with pytest.raises(InfeasibleError, match="^least-squares residual"):
+            solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.lasso())
+        assert len(stages) < solvers._MAX_STAGES and widths == [10]
 
     def test_zero_matrix_within_the_slack_is_refused(self):
         # ||y|| is above eps but within the feasibility slack: not infeasible
