@@ -186,28 +186,28 @@ class RipEstimate:
     argmax_support: tuple
 
 
-def _lex_supports(n: int, k: int):
-    """Every size-``k`` subset of ``range(n)`` in lexicographic order, as
-    ``(rows, k)`` index blocks of at most ``_CHUNK`` rows.
+def _lex_runs(n: int, k: int, spare: int = 0):
+    """Every size-``k`` subset of ``range(n - spare)`` in lexicographic order,
+    as runs of at most ``max(1, _CHUNK // n)`` size-``(k - 1)`` prefixes, each
+    run's supports listed by ``_extend(run, n - spare)``.  The prefixes are the
+    subsets one size smaller, built the same way with one more column spare so
+    that each has an extension."""
+    if k == 1:
+        yield np.empty((1, 0), dtype=np.intp)
+        return
+    step = max(1, _CHUNK // n)
+    for run in _lex_runs(n, k - 1, spare + 1):
+        prefixes = _extend(run, n - spare - 1)
+        yield from (prefixes[start:start + step] for start in range(0, len(prefixes), step))
 
-    Lexicographic rank ``r`` is unranked through the combinatorial number
-    system: ``C(n, k) - 1 - r`` is the colex rank of the support mirrored by
-    ``i -> n - 1 - i``, whose elements fall out largest first from one
-    ``searchsorted`` per position on a table of ``C(c, j)``.
-    """
-    count = math.comb(n, k)
-    # entries at or above ``count`` never fit under a rank, so they are capped
-    binom = np.array([[min(math.comb(c, j), count) for c in range(n)] for j in range(k + 1)],
-                     dtype=np.int64)
-    for start in range(0, count, _CHUNK):
-        rest = count - 1 - np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
-        supports = np.empty((rest.size, k), dtype=np.intp, order="F")  # contiguous columns
-        for j in range(k, 1, -1):
-            c = np.searchsorted(binom[j], rest, side="right") - 1
-            supports[:, k - j] = n - 1 - c
-            rest -= binom[j, c]
-        supports[:, k - 1] = n - 1 - rest  # C(c, 1) = c
-        yield supports
+
+def _extend(prefixes, stop: int):
+    """Each prefix followed by every column after its last element and below
+    ``stop``, one support per row, in order, with contiguous columns."""
+    last = prefixes.max(axis=1, initial=-1)
+    counts = stop - 1 - last
+    cols = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+    return np.vstack([np.repeat(prefixes.T, counts, axis=1), cols]).T
 
 
 def _deviations(gram, supports):
@@ -216,61 +216,77 @@ def _deviations(gram, supports):
     return np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
 
 
-def _best_first_deviations(gram, supports, best):
-    """Deviations of a block of supports, sent to ``eigvalsh`` in batches by
-    descending Gershgorin bound ``max_i(|G_ii - 1| + sum_{j != i} |G_ij|)``; ``-inf``
-    once the largest bound left falls ``_SKIP_MARGIN`` (relative) below ``best``."""
+def _best_first_route(gram, prefixes, best):
+    """A run's first maximal deviation and its support.  Supports go to ``eigvalsh``
+    in batches, the ``_BATCH`` largest Gershgorin bounds ``max_i(|G_ii - 1| +
+    sum_{j != i} |G_ij|)`` first and then by descending bound, while their bound
+    lies within ``_SKIP_MARGIN`` (relative) of the best deviation so far."""
+    supports = _extend(prefixes, len(gram))
     flat = np.abs(gram - np.eye(len(gram))).ravel()
     bound = np.maximum.reduce([sum(flat[r + s] for s in supports.T) for r in (supports * len(gram)).T])
     dev = np.full(bound.size, -np.inf)
-    order = np.argsort(-bound)
-    for start in range(0, order.size, _BATCH):
-        batch = order[start:start + _BATCH]
-        if bound[batch[0]] < best - _SKIP_MARGIN * max(1.0, abs(best)):
-            break
+    floor = lambda: best - _SKIP_MARGIN * max(1.0, abs(best))
+    batch, rest = np.argpartition(-bound, min(_BATCH, bound.size) - 1)[:_BATCH], None
+    while (batch := batch[bound[batch] >= floor()]).size:
         dev[batch] = _deviations(gram, supports[batch])
         best = max(best, dev[batch].max())
-    return dev
+        if rest is None:  # sort only the bounds that can still reach the best
+            rest = np.flatnonzero((bound >= floor()) & np.isneginf(dev))
+            rest = rest[np.argsort(-bound[rest])]
+        batch, rest = rest[:_BATCH], rest[_BATCH:]
+    j = int(np.argmax(dev))
+    return dev[j], supports[j]
 
 
-def _pattern_deviations(gram, k: int, count: int):
-    """A function giving a block of supports' deviations by overlap pattern,
-    or ``None`` when the Gram matrix has too many distinct values to pay.
+def _pattern_route(gram, k: int, count: int):
+    """A function giving a run's first maximal deviation and its support by
+    overlap pattern, or ``None`` when the Gram matrix has too many distinct
+    values to pay.
 
     With ``d`` exactly distinct Gram values, a support's sub-Gram matrix is
     fixed by the value indices of the triangle ``eigvalsh`` reads, one base-``d``
-    code.  Each code that occurs is sent through ``eigvalsh`` once, on one
-    support carrying it, so every deviation equals the batched route's.  The
-    route is taken only when the code table is no larger than the support count,
-    and never at ``k = 1``: there each sub-Gram matrix is one diagonal entry, and
-    sorting all ``n**2`` Gram values would cost more than the whole enumeration.
+    code: its prefix's code shifted ``k`` digits plus the last row, read for all
+    extensions at once from the prefix's rows of the value-index matrix scaled
+    by their digits.  Each code that occurs is sent through ``eigvalsh`` once,
+    so every deviation equals the best-first route's.  The route is taken only
+    when the code table is no larger than the support count, and never at
+    ``k = 1``: there sorting all ``n**2`` Gram values would cost more than the
+    whole enumeration.
     """
     if k == 1:
         return None
     values, idx = np.unique(gram, return_inverse=True)
-    idx = idx.reshape(gram.shape)
-    rows, cols = np.tril_indices(k)
-    size = values.size ** rows.size
+    d, n = values.size, len(gram)
+    rows, cols = np.tril_indices(k - 1)
+    size = d ** (rows.size + k)
     if size > count:
         return None
+    idx = idx.reshape(gram.shape).astype(np.min_scalar_type(size))  # every code is below size
     table = np.empty(size)
     known = np.zeros(size, dtype=bool)
     holder = np.empty(size, dtype=np.intp)
+    # row p of idx.T holds the value index of G[c, p] for every column c
+    scaled = [np.ascontiguousarray(idx.T) * d ** (k - 1 - s) for s in range(k - 1)]
+    scaled[-1] += idx.diagonal()
 
-    def deviations(supports, _best):
-        codes = np.zeros(len(supports), dtype=np.int64)
+    def route(prefixes, _best):
+        head = np.zeros(len(prefixes), dtype=idx.dtype)
         for a, b in zip(rows, cols):
-            codes *= values.size
-            codes += idx[supports[:, a], supports[:, b]]
+            head = head * d + idx[prefixes[:, a], prefixes[:, b]]
+        codes = sum((w[p] for w, p in zip(scaled, prefixes.T)), (head * d ** k)[:, None])
+        at = np.flatnonzero(np.arange(n) > prefixes[:, -1:])  # the run's supports in order
+        codes = codes.ravel()[at]
+        support = lambda i: np.column_stack([prefixes[at[i] // n], at[i] % n])
         fresh = np.flatnonzero(~known[codes])
         if fresh.size:
             holder[codes[fresh]] = fresh  # one support per new code keeps its slot
             fresh = fresh[holder[codes[fresh]] == fresh]
-            table[codes[fresh]] = _deviations(gram, supports[fresh])
+            table[codes[fresh]] = _deviations(gram, support(fresh))
             known[codes[fresh]] = True
-        return table[codes]
+        j = int(np.argmax(table[codes]))
+        return table[codes[j]], support([j])[0]
 
-    return deviations
+    return route
 
 
 def _matrix_and_order(A, k):
@@ -288,13 +304,13 @@ def exact_rip(A, k: int) -> RipEstimate:
     """Exact ``delta_k`` of a matrix by enumerating every size-``k`` support.
 
     Supports of size below ``k`` are dominated by eigenvalue interlacing, so
-    only exact size-``k`` subsets are visited, in lexicographic order; the
-    reported support is the first one attaining the maximum.  A Gram matrix
-    with few distinct values (a binary construction such as DeVore's) is
-    evaluated once per overlap pattern; any other best-first, sending to
-    ``eigvalsh`` only the supports whose Gershgorin bound can reach the best
-    so far.  Refuses a non-finite matrix and combinatorially infeasible
-    requests (more than ``_SUBSET_GUARD`` subsets).
+    only exact size-``k`` subsets are visited, in lexicographic order, each
+    size-``(k - 1)`` prefix extended by every later column; the reported support
+    is the first one attaining the maximum.  A Gram matrix with few distinct
+    values (a binary construction such as DeVore's) is evaluated once per
+    overlap pattern; any other best-first, sending to ``eigvalsh`` only the
+    supports whose Gershgorin bound can reach the best so far.  Refuses a
+    non-finite matrix and requests of more than ``_SUBSET_GUARD`` subsets.
     """
     A, k = _matrix_and_order(A, k)
     n = A.shape[1]
@@ -304,14 +320,13 @@ def exact_rip(A, k: int) -> RipEstimate:
             f"C({n},{k}) = {count} supports exceeds the enumeration guard of {_SUBSET_GUARD}"
         )
     gram = A.T @ A
-    deviations = _pattern_deviations(gram, k, count) or partial(_best_first_deviations, gram)
+    route = _pattern_route(gram, k, count) or partial(_best_first_route, gram)
 
     best, best_support = -np.inf, None
-    for supports in _lex_supports(n, k):
-        dev = deviations(supports, best)
-        j = int(np.argmax(dev))
-        if dev[j] > best:
-            best, best_support = float(dev[j]), tuple(int(i) for i in supports[j])
+    for prefixes in _lex_runs(n, k):
+        dev, support = route(prefixes, best)
+        if dev > best:
+            best, best_support = float(dev), tuple(int(i) for i in support)
     return RipEstimate(k=k, delta_k=max(best, 0.0), argmax_support=best_support)
 
 

@@ -17,7 +17,7 @@ from clotkit.experiments import (
 )
 from clotkit.matrices import DeVoreParams, devore_matrix
 from clotkit.regularizers import RegularizerSpec
-from clotkit.solvers import Lagrangian, Problem, SolverOptions, lambda_zero_threshold, solve_lagrangian
+from clotkit.solvers import Constrained, Problem, solve_constrained
 
 
 def tiny_scenario(seed=7, replications=3, noise=1.5):
@@ -223,8 +223,8 @@ class TestScaling:
         assert failed or diverged
 
     def test_clot_stops_at_the_first_stage(self, scaling_report):
-        # each CLOT solve is certified after the first multiplier of the walk,
-        # 10 times the zero-solution threshold, and runs only its iterations
+        # each CLOT solve is certified at the first multiplier of the walk, and
+        # that certified solve is the one the record reports
         meta = scaling_report.metadata
         params = meta["matrix"]
         A = devore_matrix(DeVoreParams(params["p"], params["r"], params["n"]), normalize=False)
@@ -232,10 +232,9 @@ class TestScaling:
         for row in scaling_report.records:
             x = np.zeros(meta["n"])
             x[:3] = 10.0 ** row["c"] * np.array(meta["true_first3"])
-            y = A @ x
-            lam = 10.0 * lambda_zero_threshold(spec, A, y, side="loss")
-            stage = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, SolverOptions(max_iters=3000))
-            assert row["clot"]["iterations"] == stage.iterations, row["c"]
+            res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), spec)
+            assert res.info["inner_solves"] == 1 and res.info["certified"], row["c"]
+            assert list(res.x_hat[:3]) == row["clot"]["first3"], row["c"]
 
     def test_c0_recovers_published_components(self, scaling_report):
         row = next(r for r in scaling_report.records if r["c"] == 0)

@@ -312,7 +312,7 @@ def _gaussian_triplicated():
         "gaussian_duplicated_k3", "gaussian_triplicated_k2"])
 def test_exact_rip_matches_per_support_reference(make, k, patterned):
     A = make()
-    pattern_route = rip._pattern_deviations(A.T @ A, k, math.comb(A.shape[1], k))
+    pattern_route = rip._pattern_route(A.T @ A, k, math.comb(A.shape[1], k))
     assert (pattern_route is not None) == patterned
     delta, support = rip_ref(A, k)
     est = exact_rip(A, k)
@@ -320,14 +320,50 @@ def test_exact_rip_matches_per_support_reference(make, k, patterned):
     assert est.argmax_support == support
 
 
-@pytest.mark.parametrize("make, k", [(_uneven_binary, 3), (_gaussian, 2), (_gaussian, 3)],
-                         ids=["binary", "gaussian", "gaussian_k3"])
+@pytest.mark.parametrize("chunk", [1, 7, rip._CHUNK])
+def test_enumeration_is_lexicographic(monkeypatch, chunk):
+    monkeypatch.setattr(rip, "_CHUNK", chunk)
+    longest = 0
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            runs = list(rip._lex_runs(n, k))
+            assert all(0 < len(run) <= max(1, chunk // n) for run in runs)
+            assert all((run.max(axis=1, initial=-1) < n - 1).all() for run in runs)  # each extends
+            supports = [rip._extend(run, n) for run in runs]
+            np.testing.assert_array_equal(np.concatenate(supports), list(combinations(range(n), k)))
+            longest = max(longest, *map(len, supports))
+    assert chunk > 9 or longest > chunk  # one prefix alone outruns a small chunk
+
+
+@pytest.mark.parametrize("make, k", [(_uneven_binary, 3), (_gaussian, 2), (_gaussian, 3),
+                                     (_devore_rows_permuted, 3), (_gaussian, 4)],
+                         ids=["binary", "gaussian", "gaussian_k3", "devore_k3", "gaussian_k4"])
 def test_chunk_boundaries_do_not_change_the_answer(monkeypatch, make, k):
     A = make()
     whole = exact_rip(A, k)
     monkeypatch.setattr(rip, "_CHUNK", 7)
     assert math.comb(A.shape[1], k) > 7 * 10
     assert exact_rip(A, k) == whole
+
+
+@pytest.mark.parametrize("make", [_uneven_binary, _devore_rows_permuted], ids=["binary", "devore"])
+def test_pattern_route_solves_each_sub_gram_matrix_once(monkeypatch, make):
+    A, k = make(), 3
+    gram = A.T @ A
+    assert rip._pattern_route(gram, k, math.comb(A.shape[1], k)) is not None
+    supports = np.array(list(combinations(range(A.shape[1]), k)))
+    distinct = len(np.unique(gram[supports[:, :, None], supports[:, None, :]].reshape(len(supports), -1),
+                             axis=0))
+    rows = []
+
+    def counted(gram, supports):
+        rows.append(len(supports))
+        return deviations(gram, supports)
+
+    deviations = rip._deviations
+    monkeypatch.setattr(rip, "_deviations", counted)
+    exact_rip(A, k)
+    assert sum(rows) == distinct
 
 
 def test_best_first_sends_few_supports_to_eigvalsh(monkeypatch):
@@ -341,6 +377,20 @@ def test_best_first_sends_few_supports_to_eigvalsh(monkeypatch):
     monkeypatch.setattr(rip, "_deviations", counted)
     exact_rip(_gaussian(), 4)
     assert 0 < sum(rows) < 0.01 * math.comb(36, 4)
+
+
+@pytest.mark.parametrize("seed", [700, 746, 815, 921])
+def test_single_support_batches_find_the_maximum(monkeypatch, seed):
+    # on these draws a walk that takes the supports left after the first batch
+    # out of descending bound order stops before reaching the maximum
+    rng = np.random.default_rng(seed)
+    m, n, k = (int(v) for v in (rng.integers(2, 9), rng.integers(4, 11), rng.integers(2, 4)))
+    A = rng.standard_normal((m, n)) / np.sqrt(m) * 10.0 ** rng.uniform(-0.5, 0.5, n)
+    monkeypatch.setattr(rip, "_BATCH", 1)
+    delta, support = rip_ref(A, k)
+    est = exact_rip(A, k)
+    assert est.argmax_support == support
+    assert est.delta_k == pytest.approx(delta, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
