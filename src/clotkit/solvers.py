@@ -6,11 +6,14 @@ Two problem forms are handled:
   or ``lam*||y - Az||^2 + R(z)`` (multiplier on the loss), solved first by an
   active-set Newton route: Newton steps on the support with its signs fixed,
   a coordinate dropped where a step crosses zero, and the zero groups that
-  violate optimality added once the support is optimal.  The route hands its
-  point over after ``_ROUTE_ROUNDS`` (32) rounds, at a singular Hessian, or
-  on a support too wide to solve, to accelerated proximal gradient descent
+  violate optimality added once the support is optimal, started by one
+  prox-gradient step of length ``1/||A||_F^2``.  The route hands its point
+  over after ``_ROUTE_ROUNDS`` (32) rounds, at a singular Hessian, or on a
+  support too wide to solve, to accelerated proximal gradient descent
   (FISTA) with a gradient restart and one gradient evaluation (one Gram
-  product, or one forward and one adjoint product) per iteration.  FISTA
+  product, or one forward and one adjoint product) per iteration.  Only
+  FISTA steps by ``1/sigma^2``, the largest squared singular value of A,
+  which a power iteration finds when FISTA first runs on an (A, y).  FISTA
   runs the route again from its iterate at each failing certificate check
   whose sign pattern held since the previous one;
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
@@ -27,8 +30,10 @@ iterations; failure to converge is reported through the result, not raised.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -94,10 +99,9 @@ class Problem:
             raise ValueError("y must be a 1-D vector")
         if A.shape[0] != y.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but y has length {y.shape[0]}")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("A contains non-finite entries")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains non-finite entries")
+        for name, v in (("A", A), ("y", y)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} contains non-finite entries")
         if not isinstance(self.form, (Lagrangian, Constrained)):
             raise ValueError("form must be Lagrangian or Constrained")
         self.A, self.y = A, y
@@ -157,8 +161,10 @@ _GRAM_MAX_N = 2048  # the Gram matrix holds n^2 floats
 
 class _Workspace:
     """Per-(A, y) state shared across warm-started solves: the half-gradient
-    ``A^T(Ax - y)`` of ``||Ax - y||^2``, and ``sigma2``, the largest squared
-    singular value of A.
+    ``A^T(Ax - y)`` of ``||Ax - y||^2``; ``sigma2``, the largest squared
+    singular value of A, found by power iteration on first read, which only
+    FISTA makes; and ``frob2 = ||A||_F^2``, the upper bound on it that the
+    active-set route steps by and that costs no product.
 
     The product ``A^T A x`` is chosen once, here, from the shape.  A tall-ish
     problem with at most ``_GRAM_MAX_N`` columns precomputes ``A^T A``; one
@@ -173,23 +179,21 @@ class _Workspace:
         self.normal = (lambda x: A.T @ (A @ x)) if gram is None else (lambda x: gram @ x)
         self.A, self.y, self.n = A, y, n
         self.aty = A.T @ y
+        self.frob2 = float(np.trace(gram) if gram is not None else np.einsum("ij,ij->", A, A))
+        if not self.frob2 > 0.0:
+            raise ValueError("A must be nonzero")
 
-        # power iteration on A^T A
-        v = np.random.default_rng(0).standard_normal(n)
+    @cached_property
+    def sigma2(self):
+        v = np.random.default_rng(0).standard_normal(self.n)
         v /= np.linalg.norm(v)
         lam = lam_prev = 0.0
         for _ in range(_POWER_ITERS):
-            w = self.normal(v)
-            lam = float(np.linalg.norm(w))
-            if lam == 0.0:
-                break
-            v = w / lam
+            lam = float(np.linalg.norm(w := self.normal(v)))
             if abs(lam - lam_prev) <= _POWER_TOL * lam:
                 break
-            lam_prev = lam
-        if lam <= 0.0:
-            raise ValueError("A must be nonzero")
-        self.sigma2 = lam
+            v, lam_prev = w / lam, lam
+        return lam
 
     def half_grad(self, x):
         return self.normal(x) - self.aty
@@ -247,7 +251,7 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 return x, hx, kkt, None if kkt <= tol else "rounds"
             xn, new = x.copy(), []
             if optimal or not np.any(x):
-                w = prox(spec, x - hx / ws.sigma2, pen_w / (c2 * ws.sigma2))
+                w = prox(spec, x - hx / ws.frob2, pen_w / (c2 * ws.frob2))
                 new = np.flatnonzero((x == 0.0) & (w != 0.0))
                 # a coordinate's own step, or with a = 0, where whole groups enter, its group's
                 mag = np.abs(w) if a or not c else np.sqrt(np.bincount(labels, w * w))[labels]
@@ -343,8 +347,7 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
         raise _StepSearchExhausted
 
     z, hz, t = x, hx, 1.0
-    iters = 0
-    converged = False
+    iters, converged = 0, False
     signs = np.sign(x)
     try:
         while iters < opts.max_iters:
@@ -395,7 +398,7 @@ def support(x) -> np.ndarray:
 def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOptions = None,
                      _ws: _Workspace = None, *, x0=None) -> SolveResult:
     """Solve the multiplier form of the program given by ``problem.form``,
-    starting from ``x0`` (zero by default).
+    starting from ``x0`` (zero by default; else a finite vector of length n).
 
     The active-set route (:func:`_route`) runs first, and FISTA only when it
     gives up.  Either way ``kkt_residual`` comes from the same subgradient
@@ -406,37 +409,36 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     reason of its last hand-over, ``"rounds"``, ``"singular"`` or ``"width"``.
     ``iterations`` counts FISTA's iterations and ``info`` its ``restarts`` and
     ``backtracks``; ``grad_evals`` counts the gradient evaluations (Gram
-    products, or forward-plus-adjoint pairs) of both, and
-    ``step_search_exhausted`` flags FISTA's 60 halvings.
+    products, or forward-plus-adjoint pairs) of both, and one at the start
+    only from a nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60
+    halvings.
     """
     opts = opts or SolverOptions()
     form = problem.form
     if not isinstance(form, Lagrangian):
         raise ValueError("solve_lagrangian needs a Lagrangian-form problem")
-    spec.check_dimension(problem.A.shape[1])
+    n = problem.A.shape[1]
+    spec.check_dimension(n)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be a finite 1-D vector of length {n}, got shape {x.shape}")
     ws = _ws or _Workspace(problem.A, problem.y)
     loss_w = form.lam if form.side == "loss" else 1.0
     pen_w = 1.0 if form.side == "loss" else form.lam
 
     tol = opts.kkt_tol * max(1.0, 2.0 * loss_w * float(np.max(np.abs(ws.aty), initial=0.0)))
-    stats = {"restarts": 0, "backtracks": 0, "grad_evals": 1, "step_search_exhausted": False,
+    warm = bool(np.any(x))  # at zero the half-gradient is -A^T y, which costs no product
+    stats = {"restarts": 0, "backtracks": 0, "grad_evals": int(warm), "step_search_exhausted": False,
              "route_rounds": 0, "route_solves": 0, "route_give_up": None}
-    x = np.zeros(ws.n) if x0 is None else np.array(x0, dtype=float)
-    x, hx, kkt, stats["route_give_up"] = _route(ws, spec, loss_w, pen_w, tol, x, ws.half_grad(x), stats)
+    hx = ws.half_grad(x) if warm else -ws.aty
+    x, hx, kkt, stats["route_give_up"] = _route(ws, spec, loss_w, pen_w, tol, x, hx, stats)
     iters, converged = 0, stats["route_give_up"] is None
     if not converged:
         x, iters, kkt, converged = _fista(ws, spec, loss_w, pen_w, opts, tol, x, hx, stats)
     r = ws.A @ x - ws.y
     rr = float(r @ r)
-    return SolveResult(
-        x_hat=x,
-        objective=loss_w * rr + pen_w * penalty_value(spec, x),
-        residual_l2=math.sqrt(rr),
-        iterations=iters,
-        kkt_residual=kkt,
-        converged=converged,
-        info={"form": "lagrangian", "lambda": form.lam, "side": form.side, **stats},
-    )
+    return SolveResult(x, loss_w * rr + pen_w * penalty_value(spec, x), math.sqrt(rr), iters, kkt, converged,
+                       {"form": "lagrangian", "lambda": form.lam, "side": form.side, **stats})
 
 
 def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptions = None) -> SolveResult:
@@ -546,8 +548,9 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         return (xp, r, dist) if dist <= opts.kkt_tol * max(1.0, float(np.max(np.abs(g)))) else None
 
     def solve_at(lam, x0):
-        res = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec, inner_opts,
-                               _ws=ws, x0=x0)
+        stage = copy.copy(problem)  # validated once, as the caller's problem; only the form differs
+        stage.form = Lagrangian(lam, "loss")
+        res = solve_lagrangian(stage, spec, inner_opts, _ws=ws, x0=x0)
         stages.append((lam, res.residual_l2, res.iterations))
         return res
 
@@ -637,17 +640,17 @@ def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: So
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("lambda_grid must be a nonempty 1-D sequence")
     diffs = np.diff(grid)
-    if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("lambda_grid must be strictly monotone")
     if not np.all(np.isfinite(grid) & (grid > 0)):
         raise ValueError("lambda_grid entries must be positive and finite")
 
     ws = _Workspace(problem.A, problem.y)
-    points = []
-    warm = None
+    points, warm = [], None
     for lam in grid:
-        res = solve_lagrangian(Problem(problem.A, problem.y, Lagrangian(float(lam), form.side)),
-                               spec, opts, _ws=ws, x0=warm)
+        point = copy.copy(problem)  # validated once, as the caller's problem; only the form differs
+        point.form = Lagrangian(float(lam), form.side)
+        res = solve_lagrangian(point, spec, opts, _ws=ws, x0=warm)
         warm = res.x_hat
         points.append(PathPoint(float(lam), res))
     return points

@@ -22,7 +22,7 @@ from clotkit.solvers import (
     solve_lagrangian,
 )
 
-from oracles import scalar_lasso_scan
+from oracles import power_iteration_ref, scalar_lasso_scan
 
 TIGHT = SolverOptions(kkt_tol=1e-10)
 FAMILY = [RegularizerSpec.lasso(), RegularizerSpec.ridge(), RegularizerSpec.elastic_net(0.5),
@@ -112,6 +112,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             solve_lagrangian(Problem(np.zeros((2, 2)), np.ones(2), Lagrangian(1.0)),
                              RegularizerSpec.lasso())
+
+    @pytest.mark.parametrize("x0", [np.ones(5), np.ones((6, 1)), np.full(6, np.nan), np.r_[np.ones(5), np.inf],
+                                    np.ones(7), np.float64(1.0)],
+                             ids=["short", "column", "nan", "inf", "long", "scalar"])
+    def test_bad_warm_start_is_refused(self, x0):
+        A = fixture_matrix("gaussian", 10, 6, seed=0)
+        prob = Problem(A, A @ np.arange(6.0), Lagrangian(0.1))
+        with pytest.raises(ValueError, match="^x0 must be a finite 1-D vector of length 6"):
+            solve_lagrangian(prob, RegularizerSpec.lasso(), x0=x0)
+        assert solve_lagrangian(prob, RegularizerSpec.lasso(), x0=[0.0, 1, 2, 3, 4, 5]).converged
 
 
 class TestLagrangian:
@@ -215,24 +225,34 @@ class TestSolveStats:
     def test_gradient_evaluations_are_accounted_for(self, rng, monkeypatch):
         A, _, y = small_instance(rng, noise=0.1)
         twins = twin_instance()
-        # (A, y, lam, spec, route rounds): the route alone, FISTA alone (the route gives up at
-        # once on the twins), and both (one round, then FISTA and its re-entries)
-        cases = [(A, y, 0.05, RegularizerSpec.lasso(), 32), (A, y, 0.05, RegularizerSpec.clot(0.3), 32),
-                 (*twins, RegularizerSpec.lasso(), 32), (A, y, 0.05, RegularizerSpec.clot(0.3), 1)]
+        # (A, y, lam, spec, route rounds, x0): the route alone, FISTA alone (the route gives up
+        # at once on the twins), both (one round, then FISTA and its re-entries), and the route
+        # from a nonzero warm start
+        cases = [(A, y, 0.05, RegularizerSpec.lasso(), 32, None),
+                 (A, y, 0.05, RegularizerSpec.clot(0.3), 32, None),
+                 (*twins, RegularizerSpec.lasso(), 32, None), (A, y, 0.05, RegularizerSpec.clot(0.3), 1, None),
+                 (A, y, 0.05, RegularizerSpec.clot(0.3), 32, np.eye(A.shape[1])[0])]
         work = []
-        for A, y, lam, spec, rounds in cases:
+        for A, y, lam, spec, rounds, x0 in cases:
             monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", rounds)
-            res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT)
+            ws = solvers._Workspace(A, y)
+            products, normal = [], ws.normal
+            ws.normal = lambda x: products.append(1) or normal(x)
+            res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT, ws, x0=x0)
             info = res.info
             assert res.converged
             counts = ("restarts", "backtracks", "grad_evals", "route_rounds", "route_solves")
             assert all(type(info[k]) is int for k in counts)
-            # one gradient evaluation at the start, then one per route round and per FISTA step
-            assert info["grad_evals"] == (1 + res.iterations + info["restarts"] + info["backtracks"]
-                                          + info["route_rounds"])
+            # one gradient evaluation at a nonzero start (at zero it is -A^T y), then one per
+            # route round and per FISTA step
+            assert info["grad_evals"] == ((x0 is not None) + res.iterations + info["restarts"]
+                                          + info["backtracks"] + info["route_rounds"])
+            # every product made is counted, apart from the power iteration that FISTA starts with
+            power = len(products) - info["grad_evals"]
+            assert power == 0 if res.iterations == 0 else power > 0
             assert info["step_search_exhausted"] is False
             work.append((info["route_rounds"] > 0, res.iterations > 0))
-        assert work == [(True, False), (True, False), (False, True), (True, True)]
+        assert work == [(True, False), (True, False), (False, True), (True, True), (True, False)]
 
     def test_ill_conditioned_solve_restarts(self, rng, monkeypatch):
         without_route(monkeypatch)  # the route certifies this solve before FISTA takes a step
@@ -242,7 +262,8 @@ class TestSolveStats:
         assert res.converged
         assert res.info["restarts"] >= 1
 
-    def test_exhausted_step_search_is_reported(self, rng):
+    def test_exhausted_step_search_is_reported(self, rng, monkeypatch):
+        without_route(monkeypatch)  # the route, which needs no sigma2, certifies this solve
         A, _, y = small_instance(rng, noise=0.1)
         ws = solvers._Workspace(A, y)
         ws.sigma2 *= 1e-30  # a step 1e30 too long: 60 halvings cannot repair it
@@ -250,6 +271,90 @@ class TestSolveStats:
         assert res.info["step_search_exhausted"] is True
         assert not res.converged
         assert np.all(np.isfinite(res.x_hat))
+
+
+class TestWorkspace:
+    """The power iteration for sigma2 runs only when FISTA steps; the route steps by ||A||_F^2."""
+
+    @pytest.mark.parametrize("spec", [
+        RegularizerSpec.lasso(), RegularizerSpec.clot(0.3), RegularizerSpec.group_lasso(Partition.contiguous([5] * 8))],
+        ids=["lasso", "clot", "gl"])
+    def test_route_certified_solve_leaves_sigma2_uncomputed(self, spec):
+        A, y = TestNewtonFinish.sparse_instance()
+        ws = solvers._Workspace(A, y)
+        res = solve_lagrangian(Problem(A, y, Lagrangian(0.1 * lambda_zero_threshold(spec, A, y))), spec, _ws=ws)
+        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        assert "sigma2" not in vars(ws)
+        assert res.info["grad_evals"] == res.info["route_rounds"]  # the cold start made no product
+
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "direct"])
+    def test_fista_computes_sigma2_once(self, gram, monkeypatch):
+        if not gram:
+            monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
+        A, y, lam = twin_instance()  # the route gives up at a singular Hessian
+        ws = solvers._Workspace(A, y)
+        assert (ws.gram is not None) == gram
+        products, normal = [], ws.normal
+        ws.normal = lambda x: products.append(1) or normal(x)
+        power = []
+        for _ in range(2):
+            products.clear()
+            res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), RegularizerSpec.lasso(), TIGHT, ws)
+            assert res.converged and res.iterations > 0
+            power.append(len(products) - res.info["grad_evals"])
+        gram_ref = A.T @ A
+        expected, made = power_iteration_ref((lambda v: gram_ref @ v) if gram else (lambda v: A.T @ (A @ v)), 5)
+        assert ws.sigma2 == expected and power == [made, 0]
+        assert ws.sigma2 == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-8)
+
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "direct"])
+    def test_route_step_bound_is_above_sigma2(self, gram, monkeypatch):
+        if not gram:
+            monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
+        for A in (fixture_matrix("gaussian", 30, 40, seed=11),
+                  fixture_matrix("gaussian", 30, 20, seed=3) * np.logspace(0, -2, 20)):
+            ws = solvers._Workspace(A, np.ones(30))
+            assert (ws.gram is not None) == gram
+            assert ws.frob2 == pytest.approx(np.linalg.norm(A, "fro") ** 2, rel=1e-12)
+            assert ws.frob2 >= ws.sigma2 and ws.frob2 >= np.linalg.norm(A, 2) ** 2
+
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "direct"])
+    def test_zero_matrix_is_refused_as_before(self, gram, monkeypatch):
+        if not gram:
+            monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
+        A, y, lasso = np.zeros((3, 2)), np.ones(3), RegularizerSpec.lasso()
+        for solve in (lambda: solve_lagrangian(Problem(A, y, Lagrangian(1.0)), lasso),
+                      lambda: solution_path(Problem(A, y, Lagrangian(1.0)), lasso, [1.0]),
+                      lambda: solve_constrained(Problem(A, y / 10, Constrained(np.linalg.norm(y / 10) - 5e-7)), lasso)):
+            with pytest.raises(ValueError, match="^A must be nonzero$") as raised:
+                solve()
+            assert not isinstance(raised.value, InfeasibleError)
+        with pytest.raises(InfeasibleError, match="^least-squares residual"):
+            solve_constrained(Problem(A, y, Constrained(0.5)), lasso)
+
+    def test_stages_and_path_points_reuse_the_validated_problem(self, monkeypatch):
+        A, x = TestConstrained.eps0_instance("no_recovery")  # certified after several stages
+        spec = RegularizerSpec.lasso()
+        checks, seen = [], []
+        real_check, real_solve = Problem.__post_init__, solvers.solve_lagrangian
+
+        def solve(problem, *args, **kwargs):
+            seen.append(problem)
+            return real_solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(Problem, "__post_init__", lambda self: checks.append(1) or real_check(self))
+        monkeypatch.setattr(solvers, "solve_lagrangian", solve)
+        problem = Problem(A, A @ x, Constrained(0.0))
+        res = solve_constrained(problem, spec)
+        assert len(checks) == 1 and res.info["certified"] and len(seen) == res.info["inner_solves"] > 1
+        assert [p.form for p in seen] == [Lagrangian(lam, "loss") for lam, _, _ in res.info["stages"]]
+        assert all(p.A is problem.A and p.y is problem.y for p in seen) and problem.form == Constrained(0.0)
+        checks.clear(), seen.clear()
+        grid = lambda_zero_threshold(spec, A, A @ x) * np.logspace(0, -2, 5)
+        template = Problem(A, A @ x, Lagrangian(1.0))
+        points = solution_path(template, spec, grid)
+        assert len(checks) == 1 and [p.form for p in seen] == [Lagrangian(lam) for lam in grid]
+        assert [p.result.info["lambda"] for p in points] == list(grid) and template.form == Lagrangian(1.0)
 
 
 class TestNewtonFinish:
