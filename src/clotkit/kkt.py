@@ -9,6 +9,7 @@ should bring it near zero.
 from __future__ import annotations
 
 from .regularizers import RegularizerSpec, subdiff_distance
+from .solvers import Lagrangian
 
 __all__ = ["kkt_residual"]
 
@@ -17,10 +18,9 @@ def kkt_residual(A, y, x, spec: RegularizerSpec, lam: float, side: str = "penalt
     """Stationarity gap of ``x`` for the Lagrangian program.
 
     ``side='penalty'`` checks ``||y - Az||^2 + lam*R(z)``;
-    ``side='loss'`` checks ``lam*||y - Az||^2 + R(z)``.
+    ``side='loss'`` checks ``lam*||y - Az||^2 + R(z)``.  ``lam`` must be
+    positive and finite, as in :class:`clotkit.solvers.Lagrangian`.
     """
-    if side not in ("penalty", "loss"):
-        raise ValueError(f"side must be 'penalty' or 'loss', got {side!r}")
-    loss_w, pen_w = (float(lam), 1.0) if side == "loss" else (1.0, float(lam))
+    loss_w, pen_w = Lagrangian(lam, side).weights
     grad = 2.0 * loss_w * (A.T @ (A @ x - y))
     return subdiff_distance(spec, x, -grad, pen_w)

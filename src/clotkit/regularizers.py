@@ -334,9 +334,9 @@ def sparsity_index(x, k: int, norm: str = "l1") -> float:
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
+    if not (float(k).is_integer() and 0 <= k <= n):
+        raise ValueError(f"k={k} outside 0..{n} or not an integer")
     k = int(k)
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
     order = np.argsort(-np.abs(x), kind="stable")
     tail = x[order[k:]]
     if norm == "l1":

@@ -72,11 +72,12 @@ class Certificate:
 def _chain_inputs(t, g, mu):
     """Validated ``(t, g, mu)`` and the chain's ``nu``, shared by the
     certificate and the mixing-parameter bound."""
-    t, g, mu = float(t), int(g), float(mu)
+    t, mu = float(t), float(mu)
     if t < 4.0 / 3.0:
         raise ValueError(f"t must be at least 4/3, got {t}")
-    if g < 1:
-        raise ValueError(f"g must be at least 1, got {g}")
+    if not (float(g).is_integer() and g >= 1):
+        raise ValueError(f"g must be at least 1 and an integer, got {g}")
+    g = int(g)
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"mu must lie in [0, 1), got {mu}")
     return t, g, mu, math.sqrt(t * (t - 1.0)) - (t - 1.0)
@@ -366,12 +367,14 @@ def rnsp_check(A, k: int, rho: float, tau: float, trials: int = 1000, seed: int 
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not (float(trials).is_integer() and trials >= 1):
+        raise ValueError(f"trials={trials} below 1 or not an integer")
     rng = np.random.default_rng(seed)
     report = RnspReport(k=k, rho=rho, tau=tau, checked=0)
     sq = math.sqrt(k)
     pinv_factor = np.linalg.pinv(A) if m < n else None
 
-    for trial in range(trials):
+    for trial in range(int(trials)):
         style = trial % 3
         h = rng.standard_normal(n)
         if style == 1:

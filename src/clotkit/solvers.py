@@ -19,9 +19,9 @@ Two problem forms are handled:
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
   search on the loss-side multiplier: a tenfold warm-started walk until the
   residual meets the budget, then a safeguarded secant that closes the last
-  bracket when ``eps > 0``.  When ``eps = 0`` a least-squares refit on the
+  bracket when ``eps > 0``.  When ``eps = 0`` a normal-equation refit on the
   detected support ends the walk at the first stage whose refit carries an
-  exact dual certificate.
+  exact dual certificate; no other stage is refit.
 
 Every Lagrangian solve is certified by the penalty family's subgradient
 distance, after every route round and every ``_CHECK_EVERY`` (10) FISTA
@@ -71,6 +71,11 @@ class Lagrangian:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.side not in ("penalty", "loss"):
             raise ValueError(f"side must be 'penalty' or 'loss', got {self.side!r}")
+
+    @property
+    def weights(self):
+        """``(loss weight, penalty weight)`` of the objective."""
+        return (float(self.lam), 1.0) if self.side == "loss" else (1.0, float(self.lam))
 
 
 @dataclass(frozen=True)
@@ -423,8 +428,7 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite 1-D vector of length {n}, got shape {x.shape}")
     ws = _ws or _Workspace(problem.A, problem.y)
-    loss_w = form.lam if form.side == "loss" else 1.0
-    pen_w = 1.0 if form.side == "loss" else form.lam
+    loss_w, pen_w = form.weights
 
     tol = opts.kkt_tol * max(1.0, 2.0 * loss_w * float(np.max(np.abs(ws.aty), initial=0.0)))
     warm = bool(np.any(x))  # at zero the half-gradient is -A^T y, which costs no product
@@ -465,12 +469,12 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     once, at most A's row count wide) keeps S, meets the target and passes
     Fuchs's certificate: ``theta = A_S (A_S^T A_S)^{-1} grad R_S(z)`` with
     ``subdiff_distance(spec, z, A^T theta) <= kkt_tol*max(1, |grad R_S|_inf)``.
-    That z is returned, with the distance as ``kkt_residual``.  Otherwise
-    ``kkt_residual`` is the last inner solve's, and that solve's ``lstsq`` refit
-    on its support is kept only if it worsens no residual and no penalty.
+    That z is returned, with the distance as ``kkt_residual``.  Otherwise the
+    last inner solve is returned as solved, with its own ``kkt_residual``.
 
     ``info["stages"]`` lists one ``(lam, residual, iterations)`` entry per
-    inner solve, and ``info["inner_solves"]`` counts them.
+    inner solve, and ``info["inner_solves"]`` counts them; ``info["certified"]``
+    says whether the answer carries Fuchs's certificate (zero carries ``theta = 0``).
 
     Feasibility is judged after the search: a final residual above
     ``eps + feas_tol*max(1, ||y||)`` leads to one least-squares solve on A,
@@ -487,15 +491,14 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
 
     stages, tried = [], set()
 
-    def result(x, residual, kkt, converged, polished, feasible, certified):  # every return builds this
+    def result(x, residual, kkt, converged, feasible, certified):  # every return builds this
         info = {"form": "constrained", "eps": eps, "inner_solves": len(stages), "stages": stages,
-                "polished": polished, "feasible": feasible, "certified": certified}
+                "feasible": feasible, "certified": certified}
         return SolveResult(x, penalty_value(spec, x), residual, sum(s[2] for s in stages), kkt,
                            bool(converged), info)
 
     if ynorm <= eps:  # zero is optimal, certified by theta = 0
-        return result(np.zeros(A.shape[1]), ynorm, 0.0, converged=True, polished=False, feasible=True,
-                      certified=True)
+        return result(np.zeros(A.shape[1]), ynorm, 0.0, converged=True, feasible=True, certified=True)
 
     judged = False
 
@@ -605,24 +608,14 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
 
     inner = res if best is None else best
     x, residual, kkt = cert or (inner.x_hat, inner.residual_l2, inner.kkt_residual)
-    polished = cert is not None
-    if not polished and eps == 0.0 and np.max(np.abs(x)) > 0:
-        S, xp = support(x), np.zeros_like(x)
-        xp[S] = np.linalg.lstsq(A[:, S], y, rcond=None)[0]
-        rp = float(np.linalg.norm(A @ xp - y))
-        # scale-relative acceptance so equivariance survives the refit
-        if rp <= residual * (1.0 + 1e-9) + 1e-14 * ynorm and \
-                penalty_value(spec, xp) <= penalty_value(spec, x) * (1.0 + 1e-9):
-            x, residual, polished = xp, rp, True
-
     check_feasible(residual)
     if eps == 0.0:
         feasible = residual <= feas_slack
-        converged = feasible and (inner.converged or polished)
+        converged = feasible and (inner.converged or cert is not None)
     else:
         feasible = residual <= eps * (1.0 + opts.feas_tol) + 1e-12
         converged = settled(residual) and inner.converged  # an unsettled search is not hidden
-    return result(x, residual, kkt, converged, polished, feasible, cert is not None)
+    return result(x, residual, kkt, converged, feasible, cert is not None)
 
 
 def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: SolverOptions = None):

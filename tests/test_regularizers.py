@@ -307,6 +307,12 @@ class TestSparsityIndex:
         with pytest.raises(ValueError):
             sparsity_index([1.0], -1)
 
+    @pytest.mark.parametrize("k", [2.7, -0.5, math.nan])
+    def test_non_integral_k_is_refused(self, k):
+        # 2.7 was answered as k=2 and -0.5 as k=0
+        with pytest.raises(ValueError, match="not an integer"):
+            sparsity_index([3.0, -2.0, 1.0], k)
+
     def test_unknown_norm(self):
         with pytest.raises(ValueError, match="unknown norm 'l3'"):
             sparsity_index([1.0, 2.0], 1, norm="l3")

@@ -60,6 +60,14 @@ class TestCertificate:
         with pytest.raises(ValueError, match="g must be at least 1"):
             certificate(1.5, 3, 0.4, g=0)
 
+    def test_non_integral_g_is_refused(self):
+        # both answered as g=2 when g was truncated
+        with pytest.raises(ValueError, match=r"g must be .* an integer, got 2\.5"):
+            certificate(1.5, 2, 0.3, g=2.5)
+        with pytest.raises(ValueError, match=r"g must be .* an integer, got 2\.5"):
+            delta_bound_from_mu(1.5, 0.3, 2.5)
+        assert certificate(1.5, 2, 0.3, g=2.0) == certificate(1.5, 2, 0.3, g=2)
+
     def test_no_null_space_constant_when_a_squared_is_not_positive(self):
         cert = certificate(4.0 / 3.0, 1, 0.9)
         assert math.isinf(cert.rho) and math.isinf(cert.tau) and cert.a == 0.0
@@ -453,3 +461,9 @@ class TestRnspCheck:
     def test_non_integral_k_is_refused(self):
         with pytest.raises(ValueError, match=r"k=1\.9"):
             rnsp_check(np.eye(3), 1.9, rho=0.5, tau=1.0)
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.5])
+    def test_no_trials_is_refused(self, trials):
+        # zero trials reported ok after 0 checks, and 2.5 escaped as a TypeError
+        with pytest.raises(ValueError, match=f"trials={trials} below 1 or not an integer"):
+            rnsp_check(np.eye(4), 1, rho=0.5, tau=1.0, trials=trials)

@@ -108,6 +108,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="side must be 'penalty' or 'loss'"):
             check()
 
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["penalty", "loss"])
+    def test_kkt_residual_refuses_a_bad_multiplier(self, lam, side):
+        # lam = -1 gave 3.0 and NaN gave NaN
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            kkt_residual(np.eye(4), np.ones(4), np.zeros(4), RegularizerSpec.lasso(), lam, side)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             solve_lagrangian(Problem(np.zeros((2, 2)), np.ones(2), Lagrangian(1.0)),
@@ -614,7 +621,7 @@ class TestConstrained:
                               RegularizerSpec.lasso())
 
     @pytest.mark.parametrize("eps, name, expected", [
-        (0.0, None, [3]), (0.2, None, []), (0.0, "devore_5_2", [])], ids=["0.0", "0.2", "devore_5_2"])
+        (0.0, None, []), (0.2, None, []), (0.0, "devore_5_2", [])], ids=["0.0", "0.2", "devore_5_2"])
     def test_feasible_solve_runs_no_least_squares_on_all_of_a(self, monkeypatch, eps, name, expected):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((30, 60))
@@ -634,8 +641,8 @@ class TestConstrained:
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         res = solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.clot(0.2))
         assert res.info["feasible"] and res.info["certified"] == (name is not None)
-        # only the uncertified eps = 0 refit solves least squares, on the support
-        # alone; a certified solve returns the refit its certificate was built from
+        # a certified solve returns the normal-equation refit its certificate was
+        # built from, and an uncertified one its last stage: neither solves least squares
         assert widths == expected
 
     def test_exact_recovery_devore(self):
@@ -680,7 +687,7 @@ class TestConstrained:
         x = np.zeros(40)
         x[rng.choice(40, 3, replace=False)] = rng.standard_normal(3)
         res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), RegularizerSpec.clot(0.2))
-        assert res.converged and res.info["polished"]
+        assert res.converged and res.info["certified"]
         assert np.linalg.norm(res.x_hat - x) <= 1e-12 * np.linalg.norm(x)
 
     @staticmethod
@@ -713,7 +720,7 @@ class TestConstrained:
         monkeypatch.setattr(solvers, "solve_lagrangian",
                             lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), kkt_residual=1.0))
         res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), spec)
-        assert res.converged and res.info["certified"] and res.info["polished"]
+        assert res.converged and res.info["certified"]
         assert res.info["inner_solves"] == 1 and res.iterations == res.info["stages"][0][2]
         assert res.kkt_residual <= SolverOptions().kkt_tol
         np.testing.assert_allclose(res.x_hat, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
@@ -772,33 +779,31 @@ class TestConstrained:
             for t in (1e-8, -1e-5, 1e-2, -1.0, 10.0):
                 assert penalty_value(spec, res.x_hat + t * scale * h) >= best * (1 - 1e-12)
 
-    def test_uncertified_walk_keeps_the_refit_rule(self, monkeypatch):
+    def test_uncertified_walk_returns_the_last_stage(self, monkeypatch):
         # the elastic net at 10^4 on the small scaling matrix does not recover the truth
         A = devore_matrix(DeVoreParams(11, 2, 1000), normalize=False)
         x = np.zeros(1000)
         x[:3] = 1e4 * np.array([0.8147, 0.9058, 0.1270])
         spec = RegularizerSpec.elastic_net(0.8)
-        inner, real = [], solvers.solve_lagrangian
+        inner, widths, real, lstsq = [], [], solvers.solve_lagrangian, np.linalg.lstsq
 
         def spy(*args, **kwargs):
             inner.append(real(*args, **kwargs))
             return inner[-1]
 
+        def lstsq_spy(a, b, *args, **kwargs):
+            widths.append(np.shape(a)[1])
+            return lstsq(a, b, *args, **kwargs)
+
         monkeypatch.setattr(solvers, "solve_lagrangian", spy)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
         res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), spec)
         assert not res.info["certified"] and res.info["inner_solves"] == len(inner) > 1
+        # no refit: the answer is the last stage as solved
         last = inner[-1]
-        assert res.kkt_residual == last.kkt_residual
-        # the refit on the last stage's support replaces it only if no residual
-        # and no penalty is lost
-        support = np.abs(last.x_hat) > solvers._SUPPORT_REL_TOL * np.max(np.abs(last.x_hat))
-        refit = np.zeros(1000)
-        refit[support] = np.linalg.lstsq(A[:, support], A @ x, rcond=None)[0]
-        r_refit = np.linalg.norm(A @ refit - A @ x)
-        kept = r_refit <= last.residual_l2 * (1 + 1e-9) + 1e-14 * np.linalg.norm(A @ x) and \
-            penalty_value(spec, refit) <= penalty_value(spec, last.x_hat) * (1 + 1e-9)
-        assert res.info["polished"] == kept
-        np.testing.assert_array_equal(res.x_hat, refit if kept else last.x_hat)
+        np.testing.assert_array_equal(res.x_hat, last.x_hat)
+        assert res.residual_l2 == last.residual_l2 and res.kkt_residual == last.kkt_residual
+        assert widths == []
 
     def test_penalty_not_above_truth(self, rng):
         # the reported objective is the penalty value and cannot exceed the
@@ -851,7 +856,8 @@ class TestConstrained:
         trivial = solve_constrained(Problem(A, y, Constrained(2 * np.linalg.norm(y))), spec)
         assert trivial.info["inner_solves"] == 0 and trivial.info["stages"] == []
         noisy, exact = (solve_constrained(Problem(A, y, Constrained(eps)), spec) for eps in (0.3, 0.0))
-        assert noisy.info.keys() == exact.info.keys()
+        keys = {"form", "eps", "inner_solves", "stages", "feasible", "certified"}
+        assert trivial.info.keys() == noisy.info.keys() == exact.info.keys() == keys
         for res in (noisy, exact):
             stages = res.info["stages"]
             assert res.info["inner_solves"] == len(stages) >= 1
@@ -865,7 +871,7 @@ class TestConstrained:
         trivial, noisy = (solve_constrained(Problem(A, y, Constrained(eps)), spec)
                           for eps in (2 * np.linalg.norm(y), 0.3))
         assert trivial.info.keys() == noisy.info.keys()
-        assert trivial.info["feasible"] and not trivial.info["polished"]
+        assert trivial.info["feasible"] and trivial.info["certified"]
 
     def test_options_are_frozen(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == [
