@@ -28,18 +28,11 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
 
-def _version() -> str:
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("clotkit")
-    except PackageNotFoundError:
-        return "0.0.dev"
-
-
 def _emit(args, outputs: dict, wall_time_s: float) -> None:
+    import clotkit
+
     envelope = {
-        "tool": {"name": "clotkit", "version": _version()},
+        "tool": {"name": "clotkit", "version": clotkit.__version__},
         "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "wall_time_s": wall_time_s,

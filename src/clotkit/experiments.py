@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
@@ -64,8 +65,6 @@ class StudyReport:
 
     def write(self, out_dir) -> list:
         """Write report.json plus one CSV per series; returns the paths."""
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         paths = []
         report_path = os.path.join(out_dir, f"{self.name}_report.json")
@@ -183,6 +182,10 @@ class ScenarioConfig:
     lambda_grid: dict
 
     def __post_init__(self):
+        # report files start with the name, so it must not lead out of the output directory
+        name = self.name
+        if not (isinstance(name, str) and name and name == os.path.basename(name)):
+            raise ValueError(f"name must be a file name with no directory part, got {name!r}")
         if not _is_count(self.replications):
             raise ValueError("replications must be a positive integer")
         if not (_is_number(self.seed) and isinstance(self.seed, int) and self.seed >= 0):
@@ -225,11 +228,10 @@ def builtin_scenario_names() -> list:
 
 
 def load_builtin_scenario(name: str) -> ScenarioConfig:
+    if name not in builtin_scenario_names():
+        raise ValueError(f"no builtin scenario {name!r}; have {builtin_scenario_names()}")
     path = resources.files("clotkit") / "configs" / f"{name}.json"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ValueError(f"no builtin scenario {name!r}; have {builtin_scenario_names()}") from None
+    text = path.read_text(encoding="utf-8")
     return ScenarioConfig.from_dict(json.loads(text))
 
 

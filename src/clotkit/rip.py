@@ -73,8 +73,8 @@ def _chain_inputs(t, g, mu):
     """Validated ``(t, g, mu)`` and the chain's ``nu``, shared by the
     certificate and the mixing-parameter bound."""
     t, mu = float(t), float(mu)
-    if t < 4.0 / 3.0:
-        raise ValueError(f"t must be at least 4/3, got {t}")
+    if not 4.0 / 3.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and at least 4/3, got {t}")
     if not (float(g).is_integer() and g >= 1):
         raise ValueError(f"g must be at least 1 and an integer, got {g}")
     g = int(g)
@@ -144,8 +144,8 @@ def error_bounds(cert: Certificate, sigma_k: float, epsilon: float, p: float = 2
     """
     if not cert.valid:
         raise ValueError(f"certificate is not valid: {cert.reason}")
-    if sigma_k < 0 or epsilon < 0:
-        raise ValueError("sigma_k and epsilon must be nonnegative")
+    if not (0.0 <= sigma_k < math.inf and 0.0 <= epsilon < math.inf):
+        raise ValueError("sigma_k and epsilon must be finite and nonnegative")
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must lie in [1, 2], got {p}")
     bound_l1 = cert.c_sigma * sigma_k + cert.c_eps * epsilon
@@ -365,8 +365,8 @@ def rnsp_check(A, k: int, rho: float, tau: float, trials: int = 1000, seed: int 
     m, n = A.shape
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     if not (float(trials).is_integer() and trials >= 1):
         raise ValueError(f"trials={trials} below 1 or not an integer")
     rng = np.random.default_rng(seed)

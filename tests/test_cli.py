@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import clotkit
 from clotkit import experiments, fileio, solvers
 from clotkit.cli import _THREAD_VARS, EXIT_INPUT, EXIT_NOCONV, EXIT_OK, build_parser, main
 from clotkit.matrices import DeVoreParams, devore_matrix
@@ -335,19 +336,22 @@ _CONFIG = {"name": "x", "replications": 1, "seed": 0,
     *(["experiment", "--study", "comparison", "--config", json.dumps({**_CONFIG, **field})]
       for field in ({"lambda_grid": {}}, {"generator": 5}, {"methods": ["lasso"]}, {"methods": []},
                     {"methods": [{"kind": "en"}]},
-                    {"lambda_grid": {"lo": 0.1, "hi": 1.0, "num": 2.7}}, {"replications": 2.7})),
+                    {"lambda_grid": {"lo": 0.1, "hi": 1.0, "num": 2.7}}, {"replications": 2.7},
+                    {"name": "../escaped"})),
     *(["experiment", "--study", "comparison", "--config",
        json.dumps({**_CONFIG, "generator": {**_CONFIG["generator"], **field}})]
       for field in ({"beta": 3}, {"beta": []}, {"covariance": 5}, {"covariance": {"kind": "ar1"}},
-                    {"covariance": {"kind": "nosuch"}},
+                    {"covariance": {"kind": "nosuch"}}, {"covariance": {"kind": ["ar1"]}},
                     {"covariance": {"kind": "blocks", "blocks": [{"size": 3}]}},
                     {"covariance": {"kind": "blocks", "blocks": []}}, {"noise_sigma": [1]}, {"noise_sigma": -1.0}, {"n_train": -3}, {"n_val": 2.5})),
     ["riporacle", "-A", "nan,0\n0,1\n", "--k", "2"],
 ], ids=["gaussian", "identity", "duplicated_column", "devore", "config_list", "config_no_generator",
         "config_empty_lambda_grid", "config_generator_number", "config_method_string", "config_no_methods",
         "config_en_without_mu_grid", "config_num_fraction", "config_replications_fraction",
+        "config_name_outside_out_dir",
         "config_beta_number", "config_beta_empty",
         "config_covariance_number", "config_ar1_without_rho", "config_covariance_unknown_kind",
+        "config_covariance_kind_list",
         "config_block_sizes_off", "config_no_blocks", "config_noise_sigma_list", "config_noise_sigma_negative",
         "config_n_train_negative", "config_n_val_fraction", "riporacle_nan_matrix"])
 def test_malformed_input_is_an_input_error(capsys, tmp_path, argv):
@@ -356,10 +360,14 @@ def test_malformed_input_is_an_input_error(capsys, tmp_path, argv):
             at = argv.index(flag) + 1
             (tmp_path / "input").write_text(argv[at])
             argv = [*argv[:at], str(tmp_path / "input"), *argv[at + 1:]]
+    if "--study" in argv:  # a name that escapes the out dir still lands inside tmp_path
+        argv = [*argv, "--out-dir", str(tmp_path / "a" / "out")]
+    before = sorted(tmp_path.rglob("*"))
     code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
     assert err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("covariance", [
@@ -386,6 +394,13 @@ class TestEnvelope:
         jsonschema.validate(env, SCHEMA)
         assert env["tool"]["name"] == "clotkit"
         assert env["wall_time_s"] >= 0
+
+    def test_tool_version_is_the_package_version(self, capsys):
+        code, env = run_cli(capsys, "certificate", "--t", "2", "--k", "1", "--delta", "0.3")
+        assert code == EXIT_OK
+        assert env["tool"]["version"] == clotkit.__version__
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert f'version = "{clotkit.__version__}"' in pyproject.splitlines()
 
     @pytest.mark.parametrize("flag, preset", [(["--threads=3"], None), (["--threads", "3"], None),
                                               (["--threads=3"], "8"), (["--threads", "3"], "8")],

@@ -6,6 +6,7 @@ import pytest
 from clotkit.experiments import (
     SCALING_PRESETS,
     ScenarioConfig,
+    _generator_model,
     bootstrap_sd_of_median,
     builtin_scenario_names,
     grouping_fixture,
@@ -48,8 +49,10 @@ class TestScenarioConfig:
             assert {m["kind"] for m in cfg.methods} == {"lasso", "en", "clot"}
 
     def test_unknown_builtin(self):
-        with pytest.raises(ValueError, match="no builtin scenario"):
-            load_builtin_scenario("example9")
+        # a relative path reached other json files next to the shipped configs
+        for name in ("example9", "../configs/example1", "../schemas/envelope.schema"):
+            with pytest.raises(ValueError, match="no builtin scenario"):
+                load_builtin_scenario(name)
 
     def test_validation(self):
         cfg = tiny_scenario()
@@ -61,6 +64,22 @@ class TestScenarioConfig:
         del d["generator"]["beta"]
         with pytest.raises(ValueError, match="beta"):
             ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("name", ["../escaped", "/tmp/abs", "", 5, ["x"]])
+    def test_name_must_be_a_file_name(self, name):
+        # reports are written to files named after the scenario, inside the output directory
+        d = tiny_scenario().to_dict()
+        d["name"] = name
+        with pytest.raises(ValueError, match="name must be"):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("rho", [0.5, 5, "x"])
+    def test_identity_covariance_ignores_a_stray_rho(self, rho):
+        # a missing kind means identity too; only ar1 and equi read rho
+        plain = {**tiny_scenario().generator, "covariance": {"kind": "identity"}}
+        for covariance in ({"kind": "identity", "rho": rho}, {"rho": rho}):
+            chol = _generator_model({**plain, "covariance": covariance})[1]
+            assert np.array_equal(chol, _generator_model(plain)[1])
 
     @pytest.mark.parametrize("seed", [2.7, True, "5", -3])
     def test_seed_must_be_a_nonnegative_integer(self, seed):

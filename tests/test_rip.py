@@ -59,6 +59,11 @@ class TestCertificate:
             certificate(1.5, 3, 0.4, mu=1.0)
         with pytest.raises(ValueError, match="g must be at least 1"):
             certificate(1.5, 3, 0.4, g=0)
+        for t in (math.nan, math.inf):  # nan gave valid=False with "rho = inf"
+            with pytest.raises(ValueError, match="t must be finite"):
+                certificate(t, 2, 0.3)
+            with pytest.raises(ValueError, match="t must be finite"):  # was nan
+                delta_bound_from_mu(t, 0.1)
 
     def test_non_integral_g_is_refused(self):
         # both answered as g=2 when g was truncated
@@ -152,6 +157,11 @@ class TestErrorBounds:
         cert = certificate(2.0, 2, 0.3, 1, 0.1)
         with pytest.raises(ValueError, match="nonnegative"):
             error_bounds(cert, -0.1, 0.1)
+        for bad in (math.nan, math.inf):  # nan gave (nan, nan)
+            with pytest.raises(ValueError, match="finite"):
+                error_bounds(cert, bad, 0.1)
+            with pytest.raises(ValueError, match="finite"):
+                error_bounds(cert, 0.1, bad)
 
 
 class TestDeltaBoundFromMu:
@@ -452,6 +462,9 @@ class TestRnspCheck:
             rnsp_check(np.eye(3), 1, rho=1.5, tau=1.0)
         with pytest.raises(ValueError):
             rnsp_check(np.eye(3), 1, rho=0.5, tau=-1.0)
+        for tau in (math.nan, math.inf):  # nan was reported ok
+            with pytest.raises(ValueError, match="tau must be finite"):
+                rnsp_check(np.eye(3), 1, rho=0.5, tau=tau)
 
     @pytest.mark.parametrize("k", [0, -1, 4])
     def test_k_out_of_range(self, k):

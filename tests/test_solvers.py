@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -612,6 +613,30 @@ class TestConstrained:
         with pytest.raises(InfeasibleError, match="^least-squares residual"):
             solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.lasso())
         assert len(stages) < solvers._MAX_STAGES and widths == [10]
+
+    def test_singular_support_at_eps0_is_left_uncertified(self, monkeypatch):
+        # twin columns make A_S^T A_S singular, so no exact dual point exists on the
+        # recovered support; the walk still converges and splits the weight evenly
+        A = fixture_matrix("duplicated_column", 20, 40, seed=3)
+        x = np.zeros(40)
+        x[[0, 1, 7]] = (1.0, 1.0, -0.5)
+        refused, solve = [], np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                refused.append(sys._getframe(1).f_code.co_name)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), RegularizerSpec.clot(0.3))
+        assert res.converged and not res.info["certified"]
+        assert "certify" in refused  # its LinAlgError branch gives up on the certificate
+        assert len(res.info["stages"]) == solvers._MAX_STAGES
+        assert np.array_equal(np.flatnonzero(res.x_hat), [0, 1, 7])
+        assert res.x_hat[0] == pytest.approx(res.x_hat[1], rel=1e-12)
+        assert np.allclose(res.x_hat, x, atol=1e-6)
 
     def test_zero_matrix_within_the_slack_is_refused(self):
         # ||y|| is above eps but within the feasibility slack: not infeasible
