@@ -288,8 +288,8 @@ def main(argv=None) -> int:
         if threads:
             if not (threads.isdecimal() and int(threads) > 0):
                 raise ValueError(f"the thread count must be a positive integer, got {threads!r}")
-            for var in _THREAD_VARS:
-                os.environ[var] = threads
+            for var in _THREAD_VARS:  # as an ASCII integer, whatever digits it was written in
+                os.environ[var] = str(int(threads))
         t0 = time.perf_counter()
         outputs, code = args.func(args)
         _emit(args, outputs, time.perf_counter() - t0)

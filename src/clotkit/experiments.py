@@ -200,12 +200,18 @@ class ScenarioConfig:
             raise ValueError("lambda_grid: hi and lo must differ when num > 1")
         if not (isinstance(self.methods, list) and self.methods):
             raise ValueError("methods must be a nonempty list of objects")
+        kinds = []
         for method in self.methods:
             kind = str(method.get("kind")).lower() if isinstance(method, dict) else None
             if kind not in ("clot", "en", "lasso", "ridge"):
                 raise ValueError("each entry of methods needs a kind in ['clot', 'en', 'lasso', "
                                  f"'ridge'], got {method!r}")
+            if kind in kinds:  # its paths would be solved, and its replications counted, twice
+                raise ValueError(f"methods: {kind} is listed more than once (case is ignored)")
+            kinds.append(kind)
             grid = method.get("mu_grid")
+            if kind in ("lasso", "ridge") and "mu_grid" in method:
+                raise ValueError(f"methods: {kind} has no mixing parameter to take a mu_grid")
             if kind in ("en", "clot") and not (isinstance(grid, list) and grid and all(
                     _is_number(mu) and 0 <= mu <= 1 for mu in grid)):
                 raise ValueError(f"methods: {kind} needs a nonempty mu_grid of numbers in [0, 1]")

@@ -337,7 +337,8 @@ _CONFIG = {"name": "x", "replications": 1, "seed": 0,
       for field in ({"lambda_grid": {}}, {"generator": 5}, {"methods": ["lasso"]}, {"methods": []},
                     {"methods": [{"kind": "en"}]},
                     {"lambda_grid": {"lo": 0.1, "hi": 1.0, "num": 2.7}}, {"replications": 2.7},
-                    {"name": "../escaped"})),
+                    {"name": "../escaped"}, {"methods": [{"kind": "lasso"}, {"kind": "LASSO"}]},
+                    {"methods": [{"kind": "lasso", "mu_grid": ["x"]}]})),
     *(["experiment", "--study", "comparison", "--config",
        json.dumps({**_CONFIG, "generator": {**_CONFIG["generator"], **field}})]
       for field in ({"beta": 3}, {"beta": []}, {"covariance": 5}, {"covariance": {"kind": "ar1"}},
@@ -348,7 +349,7 @@ _CONFIG = {"name": "x", "replications": 1, "seed": 0,
 ], ids=["gaussian", "identity", "duplicated_column", "devore", "config_list", "config_no_generator",
         "config_empty_lambda_grid", "config_generator_number", "config_method_string", "config_no_methods",
         "config_en_without_mu_grid", "config_num_fraction", "config_replications_fraction",
-        "config_name_outside_out_dir",
+        "config_name_outside_out_dir", "config_repeated_kind", "config_lasso_mu_grid",
         "config_beta_number", "config_beta_empty",
         "config_covariance_number", "config_ar1_without_rho", "config_covariance_unknown_kind",
         "config_covariance_kind_list",
@@ -402,13 +403,17 @@ class TestEnvelope:
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
         assert f'version = "{clotkit.__version__}"' in pyproject.splitlines()
 
-    @pytest.mark.parametrize("flag, preset", [(["--threads=3"], None), (["--threads", "3"], None),
-                                              (["--threads=3"], "8"), (["--threads", "3"], "8")],
-                             ids=["flag0", "flag1", "flag0_preset", "flag1_preset"])
-    def test_threads_flag_caps_blas(self, capsys, monkeypatch, flag, preset):
+    @pytest.mark.parametrize("flag, env, preset", [
+        (["--threads=3"], None, None), (["--threads", "3"], None, None),
+        (["--threads=3"], None, "8"), (["--threads", "3"], None, "8"),
+        ([], "03", None), ([], "\uff10\uff13", None)],  # the second is "03" in fullwidth digits
+        ids=["flag0", "flag1", "flag0_preset", "flag1_preset", "env_leading_zero", "env_fullwidth"])
+    def test_threads_flag_caps_blas(self, capsys, monkeypatch, flag, env, preset):
         monkeypatch.setattr(os, "environ", dict(os.environ))  # keep the cap out of later tests
         for var in ("CLOTKIT_THREADS", *_THREAD_VARS):
             monkeypatch.delenv(var, raising=False)
+        if env is not None:  # BLAS reads the count as an ASCII integer
+            monkeypatch.setenv("CLOTKIT_THREADS", env)
         if preset is not None:  # the clotkit thread count is the one source
             for var in _THREAD_VARS:
                 monkeypatch.setenv(var, preset)

@@ -95,6 +95,24 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="mu_grid"):
             ScenarioConfig.from_dict(d)
 
+    @pytest.mark.parametrize("kinds", [["lasso", "lasso"], ["lasso", "LASSO"], ["clot", "Clot"]])
+    def test_repeated_method_kind_is_refused(self, kinds):
+        # a repeat would solve its paths twice and count 2r replications under one kind
+        d = tiny_scenario().to_dict()
+        d["methods"] = [{"kind": kind, **({"mu_grid": [0.5]} if kind.lower() == "clot" else {})}
+                        for kind in kinds]
+        with pytest.raises(ValueError, match="more than once"):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("kind", ["lasso", "ridge"])
+    @pytest.mark.parametrize("grid", [[0.2, 0.5, 0.8], ["x"], []])
+    def test_mu_grid_on_a_method_without_mu_is_refused(self, kind, grid):
+        # lasso and ridge have no mixing parameter: a grid only repeats their path
+        d = tiny_scenario().to_dict()
+        d["methods"][0] = {"kind": kind, "mu_grid": grid}
+        with pytest.raises(ValueError, match=f"{kind} has no mixing parameter"):
+            ScenarioConfig.from_dict(d)
+
     def test_constant_lambda_grid_is_refused(self):
         d = tiny_scenario().to_dict()
         d["lambda_grid"] = {"lo": 0.1, "hi": 0.1, "num": 5}

@@ -2,13 +2,18 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import clotkit
 from clotkit import solvers
+from clotkit.cli import _THREAD_VARS
 
 MODULES = sorted(Path(clotkit.__file__).parent.glob("*.py"))
+SUBMODULES = ("grouping", "kkt", "matrices", "regularizers", "rip", "solvers")
 
 
 def _private_sibling_imports(path):
@@ -120,3 +125,83 @@ def test_benchmark_instance_attributes_exist():
     assert {"lam", "result"} <= fields[solvers.PathPoint]
     assert {"x_hat", "iterations", "converged"} <= fields[solvers.SolveResult]
     assert solvers.SolverOptions().feas_tol > 0
+
+
+def _module_level_sibling_imports(path):
+    """Line numbers of the clotkit imports that run when the module itself is imported."""
+    stack, found = list(ast.parse(path.read_text(encoding="utf-8")).body), []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # a body runs when called, not at import
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "clotkit"):
+            found.append(node.lineno)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "clotkit" for a in node.names):
+            found.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_package_init_imports_no_sibling_at_module_level():
+    # every sibling loads numpy; one imported with the package would load it before
+    # cli.main sets the BLAS thread variables, and --threads would not cap BLAS
+    assert _module_level_sibling_imports(Path(clotkit.__file__)) == []
+
+
+def _fresh(script):
+    """stdout of ``script`` in a new interpreter that imports clotkit from this source tree."""
+    src = Path(clotkit.__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in ("CLOTKIT_THREADS", *_THREAD_VARS)}
+    proc = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONPATH": str(src)},
+                          cwd=src, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_threads_cap_blas_before_numpy_loads():
+    out = _fresh(f"""
+import json, os, sys
+import clotkit.cli
+before = "numpy" in sys.modules
+seen = {{}}
+class Spy:  # records the thread variables when numpy starts to load
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({{var: os.environ.get(var) for var in {_THREAD_VARS!r}}})
+sys.meta_path.insert(0, Spy())
+code = clotkit.cli.main(["--threads", "1", "--out", os.devnull,
+                         "certificate", "--t", "2", "--k", "1", "--delta", "0.3"])
+print(json.dumps([before, code, seen, "numpy" in sys.modules]))
+""")
+    assert out == [False, 0, dict.fromkeys(_THREAD_VARS, "1"), True]
+
+
+def test_bare_package_import_resolves_submodules_on_first_read():
+    out = _fresh(f"""
+import json, sys
+import clotkit
+before = sorted(name for name in sys.modules if name.startswith("clotkit.") or name == "numpy")
+names = [getattr(clotkit, name).__name__ for name in {SUBMODULES!r}]
+try:
+    clotkit.nope
+    missing = "resolved"
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([before, names, missing, sorted(set(clotkit.__all__) - set(dir(clotkit)))]))
+""")
+    assert out == [[], [f"clotkit.{name}" for name in SUBMODULES],
+                   "module 'clotkit' has no attribute 'nope'", []]
+
+
+def test_package_names_are_their_defining_modules_objects():
+    assert len(set(clotkit.__all__)) == len(clotkit.__all__) == 32
+    for name in clotkit.__all__:
+        obj = getattr(clotkit, name)
+        assert obj.__module__ in {f"clotkit.{module}" for module in SUBMODULES}, name
+        assert obj is getattr(importlib.import_module(obj.__module__), name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from clotkit import *", namespace)
+    assert {name: namespace.get(name) for name in clotkit.__all__} == \
+        {name: getattr(clotkit, name) for name in clotkit.__all__}
