@@ -260,6 +260,7 @@ def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
     The origin solves ``||y - Az||^2 + lam*R(z)`` exactly when
     ``lam >= 2 * gauge(A^T y)``.  Penalties with neither an l1 nor a group
     term (ridge, and EN with mu = 0) have gauge infinity for nonzero ``v``.
+    With both terms it is the largest of the groups' gauges, each in closed form.
     """
     v = np.asarray(v, dtype=float)
     if not np.any(v):
@@ -270,22 +271,25 @@ def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
     if not a:
         return float(np.max(_group_norms(spec.partition, v))) / c
 
-    # Both terms: the smallest s with every group of soft(v/s, a) inside the
-    # c-ball, by bisection in log scale; v/hi lies in the a-box.
-    def inside(s):
-        return np.max(_group_norms(spec.partition, _soft(v / s, a))) <= c
-
-    hi = float(np.max(np.abs(v))) / a
-    lo = hi * 1e-20
-    if inside(lo):
-        return lo
-    for _ in range(100):
-        mid = float(np.sqrt(lo * hi))
-        if inside(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # Both terms (Ndiaye et al., NeurIPS 2016): with |v_g| sorted down to u_1 >= u_2 >= ..., a group's
+    # gauge s keeps its top j entries above a*s, where sum_{i<=j} (u_i - a*s)^2 = c^2 s^2.  Entry k is
+    # among them when s = u_k/a is inside already, sum_{i<k} (u_i - u_k)^2 < (c*u_k/a)^2, summed over
+    # u_1 - u_i so that ties with the largest cancel; the root is taken from sums centred per group.
+    labels = np.zeros(v.size, np.intp) if spec.partition is None else spec.partition.labels
+    order = np.argsort(-np.abs(v))
+    order = order[np.argsort(labels[order], kind="stable")]  # by group, largest first in each
+    lab, u = labels[order], np.abs(v)[order]
+    first = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])  # each group's largest entry
+    top = u[first]
+    u = u / np.where(top > 0.0, top, 1.0)[lab]  # each group's largest is 1
+    rank, d = np.arange(u.size) - first[lab], 1.0 - u
+    sums = [(p := np.cumsum(w) - w) - p[first][lab] for w in (d, d * d)]  # over the group's earlier entries
+    j = np.bincount(lab, rank * d * d - 2.0 * d * sums[0] + sums[1] < (c / a * u) ** 2)
+    on = rank < j[lab]
+    s1, s2 = np.bincount(lab, on * u), np.bincount(lab, on * u * u)
+    q = np.bincount(lab, (on * (u - (s1 / np.maximum(j, 1))[lab])) ** 2)
+    root = np.sqrt(np.maximum(c * c * s2 - a * a * j * q, 0.0)) + (s2 == 0)  # a zero group's gauge is 0
+    return float(np.max(top * s2 / (a * s1 + root)))
 
 
 def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> float:

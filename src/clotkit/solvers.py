@@ -11,11 +11,12 @@ Two problem forms are handled:
   over after ``_ROUTE_ROUNDS`` (32) rounds, at a singular Hessian, or on a
   support too wide to solve, to accelerated proximal gradient descent
   (FISTA) with a gradient restart and one gradient evaluation (one Gram
-  product, or one forward and one adjoint product) per iteration.  Only
-  FISTA steps by ``1/sigma^2``, the largest squared singular value of A,
-  which a power iteration finds when FISTA first runs on an (A, y).  FISTA
-  runs the route again from its iterate at each failing certificate check
-  whose sign pattern held since the previous one;
+  product, or one forward and one adjoint product, the forward one over the
+  support alone when at most n/15 entries are nonzero) per iteration.  Only
+  FISTA steps by ``1/sigma^2``, the largest squared singular value of A, found
+  by power iteration when FISTA first runs on an (A, y).  FISTA runs the route
+  again from its iterate at each failing certificate check whose sign pattern
+  held since the previous one;
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
   search on the loss-side multiplier: a tenfold warm-started walk until the
   residual meets the budget, then a safeguarded secant that closes the last
@@ -162,6 +163,7 @@ class PathPoint:
 _POWER_ITERS = 50
 _POWER_TOL = 1e-10
 _GRAM_MAX_N = 2048  # the Gram matrix holds n^2 floats
+_GATHER_RATIO = 15  # A x from the support's columns when at most n/15 are nonzero
 
 
 class _Workspace:
@@ -175,13 +177,13 @@ class _Workspace:
     problem with at most ``_GRAM_MAX_N`` columns precomputes ``A^T A``; one
     Gram matvec (n^2 flops) then beats the two rectangular products (2*m*n
     flops) whenever n < 2m.  Values and residual norms always come from
-    ``Ax - y``, which keeps their precision at any residual size.
+    ``Ax - y``, which keeps their precision at any residual size.  ``Ax`` reads only the support's
+    columns if at most n/15 are nonzero (529x4000, one BLAS thread: 0.03 ms at 3, 0.82 at 300, dense 0.74).
     """
 
     def __init__(self, A, y):
         m, n = A.shape
         self.gram = gram = A.T @ A if n <= 2 * m and n <= _GRAM_MAX_N else None
-        self.normal = (lambda x: A.T @ (A @ x)) if gram is None else (lambda x: gram @ x)
         self.A, self.y, self.n = A, y, n
         self.aty = A.T @ y
         self.frob2 = float(np.trace(gram) if gram is not None else np.einsum("ij,ij->", A, A))
@@ -199,6 +201,13 @@ class _Workspace:
                 break
             v, lam_prev = w / lam, lam
         return lam
+
+    def forward(self, x):
+        S = np.flatnonzero(x)
+        return self.A[:, S] @ x[S] if _GATHER_RATIO * S.size <= self.n else self.A @ x
+
+    def normal(self, x):
+        return self.A.T @ self.forward(x) if self.gram is None else self.gram @ x
 
     def half_grad(self, x):
         return self.normal(x) - self.aty
@@ -439,7 +448,7 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     iters, converged = 0, stats["route_give_up"] is None
     if not converged:
         x, iters, kkt, converged = _fista(ws, spec, loss_w, pen_w, opts, tol, x, hx, stats)
-    r = ws.A @ x - ws.y
+    r = ws.forward(x) - ws.y
     rr = float(r @ r)
     return SolveResult(x, loss_w * rr + pen_w * penalty_value(spec, x), math.sqrt(rr), iters, kkt, converged,
                        {"form": "lagrangian", "lambda": form.lam, "side": form.side, **stats})
@@ -660,12 +669,9 @@ def lambda_zero_threshold(spec: RegularizerSpec, A, y, side: str = "penalty") ->
     Penalty side: zero is optimal for all ``lam`` at or above the returned
     value.  Loss side: zero is optimal for all ``lam`` at or below it.
     """
-    c = np.asarray(A).T @ np.asarray(y)
-    gauge = penalty_gauge_at_zero(spec, c)
+    gauge = penalty_gauge_at_zero(spec, np.asarray(A).T @ np.asarray(y))
     if side == "penalty":
         return 2.0 * gauge
-    if side == "loss":
-        if gauge == 0.0:
-            return np.inf
-        return 0.0 if not np.isfinite(gauge) else 1.0 / (2.0 * gauge)
+    if side == "loss":  # a gauge of infinity (no exact zero solution) gives 0
+        return 1.0 / (2.0 * gauge) if gauge else np.inf
     raise ValueError(f"side must be 'penalty' or 'loss', got {side!r}")

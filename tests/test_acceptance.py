@@ -161,6 +161,34 @@ def test_c5_brute_force_rip_and_recovery_bound(devore_5_2, gaussian_30_36):
                     assert rep.ok, (name, k, rep.violations[:3])
 
 
+@pytest.mark.parametrize("g", [1, 5, 25])
+def test_c5_sgl_recovery_bound_over_groups(devore_5_2, g):
+    """The SGL half of C5's recovery claim: on devore(5,2), k=1 and t=2, with g contiguous
+    groups and mu = mu_max/2, where mu_max = (1 - rho)/(sqrt(g)(1 + rho)).  C5's draws
+    (100 at eps=0.05, seed 99) solved by solve_constrained with SGL break the l1 bound in
+    none.  The bound is about 30 times loose on these draws, so this shows that it holds,
+    not that it is tight."""
+    with criterion(5, f"SGL recovery bound, {g} groups"):
+        A, k, t, eps = devore_5_2, 1, 2.0, 0.05
+        delta = exact_rip(A, 2 * k).delta_k
+        cert = certificate(t, k, delta, g, 0.5 * certificate(t, k, delta, g, 0.0).mu_max)
+        assert cert.valid, cert.reason
+        spec = RegularizerSpec.sparse_group_lasso(cert.mu, Partition.contiguous([A.shape[1] // g] * g))
+        rng = np.random.default_rng(99)
+        worst = 0.0
+        for _ in range(100):
+            x = np.zeros(A.shape[1])
+            x[rng.choice(A.shape[1], size=k, replace=False)] = 2.0 * rng.standard_normal(k)
+            eta = rng.standard_normal(A.shape[0])
+            eta *= rng.uniform(0.0, eps) / np.linalg.norm(eta)
+            res = solve_constrained(Problem(A, A @ x + eta, Constrained(eps)), spec)
+            assert res.converged
+            bound, _ = error_bounds(cert, sparsity_index(x, k), eps)
+            worst = max(worst, np.sum(np.abs(res.x_hat - x)) / bound)
+        print(f"  mu={cert.mu:.4f}: worst l1 error / bound {worst:.3g}")
+        assert worst <= 1.0
+
+
 def test_c6_grouping_effect_suite():
     with criterion(6, "grouping effect"):
         opts = SolverOptions(kkt_tol=1e-10, max_iters=40_000)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clotkit.regularizers import (Partition, PenaltyKind, RegularizerSpec, penalty_value, prox,
-                                  sparsity_index, subdiff_distance)
+from clotkit.regularizers import (Partition, PenaltyKind, RegularizerSpec, penalty_gauge_at_zero, penalty_value,
+                                  prox, sparsity_index, subdiff_distance)
 
 from oracles import prox_objective, prox_oracle, sparsity_index_ref
 
@@ -271,6 +271,81 @@ class TestSubdiffDistanceMeasure:
         with pytest.raises(ValueError, match="same shape"):
             subdiff_distance(CLOT_HALF, np.zeros(3), np.zeros(4))
         assert subdiff_distance(CLOT_HALF, np.zeros(0), np.zeros(0)) == 0.0
+
+
+def gauges_by_bisection(cases, steps=64):
+    """Reference gauges of ``(spec, v)`` pairs, CLOT or SGL.  Per group, the smallest s at
+    which the soft threshold of ``|v_g|/s`` at ``a = 1 - mu`` has Euclidean norm at most
+    ``c = mu``, by bisection in log scale from ``max|v_g|/(a + c)`` (outside or on the ball)
+    to ``max|v_g|/a`` (inside); a pair's gauge is the largest of its groups'.  The groups of
+    all pairs bisect together."""
+    labels, u, a, c, owner = [], [], [], [], []
+    for i, (spec, v) in enumerate(cases):
+        lab = np.zeros(v.size, np.intp) if spec.partition is None else spec.partition.labels
+        labels.append(lab + len(owner))
+        u.append(np.abs(v))
+        g = int(lab.max()) + 1
+        a, c, owner = a + [1.0 - spec.mu] * g, c + [spec.mu] * g, owner + [i] * g
+    labels, u, a, c = np.concatenate(labels), np.concatenate(u), np.array(a), np.array(c)
+    top = np.zeros(len(owner))
+    np.maximum.at(top, labels, u)
+    lo, hi = np.where(top > 0, top, 1.0) / (a + c), np.where(top > 0, top, 1.0) / a
+    for _ in range(steps):
+        mid = np.sqrt(lo * hi)
+        norm2 = np.bincount(labels, np.maximum(u / mid[labels] - a[labels], 0.0) ** 2, len(owner))
+        lo, hi = np.where(norm2 <= c * c, lo, mid), np.where(norm2 <= c * c, mid, hi)
+    gauges = np.zeros(len(cases))
+    np.maximum.at(gauges, owner, np.where(top > 0, hi, 0.0))
+    return gauges
+
+
+class TestGaugeAtZero:
+    """With both an l1 and a group term the gauge is solved in closed form per group;
+    the bisection it replaced is kept here as its reference."""
+
+    def test_matches_bisection_on_random_draws(self):
+        rng = np.random.default_rng(2016)
+        cases = []
+        for draw in range(2000):
+            n = int(rng.integers(1, 41))
+            v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)  # six decades
+            v[rng.random(n) < 0.2] = 0.0
+            v[int(rng.integers(n))] = 10.0 ** rng.uniform(-3.0, 3.0)
+            if draw % 4 < 2:  # a cluster within 1e-13..1e-7 of the largest, where cancellation would show
+                near = rng.random(n) < 0.5
+                v[near] = np.sign(v[near]) * np.max(np.abs(v)) * (1.0 - 10.0 ** rng.uniform(-13, -7) * rng.random())
+            # mu uniform, or within 1e-9..1e-1 of either end
+            mu = (float(rng.uniform()), float(10.0 ** rng.uniform(-9, -1)),
+                  1.0 - float(10.0 ** rng.uniform(-9, -1)))[draw % 3]
+            if draw % 2:
+                spec = RegularizerSpec.clot(mu)
+            else:
+                g = int(rng.integers(1, n + 1))  # every group nonempty, labels shuffled
+                labels = rng.permutation(np.r_[np.arange(g), rng.integers(0, g, n - g)])
+                groups = tuple(tuple(np.flatnonzero(labels == k)) for k in range(g))
+                spec = RegularizerSpec.sparse_group_lasso(mu, Partition(groups, n))
+            cases.append((spec, v))
+        ref = gauges_by_bisection(cases)
+        rel = np.abs([penalty_gauge_at_zero(spec, v) for spec, v in cases] - ref) / ref
+        print(f"  worst relative gap over 2000 draws: {rel.max():.3g}")
+        assert rel.max() <= 1e-12, cases[int(np.argmax(rel))]
+
+    @pytest.mark.parametrize("spec,v,exact", [
+        (RegularizerSpec.clot(0.3), np.array([0.0, 0.0, -3e4, 0.0]), 3e4),  # one nonzero entry: |v|/(a + c)
+        (RegularizerSpec.clot(0.3), np.array([2.5, -2.5, 2.5, 2.5, -2.5, 2.5]),
+         2.5 / (0.7 + 0.3 / math.sqrt(6))),  # ties: all six active, 6 (2.5 - a s)^2 = c^2 s^2
+        (RegularizerSpec.sparse_group_lasso(0.3, Partition(((1, 4, 6), (0, 2, 3, 5)), 7)),
+         np.array([0.0, 1.0, 0.0, 0.0, -2.0, 0.0, 0.5]), None),  # an all-zero group beside a nonzero one
+        (RegularizerSpec.clot(1e-12), np.array([1.0, -1.0, 1.0 - 1e-13, 0.3, 4e-3]), None),
+        (RegularizerSpec.clot(1.0 - 1e-12), np.array([1.0, -1e-6, 3.0, 0.0, 2e3]), None),
+    ], ids=["one_nonzero", "ties", "zero_group", "mu_near_0", "mu_near_1"])
+    def test_edge_cases(self, spec, v, exact):
+        gauge = penalty_gauge_at_zero(spec, v)
+        assert gauge == pytest.approx(gauges_by_bisection([(spec, v)])[0], rel=1e-12, abs=0)
+        if exact is not None:
+            assert gauge == pytest.approx(exact, rel=1e-14, abs=0)
+        if spec.partition is not None:  # the zero group adds nothing: the gauge is the other group's
+            assert gauge == pytest.approx(penalty_gauge_at_zero(RegularizerSpec.clot(spec.mu), v), rel=1e-15)
 
 
 class TestSparsityIndex:

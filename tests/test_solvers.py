@@ -55,6 +55,26 @@ def cert_tol(A, y, kkt_tol):
     return kkt_tol * max(1.0, 2.0 * float(np.max(np.abs(A.T @ y))))
 
 
+class ProductSpy(np.ndarray):
+    """A view of A that records the column count of every forward matrix-vector product
+    that it, or a matrix of some of its columns, is the left factor of."""
+
+    def __array_finalize__(self, obj):
+        self.rows, self.widths = getattr(obj, "rows", None), getattr(obj, "widths", None)
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 1 and self.shape[0] == self.rows:  # not an adjoint
+            self.widths.append(self.shape[1])
+        return np.asarray(self) @ other
+
+
+def spy_on_products(ws):
+    """Swap ``ws.A`` for a spy and return the list its forward products are recorded in."""
+    ws.A = ws.A.view(ProductSpy)
+    ws.A.rows, ws.A.widths = ws.A.shape[0], []
+    return ws.A.widths
+
+
 def without_route(monkeypatch):
     """Lagrangian solves without the active-set route: it hands every point straight to FISTA."""
     monkeypatch.setattr(solvers, "_route",
@@ -340,6 +360,34 @@ class TestWorkspace:
         with pytest.raises(InfeasibleError, match="^least-squares residual"):
             solve_constrained(Problem(A, y, Constrained(0.5)), lasso)
 
+    def test_forward_product_over_the_support(self):
+        A = fixture_matrix("gaussian", 20, 150, seed=4)  # wide: no Gram matrix
+        ws = solvers._Workspace(A, np.ones(20))
+        widths = spy_on_products(ws)
+        cross = 150 // solvers._GATHER_RATIO  # the widest support taken column by column
+        rng = np.random.default_rng(8)
+        for k in (0, 1, cross, cross + 1, 150):
+            x = np.zeros(150)
+            x[rng.choice(150, k, replace=False)] = rng.standard_normal(k)
+            widths.clear()
+            got = ws.forward(x)
+            assert np.linalg.norm(got - A @ x) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(x)
+            assert widths == [k if k <= cross else 150]
+
+    def test_route_certified_wide_solve_makes_no_full_width_forward_product(self, monkeypatch):
+        A, x = TestRouting.wide_devore_instance()
+        widths = []
+
+        class Spied(solvers._Workspace):
+            def __init__(self, A, y):
+                super().__init__(A, y)
+                widths.append(spy_on_products(self))
+
+        monkeypatch.setattr(solvers, "_Workspace", Spied)
+        res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), RegularizerSpec.clot(0.2))
+        assert res.info["certified"] and res.iterations == 0 and len(widths) == 1
+        assert widths[0] and max(widths[0]) <= 3 and A.shape[1] not in widths[0]
+
     def test_stages_and_path_points_reuse_the_validated_problem(self, monkeypatch):
         A, x = TestConstrained.eps0_instance("no_recovery")  # certified after several stages
         spec = RegularizerSpec.lasso()
@@ -550,6 +598,31 @@ class TestNewtonFinish:
 
 
 class TestRouting:
+    @staticmethod
+    def wide_devore_instance():
+        """devore(7, 2), 49 x 343 and so routed without a Gram matrix, and a 3-sparse truth."""
+        A = devore_matrix(DeVoreParams(7, 2), normalize=True)
+        rng = np.random.default_rng(3)
+        x = np.zeros(A.shape[1])
+        x[rng.choice(A.shape[1], 3, replace=False)] = rng.standard_normal(3)
+        return A, x
+
+    def test_support_and_dense_forward_products_agree(self, monkeypatch):
+        A, x = self.wide_devore_instance()
+        spec = RegularizerSpec.clot(0.2)
+        solve = lambda c: solve_constrained(Problem(A, A @ (10.0**c * x), Constrained(0.0)), spec)
+        narrow = [solve(c) for c in range(5)]
+        monkeypatch.setattr(solvers, "_GATHER_RATIO", math.inf)  # no support is narrow: every product is dense
+        dense = solve(0)
+        assert narrow[0].converged and dense.converged
+        assert np.linalg.norm(narrow[0].x_hat - dense.x_hat) <= 1e-12 * np.linalg.norm(dense.x_hat)
+        assert [s[0] for s in narrow[0].info["stages"]] == [s[0] for s in dense.info["stages"]]
+        np.testing.assert_allclose([s[1] for s in narrow[0].info["stages"]],
+                                   [s[1] for s in dense.info["stages"]], rtol=1e-12)
+        for c, res in enumerate(narrow):  # scale-equivariant: 10^c x is recovered from 10^c y
+            assert res.converged and res.info["certified"], c
+            assert np.linalg.norm(res.x_hat - 10.0**c * x) <= 1e-12 * np.linalg.norm(10.0**c * x), c
+
     def test_gram_and_direct_routing_agree(self, monkeypatch):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((60, 40))
