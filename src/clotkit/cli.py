@@ -78,7 +78,10 @@ def _build_spec(args, n: int):
                 isinstance(g, list) and all(type(i) is int for i in g) for g in groups)):
             raise ValueError(f"--groups file {args.groups} must hold a list of lists of integers")
         partition = Partition(tuple(tuple(g) for g in groups), n)
-    return RegularizerSpec(args.reg, args.mu, partition)
+    spec = RegularizerSpec(args.reg, args.mu, partition)
+    if args.mu and spec.mu != args.mu:  # the kind fixes mu, so the given one would be ignored
+        raise ValueError(f"--reg {args.reg} keeps mu={spec.mu:g}, not --mu {args.mu:g}")
+    return spec
 
 
 def _solver_options(args):
@@ -177,6 +180,10 @@ def _cmd_riporacle(args):
 def _cmd_experiment(args):
     from . import experiments
 
+    if args.study != "comparison" and (args.config or args.scenario):
+        raise ValueError(f"--config and --scenario go with --study comparison, not {args.study}")
+    if args.study != "scaling" and args.small:
+        raise ValueError(f"--small goes with --study scaling, not {args.study}")
     if args.study == "comparison":
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:

@@ -29,38 +29,33 @@ def write_matrix_csv(path, A) -> None:
     np.savetxt(path, A, delimiter=",", fmt="%.17g")
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    width = None
+def _lines(path, sep):
+    """Yield ``(line number, line, fields)`` for each non-blank line, stripped and split."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {width} columns, found {len(fields)}"
-                )
-            row = []
-            for col, tok in enumerate(fields, start=1):
-                try:
-                    row.append(float(tok))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: column {col}: not a number: {tok.strip()!r}"
-                    ) from None
-            rows.append(row)
+            if line := line.strip():
+                yield lineno, line, line.split(sep)
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    rows = []
+    for lineno, _, fields in _lines(path, ","):
+        if rows and len(fields) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} columns, found {len(fields)}")
+        row = []
+        for col, tok in enumerate(fields, start=1):
+            try:
+                row.append(float(tok))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: column {col}: not a number: {tok.strip()!r}") from None
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     return np.asarray(rows, dtype=float)
 
 
 def write_vector_csv(path, v) -> None:
-    v = np.asarray(v, dtype=float).reshape(-1, 1)
-    np.savetxt(path, v, delimiter=",", fmt="%.17g")
+    write_matrix_csv(path, np.asarray(v, dtype=float).reshape(-1, 1))
 
 
 def read_vector_csv(path) -> np.ndarray:
@@ -111,12 +106,10 @@ def read_triplet(path) -> np.ndarray:
 
 
 def _read_triplet_by_line(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [(no, ln.strip()) for no, ln in enumerate(handle, start=1) if ln.strip()]
+    lines = list(_lines(path, None))
     if not lines:
         raise ValueError(f"{path}: empty triplet file")
-    header_no, header = lines[0]
-    parts = header.split()
+    (header_no, _, parts), entries = lines[0], lines[1:]
     if len(parts) != 3:
         raise ValueError(f"{path}:{header_no}: header must be 'm n nnz'")
     try:
@@ -125,11 +118,10 @@ def _read_triplet_by_line(path) -> np.ndarray:
         raise ValueError(f"{path}:{header_no}: header must hold three integers") from None
     if m < 1 or n < 1 or nnz < 0:
         raise ValueError(f"{path}:{header_no}: bad dimensions {m} {n} {nnz}")
-    if len(lines) - 1 != nnz:
-        raise ValueError(f"{path}: header promises {nnz} entries, file has {len(lines) - 1}")
+    if len(entries) != nnz:
+        raise ValueError(f"{path}: header promises {nnz} entries, file has {len(entries)}")
     A = np.zeros((m, n))
-    for lineno, line in lines[1:]:
-        fields = line.split()
+    for lineno, line, fields in entries:
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'row col value'")
         try:

@@ -474,8 +474,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     window can be stepped over.  A search that ends outside the window
     reports ``converged=False``.
     ``eps = 0``: each solve is capped at 3000 iterations.  The walk ends at the
-    first stage whose normal-equation refit z on its :func:`support` S (each S
-    once, at most A's row count wide) keeps S, meets the target and passes
+    first stage whose normal-equation refit z on its :func:`support` S (at most
+    A's row count wide) keeps S, meets the target and passes
     Fuchs's certificate: ``theta = A_S (A_S^T A_S)^{-1} grad R_S(z)`` with
     ``subdiff_distance(spec, z, A^T theta) <= kkt_tol*max(1, |grad R_S|_inf)``.
     That z is returned, with the distance as ``kkt_residual``.  Otherwise the
@@ -498,7 +498,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     ynorm = float(np.linalg.norm(y))
     feas_slack = opts.feas_tol * max(1.0, ynorm)
 
-    stages, tried = [], set()
+    stages = []
 
     def result(x, residual, kkt, converged, feasible, certified):  # every return builds this
         info = {"form": "constrained", "eps": eps, "inner_solves": len(stages), "stages": stages,
@@ -537,9 +537,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         # (refit, residual, dual distance) when certified; the refit solves the normal
         # equations on S, and an S where it drops an entry or misses the target fails
         S = support(x)
-        if not 0 < S.size <= A.shape[0] or (key := S.tobytes()) in tried:
+        if not 0 < S.size <= A.shape[0]:
             return None
-        tried.add(key)
         A_S, (a, b, c) = A[:, S], spec.weights
         gram = A_S.T @ A_S
         try:

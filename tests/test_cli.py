@@ -11,6 +11,7 @@ import clotkit
 from clotkit import experiments, fileio, solvers
 from clotkit.cli import _THREAD_VARS, EXIT_INPUT, EXIT_NOCONV, EXIT_OK, build_parser, main
 from clotkit.matrices import DeVoreParams, devore_matrix
+from clotkit.regularizers import RegularizerSpec
 
 SCHEMA = json.loads(
     (__import__("importlib.resources", fromlist=["files"]).files("clotkit") / "schemas"
@@ -119,6 +120,35 @@ class TestSolveCommand:
         assert code == EXIT_INPUT and out == ""
         assert "--groups" in err and "sgl" in err and "CLOT is one group" in err
 
+    @pytest.mark.parametrize("reg, mu", [("lasso", "0.7"), ("l1", "0.3"), ("ridge", "0.5"),
+                                         ("l2sq", "1"), ("gl", "0.5")])
+    def test_mu_the_kind_does_not_keep_is_an_input_error(self, capsys, io_dir, tmp_path, reg, mu):
+        groups = tmp_path / "groups.json"
+        groups.write_text("[[0, 1], [2]]")
+        extra = ["--groups", str(groups)] if reg == "gl" else []
+        code = main(["solve", "--reg", reg, "--mu", mu, "--lambda", "0.2", *extra,
+                     "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and f"--reg {reg} keeps mu=" in err and f"--mu {mu}" in err
+
+    def test_the_mu_gl_keeps_is_accepted(self, capsys, io_dir, tmp_path):
+        groups = tmp_path / "groups.json"
+        groups.write_text("[[0, 1], [2]]")
+        code, env = run_cli(capsys, "solve", "--reg", "gl", "--mu", "1", "--lambda", "0.2",
+                            "--groups", str(groups), "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv"))
+        assert code == EXIT_OK and env["config"]["mu"] == 1.0
+
+    def test_loss_side_lambda_reaches_the_solver(self, capsys, io_dir):
+        code, env = run_cli(capsys, "solve", "--reg", "lasso", "--lambda", "2", "--lambda-side", "loss",
+                            "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv"))
+        assert code == EXIT_OK
+        problem = solvers.Problem(np.eye(3), np.array([1.0, -0.2, 0.0]), solvers.Lagrangian(2.0, "loss"))
+        expected = solvers.solve_lagrangian(problem, RegularizerSpec.lasso()).x_hat
+        np.testing.assert_array_equal(env["outputs"]["x_hat"], expected)
+        # 2*||y - x||^2 + ||x||_1 soft-thresholds y at 1/4; the penalty side would at 1
+        np.testing.assert_allclose(expected, [0.75, 0.0, 0.0], atol=1e-8)
+
     @pytest.mark.parametrize("text", ['[[0, "x"], [2]]', '{"a": 1}', '[[0, 1], 2]'])
     def test_malformed_groups_file_is_an_input_error(self, capsys, io_dir, tmp_path, text):
         groups = tmp_path / "groups.json"
@@ -190,6 +220,15 @@ class TestMatrixCommand:
         assert env["outputs"]["threshold"]["threshold"] == pytest.approx(20.0, abs=1e-9)
         assert env["outputs"]["shape"] == [529, 60]
         assert fileio.read_matrix_csv(out).shape == (529, 60)
+
+    @pytest.mark.parametrize("strict, p", [(False, 5), (True, 7)])
+    def test_strict_bumps_a_prime_threshold(self, capsys, strict, p):
+        # (ceil(t*k) - 1) * r / delta = 3/0.6 = 5, itself a prime, beats n^(1/(r+1)) = sqrt(2)
+        code, env = run_cli(capsys, "matrix", "devore", "--t", "2", "--k", "2", "--delta", "0.6",
+                            "--n", "2", "--r", "1", *(["--strict"] if strict else []))
+        assert code == EXIT_OK
+        assert env["outputs"]["threshold"]["threshold"] == pytest.approx(5.0)
+        assert env["outputs"]["p"] == p
 
     def test_round_trip_csv_and_triplet(self, capsys, tmp_path):
         csv_out = tmp_path / "m.csv"
@@ -283,6 +322,21 @@ class TestExperimentCommand:
             assert calls == [(study, (experiments.load_builtin_scenario("example1"),), {})]
         else:
             assert calls == [(study, (), {"seed": 3})]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--study", "grouping", "--small", "--config", "nonexistent.json"], "--config"),
+        (["--study", "paths", "--scenario", "example1"], "--scenario"),
+        (["--study", "scaling", "--small", "--config", "cfg.json"], "--config"),
+        (["--study", "grouping", "--small"], "--small"),
+        (["--study", "comparison", "--scenario", "example1", "--small"], "--small"),
+    ])
+    def test_options_of_another_study_are_input_errors(self, capsys, monkeypatch, argv, flag):
+        for name in ("run_grouping_paths", "run_path_nonequivalence", "run_comparison", "run_scaling"):
+            monkeypatch.setattr(experiments, name, lambda *args, **kwargs: pytest.fail("a study ran"))
+        code = main(["experiment", *argv])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and flag in err and argv[1] in err
 
     def test_unknown_scenario_is_an_input_error(self, capsys):
         code = main(["experiment", "--study", "comparison", "--scenario", "nosuch"])
