@@ -108,6 +108,8 @@ def _cmd_solve(args):
     if (args.lam is None) == (args.eps is None):
         raise ValueError("give --lambda for the multiplier form or --eps for the constrained form, "
                          "not both or neither")
+    if args.eps is not None and args.lambda_side == "loss":
+        raise ValueError("--lambda-side goes with --lambda; a constrained solve (--eps) has no multiplier side")
     if args.eps is not None:
         result = solve_constrained(Problem(A, y, Constrained(args.eps)), spec, opts)
     else:
@@ -156,12 +158,11 @@ def _cmd_matrix(args):
         params = DeVoreParams(p, args.r, args.n_truncate or (args.n if args.n else None))
         A = devore_matrix(params, normalize=args.normalize)
         outputs["p"] = p
-        outputs["shape"] = list(A.shape)
     else:
         if args.m is None or args.n is None:
             raise ValueError(f"matrix {args.matrix_kind} needs --m and --n")
         A = fixture_matrix(args.matrix_kind, args.m, args.n, args.seed)
-        outputs["shape"] = list(A.shape)
+    outputs["shape"] = list(A.shape)
     if args.matrix_out:
         triplet = _is_triplet(args.matrix_out)
         (fileio.write_triplet if triplet else fileio.write_matrix_csv)(args.matrix_out, A)

@@ -3,13 +3,16 @@
 CSV matrices are header-free numeric grids, one row per line, ``.`` decimal
 point, scientific notation accepted; vectors are single-column CSVs.  The
 sparse triplet format starts with a header line ``m n nnz`` followed by one
-``row col value`` line per structural nonzero.  Values are written with 17
-significant digits so a write/read round trip reproduces every float bit.
+``row col value`` line per structural nonzero, no ``(row, col)`` twice.
+Values are written with 17 significant digits so a write/read round trip
+reproduces every float bit.  Triplet files are written and read by numpy
+passes.  A file the reading pass refuses (any error or warning in it, a wrong
+entry count, an index outside the matrix, a repeated entry) is read again line
+by line, which raises the error naming the line.
 """
 
 from __future__ import annotations
 
-import io
 import warnings
 
 import numpy as np
@@ -68,39 +71,41 @@ def read_vector_csv(path) -> np.ndarray:
 
 
 def write_triplet(path, A) -> None:
+    """Write the nonzeros row by row (NaN kept, ±0.0 dropped).  Each row, column and distinct
+    value (by bit pattern) is formatted once; lines are gathered from NUL-padded byte rows."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
-    rows, cols = np.nonzero(A)
-    entries = "".join(map("{} {} {:.17g}\n".format, rows.tolist(), cols.tolist(), A[rows, cols].tolist()))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{m} {n} {rows.size}\n")
-        handle.write(entries)
+    flat = np.flatnonzero(A != 0)
+    bits, which = np.unique(A.ravel()[flat].view(np.int64), return_inverse=True)
+    texts = [np.array([f"{k} " for k in range(size)], "S")[at] for size, at in zip((m, n), np.divmod(flat, n))]
+    texts.append(np.array(list(map("{:.17g}\n".format, bits.view(float).tolist())), "S")[which])
+    lines = np.concatenate([t.view(np.uint8).reshape(flat.size, t.itemsize) for t in texts], axis=1)
+    with open(path, "wb") as handle:
+        handle.write(f"{m} {n} {flat.size}\n".encode())
+        handle.write(lines[lines != 0])
 
 
 _TRIPLET_ENTRY = [("row", np.intp), ("col", np.intp), ("value", float)]
 
 
 def read_triplet(path) -> np.ndarray:
-    """Parse a triplet file in one numpy pass.  A file that pass or its checks
-    refuse is read again line by line, which raises the error naming the line.
+    """Read a triplet file: the header here, the body by ``np.loadtxt`` from the path.
 
-    numpy before 2.0 parses an index such as ``1.7`` into an integer field by
-    truncation, with only a ``DeprecationWarning``; that warning is made an
-    error here, so such a file is refused whatever the caller's filters."""
-    with open(path, "r", encoding="utf-8") as handle:
-        header, body = handle.readline(), handle.read()
+    Warnings are errors in that pass, so neither loadtxt's warning on an empty
+    body nor numpy < 2.0's ``DeprecationWarning`` on truncating an index such
+    as ``1.7`` lets a file through, whatever the caller's filters."""
     try:
-        m, n, nnz = (int(p) for p in header.split())
-        if m >= 1 and n >= 1 and nnz >= 1 and body.strip():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                entries = np.loadtxt(io.StringIO(body), dtype=_TRIPLET_ENTRY, comments=None, ndmin=1)
-            i, j = entries["row"], entries["col"]
-            if entries.size == nnz and i.min() >= 0 and i.max() < m and j.min() >= 0 and j.max() < n:
-                A = np.zeros((m, n))
-                A[i, j] = entries["value"]
-                return A
-    except (ValueError, DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open(path, "r", encoding="utf-8") as handle:
+                m, n, nnz = (int(p) for p in handle.readline().split())
+            entries = np.loadtxt(path, dtype=_TRIPLET_ENTRY, comments=None, skiprows=1, ndmin=1, encoding="utf-8")
+            flat = np.ravel_multi_index((entries["row"], entries["col"]), (m, n))
+        if entries.size == nnz and (np.all(np.diff(flat) > 0) or np.diff(np.sort(flat)).all()):
+            A = np.zeros(m * n)
+            A[flat] = entries["value"]
+            return A.reshape(m, n)
+    except Exception:
         pass
     return _read_triplet_by_line(path)
 
@@ -120,7 +125,7 @@ def _read_triplet_by_line(path) -> np.ndarray:
         raise ValueError(f"{path}:{header_no}: bad dimensions {m} {n} {nnz}")
     if len(entries) != nnz:
         raise ValueError(f"{path}: header promises {nnz} entries, file has {len(entries)}")
-    A = np.zeros((m, n))
+    A, seen = np.zeros((m, n)), {}
     for lineno, line, fields in entries:
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'row col value'")
@@ -130,5 +135,7 @@ def _read_triplet_by_line(path) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: malformed entry {line!r}") from None
         if not (0 <= i < m and 0 <= j < n):
             raise ValueError(f"{path}:{lineno}: index ({i}, {j}) outside {m}x{n}")
-        A[i, j] = v
+        if (i, j) in seen:
+            raise ValueError(f"{path}:{lineno}: entry ({i}, {j}) repeats line {seen[i, j]}")
+        A[i, j], seen[i, j] = v, lineno
     return A

@@ -141,3 +141,13 @@ def power_iteration_ref(apply, n, iters=50, tol=1e-10):
             break
         v, previous = w / estimate, estimate
     return estimate, products
+
+
+def triplet_text_ref(A):
+    """A triplet file's text, one plain-Python format per entry: header ``m n
+    nnz``, then ``row col value`` for each entry ``!= 0`` in row-major order
+    (NaN kept, ±0.0 left out), values at 17 significant digits."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, n = A.shape
+    entries = [f"{i} {j} {v:.17g}\n" for i, row in enumerate(A.tolist()) for j, v in enumerate(row) if v != 0]
+    return f"{m} {n} {len(entries)}\n" + "".join(entries)

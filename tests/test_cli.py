@@ -91,6 +91,15 @@ class TestSolveCommand:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error:") and "--lambda" in err and "--eps" in err
 
+    @pytest.mark.parametrize("side, expected", [("loss", EXIT_INPUT), ("penalty", EXIT_OK)])
+    def test_lambda_side_goes_with_lambda_only(self, capsys, io_dir, side, expected):
+        code = main(["solve", "--reg", "lasso", "--eps", "0.1", "--lambda-side", side,
+                     "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv")])
+        out, err = capsys.readouterr()
+        assert code == expected
+        if expected == EXIT_INPUT:
+            assert out == "" and err.startswith("error:") and "--lambda-side" in err
+
     def test_nonconvergence_exit_code(self, capsys, tmp_path, rng):
         A = rng.standard_normal((10, 30))
         fileio.write_matrix_csv(tmp_path / "A.csv", A)

@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clotkit import fileio
 from clotkit.fileio import (
@@ -25,6 +28,7 @@ from clotkit.matrices import (
     next_prime,
 )
 from clotkit.rip import exact_rip
+from oracles import triplet_text_ref
 
 
 class TestPrimes:
@@ -244,3 +248,124 @@ class TestFileIO:
         write_matrix_csv(path, np.eye(3))
         with pytest.raises(ValueError, match="single-column"):
             read_vector_csv(path)
+
+
+def _outcome(reader, path):
+    """The reader's matrix, or the exception it raised."""
+    try:
+        return reader(path)
+    except Exception as exc:
+        return exc
+
+
+def _assert_same_outcome(path):
+    """read_triplet returns the line reader's matrix bit for bit, or raises its exception with its
+    message, and lets no warning out however the caller filters them."""
+    expected = _outcome(fileio._read_triplet_by_line, path)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = _outcome(read_triplet, path)
+    assert seen == [], [str(w.message) for w in seen]
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    return got
+
+
+_SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308 / 3, 5e300, 1.0]
+_SHAPES = st.one_of(st.just(()), st.tuples(st.just(1), st.integers(1, 9)), st.tuples(st.integers(1, 9), st.just(1)),
+                    st.tuples(st.integers(1, 9), st.integers(1, 9)))
+
+
+class TestTripletPasses:
+    """The numpy writer against the per-entry oracle, and the numpy reader against the line reader."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(A=_SHAPES.flatmap(lambda shape: arrays(float, shape, elements=st.one_of(
+        st.sampled_from(_SPECIAL_VALUES), st.floats(width=64)))))
+    def test_writer_matches_the_per_entry_oracle(self, tmp_path_factory, A):
+        path = tmp_path_factory.getbasetemp() / "property.spt"
+        write_triplet(path, A)
+        assert path.read_bytes() == triplet_text_ref(A).encode()
+        got = _assert_same_outcome(path)
+        np.testing.assert_array_equal(got, np.atleast_2d(A))
+
+    @pytest.mark.parametrize("build", [
+        lambda: devore_matrix(DeVoreParams(23, 2, 4000), normalize=False),
+        lambda: devore_matrix(DeVoreParams(23, 2, 4000), normalize=True),
+        lambda: np.random.default_rng(7).standard_normal((300, 400)),
+        lambda: np.zeros((3, 5)),
+        lambda: np.array([[np.nan, -np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-310, 5e300]]),
+    ], ids=["devore_529x4000", "devore_529x4000_normalized", "gaussian_300x400", "all_zero", "specials"])
+    def test_writer_bytes_on_study_matrices(self, tmp_path, monkeypatch, build):
+        A = build()
+        path = tmp_path / "m.spt"
+        write_triplet(path, A)
+        text = triplet_text_ref(A)
+        assert path.read_bytes() == text.encode()
+        got = _assert_same_outcome(path)
+        np.testing.assert_array_equal(got, A)
+        if not A.any():
+            assert text == "3 5 0\n"
+            return
+        # a file the writer made is read by the numpy pass alone
+        monkeypatch.setattr(fileio, "_read_triplet_by_line", lambda path: pytest.fail("line reader ran"))
+        assert read_triplet(path).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("reader", [read_triplet, fileio._read_triplet_by_line], ids=["numpy", "by_line"])
+    @pytest.mark.parametrize("text, match", [
+        ("2 2 2\n0 0 1.0\n0 0 2.0\n", r"bad.spt:3: entry \(0, 0\) repeats line 2"),
+        ("2 3 3\n1 2 1.0\n0 0 1.0\n\n1 2 1.0\n", r"bad.spt:5: entry \(1, 2\) repeats line 2"),
+    ], ids=["adjacent", "apart"])
+    def test_triplet_repeated_entry_refused(self, tmp_path, reader, text, match):
+        path = tmp_path / "bad.spt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            reader(path)
+
+    @pytest.mark.parametrize("data", [
+        b"2 3 2\r\n0 1 1.5\r\n1 2 -2\r\n",
+        b"2 2 1\r0 0 1\r",
+        b"2 3 2\n\n0 1 1.5\n\n\n1 2 -2\n\n",
+        b"\n2 2 1\n0 0 1\n",
+        b"2\t3\t2\n0\t1\t1.5\n1 \t2\t-2\n",
+        b"2 3 2   \n0 1 1.5  \n1 2 -2 \t\n",
+        b"2 8 3\n+1 0 1\n0 007 2\n-0 1 3\n",
+        b"2 2 2\n0 0 1_0\n1 1 Infinity\n",
+        b"2 2 4\n0 0 -Infinity\n1 1 -nan\n0 1 NaN\n1 0 +inf\n",
+        b"2 2 1\n1_0 0 1\n",
+        b"200 2 1\n1e2 0 1\n",
+        b"2 2 1\n1.0 0 1\n",
+        "4 4 1\n\u0663 0 1\n".encode(),
+        "4 4 1\n0 0 \u0663.\u0665\n".encode(),
+        b"\xef\xbb\xbf2 2 1\n0 0 1\n",
+        b"2 2 1\n",
+        b"2 2 3\n\n\n",
+        b"2 2 0\n",
+        b"2 2 1\n0 0 1\xff\n",
+        b"2 2\xff 1\n0 0 1\n",
+        b"2 2 1\n0 0 1\x00\n",
+        b"2 2 1\n\x0c\n0 0 1\x1c\n",
+        b"2 2 1\n0\x0b0\xe2\x80\x831\n",
+        b"2 2 1\n99999999999999999999999 0 1\n",
+        b"99999999999 99999999999 1\n0 0 1\n",
+        b"2 2 1 4\n0 0 1\n",
+        b"2 2 1\n0 0 1 # note\n",
+        b"2 2 1\n0 0 nan(123)\n",
+        b"2 2 1\n0 0 -0\n",
+        b"1 1 1\n0 0 1",
+        b"-2 3 1\n0 0 1\n",
+        b"2 0 1\n0 0 1\n",
+        b"2 2 -1\n0 0 1\n",
+    ], ids=["crlf", "cr", "blank_lines", "blank_first", "tabs", "trailing_space", "signed_zero_padded_index",
+            "underscore_infinity_value", "named_values", "underscore_index", "exponent_index", "float_index",
+            "arabic_index", "arabic_value", "bom", "promised_no_body", "promised_blank_body", "header_only",
+            "bad_utf8_body", "bad_utf8_header", "nul", "control_whitespace", "unicode_whitespace",
+            "huge_index", "huge_dimensions", "header_four_fields", "comment", "nan_payload", "negative_zero",
+            "no_final_newline", "negative_rows", "zero_columns", "negative_count"])
+    def test_hostile_file_reads_as_the_line_reader_reads_it(self, tmp_path, data):
+        path = tmp_path / "hostile.spt"
+        path.write_bytes(data)
+        _assert_same_outcome(path)
