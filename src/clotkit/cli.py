@@ -127,16 +127,10 @@ def _cmd_certificate(args):
     cert = certificate(args.t, args.k, args.delta, args.g, args.mu)
     outputs = {"certificate": cert.to_dict()}
     if args.sigma_k is not None or args.eps is not None:
-        sigma_k = args.sigma_k or 0.0
-        eps = args.eps or 0.0
+        outputs["bound_l1"] = outputs["bound_lp"] = None
         if cert.valid:
-            l1, lp = error_bounds(cert, sigma_k, eps, args.p)
-            outputs["bound_l1"] = l1
-            outputs["bound_lp"] = lp
-            outputs["p"] = args.p
-        else:
-            outputs["bound_l1"] = None
-            outputs["bound_lp"] = None
+            l1, lp = error_bounds(cert, args.sigma_k or 0.0, args.eps or 0.0, args.p)
+            outputs.update(bound_l1=l1, bound_lp=lp, p=args.p)
     return outputs, EXIT_OK
 
 
@@ -144,13 +138,19 @@ def _cmd_matrix(args):
     from . import fileio
     from .matrices import DeVoreParams, devore_matrix, devore_min_prime, devore_threshold, fixture_matrix
 
-    outputs = {}
-    if args.matrix_kind == "devore":
+    kind, outputs = args.matrix_kind, {}
+    if kind == "devore":  # an option the chosen path does not read is refused, not dropped
+        unread = {"--m": args.m is not None, "--strict with --p": args.strict and args.p is not None}
+    else:
+        unread = {"--p": args.p is not None, "--strict": args.strict, "--n-truncate": args.n_truncate is not None,
+                  "--no-normalize": not args.normalize}
+    if flags := [flag for flag, given in unread.items() if given]:
+        raise ValueError(f"matrix {kind} does not read {', '.join(flags)}")
+    if kind == "devore":
         if args.p is None and args.n is None:
             raise ValueError("matrix devore needs --p or --n")
-        if args.p is not None:
-            p = args.p
-        else:
+        p = args.p
+        if p is None:
             rip_term, dim_term = devore_threshold(args.t, args.k, args.delta, args.n, args.r)
             p = devore_min_prime(args.t, args.k, args.delta, args.n, args.r, args.strict)
             outputs["threshold"] = {"rip_term": rip_term, "dim_term": dim_term,
@@ -160,8 +160,8 @@ def _cmd_matrix(args):
         outputs["p"] = p
     else:
         if args.m is None or args.n is None:
-            raise ValueError(f"matrix {args.matrix_kind} needs --m and --n")
-        A = fixture_matrix(args.matrix_kind, args.m, args.n, args.seed)
+            raise ValueError(f"matrix {kind} needs --m and --n")
+        A = fixture_matrix(kind, args.m, args.n, args.seed)
     outputs["shape"] = list(A.shape)
     if args.matrix_out:
         triplet = _is_triplet(args.matrix_out)

@@ -131,17 +131,14 @@ def _generator_model(gen) -> tuple:
     if kind not in _COVARIANCE_KINDS:
         raise ValueError(f"generator: covariance must be an object with a kind in "
                          f"{list(_COVARIANCE_KINDS)}")
-    if kind in ("ar1", "equi"):
-        if not _is_number(cov.get("rho")):
-            raise ValueError(f"generator: covariance {kind} needs a number rho")
-        rho = float(cov["rho"])
-        if kind == "ar1":
-            idx = np.arange(p)
-            sigma = rho ** np.abs(idx[:, None] - idx[None, :])
-        else:
-            sigma = np.full((p, p), rho) + (1.0 - rho) * np.eye(p)
-    elif kind == "blocks":
-        blocks = cov.get("blocks")
+    if kind in ("ar1", "equi") and not _is_number(cov.get("rho")):
+        raise ValueError(f"generator: covariance {kind} needs a number rho")
+    if kind == "ar1":
+        idx = np.arange(p)
+        sigma = float(cov["rho"]) ** np.abs(idx[:, None] - idx[None, :])
+    else:  # identity and equi are one block each
+        blocks = {"identity": [{"size": p}], "equi": [{"size": p, "cov": cov.get("rho")}],
+                  "blocks": cov.get("blocks")}[kind]
         if not (isinstance(blocks, list) and blocks and all(
                 isinstance(b, dict) and _is_count(b.get("size"))
                 and _is_number(b.get("var", 1.0)) and _is_number(b.get("cov", 0.0))
@@ -157,8 +154,6 @@ def _generator_model(gen) -> tuple:
             s, var, cross = b["size"], float(b.get("var", 1.0)), float(b.get("cov", 0.0))
             sigma[at:at + s, at:at + s] = np.full((s, s), cross) + (var - cross) * np.eye(s)
             at += s
-    else:
-        sigma = np.eye(p)
     try:
         chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(p))
     except np.linalg.LinAlgError:

@@ -16,6 +16,7 @@ the already-solved instance.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -123,8 +124,6 @@ def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
     x = np.asarray(x_hat, dtype=float)
     if mu <= 0:
         raise ValueError("mu must be positive for the grouping bound")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     norms = np.linalg.norm(A, axis=0)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise ValueError("columns of A must have unit norm; run preprocess first")
@@ -148,23 +147,20 @@ def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
     group_norms = np.sqrt(np.bincount(group_of, x * x, part.g))
     full_norm = float(np.linalg.norm(x))
 
-    active = np.nonzero(x)[0]
-    for a_pos in range(active.size):
-        for b_pos in range(a_pos + 1, active.size):
-            i, j = int(active[a_pos]), int(active[b_pos])
-            same = group_of[i] == group_of[j]
-            if not same and not include_cross_group:
-                continue
-            flipped = x[i] * x[j] < 0
-            xj = -x[j] if flipped else x[j]
-            aj = -A[:, j] if flipped else A[:, j]
-            rho = float(A[:, i] @ aj)
-            d = abs(x[i] - xj) / (2.0 * lam * ynorm)
-            ref_norm = group_norms[group_of[i]] if same else full_norm
-            bound = grouping_bound(rho, ref_norm, mu)
-            report.pairs.append(GroupingPair(
-                i=i, j=j, same_group=bool(same), rho_ij=rho, d_ij=float(d),
-                bound_ij=float(bound), holds=bool(d <= bound + slack),
-                sign_flipped_j=bool(flipped),
-            ))
+    for i, j in itertools.combinations(np.flatnonzero(x).tolist(), 2):
+        same = group_of[i] == group_of[j]
+        if not same and not include_cross_group:
+            continue
+        flipped = x[i] * x[j] < 0
+        xj = -x[j] if flipped else x[j]
+        aj = -A[:, j] if flipped else A[:, j]
+        rho = float(A[:, i] @ aj)
+        d = abs(x[i] - xj) / (2.0 * lam * ynorm)
+        ref_norm = group_norms[group_of[i]] if same else full_norm
+        bound = grouping_bound(rho, ref_norm, mu)
+        report.pairs.append(GroupingPair(
+            i=i, j=j, same_group=bool(same), rho_ij=rho, d_ij=float(d),
+            bound_ij=float(bound), holds=bool(d <= bound + slack),
+            sign_flipped_j=bool(flipped),
+        ))
     return report

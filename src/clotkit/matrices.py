@@ -32,18 +32,7 @@ __all__ = [
 
 def is_prime(q: int) -> bool:
     q = int(q)
-    if q < 2:
-        return False
-    if q < 4:
-        return True
-    if q % 2 == 0:
-        return False
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
+    return q >= 2 and all(q % f for f in range(2, math.isqrt(q) + 1))
 
 
 def next_prime(q: int) -> int:

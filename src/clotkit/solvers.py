@@ -34,7 +34,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -173,7 +173,7 @@ class _Workspace:
     FISTA makes; and ``frob2 = ||A||_F^2``, the upper bound on it that the
     active-set route steps by and that costs no product.
 
-    The product ``A^T A x`` is chosen once, here, from the shape.  A tall-ish
+    The products ``A^T A x`` and ``A_S^T A_S`` are chosen once, here, from the shape.  A tall-ish
     problem with at most ``_GRAM_MAX_N`` columns precomputes ``A^T A``; one
     Gram matvec (n^2 flops) then beats the two rectangular products (2*m*n
     flops) whenever n < 2m.  Values and residual norms always come from
@@ -211,6 +211,10 @@ class _Workspace:
 
     def half_grad(self, x):
         return self.normal(x) - self.aty
+
+    def sub_gram(self, S):
+        """``A_S^T A_S``: a block of the Gram matrix when the workspace holds it, else a symmetric product."""
+        return (A_S := self.A[:, S]).T @ A_S if self.gram is None else self.gram[np.ix_(S, S)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +280,8 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
             S = np.flatnonzero(xn if a else np.bincount(labels, xn * xn)[labels] if c else np.ones(ws.n))
             if S.size > width:
                 return x, hx, kkt, "width"
-            z, s, A_S = xn[S], np.sign(xn[S]), ws.A[:, S]
-            quad = c2 * (A_S.T @ A_S if ws.gram is None else ws.gram[np.ix_(S, S)])
+            z, s = xn[S], np.sign(xn[S])
+            quad = c2 * ws.sub_gram(S)
             quad.flat[::S.size + 1] += 2.0 * pen_w * b
             lin = c2 * ws.aty[S] - (pen_w * a) * s  # restricted gradient = quad @ z - lin + group term
             optimal, steps = True, 0
@@ -509,16 +513,13 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     if ynorm <= eps:  # zero is optimal, certified by theta = 0
         return result(np.zeros(A.shape[1]), ynorm, 0.0, converged=True, feasible=True, certified=True)
 
-    judged = False
+    @cache
+    def least_residual():  # least squares attains the least residual of any z; solved once
+        return float(np.linalg.norm(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y))
 
-    def check_feasible(residual):  # least squares attains the least residual of any z; run once
-        nonlocal judged
-        if residual > eps + feas_slack and not judged:
-            judged = True
-            r_min = float(np.linalg.norm(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y))
-            if r_min > eps + feas_slack:
-                raise InfeasibleError(
-                    f"least-squares residual {r_min:.6g} exceeds the noise budget eps={eps:.6g}")
+    def check_feasible(residual):
+        if residual > eps + feas_slack and (r_min := least_residual()) > eps + feas_slack:
+            raise InfeasibleError(f"least-squares residual {r_min:.6g} exceeds the noise budget eps={eps:.6g}")
 
     try:
         ws = _Workspace(A, y)
@@ -540,7 +541,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         if not 0 < S.size <= A.shape[0]:
             return None
         A_S, (a, b, c) = A[:, S], spec.weights
-        gram = A_S.T @ A_S
+        gram = ws.sub_gram(S)
         try:
             z = np.linalg.solve(gram, A_S.T @ y)
             r = float(np.linalg.norm(A_S @ z - y))

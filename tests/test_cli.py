@@ -218,6 +218,25 @@ class TestCertificateCommand:
         assert env["outputs"]["bound_l1"] is None and env["outputs"]["bound_lp"] is None
 
 
+    _VALID = ["--t", "2.0", "--k", "2", "--delta", "0.3", "--mu", "0.1"]
+
+    @pytest.mark.parametrize("argv, keys", [
+        ([*_VALID, "--sigma-k", "0.0", "--eps", "0.5"], {"certificate", "bound_l1", "bound_lp", "p"}),
+        ([*_VALID, "--eps", "0.5"], {"certificate", "bound_l1", "bound_lp", "p"}),
+        (["--t", "1.5", "--k", "3", "--delta", "0.4", "--mu", "0.2", "--sigma-k", "0.1"],
+         {"certificate", "bound_l1", "bound_lp"}),
+        (_VALID, {"certificate"}),
+    ], ids=["valid", "valid_eps_only", "invalid", "no_bounds_asked"])
+    def test_output_keys(self, capsys, argv, keys):
+        code, env = run_cli(capsys, "certificate", *argv)
+        outputs = env["outputs"]
+        assert code == EXIT_OK and set(outputs) == keys
+        if "bound_l1" in keys:
+            valid = outputs["certificate"]["valid"]
+            assert valid == ("p" in keys)
+            assert all((outputs[k] > 0) if valid else (outputs[k] is None) for k in ("bound_l1", "bound_lp"))
+
+
 class TestMatrixCommand:
     def test_devore_from_thresholds(self, capsys, tmp_path):
         out = tmp_path / "dev.csv"
@@ -262,6 +281,22 @@ class TestMatrixCommand:
         reference = fileio.read_matrix_csv if fmt == "csv" else fileio.read_triplet
         np.testing.assert_array_equal(reference(path),
                                       devore_matrix(DeVoreParams(3, 2), normalize=True))
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gaussian", "--m", "3", "--n", "4", "--p", "7"], "--p"),
+        (["identity", "--m", "3", "--n", "3", "--strict"], "--strict"),
+        (["identity", "--m", "3", "--n", "3", "--n-truncate", "2"], "--n-truncate"),
+        (["duplicated_column", "--m", "4", "--n", "3", "--no-normalize"], "--no-normalize"),
+        (["devore", "--p", "5", "--m", "4"], "--m"),
+        (["devore", "--p", "5", "--strict", "--t", "9"], "--strict"),
+    ], ids=["p_gaussian", "strict_identity", "n_truncate_identity", "no_normalize_duplicated", "m_devore",
+            "strict_with_p"])
+    def test_option_the_kind_does_not_read_is_an_input_error(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "m.csv"
+        code = main(["matrix", *argv, "--matrix-out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: matrix {argv[0]} ") and flag in captured.err
 
     def test_fixture_kinds(self, capsys, tmp_path):
         out = tmp_path / "g.csv"

@@ -35,6 +35,17 @@ class TestPrimes:
     def test_is_prime_basics(self):
         assert [p for p in range(30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
+    def test_is_prime_matches_a_sieve(self):
+        top = 101 ** 2  # isqrt is exact on the squares of primes, where a factor sits at the bound
+        sieve = np.ones(top + 1, bool)
+        sieve[:2] = False
+        for f in range(2, math.isqrt(top) + 1):
+            if sieve[f]:
+                sieve[f * f::f] = False
+        qs = [*range(-5, 10_001), top]
+        assert [is_prime(q) for q in qs] == [q >= 0 and bool(sieve[q]) for q in qs]
+        assert not any(is_prime(q) for q in (4, 9, 25, 529, top))
+
     def test_next_prime(self):
         assert next_prime(20) == 23
         assert next_prime(23) == 29

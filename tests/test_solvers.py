@@ -360,6 +360,17 @@ class TestWorkspace:
         with pytest.raises(InfeasibleError, match="^least-squares residual"):
             solve_constrained(Problem(A, y, Constrained(0.5)), lasso)
 
+    @pytest.mark.parametrize("A, gram", [
+        (fixture_matrix("gaussian", 30, 36, seed=5), True), (devore_matrix(DeVoreParams(5, 2)), False)],
+        ids=["gram", "direct"])
+    def test_sub_gram_is_the_support_gram(self, A, gram):
+        ws = solvers._Workspace(A, np.ones(A.shape[0]))
+        assert (ws.gram is not None) == gram and A.shape == ((30, 36) if gram else (25, 125))
+        for S in (np.array([], np.intp), np.array([7]), np.array([0, 3, 11, 20, 35])):
+            got, ref = ws.sub_gram(S), A[:, S].T @ A[:, S]
+            assert got.shape == (S.size, S.size)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_forward_product_over_the_support(self):
         A = fixture_matrix("gaussian", 20, 150, seed=4)  # wide: no Gram matrix
         ws = solvers._Workspace(A, np.ones(20))

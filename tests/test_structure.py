@@ -55,6 +55,19 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert not offenders, offenders
 
 
+def test_only_the_workspace_reads_the_gram_matrix():
+    # the choice between the Gram matrix and A's columns is made in one place
+    tree = ast.parse(Path(solvers.__file__).read_text(encoding="utf-8"))
+    stack, reads = [(node, False) for node in tree.body], {True: [], False: []}
+    while stack:
+        node, inside = stack.pop()
+        inside = inside or (isinstance(node, ast.ClassDef) and node.name == "_Workspace")
+        if isinstance(node, ast.Attribute) and node.attr == "gram":
+            reads[inside].append(node.lineno)
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    assert reads[True] and not reads[False], reads[False]
+
+
 def test_benchmark_tracer_targets_exist(monkeypatch):
     # the benchmark's tracer wraps these module attributes; a renamed or moved
     # name would break its traced runs
