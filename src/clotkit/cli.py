@@ -124,13 +124,16 @@ def _cmd_solve(args):
 def _cmd_certificate(args):
     from .rip import certificate, error_bounds
 
+    if args.p is not None and args.sigma_k is None and args.eps is None:
+        raise ValueError("--p goes with the bounds, which need --sigma-k or --eps")
     cert = certificate(args.t, args.k, args.delta, args.g, args.mu)
     outputs = {"certificate": cert.to_dict()}
     if args.sigma_k is not None or args.eps is not None:
         outputs["bound_l1"] = outputs["bound_lp"] = None
         if cert.valid:
-            l1, lp = error_bounds(cert, args.sigma_k or 0.0, args.eps or 0.0, args.p)
-            outputs.update(bound_l1=l1, bound_lp=lp, p=args.p)
+            p = 2.0 if args.p is None else args.p
+            l1, lp = error_bounds(cert, args.sigma_k or 0.0, args.eps or 0.0, p)
+            outputs.update(bound_l1=l1, bound_lp=lp, p=p)
     return outputs, EXIT_OK
 
 
@@ -155,7 +158,7 @@ def _cmd_matrix(args):
             p = devore_min_prime(args.t, args.k, args.delta, args.n, args.r, args.strict)
             outputs["threshold"] = {"rip_term": rip_term, "dim_term": dim_term,
                                     "threshold": max(rip_term, dim_term)}
-        params = DeVoreParams(p, args.r, args.n_truncate or (args.n if args.n else None))
+        params = DeVoreParams(p, args.r, args.n_truncate if args.n_truncate is not None else args.n)
         A = devore_matrix(params, normalize=args.normalize)
         outputs["p"] = p
     else:
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mu", type=float, default=0.0)
     pc.add_argument("--sigma-k", dest="sigma_k", type=float, default=None)
     pc.add_argument("--eps", type=float, default=None)
-    pc.add_argument("--p", type=float, default=2.0)
+    pc.add_argument("--p", type=float, default=None, help="norm of the second bound, in [1, 2] (default 2)")
     pc.set_defaults(func=_cmd_certificate)
 
     pm = sub.add_parser("matrix", help="generate measurement matrices")

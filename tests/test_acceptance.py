@@ -156,9 +156,23 @@ def test_c5_brute_force_rip_and_recovery_bound(devore_5_2, gaussian_30_36):
             for name, A in fixtures.items():
                 for k in (1, 2):
                     cert = certificate(t, k, min(deltas[name][2 * k], 0.69), 1, 0.0)
-                    rep = rnsp_check(A, k, cert.rho, cert.tau, trials=2500, seed=5)
+                    rep = rnsp_check(A, k, cert.rho, cert.tau, trials=10_000, seed=5)
                     assert rep.checked >= 10_000
                     assert rep.ok, (name, k, rep.violations[:3])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["devore_5_2", "gaussian_30_36"])
+def test_c5_null_space_inequality_holds_at_the_certificate(request, name, k):
+    """C5's fallback check, run whether or not the delta threshold passes: at the
+    certificate of delta_2k (capped at 0.69), 10,000 sampled vectors, each on its
+    deciding support, satisfy the robust null-space inequality."""
+    with criterion(5, f"null-space inequality, {name}, k={k}"):
+        A = request.getfixturevalue(name)
+        cert = certificate(2.0, k, min(exact_rip(A, 2 * k).delta_k, 0.69), 1, 0.0)
+        rep = rnsp_check(A, k, cert.rho, cert.tau, trials=10_000, seed=5)
+        assert rep.checked >= 10_000
+        assert rep.ok, (name, k, rep.violations[:3])
 
 
 @pytest.mark.parametrize("g", [1, 5, 25])

@@ -236,6 +236,17 @@ class TestCertificateCommand:
             assert valid == ("p" in keys)
             assert all((outputs[k] > 0) if valid else (outputs[k] is None) for k in ("bound_l1", "bound_lp"))
 
+    def test_p_without_bounds_is_an_input_error(self, capsys):
+        # --p is read only by the bounds, so an out-of-range value was echoed and never checked
+        code = main(["certificate", "--t", "2", "--k", "1", "--delta", "0.3", "--p", "7"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("error: ") and "--p" in captured.err
+
+    def test_bounds_default_to_p_2(self, capsys):
+        code, env = run_cli(capsys, "certificate", "--t", "2", "--k", "1", "--delta", "0.3", "--eps", "0.1")
+        assert code == EXIT_OK and env["outputs"]["p"] == 2.0
+
 
 class TestMatrixCommand:
     def test_devore_from_thresholds(self, capsys, tmp_path):
@@ -297,6 +308,15 @@ class TestMatrixCommand:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == "" and not out.exists()
         assert captured.err.startswith(f"error: matrix {argv[0]} ") and flag in captured.err
+
+    @pytest.mark.parametrize("flag", ["--n-truncate", "--n"])
+    def test_zero_columns_is_an_input_error(self, capsys, tmp_path, flag):
+        # an explicit 0 once read as "not given" and wrote all 27 columns
+        out = tmp_path / "m.csv"
+        code = main(["matrix", "devore", "--p", "3", flag, "0", "--matrix-out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and "n_truncate=0" in captured.err
 
     def test_fixture_kinds(self, capsys, tmp_path):
         out = tmp_path / "g.csv"

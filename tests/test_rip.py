@@ -434,6 +434,17 @@ def test_exact_rip_matches_reference_on_small_matrices(m, n, k, rank, scaled, du
     assert est.delta_k == pytest.approx(delta, abs=1e-12)
 
 
+def _rnsp_margin(h, S, k, rho, tau, ah):
+    """Slack of the null-space inequality for ``h`` on support ``S``, given ``||A h||_2 = ah``."""
+    return (rho * np.abs(np.delete(h, S)).sum() + tau * ah) / math.sqrt(k) - np.linalg.norm(h[list(S)])
+
+
+def _least_rnsp_margin(h, k, rho, tau, ah):
+    """The least slack over every support of size 1 to ``k``."""
+    return min(_rnsp_margin(h, S, k, rho, tau, ah)
+               for size in range(1, k + 1) for S in combinations(range(len(h)), size))
+
+
 class TestRnspCheck:
     def test_identity_matrix_with_tau_sqrt_k(self):
         # ||h_S|| <= ||h|| = ||Ah|| makes tau = sqrt(k) always sufficient
@@ -456,6 +467,43 @@ class TestRnspCheck:
         rep = rnsp_check(A, 1, rho=0.1, tau=0.01, trials=300, seed=0)
         assert not rep.ok
         assert rep.violations[0]["lhs"] > rep.violations[0]["rhs"]
+
+    @pytest.mark.parametrize("tau", [10.0, 100.0])
+    def test_tall_rank_deficient_matrix_reports_its_null_vector(self, tau):
+        # columns 0 and 1 are equal, so e0 - e1 breaks the inequality at rho = 0.5 for every
+        # tau; the null-space draws once ran only on wide matrices and missed it
+        A = np.random.default_rng(0).standard_normal((8, 5))
+        A[:, 1] = A[:, 0]
+        A /= np.linalg.norm(A, axis=0)
+        rep = rnsp_check(A, 1, rho=0.5, tau=tau, trials=3000)
+        assert not rep.ok and rep.checked == 3000
+        assert all(v["trial"] % 3 == 2 for v in rep.violations)
+        assert rep.violations[0]["lhs"] > rep.violations[0]["rhs"]
+
+    def test_top_k_support_has_the_smallest_margin(self):
+        # why one support per vector suffices: over every support of size up to k, the
+        # top-k one (ties to the lower index) has the smallest margin, ties and zeros included
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, min(3, n) + 1))
+            rho, tau, ah = rng.uniform(0.05, 0.95), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0)
+            h = rng.standard_normal(n).round(int(rng.integers(0, 3)))
+            top = np.argsort(-np.abs(h), kind="stable")[:k]
+            assert _rnsp_margin(h, top, k, rho, tau, ah) <= _least_rnsp_margin(h, k, rho, tau, ah) + 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_trial_margin_is_the_minimum_over_supports(self, seed):
+        # trial 0 is the seed's first dense draw, checked on one support
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, min(3, n) + 1))
+        A = rng.standard_normal((int(rng.integers(1, 9)), n))
+        h = np.random.default_rng(seed).standard_normal(n)
+        rep = rnsp_check(A, k, rho=0.4, tau=1.5, trials=1, seed=seed)
+        assert rep.checked == 1
+        assert rep.min_margin == pytest.approx(_least_rnsp_margin(h, k, 0.4, 1.5, np.linalg.norm(A @ h)),
+                                               rel=1e-12, abs=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
