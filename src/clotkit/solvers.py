@@ -11,8 +11,8 @@ Two problem forms are handled:
   over after ``_ROUTE_ROUNDS`` (32) rounds, at a singular Hessian, or on a
   support too wide to solve, to accelerated proximal gradient descent
   (FISTA) with a gradient restart and one gradient evaluation (one Gram
-  product, or one forward and one adjoint product, the forward one over the
-  support alone when at most n/15 entries are nonzero) per iteration.  Only
+  product, or one forward and one adjoint product; on a large A these read
+  only the support's columns and ``Ax``'s nonzero rows) per iteration.  Only
   FISTA steps by ``1/sigma^2``, the largest squared singular value of A, found
   by power iteration when FISTA first runs on an (A, y).  FISTA runs the route
   again from its iterate at each failing certificate check whose sign pattern
@@ -163,7 +163,9 @@ class PathPoint:
 _POWER_ITERS = 50
 _POWER_TOL = 1e-10
 _GRAM_MAX_N = 2048  # the Gram matrix holds n^2 floats
-_GATHER_RATIO = 15  # A x from the support's columns when at most n/15 are nonzero
+_GATHER_RATIO = 15  # A x, 529x4000, one BLAS thread: 0.03 ms at 3 columns, 0.72 at 250, 0.78 at 280, dense 0.74
+_ROW_GATHER_RATIO = 4  # A^T v, the same: 0.25-0.28 ms at 69 rows, 0.51-0.58 at 138, dense 0.65-0.81
+_GATHER_FLOOR = 50_000  # either gather's fixed cost, 4-6 us; dense 49x343: 3-4 us, 121x1000: 13-17 us
 
 
 class _Workspace:
@@ -177,16 +179,20 @@ class _Workspace:
     problem with at most ``_GRAM_MAX_N`` columns precomputes ``A^T A``; one
     Gram matvec (n^2 flops) then beats the two rectangular products (2*m*n
     flops) whenever n < 2m.  Values and residual norms always come from
-    ``Ax - y``, which keeps their precision at any residual size.  ``Ax`` reads only the support's
-    columns if at most n/15 are nonzero (529x4000, one BLAS thread: 0.03 ms at 3, 0.82 at 300, dense 0.74).
+    ``Ax - y``, which keeps their precision at any residual size.  ``Ax`` reads only the
+    support's k columns when ``_GATHER_RATIO*k*m + _GATHER_FLOOR <= m*n``, and ``A^T v`` only v's k
+    nonzero rows when ``_ROW_GATHER_RATIO*k*n + _GATHER_FLOOR <= m*n``: a k-sparse x on DeVore's
+    matrix, with p nonzeros per column, leaves ``Ax`` nonzero in at most k*p rows.
     """
 
     def __init__(self, A, y):
         m, n = A.shape
         self.gram = gram = A.T @ A if n <= 2 * m and n <= _GRAM_MAX_N else None
         self.A, self.y, self.n = A, y, n
-        self.aty = A.T @ y
-        self.frob2 = float(np.trace(gram) if gram is not None else np.einsum("ij,ij->", A, A))
+        spare = A.size - _GATHER_FLOOR  # the widest gathers that pay; none does on a small A
+        self.max_cols, self.max_rows = spare / (_GATHER_RATIO * m), spare / (_ROW_GATHER_RATIO * n)
+        self.aty = self.adjoint(y)
+        self.frob2 = float(np.trace(gram) if gram is not None else (flat := A.ravel(order="K")) @ flat)
         if not self.frob2 > 0.0:
             raise ValueError("A must be nonzero")
 
@@ -203,11 +209,15 @@ class _Workspace:
         return lam
 
     def forward(self, x):
-        S = np.flatnonzero(x)
-        return self.A[:, S] @ x[S] if _GATHER_RATIO * S.size <= self.n else self.A @ x
+        narrow = self.max_cols > 0 and (S := np.flatnonzero(x)).size <= self.max_cols
+        return self.A[:, S] @ x[S] if narrow else self.A @ x
+
+    def adjoint(self, v):
+        narrow = self.max_rows > 0 and (R := np.flatnonzero(v)).size <= self.max_rows
+        return v[R] @ self.A[R] if narrow else self.A.T @ v
 
     def normal(self, x):
-        return self.A.T @ self.forward(x) if self.gram is None else self.gram @ x
+        return self.adjoint(self.forward(x)) if self.gram is None else self.gram @ x
 
     def half_grad(self, x):
         return self.normal(x) - self.aty
@@ -556,7 +566,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
             return None
         xp = np.zeros(A.shape[1])
         xp[S] = z
-        dist = subdiff_distance(spec, xp, A.T @ theta)
+        dist = subdiff_distance(spec, xp, ws.adjoint(theta))
         return (xp, r, dist) if dist <= opts.kkt_tol * max(1.0, float(np.max(np.abs(g)))) else None
 
     def solve_at(lam, x0):

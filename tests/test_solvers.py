@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import sys
 
@@ -57,22 +58,54 @@ def cert_tol(A, y, kkt_tol):
 
 class ProductSpy(np.ndarray):
     """A view of A that records the column count of every forward matrix-vector product
-    that it, or a matrix of some of its columns, is the left factor of."""
+    that it, or a matrix of some of its columns, is the left factor of (``widths``), and the
+    row count of every adjoint one, ``A.T @ v`` or ``v @ B`` with B some of A's rows (``heights``)."""
 
     def __array_finalize__(self, obj):
-        self.rows, self.widths = getattr(obj, "rows", None), getattr(obj, "widths", None)
+        self.full, self.widths, self.heights = (getattr(obj, a, None) for a in ("full", "widths", "heights"))
 
     def __matmul__(self, other):
-        if np.ndim(other) == 1 and self.shape[0] == self.rows:  # not an adjoint
+        if np.ndim(other) == 1 and self.ndim == 2 and self.shape[0] == self.full[0]:  # not an adjoint
             self.widths.append(self.shape[1])
-        return np.asarray(self) @ other
+        elif np.ndim(other) == 1 and self.shape == self.full[::-1]:  # the whole transpose
+            self.heights.append(self.full[0])
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        if np.ndim(other) == 1 and self.ndim == 2 and self.shape[1] == self.full[1]:
+            self.heights.append(self.shape[0])
+        return np.asarray(other) @ np.asarray(self)
 
 
-def spy_on_products(ws):
-    """Swap ``ws.A`` for a spy and return the list its forward products are recorded in."""
-    ws.A = ws.A.view(ProductSpy)
-    ws.A.rows, ws.A.widths = ws.A.shape[0], []
-    return ws.A.widths
+def product_spy(A):
+    """A :class:`ProductSpy` of A with nothing recorded yet."""
+    spy = A.view(ProductSpy)
+    spy.full, spy.widths, spy.heights = A.shape, [], []
+    return spy
+
+
+def spied_workspaces(monkeypatch):
+    """Make every workspace multiply through a spy, its own adjoint ``aty`` included; return the spies."""
+    spies = []
+
+    class Spied(solvers._Workspace):
+        def __init__(self, A, y):
+            spies.append(product_spy(A))
+            super().__init__(spies[-1], y)
+
+    monkeypatch.setattr(solvers, "_Workspace", Spied)
+    return spies
+
+
+@functools.cache
+def scaling_instance():
+    """The scaling study's 529 x 4000 DeVore matrix (23 nonzeros per column) and a 3-sparse truth,
+    so that y = A x is nonzero in at most 69 rows: both gathers pay there."""
+    A = devore_matrix(DeVoreParams(23, 2, 4000), normalize=False)
+    x = np.zeros(A.shape[1])
+    x[np.random.default_rng(99).choice(A.shape[1], 3, replace=False)] = (0.8147, 0.9058, 0.1270)
+    A.flags.writeable = x.flags.writeable = False
+    return A, x
 
 
 def without_route(monkeypatch):
@@ -340,7 +373,9 @@ class TestWorkspace:
         if not gram:
             monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
         for A in (fixture_matrix("gaussian", 30, 40, seed=11),
-                  fixture_matrix("gaussian", 30, 20, seed=3) * np.logspace(0, -2, 20)):
+                  fixture_matrix("gaussian", 30, 20, seed=3) * np.logspace(0, -2, 20),
+                  np.asfortranarray(fixture_matrix("gaussian", 30, 40, seed=12)),
+                  fixture_matrix("gaussian", 30, 80, seed=13)[:, ::2]):  # laid out by column, and strided
             ws = solvers._Workspace(A, np.ones(30))
             assert (ws.gram is not None) == gram
             assert ws.frob2 == pytest.approx(np.linalg.norm(A, "fro") ** 2, rel=1e-12)
@@ -371,33 +406,63 @@ class TestWorkspace:
             assert got.shape == (S.size, S.size)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    GATHERED = fixture_matrix("gaussian", 100, 1000, seed=4)  # wide (no Gram matrix), and big enough to gather
+
     def test_forward_product_over_the_support(self):
-        A = fixture_matrix("gaussian", 20, 150, seed=4)  # wide: no Gram matrix
-        ws = solvers._Workspace(A, np.ones(20))
-        widths = spy_on_products(ws)
-        cross = 150 // solvers._GATHER_RATIO  # the widest support taken column by column
+        A = self.GATHERED
+        ws = solvers._Workspace(product_spy(A), np.ones(100))
+        cross = (A.size - solvers._GATHER_FLOOR) // (solvers._GATHER_RATIO * 100)  # the widest support gathered
+        assert 1 < cross < 1000 // solvers._GATHER_RATIO
         rng = np.random.default_rng(8)
-        for k in (0, 1, cross, cross + 1, 150):
-            x = np.zeros(150)
-            x[rng.choice(150, k, replace=False)] = rng.standard_normal(k)
-            widths.clear()
+        for k in (0, 1, cross, cross + 1, 1000):
+            x = np.zeros(1000)
+            x[rng.choice(1000, k, replace=False)] = rng.standard_normal(k)
+            ws.A.widths.clear()
             got = ws.forward(x)
             assert np.linalg.norm(got - A @ x) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(x)
-            assert widths == [k if k <= cross else 150]
+            assert ws.A.widths == [k if k <= cross else 1000]
+
+    def test_adjoint_product_over_the_nonzero_rows(self):
+        A = self.GATHERED
+        ws = solvers._Workspace(product_spy(A), np.ones(100))
+        cross = (A.size - solvers._GATHER_FLOOR) // (solvers._ROW_GATHER_RATIO * 1000)  # the most rows gathered
+        assert 1 < cross < 100 // solvers._ROW_GATHER_RATIO
+        rng = np.random.default_rng(8)
+        for k in (0, 1, cross, cross + 1, 100):
+            v = np.zeros(100)
+            v[rng.choice(100, k, replace=False)] = rng.standard_normal(k)
+            ws.A.heights.clear()
+            got = ws.adjoint(v)
+            assert np.linalg.norm(got - A.T @ v) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(v)
+            assert ws.A.heights == [k if k <= cross else 100] and not ws.A.widths
+
+    def test_no_gather_below_the_floor(self):
+        A = devore_matrix(DeVoreParams(7, 2), normalize=True)  # 49 x 343: a dense product is cheaper at any width
+        assert A.size < solvers._GATHER_FLOOR
+        ws = solvers._Workspace(product_spy(A), np.ones(49))
+        assert ws.A.heights == [49]  # aty
+        x, v = np.eye(343)[5], np.eye(49)[7]
+        np.testing.assert_array_equal(ws.forward(x), A @ x)
+        np.testing.assert_array_equal(ws.adjoint(v), A.T @ v)
+        assert ws.A.widths == [343] and ws.A.heights == [49, 49]
+
+    @staticmethod
+    def route_certified_products(monkeypatch):
+        """The spy of the one workspace of a route-certified solve on the scaling instance."""
+        A, x = scaling_instance()
+        spies = spied_workspaces(monkeypatch)
+        res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), RegularizerSpec.clot(0.2))
+        assert res.info["certified"] and res.iterations == 0 and len(spies) == 1
+        return spies[0]
 
     def test_route_certified_wide_solve_makes_no_full_width_forward_product(self, monkeypatch):
-        A, x = TestRouting.wide_devore_instance()
-        widths = []
+        widths = self.route_certified_products(monkeypatch).widths
+        assert widths and max(widths) <= 3
 
-        class Spied(solvers._Workspace):
-            def __init__(self, A, y):
-                super().__init__(A, y)
-                widths.append(spy_on_products(self))
-
-        monkeypatch.setattr(solvers, "_Workspace", Spied)
-        res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), RegularizerSpec.clot(0.2))
-        assert res.info["certified"] and res.iterations == 0 and len(widths) == 1
-        assert widths[0] and max(widths[0]) <= 3 and A.shape[1] not in widths[0]
+    def test_route_certified_solve_makes_no_full_height_adjoint_product(self, monkeypatch):
+        # aty, the route's half-gradients and the certificate: A x and theta = A_S w lie on the truth's 3*23 rows
+        heights = self.route_certified_products(monkeypatch).heights
+        assert len(heights) >= 3 and max(heights) <= 3 * 23
 
     def test_stages_and_path_points_reuse_the_validated_problem(self, monkeypatch):
         A, x = TestConstrained.eps0_instance("no_recovery")  # certified after several stages
@@ -609,17 +674,8 @@ class TestNewtonFinish:
 
 
 class TestRouting:
-    @staticmethod
-    def wide_devore_instance():
-        """devore(7, 2), 49 x 343 and so routed without a Gram matrix, and a 3-sparse truth."""
-        A = devore_matrix(DeVoreParams(7, 2), normalize=True)
-        rng = np.random.default_rng(3)
-        x = np.zeros(A.shape[1])
-        x[rng.choice(A.shape[1], 3, replace=False)] = rng.standard_normal(3)
-        return A, x
-
     def test_support_and_dense_forward_products_agree(self, monkeypatch):
-        A, x = self.wide_devore_instance()
+        A, x = scaling_instance()
         spec = RegularizerSpec.clot(0.2)
         solve = lambda c: solve_constrained(Problem(A, A @ (10.0**c * x), Constrained(0.0)), spec)
         narrow = [solve(c) for c in range(5)]
@@ -633,6 +689,21 @@ class TestRouting:
         for c, res in enumerate(narrow):  # scale-equivariant: 10^c x is recovered from 10^c y
             assert res.converged and res.info["certified"], c
             assert np.linalg.norm(res.x_hat - 10.0**c * x) <= 1e-12 * np.linalg.norm(10.0**c * x), c
+
+    @pytest.mark.parametrize("spec", [RegularizerSpec.clot(0.2), RegularizerSpec.elastic_net(0.8)], ids=["clot", "en"])
+    def test_row_gathered_and_dense_adjoint_products_agree(self, spec, monkeypatch):
+        A, x = scaling_instance()
+        prob = Problem(A, A @ x, Constrained(0.0))
+        assert 0 < np.count_nonzero(prob.y) <= solvers._Workspace(A, prob.y).max_rows  # y's rows are gathered
+        gathered = solve_constrained(prob, spec)
+        monkeypatch.setattr(solvers, "_ROW_GATHER_RATIO", math.inf)  # no row set is narrow: every adjoint is dense
+        dense = solve_constrained(prob, spec)
+        assert gathered.converged and dense.converged and gathered.info["certified"]
+        assert np.linalg.norm(gathered.x_hat - dense.x_hat) <= 1e-12 * np.linalg.norm(dense.x_hat)
+        # the same stages; their multipliers scale 1/gauge(A^T y), whose sum over fewer rows may round otherwise
+        assert len(gathered.info["stages"]) == len(dense.info["stages"])
+        np.testing.assert_allclose([s[0] for s in gathered.info["stages"]], [s[0] for s in dense.info["stages"]],
+                                   rtol=1e-15)
 
     def test_gram_and_direct_routing_agree(self, monkeypatch):
         rng = np.random.default_rng(0)

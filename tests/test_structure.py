@@ -55,17 +55,39 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert not offenders, offenders
 
 
-def test_only_the_workspace_reads_the_gram_matrix():
-    # the choice between the Gram matrix and A's columns is made in one place
+def _solvers_lines(found, *places):
+    """``{True: lines inside, False: lines outside}`` the named classes and functions of
+    solvers.py, of each node for which ``found(node)`` holds."""
     tree = ast.parse(Path(solvers.__file__).read_text(encoding="utf-8"))
-    stack, reads = [(node, False) for node in tree.body], {True: [], False: []}
+    stack, lines = [(node, False) for node in tree.body], {True: [], False: []}
     while stack:
         node, inside = stack.pop()
-        inside = inside or (isinstance(node, ast.ClassDef) and node.name == "_Workspace")
-        if isinstance(node, ast.Attribute) and node.attr == "gram":
-            reads[inside].append(node.lineno)
+        inside = inside or (isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in places)
+        if found(node):
+            lines[inside].append(node.lineno)
         stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return lines
+
+
+def test_only_the_workspace_reads_the_gram_matrix():
+    # the choice between the Gram matrix and A's columns is made in one place
+    reads = _solvers_lines(lambda node: isinstance(node, ast.Attribute) and node.attr == "gram", "_Workspace")
     assert reads[True] and not reads[False], reads[False]
+
+
+def _whole_a(node):
+    """Whether ``node`` is ``A``, ``<obj>.A`` or a call on ``A`` such as ``np.asarray(A)``."""
+    if isinstance(node, ast.Call) and node.args:
+        node = node.args[0]
+    return isinstance(node, ast.Name) and node.id == "A" or isinstance(node, ast.Attribute) and node.attr == "A"
+
+
+def test_only_the_workspace_multiplies_by_the_transpose_of_a():
+    # A^T v reads only v's nonzero rows where that pays, a choice made in _Workspace.adjoint;
+    # lambda_zero_threshold takes (A, y) from its caller and has no workspace
+    transposes = _solvers_lines(lambda node: isinstance(node, ast.Attribute) and node.attr == "T"
+                                and _whole_a(node.value), "_Workspace", "lambda_zero_threshold")
+    assert transposes[True] and not transposes[False], transposes[False]
 
 
 def test_benchmark_tracer_targets_exist(monkeypatch):
