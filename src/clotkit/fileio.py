@@ -63,10 +63,8 @@ def write_vector_csv(path, v) -> None:
 
 def read_vector_csv(path) -> np.ndarray:
     arr = read_matrix_csv(path)
-    if arr.shape[1] == 1:
-        return arr[:, 0]
-    if arr.shape[0] == 1:
-        return arr[0, :]
+    if 1 in arr.shape:
+        return arr.ravel()
     raise ValueError(f"{path}: expected a single-column vector, got shape {arr.shape}")
 
 

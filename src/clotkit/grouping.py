@@ -15,11 +15,9 @@ the already-solved instance.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -87,15 +85,6 @@ class GroupingReport:
 
     def violations(self):
         return [p for p in self.pairs if p.same_group and not p.holds]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=[f.name for f in fields(GroupingPair)])
-            writer.writeheader()
-            writer.writerows(asdict(p) for p in self.pairs)
 
 
 def grouping_bound(rho: float, group_norm: float, mu: float) -> float:

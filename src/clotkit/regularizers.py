@@ -238,12 +238,10 @@ def penalty_value(spec: RegularizerSpec, z) -> float:
 def prox(spec: RegularizerSpec, v, step: float) -> np.ndarray:
     """Exact minimizer of ``step * R(z) + 0.5 * ||z - v||^2``: soft threshold
     at ``step*a``, group shrink at ``step*c``, division by ``1 + 2*step*b``."""
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     a, b, c = spec.weights
-    u = np.asarray(v, dtype=float)
-    if a:
-        u = _soft(u, step * a)
+    u = _soft(np.asarray(v, dtype=float), step * a)
     t = step * c
     if t:  # zero also when step*c underflows
         u = u * _per_coordinate(spec.partition,
@@ -306,27 +304,24 @@ def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> f
     t = np.asarray(target, dtype=float)
     if x.shape != t.shape:
         raise ValueError("x and target must have the same shape")
-    if x.size == 0:
-        return 0.0
-    a, b, c = spec.weights
     w = float(weight)
+    if not 0 < w < math.inf:
+        raise ValueError(f"weight must be positive and finite, got {weight}")
+    a, b, c = spec.weights
     if b:
         t = t - (2.0 * w * b) * x
     if c:
         norms = _group_norms(spec.partition, x)
         zero = norms == 0
         t = t - (w * c) * x / _per_coordinate(spec.partition, norms + zero)
-    if a:
-        thr = w * a
-        gap = np.where(x != 0, np.abs(t - thr * np.sign(x)), np.maximum(np.abs(t) - thr, 0.0))
-    else:
-        gap = np.abs(t)
+    thr = w * a
+    gap = np.where(x != 0, np.abs(t - thr * np.sign(x)), np.maximum(np.abs(t) - thr, 0.0))
     if c and np.count_nonzero(zero):
         # the coordinates of a zero group count through the group's Euclidean gap
         zero_gap = np.max(np.where(zero, _group_norms(spec.partition, gap) - w * c, 0.0))
-        return max(float(np.max(np.where(_per_coordinate(spec.partition, zero), 0.0, gap))),
+        return max(float(np.where(_per_coordinate(spec.partition, zero), 0.0, gap).max(initial=0.0)),
                    float(zero_gap))
-    return float(gap.max())
+    return float(gap.max(initial=0.0))
 
 
 def sparsity_index(x, k: int, norm: str = "l1") -> float:

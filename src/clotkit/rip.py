@@ -162,8 +162,6 @@ def delta_bound_from_mu(t: float, mu: float, g: int = 1) -> float:
     degenerates to the plain l1 threshold ``sqrt((t-1)/t)``.
     """
     t, g, mu, nu = _chain_inputs(t, g, mu)
-    if mu == 0.0:
-        return math.sqrt((t - 1.0) / t)
     theta1 = nu * (1.0 - nu)
     theta2 = 0.5 - theta1
     theta3 = nu * nu / (2.0 * (t - 1.0))

@@ -168,17 +168,3 @@ class TestGroupingCheck:
         pre = preprocess(*grouping_fixture(seed=0, n_samples=50))
         with pytest.raises(ValueError, match=match):
             grouping_check(pre.A, pre.y, np.zeros(6), lam, 0.5, partition)
-
-    def test_report_serialization(self, tmp_path):
-        X, y = grouping_fixture(seed=0, n_samples=80)
-        pre = preprocess(X, y)
-        spec = RegularizerSpec.clot(0.5)
-        lam_pen = 0.1 * lambda_zero_threshold(spec, pre.A, pre.y)
-        res = solve_std(pre.A, pre.y, spec, lam_pen)
-        report = grouping_check(pre.A, pre.y, res.x_hat, 1.0 / lam_pen, 0.5, None)
-        payload = report.to_json()
-        assert '"pairs"' in payload
-        csv_path = tmp_path / "pairs.csv"
-        report.write_csv(csv_path)
-        header = csv_path.read_text().splitlines()[0]
-        assert header == "i,j,same_group,rho_ij,d_ij,bound_ij,holds,sign_flipped_j"

@@ -12,6 +12,9 @@ from oracles import prox_objective, prox_oracle, sparsity_index_ref
 
 CLOT_HALF = RegularizerSpec.clot(0.5)
 SGL_HALF = RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([2, 1]))
+FAMILY = (RegularizerSpec.lasso(), RegularizerSpec.ridge(), RegularizerSpec.elastic_net(0.5), CLOT_HALF,
+          RegularizerSpec.group_lasso(Partition.contiguous([1, 1])),
+          RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([1, 1])))
 
 
 class TestPartition:
@@ -137,8 +140,11 @@ class TestHomogeneityAndTriangle:
 
 class TestProx:
     def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            prox(RegularizerSpec.lasso(), np.ones(2), 0.0)
+        # an infinite step made step*c = inf*0 = nan, which ran the group shrink on every kind
+        for spec in FAMILY:
+            for step in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="step"):
+                    prox(spec, np.ones(2), step)
 
     def test_l1_soft_threshold(self):
         out = prox(RegularizerSpec.lasso(), np.array([1.0, -0.2]), 0.3)
@@ -270,7 +276,16 @@ class TestSubdiffDistanceMeasure:
     def test_shapes_are_checked(self):
         with pytest.raises(ValueError, match="same shape"):
             subdiff_distance(CLOT_HALF, np.zeros(3), np.zeros(4))
-        assert subdiff_distance(CLOT_HALF, np.zeros(0), np.zeros(0)) == 0.0
+        for spec in FAMILY:
+            if spec.partition is None:  # a partition covers at least one coordinate
+                assert subdiff_distance(spec, np.zeros(0), np.zeros(0)) == 0.0
+
+    def test_rejects_a_weight_that_is_not_positive_and_finite(self):
+        # a negative weight gave a distance (4.0 here) and NaN gave NaN, which fails every tolerance silently
+        t = np.array([3.0, -1.0, 0.5])
+        for weight in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="weight"):
+                subdiff_distance(RegularizerSpec.lasso(), np.zeros(3), t, weight)
 
 
 def gauges_by_bisection(cases, steps=64):

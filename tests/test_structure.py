@@ -55,10 +55,10 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert not offenders, offenders
 
 
-def _solvers_lines(found, *places):
+def _lines(path, found, *places):
     """``{True: lines inside, False: lines outside}`` the named classes and functions of
-    solvers.py, of each node for which ``found(node)`` holds."""
-    tree = ast.parse(Path(solvers.__file__).read_text(encoding="utf-8"))
+    the module at ``path``, of each node for which ``found(node)`` holds."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     stack, lines = [(node, False) for node in tree.body], {True: [], False: []}
     while stack:
         node, inside = stack.pop()
@@ -67,6 +67,19 @@ def _solvers_lines(found, *places):
             lines[inside].append(node.lineno)
         stack.extend((child, inside) for child in ast.iter_child_nodes(node))
     return lines
+
+
+def _solvers_lines(found, *places):
+    return _lines(Path(solvers.__file__), found, *places)
+
+
+def test_only_the_regularizer_spec_reads_the_penalty_kind():
+    # every family function branches on the weights (a, b, c) alone; the kind only names the spec
+    def kind(node):
+        return isinstance(node, ast.Attribute) and node.attr == "kind" and isinstance(node.ctx, ast.Load)
+    reads = {path.name: _lines(path, kind, "RegularizerSpec") for path in MODULES}
+    outside = {name: lines[False] for name, lines in reads.items() if lines[False]}
+    assert reads["regularizers.py"][True] and not outside, outside
 
 
 def test_only_the_workspace_reads_the_gram_matrix():
