@@ -261,6 +261,7 @@ def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
     With both terms it is the largest of the groups' gauges, each in closed form.
     """
     v = np.asarray(v, dtype=float)
+    spec.check_dimension(v.size)
     if not np.any(v):
         return 0.0
     a, _, c = spec.weights

@@ -105,9 +105,13 @@ class Problem:
             raise ValueError("y must be a 1-D vector")
         if A.shape[0] != y.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but y has length {y.shape[0]}")
-        for name, v in (("A", A), ("y", y)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} contains non-finite entries")
+        with np.errstate(over="ignore"):  # ||A||_F^2, finite only if every entry is; kept for the workspace
+            self._frob2 = float((flat := A.ravel(order="K")) @ flat)
+        if not np.isfinite(self._frob2):
+            raise ValueError("A contains non-finite entries" if not np.all(np.isfinite(A))
+                             else "the squared Frobenius norm of A overflows")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y contains non-finite entries")
         if not isinstance(self.form, (Lagrangian, Constrained)):
             raise ValueError("form must be Lagrangian or Constrained")
         self.A, self.y = A, y
@@ -173,7 +177,7 @@ class _Workspace:
     ``A^T(Ax - y)`` of ``||Ax - y||^2``; ``sigma2``, the largest squared
     singular value of A, found by power iteration on first read, which only
     FISTA makes; and ``frob2 = ||A||_F^2``, the upper bound on it that the
-    active-set route steps by and that costs no product.
+    active-set route steps by, as the validation of the caller's :class:`Problem` computed it.
 
     The products ``A^T A x`` and ``A_S^T A_S`` are chosen once, here, from the shape.  A tall-ish
     problem with at most ``_GRAM_MAX_N`` columns precomputes ``A^T A``; one
@@ -182,17 +186,22 @@ class _Workspace:
     ``Ax - y``, which keeps their precision at any residual size.  ``Ax`` reads only the
     support's k columns when ``_GATHER_RATIO*k*m + _GATHER_FLOOR <= m*n``, and ``A^T v`` only v's k
     nonzero rows when ``_ROW_GATHER_RATIO*k*n + _GATHER_FLOOR <= m*n``: a k-sparse x on DeVore's
-    matrix, with p nonzeros per column, leaves ``Ax`` nonzero in at most k*p rows.
+    matrix, with p nonzeros per column, leaves ``Ax`` nonzero in at most k*p rows.  When y's
+    rows pass that rule they are copied out of A once (``block``), and ``A^T v`` of any v that is
+    zero off them reads the copy; over a strict subset of them the sum adds exact zeros in
+    another order, which left the studies' reports byte-identical.
     """
 
-    def __init__(self, A, y):
+    def __init__(self, A, y, frob2):
         m, n = A.shape
         self.gram = gram = A.T @ A if n <= 2 * m and n <= _GRAM_MAX_N else None
         self.A, self.y, self.n = A, y, n
         spare = A.size - _GATHER_FLOOR  # the widest gathers that pay; none does on a small A
         self.max_cols, self.max_rows = spare / (_GATHER_RATIO * m), spare / (_ROW_GATHER_RATIO * n)
+        rows = np.flatnonzero(y)
+        self.rows, self.block = (rows, A[rows]) if 0 < rows.size <= self.max_rows else (None, None)
         self.aty = self.adjoint(y)
-        self.frob2 = float(np.trace(gram) if gram is not None else (flat := A.ravel(order="K")) @ flat)
+        self.frob2 = float(np.trace(gram)) if gram is not None else frob2
         if not self.frob2 > 0.0:
             raise ValueError("A must be nonzero")
 
@@ -213,6 +222,8 @@ class _Workspace:
         return self.A[:, S] @ x[S] if narrow else self.A @ x
 
     def adjoint(self, v):
+        if self.rows is not None and np.count_nonzero(v[self.rows]) == np.count_nonzero(v):  # zero off y's rows
+            return v[self.rows] @ self.block
         narrow = self.max_rows > 0 and (R := np.flatnonzero(v)).size <= self.max_rows
         return v[R] @ self.A[R] if narrow else self.A.T @ v
 
@@ -450,7 +461,7 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite 1-D vector of length {n}, got shape {x.shape}")
-    ws = _ws or _Workspace(problem.A, problem.y)
+    ws = _ws or _Workspace(problem.A, problem.y, problem._frob2)
     loss_w, pen_w = form.weights
 
     tol = opts.kkt_tol * max(1.0, 2.0 * loss_w * float(np.max(np.abs(ws.aty), initial=0.0)))
@@ -532,7 +543,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
             raise InfeasibleError(f"least-squares residual {r_min:.6g} exceeds the noise budget eps={eps:.6g}")
 
     try:
-        ws = _Workspace(A, y)
+        ws = _Workspace(A, y, problem._frob2)
     except ValueError:  # a zero A, which leaves the residual at ||y|| for every z
         check_feasible(ynorm)
         raise
@@ -657,7 +668,7 @@ def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: So
     if not np.all(np.isfinite(grid) & (grid > 0)):
         raise ValueError("lambda_grid entries must be positive and finite")
 
-    ws = _Workspace(problem.A, problem.y)
+    ws = _Workspace(problem.A, problem.y, problem._frob2)
     points, warm = [], None
     for lam in grid:
         point = copy.copy(problem)  # validated once, as the caller's problem; only the form differs

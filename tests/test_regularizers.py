@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from clotkit.regularizers import (Partition, PenaltyKind, RegularizerSpec, penalty_gauge_at_zero, penalty_value,
                                   prox, sparsity_index, subdiff_distance)
+from clotkit.solvers import lambda_zero_threshold
 
 from oracles import prox_objective, prox_oracle, sparsity_index_ref
 
@@ -361,6 +362,13 @@ class TestGaugeAtZero:
             assert gauge == pytest.approx(exact, rel=1e-14, abs=0)
         if spec.partition is not None:  # the zero group adds nothing: the gauge is the other group's
             assert gauge == pytest.approx(penalty_gauge_at_zero(RegularizerSpec.clot(spec.mu), v), rel=1e-15)
+
+    def test_partition_size_is_checked(self):
+        spec, v = RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([2, 2])), np.array([3.0, -1.0, 0.5])
+        with pytest.raises(ValueError, match="^vector has length 3 but the partition covers 4$"):
+            penalty_gauge_at_zero(spec, v)
+        with pytest.raises(ValueError, match="^vector has length 3 but the partition covers 4$"):
+            lambda_zero_threshold(spec, np.eye(3), v)
 
 
 class TestSparsityIndex:

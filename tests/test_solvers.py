@@ -59,10 +59,17 @@ def cert_tol(A, y, kkt_tol):
 class ProductSpy(np.ndarray):
     """A view of A that records the column count of every forward matrix-vector product
     that it, or a matrix of some of its columns, is the left factor of (``widths``), and the
-    row count of every adjoint one, ``A.T @ v`` or ``v @ B`` with B some of A's rows (``heights``)."""
+    row count of every adjoint one, ``A.T @ v`` or ``v @ B`` with B some of A's rows (``heights``),
+    and the row count of every copy ``A[R]`` of some of its rows (``gathers``)."""
 
     def __array_finalize__(self, obj):
-        self.full, self.widths, self.heights = (getattr(obj, a, None) for a in ("full", "widths", "heights"))
+        self.full, self.widths, self.heights, self.gathers = (
+            getattr(obj, a, None) for a in ("full", "widths", "heights", "gathers"))
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and self.shape == self.full:
+            self.gathers.append(len(key))
+        return super().__getitem__(key)
 
     def __matmul__(self, other):
         if np.ndim(other) == 1 and self.ndim == 2 and self.shape[0] == self.full[0]:  # not an adjoint
@@ -80,8 +87,13 @@ class ProductSpy(np.ndarray):
 def product_spy(A):
     """A :class:`ProductSpy` of A with nothing recorded yet."""
     spy = A.view(ProductSpy)
-    spy.full, spy.widths, spy.heights = A.shape, [], []
+    spy.full, spy.widths, spy.heights, spy.gathers = A.shape, [], [], []
     return spy
+
+
+def workspace(A, y):
+    """A workspace on (A, y) with ``||A||_F^2`` as a problem's validation computes it."""
+    return solvers._Workspace(A, y, Problem(A, y, Lagrangian(1.0))._frob2)
 
 
 def spied_workspaces(monkeypatch):
@@ -89,9 +101,9 @@ def spied_workspaces(monkeypatch):
     spies = []
 
     class Spied(solvers._Workspace):
-        def __init__(self, A, y):
+        def __init__(self, A, y, frob2):
             spies.append(product_spy(A))
-            super().__init__(spies[-1], y)
+            super().__init__(spies[-1], y, frob2)
 
     monkeypatch.setattr(solvers, "_Workspace", Spied)
     return spies
@@ -121,10 +133,14 @@ class TestProblemValidation:
 
     def test_non_finite_entries(self):
         A = np.eye(2)
-        bad = A.copy()
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            Problem(bad, np.ones(2), Lagrangian(1.0))
+        for value in (np.nan, np.inf, -np.inf):
+            bad = A.copy()
+            bad[0, 0] = value
+            with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+                Problem(bad, np.ones(2), Lagrangian(1.0))
+        # every entry finite, but ||A||_F^2 is not: each solve would fail at a zero step
+        with pytest.raises(ValueError, match="^the squared Frobenius norm of A overflows$"):
+            Problem(fixture_matrix("gaussian", 30, 60, seed=1) * 1e160, np.ones(30), Lagrangian(1.0))
         with pytest.raises(ValueError):
             Problem(A, np.array([np.inf, 0.0]), Lagrangian(1.0))
 
@@ -296,7 +312,7 @@ class TestSolveStats:
         work = []
         for A, y, lam, spec, rounds, x0 in cases:
             monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", rounds)
-            ws = solvers._Workspace(A, y)
+            ws = workspace(A, y)
             products, normal = [], ws.normal
             ws.normal = lambda x: products.append(1) or normal(x)
             res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT, ws, x0=x0)
@@ -326,7 +342,7 @@ class TestSolveStats:
     def test_exhausted_step_search_is_reported(self, rng, monkeypatch):
         without_route(monkeypatch)  # the route, which needs no sigma2, certifies this solve
         A, _, y = small_instance(rng, noise=0.1)
-        ws = solvers._Workspace(A, y)
+        ws = workspace(A, y)
         ws.sigma2 *= 1e-30  # a step 1e30 too long: 60 halvings cannot repair it
         res = solve_lagrangian(Problem(A, y, Lagrangian(0.05)), RegularizerSpec.lasso(), _ws=ws)
         assert res.info["step_search_exhausted"] is True
@@ -342,7 +358,7 @@ class TestWorkspace:
         ids=["lasso", "clot", "gl"])
     def test_route_certified_solve_leaves_sigma2_uncomputed(self, spec):
         A, y = TestNewtonFinish.sparse_instance()
-        ws = solvers._Workspace(A, y)
+        ws = workspace(A, y)
         res = solve_lagrangian(Problem(A, y, Lagrangian(0.1 * lambda_zero_threshold(spec, A, y))), spec, _ws=ws)
         assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
         assert "sigma2" not in vars(ws)
@@ -353,7 +369,7 @@ class TestWorkspace:
         if not gram:
             monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
         A, y, lam = twin_instance()  # the route gives up at a singular Hessian
-        ws = solvers._Workspace(A, y)
+        ws = workspace(A, y)
         assert (ws.gram is not None) == gram
         products, normal = [], ws.normal
         ws.normal = lambda x: products.append(1) or normal(x)
@@ -376,7 +392,7 @@ class TestWorkspace:
                   fixture_matrix("gaussian", 30, 20, seed=3) * np.logspace(0, -2, 20),
                   np.asfortranarray(fixture_matrix("gaussian", 30, 40, seed=12)),
                   fixture_matrix("gaussian", 30, 80, seed=13)[:, ::2]):  # laid out by column, and strided
-            ws = solvers._Workspace(A, np.ones(30))
+            ws = workspace(A, np.ones(30))
             assert (ws.gram is not None) == gram
             assert ws.frob2 == pytest.approx(np.linalg.norm(A, "fro") ** 2, rel=1e-12)
             assert ws.frob2 >= ws.sigma2 and ws.frob2 >= np.linalg.norm(A, 2) ** 2
@@ -399,7 +415,7 @@ class TestWorkspace:
         (fixture_matrix("gaussian", 30, 36, seed=5), True), (devore_matrix(DeVoreParams(5, 2)), False)],
         ids=["gram", "direct"])
     def test_sub_gram_is_the_support_gram(self, A, gram):
-        ws = solvers._Workspace(A, np.ones(A.shape[0]))
+        ws = workspace(A, np.ones(A.shape[0]))
         assert (ws.gram is not None) == gram and A.shape == ((30, 36) if gram else (25, 125))
         for S in (np.array([], np.intp), np.array([7]), np.array([0, 3, 11, 20, 35])):
             got, ref = ws.sub_gram(S), A[:, S].T @ A[:, S]
@@ -410,7 +426,7 @@ class TestWorkspace:
 
     def test_forward_product_over_the_support(self):
         A = self.GATHERED
-        ws = solvers._Workspace(product_spy(A), np.ones(100))
+        ws = workspace(product_spy(A), np.ones(100))
         cross = (A.size - solvers._GATHER_FLOOR) // (solvers._GATHER_RATIO * 100)  # the widest support gathered
         assert 1 < cross < 1000 // solvers._GATHER_RATIO
         rng = np.random.default_rng(8)
@@ -424,7 +440,7 @@ class TestWorkspace:
 
     def test_adjoint_product_over_the_nonzero_rows(self):
         A = self.GATHERED
-        ws = solvers._Workspace(product_spy(A), np.ones(100))
+        ws = workspace(product_spy(A), np.ones(100))
         cross = (A.size - solvers._GATHER_FLOOR) // (solvers._ROW_GATHER_RATIO * 1000)  # the most rows gathered
         assert 1 < cross < 100 // solvers._ROW_GATHER_RATIO
         rng = np.random.default_rng(8)
@@ -435,11 +451,26 @@ class TestWorkspace:
             got = ws.adjoint(v)
             assert np.linalg.norm(got - A.T @ v) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(v)
             assert ws.A.heights == [k if k <= cross else 100] and not ws.A.widths
+        # y on `cross` rows: the workspace copies them once, and an adjoint of a v that is zero
+        # off them reads that copy, whether v fills those rows or some of them
+        rows = rng.choice(100, cross, replace=False)
+        y = np.zeros(100)
+        y[rows] = rng.standard_normal(cross)
+        ws = workspace(product_spy(A), y)
+        assert ws.A.gathers == [cross]
+        off = np.setdiff1d(np.arange(100), rows)[:2]
+        for R, copies in ((rows, []), (rows[: cross // 2], []), (np.r_[rows[2:], off], [cross])):
+            v = np.zeros(100)
+            v[R] = rng.standard_normal(R.size)
+            ws.A.gathers.clear()
+            got = ws.adjoint(v)
+            assert np.linalg.norm(got - A.T @ v) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(v)
+            assert ws.A.gathers == copies
 
     def test_no_gather_below_the_floor(self):
         A = devore_matrix(DeVoreParams(7, 2), normalize=True)  # 49 x 343: a dense product is cheaper at any width
         assert A.size < solvers._GATHER_FLOOR
-        ws = solvers._Workspace(product_spy(A), np.ones(49))
+        ws = workspace(product_spy(A), np.ones(49))
         assert ws.A.heights == [49]  # aty
         x, v = np.eye(343)[5], np.eye(49)[7]
         np.testing.assert_array_equal(ws.forward(x), A @ x)
@@ -463,6 +494,11 @@ class TestWorkspace:
         # aty, the route's half-gradients and the certificate: A x and theta = A_S w lie on the truth's 3*23 rows
         heights = self.route_certified_products(monkeypatch).heights
         assert len(heights) >= 3 and max(heights) <= 3 * 23
+
+    def test_route_certified_solve_copies_the_rows_of_y_once(self, monkeypatch):
+        # every adjoint of that solve is zero off y's rows, so it reads the one copy made with aty
+        A, x = scaling_instance()
+        assert self.route_certified_products(monkeypatch).gathers == [np.count_nonzero(A @ x)]
 
     def test_stages_and_path_points_reuse_the_validated_problem(self, monkeypatch):
         A, x = TestConstrained.eps0_instance("no_recovery")  # certified after several stages
@@ -617,7 +653,7 @@ class TestNewtonFinish:
         assert res.x_hat[0] == res.x_hat[1] != 0.0
         tol = cert_tol(A, y, TIGHT.kkt_tol)
         assert kkt_residual(A, y, res.x_hat, spec, lam) <= tol
-        ws = solvers._Workspace(A, y)
+        ws = workspace(A, y)
         stats = {"grad_evals": 0, "route_rounds": 0, "route_solves": 0}
 
         def route(x):
@@ -694,7 +730,7 @@ class TestRouting:
     def test_row_gathered_and_dense_adjoint_products_agree(self, spec, monkeypatch):
         A, x = scaling_instance()
         prob = Problem(A, A @ x, Constrained(0.0))
-        assert 0 < np.count_nonzero(prob.y) <= solvers._Workspace(A, prob.y).max_rows  # y's rows are gathered
+        assert 0 < np.count_nonzero(prob.y) <= solvers._Workspace(A, prob.y, prob._frob2).max_rows  # y's rows are gathered
         gathered = solve_constrained(prob, spec)
         monkeypatch.setattr(solvers, "_ROW_GATHER_RATIO", math.inf)  # no row set is narrow: every adjoint is dense
         dense = solve_constrained(prob, spec)
