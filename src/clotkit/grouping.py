@@ -119,10 +119,7 @@ def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
     if abs(float(np.sum(y))) > 1e-8 * max(1.0, float(np.linalg.norm(y))):
         raise ValueError("y must be centered; run preprocess first")
 
-    n = A.shape[1]
-    part = partition if partition is not None else Partition.single(n)
-    if part.n != n:
-        raise ValueError(f"partition covers {part.n} indices but A has {n} columns")
+    part = partition if partition is not None else Partition.single(A.shape[1])
     spec = RegularizerSpec.sparse_group_lasso(mu, part)
 
     kkt = kkt_residual(A, y, x, spec, lam, side="loss")

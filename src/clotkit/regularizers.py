@@ -224,15 +224,10 @@ def _per_coordinate(groups: Optional[Partition], per_group):
 def penalty_value(spec: RegularizerSpec, z) -> float:
     """Value of the penalty at ``z``; nonnegative, zero only at the origin."""
     z = np.asarray(z, dtype=float)
-    a, b, c = spec.weights
-    total = 0.0
-    if a:
-        total += a * float(np.abs(z).sum())
-    if b:
-        total += b * float(z @ z)
-    if c:
-        total += c * float(np.add.reduce(_group_norms(spec.partition, z)))
-    return total
+    spec.check_dimension(z.size)
+    a, b, c = spec.weights  # a zero weight skips its sum, which may overflow: 0 * inf is NaN
+    return ((a and a * float(np.abs(z).sum())) + (b and b * float(z @ z))
+            + (c and c * float(np.add.reduce(_group_norms(spec.partition, z)))))
 
 
 def prox(spec: RegularizerSpec, v, step: float) -> np.ndarray:
@@ -242,6 +237,7 @@ def prox(spec: RegularizerSpec, v, step: float) -> np.ndarray:
         raise ValueError(f"step must be positive and finite, got {step}")
     a, b, c = spec.weights
     u = _soft(np.asarray(v, dtype=float), step * a)
+    spec.check_dimension(u.size)
     t = step * c
     if t:  # zero also when step*c underflows
         u = u * _per_coordinate(spec.partition,
@@ -302,6 +298,7 @@ def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> f
     ``c = 0`` the coordinates are singleton groups and that is the max norm.
     """
     x = np.asarray(x, dtype=float)
+    spec.check_dimension(x.size)
     t = np.asarray(target, dtype=float)
     if x.shape != t.shape:
         raise ValueError("x and target must have the same shape")

@@ -168,8 +168,8 @@ _POWER_ITERS = 50
 _POWER_TOL = 1e-10
 _GRAM_MAX_N = 2048  # the Gram matrix holds n^2 floats
 _GATHER_RATIO = 15  # A x, 529x4000, one BLAS thread: 0.03 ms at 3 columns, 0.72 at 250, 0.78 at 280, dense 0.74
-_ROW_GATHER_RATIO = 4  # A^T v, the same: 0.25-0.28 ms at 69 rows, 0.51-0.58 at 138, dense 0.65-0.81
-_GATHER_FLOOR = 50_000  # either gather's fixed cost, 4-6 us; dense 49x343: 3-4 us, 121x1000: 13-17 us
+_ROW_GATHER_RATIO = 4  # y's rows kept: A^T v over 69 of them 0.25-0.28 ms, over 138 0.51-0.58, dense 0.65-0.81
+_GATHER_FLOOR = 50_000  # column gather or kept rows: 4-6 us fixed; dense 49x343: 3-4 us, 121x1000: 13-17 us
 
 
 class _Workspace:
@@ -184,12 +184,11 @@ class _Workspace:
     Gram matvec (n^2 flops) then beats the two rectangular products (2*m*n
     flops) whenever n < 2m.  Values and residual norms always come from
     ``Ax - y``, which keeps their precision at any residual size.  ``Ax`` reads only the
-    support's k columns when ``_GATHER_RATIO*k*m + _GATHER_FLOOR <= m*n``, and ``A^T v`` only v's k
-    nonzero rows when ``_ROW_GATHER_RATIO*k*n + _GATHER_FLOOR <= m*n``: a k-sparse x on DeVore's
-    matrix, with p nonzeros per column, leaves ``Ax`` nonzero in at most k*p rows.  When y's
-    rows pass that rule they are copied out of A once (``block``), and ``A^T v`` of any v that is
-    zero off them reads the copy; over a strict subset of them the sum adds exact zeros in
-    another order, which left the studies' reports byte-identical.
+    support's k columns when ``_GATHER_RATIO*k*m + _GATHER_FLOOR <= m*n``.  y's k nonzero rows are
+    copied out of A once (``block``) when ``_ROW_GATHER_RATIO*k*n + _GATHER_FLOOR <= m*n``: a
+    k-sparse x on DeVore's matrix, with p nonzeros per column, leaves ``Ax`` nonzero in at most k*p
+    rows.  ``A^T v`` reads the copy when v is zero off them, and is dense otherwise; over a strict
+    subset of them the sum adds exact zeros in another order, which left the studies' reports byte-identical.
     """
 
     def __init__(self, A, y, frob2):
@@ -197,9 +196,9 @@ class _Workspace:
         self.gram = gram = A.T @ A if n <= 2 * m and n <= _GRAM_MAX_N else None
         self.A, self.y, self.n = A, y, n
         spare = A.size - _GATHER_FLOOR  # the widest gathers that pay; none does on a small A
-        self.max_cols, self.max_rows = spare / (_GATHER_RATIO * m), spare / (_ROW_GATHER_RATIO * n)
-        rows = np.flatnonzero(y)
-        self.rows, self.block = (rows, A[rows]) if 0 < rows.size <= self.max_rows else (None, None)
+        self.max_cols, rows = spare / (_GATHER_RATIO * m), np.flatnonzero(y)
+        keep = 0 < rows.size <= spare / (_ROW_GATHER_RATIO * n)
+        self.rows, self.block = (rows, A[rows]) if keep else (None, None)
         self.aty = self.adjoint(y)
         self.frob2 = float(np.trace(gram)) if gram is not None else frob2
         if not self.frob2 > 0.0:
@@ -224,8 +223,7 @@ class _Workspace:
     def adjoint(self, v):
         if self.rows is not None and np.count_nonzero(v[self.rows]) == np.count_nonzero(v):  # zero off y's rows
             return v[self.rows] @ self.block
-        narrow = self.max_rows > 0 and (R := np.flatnonzero(v)).size <= self.max_rows
-        return v[R] @ self.A[R] if narrow else self.A.T @ v
+        return self.A.T @ v
 
     def normal(self, x):
         return self.adjoint(self.forward(x)) if self.gram is None else self.gram @ x
@@ -542,11 +540,9 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         if residual > eps + feas_slack and (r_min := least_residual()) > eps + feas_slack:
             raise InfeasibleError(f"least-squares residual {r_min:.6g} exceeds the noise budget eps={eps:.6g}")
 
-    try:
-        ws = _Workspace(A, y, problem._frob2)
-    except ValueError:  # a zero A, which leaves the residual at ||y|| for every z
+    if not problem._frob2 > 0.0:  # a zero A leaves the residual at ||y|| for every z; the workspace refuses it
         check_feasible(ynorm)
-        raise
+    ws = _Workspace(A, y, problem._frob2)
     gauge = penalty_gauge_at_zero(spec, ws.aty)
     exact_zero = np.isfinite(gauge) and gauge > 0
     lam0 = 1.0 / (2.0 * gauge) if exact_zero else \
@@ -568,10 +564,9 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
             r = float(np.linalg.norm(A_S @ z - y))
             if support(z).size < S.size or r > target:
                 return None
-            g = a * np.sign(z) + (2.0 * b) * z
-            if c:
-                labels = np.zeros(S.size, np.intp) if spec.partition is None else spec.partition.labels[S]
-                g = g + c * z / np.sqrt(np.bincount(labels, z * z))[labels]
+            labels = np.zeros(S.size, np.intp) if spec.partition is None else spec.partition.labels[S]
+            # c = 0 skips the group term, which is 0/0 where every z_i^2 underflows
+            g = a * np.sign(z) + (2.0 * b) * z + (c and c * z / np.sqrt(np.bincount(labels, z * z))[labels])
             theta = A_S @ np.linalg.solve(gram, g)
         except np.linalg.LinAlgError:
             return None

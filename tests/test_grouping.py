@@ -162,7 +162,7 @@ class TestGroupingCheck:
 
     @pytest.mark.parametrize("lam, partition, match", [
         (0.0, None, "lam must be positive"),
-        (1.0, Partition.single(5), "partition covers 5 indices but A has 6 columns"),
+        (1.0, Partition.single(5), "vector has length 6 but the partition covers 5"),
     ], ids=["lam_zero", "partition_size"])
     def test_bad_arguments_rejected(self, lam, partition, match):
         pre = preprocess(*grouping_fixture(seed=0, n_samples=50))

@@ -63,6 +63,13 @@ class TestSpecValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             penalty_value(SGL_HALF, np.ones(5))
+        # every family function names the mismatch, the single-group fast path included
+        v = np.array([3.0, -1.0, 0.5])
+        for part in (Partition.contiguous([2, 2]), Partition.single(4)):
+            for spec in (RegularizerSpec.group_lasso(part), RegularizerSpec.sparse_group_lasso(0.5, part)):
+                for call in (penalty_value, lambda s, v: prox(s, v, 1.0), lambda s, v: subdiff_distance(s, v, v)):
+                    with pytest.raises(ValueError, match="^vector has length 3 but the partition covers 4$"):
+                        call(spec, v)
 
 
 class TestPenaltyValue:
@@ -76,6 +83,10 @@ class TestPenaltyValue:
     def test_zero_vector(self, spec):
         n = 3 if spec.partition is not None else 2
         assert penalty_value(spec, np.zeros(n)) == 0.0
+
+    @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.elastic_net(1.0)], ids=["lasso", "en1"])
+    def test_zero_weight_skips_an_overflowing_sum(self, spec):
+        assert penalty_value(spec, [1e200, -1e200]) == 2e200  # z @ z overflows, and b = 0 weighs it
 
     def test_sgl_example(self):
         # groups {0,1},{2}: 0.5*7 + 0.5*5 + 0.5*2 + 0.5*2 = 8

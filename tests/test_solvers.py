@@ -441,31 +441,32 @@ class TestWorkspace:
     def test_adjoint_product_over_the_nonzero_rows(self):
         A = self.GATHERED
         ws = workspace(product_spy(A), np.ones(100))
-        cross = (A.size - solvers._GATHER_FLOOR) // (solvers._ROW_GATHER_RATIO * 1000)  # the most rows gathered
+        cross = (A.size - solvers._GATHER_FLOOR) // (solvers._ROW_GATHER_RATIO * 1000)  # the most rows kept
         assert 1 < cross < 100 // solvers._ROW_GATHER_RATIO
         rng = np.random.default_rng(8)
-        for k in (0, 1, cross, cross + 1, 100):
+        for k in (0, 1, cross, cross + 1, 100):  # y's 100 rows are too many to keep: every adjoint is dense
             v = np.zeros(100)
             v[rng.choice(100, k, replace=False)] = rng.standard_normal(k)
             ws.A.heights.clear()
             got = ws.adjoint(v)
             assert np.linalg.norm(got - A.T @ v) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(v)
-            assert ws.A.heights == [k if k <= cross else 100] and not ws.A.widths
+            assert ws.A.heights == [100] and not ws.A.widths and not ws.A.gathers
         # y on `cross` rows: the workspace copies them once, and an adjoint of a v that is zero
-        # off them reads that copy, whether v fills those rows or some of them
+        # off them reads that copy, whether v fills those rows or some of them; one partly off them is dense
         rows = rng.choice(100, cross, replace=False)
         y = np.zeros(100)
         y[rows] = rng.standard_normal(cross)
         ws = workspace(product_spy(A), y)
         assert ws.A.gathers == [cross]
         off = np.setdiff1d(np.arange(100), rows)[:2]
-        for R, copies in ((rows, []), (rows[: cross // 2], []), (np.r_[rows[2:], off], [cross])):
+        for R, height in ((rows, cross), (rows[: cross // 2], cross), (np.r_[rows[2:], off], 100)):
             v = np.zeros(100)
             v[R] = rng.standard_normal(R.size)
             ws.A.gathers.clear()
+            ws.A.heights.clear()
             got = ws.adjoint(v)
             assert np.linalg.norm(got - A.T @ v) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(v)
-            assert ws.A.gathers == copies
+            assert ws.A.heights == [height] and not ws.A.gathers
 
     def test_no_gather_below_the_floor(self):
         A = devore_matrix(DeVoreParams(7, 2), normalize=True)  # 49 x 343: a dense product is cheaper at any width
@@ -730,9 +731,9 @@ class TestRouting:
     def test_row_gathered_and_dense_adjoint_products_agree(self, spec, monkeypatch):
         A, x = scaling_instance()
         prob = Problem(A, A @ x, Constrained(0.0))
-        assert 0 < np.count_nonzero(prob.y) <= solvers._Workspace(A, prob.y, prob._frob2).max_rows  # y's rows are gathered
+        assert solvers._Workspace(A, prob.y, prob._frob2).rows is not None  # y's rows are kept
         gathered = solve_constrained(prob, spec)
-        monkeypatch.setattr(solvers, "_ROW_GATHER_RATIO", math.inf)  # no row set is narrow: every adjoint is dense
+        monkeypatch.setattr(solvers, "_ROW_GATHER_RATIO", math.inf)  # y's rows are not kept: every adjoint is dense
         dense = solve_constrained(prob, spec)
         assert gathered.converged and dense.converged and gathered.info["certified"]
         assert np.linalg.norm(gathered.x_hat - dense.x_hat) <= 1e-12 * np.linalg.norm(dense.x_hat)
@@ -765,6 +766,14 @@ class TestConstrained:
         res = solve_constrained(Problem(A, np.zeros(5), Constrained(0.0)), RegularizerSpec.clot(0.2))
         assert np.all(res.x_hat == 0.0)
         assert res.converged
+
+    @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.elastic_net(0.8)], ids=["lasso", "en"])
+    def test_certified_where_every_square_underflows(self, spec):
+        # each z_i^2 of the refit at 3e-163 x underflows to 0, so a group term would be 0/0; c = 0 has none
+        A, x = np.random.default_rng(0).standard_normal((30, 60)), np.zeros(60)
+        x[[3, 17, 40]] = [1.0, -2.0, 0.5]
+        res = solve_constrained(Problem(A, A @ (3e-163 * x), Constrained(0.0)), spec)
+        assert res.info["certified"] and np.linalg.norm(res.x_hat / 3e-163 - x) <= 1e-12
 
     def test_eps_larger_than_y(self, rng):
         A, _, y = small_instance(rng)
