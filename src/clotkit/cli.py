@@ -177,8 +177,7 @@ def _cmd_matrix(args):
 def _cmd_riporacle(args):
     from .rip import exact_rip
 
-    est = exact_rip(_read_matrix(args.matrix), args.k)
-    return {"k": est.k, "delta_k": est.delta_k, "argmax_support": list(est.argmax_support)}, EXIT_OK
+    return vars(exact_rip(_read_matrix(args.matrix), args.k)), EXIT_OK  # all its fields
 
 
 def _cmd_experiment(args):

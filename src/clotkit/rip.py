@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -182,6 +181,7 @@ class RipEstimate:
     k: int
     delta_k: float
     argmax_support: tuple
+    supports: int = field(compare=False)  # supports visited before the enumeration stopped
 
 
 def _lex_runs(n: int, k: int, spare: int = 0):
@@ -208,9 +208,9 @@ def _extend(prefixes, stop: int):
     return np.vstack([np.repeat(prefixes.T, counts, axis=1), cols]).T
 
 
-def _deviations(gram, supports):
-    """``max(lambda_max - 1, 1 - lambda_min)`` of each support's sub-Gram matrix."""
-    evals = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+def _deviations(subs):
+    """``max(lambda_max - 1, 1 - lambda_min)`` of each stacked symmetric matrix."""
+    evals = np.linalg.eigvalsh(subs)
     return np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
 
 
@@ -226,7 +226,7 @@ def _best_first_route(gram, prefixes, best):
     floor = lambda: best - _SKIP_MARGIN * max(1.0, abs(best))
     batch, rest = np.argpartition(-bound, min(_BATCH, bound.size) - 1)[:_BATCH], None
     while (batch := batch[bound[batch] >= floor()]).size:
-        dev[batch] = _deviations(gram, supports[batch])
+        dev[batch] = _deviations(gram[supports[batch, :, None], supports[batch, None, :]])
         best = max(best, dev[batch].max())
         if rest is None:  # sort only the bounds that can still reach the best
             rest = np.flatnonzero((bound >= floor()) & np.isneginf(dev))
@@ -237,54 +237,51 @@ def _best_first_route(gram, prefixes, best):
 
 
 def _pattern_route(gram, k: int, count: int):
-    """A function giving a run's first maximal deviation and its support by
-    overlap pattern, or ``None`` when the Gram matrix has too many distinct
-    values to pay.
+    """A route giving a run's first maximal deviation and its support by overlap
+    pattern, with the ceiling no support can exceed; or ``None`` when it won't pay.
 
     With ``d`` exactly distinct Gram values, a support's sub-Gram matrix is
     fixed by the value indices of the triangle ``eigvalsh`` reads, one base-``d``
     code: its prefix's code shifted ``k`` digits plus the last row, read for all
     extensions at once from the prefix's rows of the value-index matrix scaled
-    by their digits.  Each code that occurs is sent through ``eigvalsh`` once,
-    so every deviation equals the best-first route's.  The route is taken only
-    when the code table is no larger than the support count, and never at
-    ``k = 1``: there sorting all ``n**2`` Gram values would cost more than the
-    whole enumeration.
+    by their digits.  Each candidate code, diagonal digits from the Gram
+    diagonal and the rest from below it, goes through ``eigvalsh`` once, up
+    front, so every deviation equals the best-first route's.  The route is taken
+    only when the code table is no larger than the support count and has at most
+    ``_CHUNK`` candidates, and never at ``k = 1``: there sorting all ``n**2``
+    Gram values would cost more than the whole enumeration.
     """
     if k == 1:
         return None
     values, idx = np.unique(gram, return_inverse=True)
-    d, n = values.size, len(gram)
-    rows, cols = np.tril_indices(k - 1)
-    size = d ** (rows.size + k)
+    d, n, (rows, cols) = values.size, len(gram), np.tril_indices(k)
+    size = d ** rows.size
     if size > count:
         return None
     idx = idx.reshape(gram.shape).astype(np.min_scalar_type(size))  # every code is below size
-    table = np.empty(size)
-    known = np.zeros(size, dtype=bool)
-    holder = np.empty(size, dtype=np.intp)
+    present = lambda v: np.flatnonzero(np.bincount(v))  # sorted; np.unique would import numpy.ma
+    diag, below = present(idx.diagonal()), present(idx[np.tril_indices(n, -1)])
+    if diag.size ** k * below.size ** (rows.size - k) > _CHUNK:  # one block's worth of matrices
+        return None
+    digits = np.meshgrid(*(below if r > c else diag for r, c in zip(rows, cols)), indexing="ij")
+    candidates = np.stack(digits, axis=-1).reshape(-1, rows.size)
+    subs = np.zeros((len(candidates), k, k))
+    subs[:, rows, cols] = values[candidates]
+    weights = (d ** np.arange(rows.size - 1, -1, -1)).astype(idx.dtype)  # of the code's digits
+    table = np.full(size, -np.inf)
+    table[candidates @ weights] = _deviations(subs)
     # row p of idx.T holds the value index of G[c, p] for every column c
-    scaled = [np.ascontiguousarray(idx.T) * d ** (k - 1 - s) for s in range(k - 1)]
+    scaled = [np.ascontiguousarray(idx.T) * w for w in weights[-k:-1]]
     scaled[-1] += idx.diagonal()
 
-    def route(prefixes, _best):
-        head = np.zeros(len(prefixes), dtype=idx.dtype)
-        for a, b in zip(rows, cols):
-            head = head * d + idx[prefixes[:, a], prefixes[:, b]]
-        codes = sum((w[p] for w, p in zip(scaled, prefixes.T)), (head * d ** k)[:, None])
+    def route(_gram, prefixes, _best):
+        head = idx[prefixes[:, rows[:-k]], prefixes[:, cols[:-k]]] @ weights[:-k]
+        codes = sum((w[p] for w, p in zip(scaled, prefixes.T)), head[:, None])
         at = np.flatnonzero(np.arange(n) > prefixes[:, -1:])  # the run's supports in order
-        codes = codes.ravel()[at]
-        support = lambda i: np.column_stack([prefixes[at[i] // n], at[i] % n])
-        fresh = np.flatnonzero(~known[codes])
-        if fresh.size:
-            holder[codes[fresh]] = fresh  # one support per new code keeps its slot
-            fresh = fresh[holder[codes[fresh]] == fresh]
-            table[codes[fresh]] = _deviations(gram, support(fresh))
-            known[codes[fresh]] = True
-        j = int(np.argmax(table[codes]))
-        return table[codes[j]], support([j])[0]
+        j = at[np.argmax(table[codes.ravel()[at]])]
+        return table[codes.flat[j]], np.append(prefixes[j // n], j % n)
 
-    return route
+    return route, table.max()
 
 
 def _matrix_and_order(A, k):
@@ -306,9 +303,10 @@ def exact_rip(A, k: int) -> RipEstimate:
     size-``(k - 1)`` prefix extended by every later column; the reported support
     is the first one attaining the maximum.  A Gram matrix with few distinct
     values (a binary construction such as DeVore's) is evaluated once per
-    overlap pattern; any other best-first, sending to ``eigvalsh`` only the
-    supports whose Gershgorin bound can reach the best so far.  Refuses a
-    non-finite matrix and requests of more than ``_SUBSET_GUARD`` subsets.
+    candidate overlap pattern, stopping at a support that reaches the largest;
+    any other best-first, sending to ``eigvalsh`` only the supports whose
+    Gershgorin bound can reach the best so far.  ``supports`` counts those
+    visited.  Refuses a non-finite matrix and over ``_SUBSET_GUARD`` supports.
     """
     A, k = _matrix_and_order(A, k)
     n = A.shape[1]
@@ -318,14 +316,17 @@ def exact_rip(A, k: int) -> RipEstimate:
             f"C({n},{k}) = {count} supports exceeds the enumeration guard of {_SUBSET_GUARD}"
         )
     gram = A.T @ A
-    route = _pattern_route(gram, k, count) or partial(_best_first_route, gram)
+    route, ceiling = _pattern_route(gram, k, count) or (_best_first_route, np.inf)
 
-    best, best_support = -np.inf, None
+    best, best_support, visited = -np.inf, None, 0
     for prefixes in _lex_runs(n, k):
-        dev, support = route(prefixes, best)
+        dev, support = route(gram, prefixes, best)
+        visited += int((n - 1 - prefixes.max(axis=1, initial=-1)).sum())
         if dev > best:
             best, best_support = float(dev), tuple(int(i) for i in support)
-    return RipEstimate(k=k, delta_k=max(best, 0.0), argmax_support=best_support)
+        if best >= ceiling:  # no later support can exceed it
+            break
+    return RipEstimate(k, max(best, 0.0), best_support, visited)
 
 
 # ---------------------------------------------------------------------------

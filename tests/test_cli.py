@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 from pathlib import Path
@@ -332,6 +333,14 @@ class TestRiporacleCommand:
         code, env = run_cli(capsys, "riporacle", "-A", str(tmp_path / "I.csv"), "--k", "2")
         assert code == EXIT_OK
         assert env["outputs"]["delta_k"] == 0.0
+
+    def test_reports_the_supports_visited(self, capsys, tmp_path):
+        # the 18-cycle's edge-incidence matrix never reaches its ceiling, so every support is visited
+        fileio.write_matrix_csv(tmp_path / "C.csv", np.eye(18) + np.roll(np.eye(18), 1, axis=0))
+        code, env = run_cli(capsys, "riporacle", "-A", str(tmp_path / "C.csv"), "--k", "3")
+        assert code == EXIT_OK
+        assert env["outputs"]["argmax_support"] == [0, 1, 2]
+        assert env["outputs"]["supports"] == math.comb(18, 3)
 
     def test_guard_produces_input_error(self, capsys, tmp_path):
         fileio.write_matrix_csv(tmp_path / "W.csv", np.ones((2, 80)))

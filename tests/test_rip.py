@@ -1,6 +1,6 @@
 import math
 from decimal import Decimal, getcontext
-from itertools import combinations
+from itertools import combinations, islice
 from unittest import mock
 
 import numpy as np
@@ -367,29 +367,70 @@ def test_chunk_boundaries_do_not_change_the_answer(monkeypatch, make, k):
 @pytest.mark.parametrize("make", [_uneven_binary, _devore_rows_permuted], ids=["binary", "devore"])
 def test_pattern_route_solves_each_sub_gram_matrix_once(monkeypatch, make):
     A, k = make(), 3
-    gram = A.T @ A
-    assert rip._pattern_route(gram, k, math.comb(A.shape[1], k)) is not None
-    supports = np.array(list(combinations(range(A.shape[1]), k)))
-    distinct = len(np.unique(gram[supports[:, :, None], supports[:, None, :]].reshape(len(supports), -1),
-                             axis=0))
-    rows = []
+    gram, n = A.T @ A, A.shape[1]
+    supports = np.array(list(combinations(range(n), k)))
+    subs = gram[supports[:, :, None], supports[:, None, :]]
+    rows, cols = np.tril_indices(k)
+    distinct = np.unique(subs[:, rows, cols], axis=0)
+    sent = []
 
-    def counted(gram, supports):
-        rows.append(len(supports))
-        return deviations(gram, supports)
+    def counted(subs):
+        sent.append(subs)
+        return deviations(subs)
 
     deviations = rip._deviations
     monkeypatch.setattr(rip, "_deviations", counted)
-    exact_rip(A, k)
-    assert sum(rows) == distinct
+    route, _ = rip._pattern_route(gram, k, math.comb(n, k))
+    assert len(sent) == 1  # every candidate code in one call, before the enumeration
+    lower = sent[0][:, rows, cols]
+    diag, below = np.unique(gram.diagonal()), np.unique(gram[np.tril_indices(n, -1)])
+    assert len(lower) == diag.size ** k * below.size ** (rows.size - k) >= len(distinct)
+    assert len(np.unique(lower, axis=0)) == len(lower)  # no matrix solved twice
+    assert np.isin(lower[:, rows == cols], diag).all() and np.isin(lower[:, rows > cols], below).all()
+    assert len(np.unique(np.concatenate([lower, distinct]), axis=0)) == len(lower)  # covers them all
+    for prefixes in rip._lex_runs(n, k):
+        route(gram, prefixes, -np.inf)
+    assert len(sent) == 1  # none during it
+
+
+def _cycle_incidence(n=18):
+    """Edge-incidence matrix of an ``n``-cycle: column i is e_i + e_{i+1 mod n}."""
+    return np.eye(n) + np.roll(np.eye(n), 1, axis=0)
+
+
+@pytest.mark.parametrize("k, runs", [(3, 1), (4, 2)])
+def test_devore_enumeration_stops_at_the_run_reaching_the_ceiling(k, runs):
+    A = devore_matrix(DeVoreParams(5, 2), normalize=True)
+    est = exact_rip(A, k)
+    assert est.delta_k == pytest.approx((k - 1) * 2 / 5, abs=1e-12)  # (k-1) times the coherence
+    assert est.argmax_support == (0, 26, 52, 78)[:k]
+    supports = [rip._extend(run, 125) for run in islice(rip._lex_runs(125, k), runs)]
+    assert (supports[-1] == est.argmax_support).all(axis=1).any()
+    assert est.supports == sum(map(len, supports)) < math.comb(125, k)
+
+
+# 8 candidate codes: at a chunk of 7 the best-first route runs, at 8 the pattern route
+@pytest.mark.parametrize("chunk", [7, 8, rip._CHUNK])
+def test_unreached_ceiling_visits_every_run(monkeypatch, chunk):
+    A, k = _cycle_incidence(), 3
+    monkeypatch.setattr(rip, "_CHUNK", chunk)
+    pattern = rip._pattern_route(A.T @ A, k, math.comb(18, k))
+    assert (pattern is not None) == (chunk >= 8)
+    # the ceiling is the all-ones overlap pattern: three pairwise adjacent edges, absent from a cycle
+    assert pattern is None or pattern[1] == pytest.approx(3.0, abs=1e-12)
+    est = exact_rip(A, k)
+    assert (est.delta_k, est.argmax_support) == rip_ref(A, k)
+    assert est.delta_k == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
+    assert est.argmax_support == (0, 1, 2)
+    assert est.supports == math.comb(18, k)
 
 
 def test_best_first_sends_few_supports_to_eigvalsh(monkeypatch):
     rows = []
 
-    def counted(gram, supports):
-        rows.append(len(supports))
-        return deviations(gram, supports)
+    def counted(subs):
+        rows.append(len(subs))
+        return deviations(subs)
 
     deviations = rip._deviations
     monkeypatch.setattr(rip, "_deviations", counted)
