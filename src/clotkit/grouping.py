@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .kkt import kkt_residual
-from .regularizers import Partition, RegularizerSpec
+from .regularizers import Partition, RegularizerSpec, group_norms
 
 __all__ = [
     "Preprocessed",
@@ -130,7 +130,7 @@ def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
 
     ynorm = float(np.linalg.norm(y))
     group_of = part.labels
-    group_norms = np.sqrt(np.bincount(group_of, x * x, part.g))
+    norms = group_norms(spec, x)
     full_norm = float(np.linalg.norm(x))
 
     for i, j in itertools.combinations(np.flatnonzero(x).tolist(), 2):
@@ -142,7 +142,7 @@ def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
         aj = -A[:, j] if flipped else A[:, j]
         rho = float(A[:, i] @ aj)
         d = abs(x[i] - xj) / (2.0 * lam * ynorm)
-        ref_norm = group_norms[group_of[i]] if same else full_norm
+        ref_norm = np.take(norms, group_of[i]) if same else full_norm
         bound = grouping_bound(rho, ref_norm, mu)
         report.pairs.append(GroupingPair(
             i=i, j=j, same_group=bool(same), rho_ij=rho, d_ij=float(d),

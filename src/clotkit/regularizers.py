@@ -48,6 +48,7 @@ __all__ = [
     "prox",
     "penalty_gauge_at_zero",
     "subdiff_distance",
+    "group_norms",
     "sparsity_index",
 ]
 
@@ -208,12 +209,13 @@ def _soft(v: np.ndarray, t: float) -> np.ndarray:
     return v - np.minimum(np.maximum(v, -t), t)
 
 
-def _group_norms(groups: Optional[Partition], v: np.ndarray):
-    """Euclidean norm of each group of ``v``: a float for one group (``groups``
-    None or a single block), else an array from one ``bincount`` over the labels."""
+def group_norms(spec: RegularizerSpec, v: np.ndarray, at=None):
+    """Euclidean norm of each group of the float vector ``v``: a float for one group (no partition, or one
+    block), else one per group from one ``bincount``.  ``v``'s entries sit at the coordinates ``at`` (default all)."""
+    groups = spec.partition
     if groups is None or groups.g == 1:
         return math.sqrt(v @ v)
-    return np.sqrt(np.bincount(groups.labels, v * v, groups.g))
+    return np.sqrt(np.bincount(groups.labels if at is None else groups.labels[at], v * v, groups.g))
 
 
 def _per_coordinate(groups: Optional[Partition], per_group):
@@ -227,7 +229,7 @@ def penalty_value(spec: RegularizerSpec, z) -> float:
     spec.check_dimension(z.size)
     a, b, c = spec.weights  # a zero weight skips its sum, which may overflow: 0 * inf is NaN
     return ((a and a * float(np.abs(z).sum())) + (b and b * float(z @ z))
-            + (c and c * float(np.add.reduce(_group_norms(spec.partition, z)))))
+            + (c and c * float(np.add.reduce(group_norms(spec, z)))))
 
 
 def prox(spec: RegularizerSpec, v, step: float) -> np.ndarray:
@@ -241,7 +243,7 @@ def prox(spec: RegularizerSpec, v, step: float) -> np.ndarray:
     t = step * c
     if t:  # zero also when step*c underflows
         u = u * _per_coordinate(spec.partition,
-                                1.0 - t / np.maximum(_group_norms(spec.partition, u), t))
+                                1.0 - t / np.maximum(group_norms(spec, u), t))
     if b:
         u = u / (1.0 + 2.0 * step * b)
     return u
@@ -264,7 +266,7 @@ def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
     if not c:
         return float(np.max(np.abs(v))) / a if a else np.inf
     if not a:
-        return float(np.max(_group_norms(spec.partition, v))) / c
+        return float(np.max(group_norms(spec, v))) / c
 
     # Both terms (Ndiaye et al., NeurIPS 2016): with |v_g| sorted down to u_1 >= u_2 >= ..., a group's
     # gauge s keeps its top j entries above a*s, where sum_{i<=j} (u_i - a*s)^2 = c^2 s^2.  Entry k is
@@ -309,16 +311,14 @@ def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> f
     if b:
         t = t - (2.0 * w * b) * x
     if c:
-        norms = _group_norms(spec.partition, x)
+        norms = group_norms(spec, x)
         zero = norms == 0
         t = t - (w * c) * x / _per_coordinate(spec.partition, norms + zero)
     thr = w * a
     gap = np.where(x != 0, np.abs(t - thr * np.sign(x)), np.maximum(np.abs(t) - thr, 0.0))
-    if c and np.count_nonzero(zero):
-        # the coordinates of a zero group count through the group's Euclidean gap
-        zero_gap = np.max(np.where(zero, _group_norms(spec.partition, gap) - w * c, 0.0))
-        return max(float(np.where(_per_coordinate(spec.partition, zero), 0.0, gap).max(initial=0.0)),
-                   float(zero_gap))
+    if c and np.count_nonzero(zero):  # the coordinates of a zero group count through the group's Euclidean gap
+        gap = np.where(_per_coordinate(spec.partition, zero),
+                       _per_coordinate(spec.partition, group_norms(spec, gap) - w * c), gap)
     return float(gap.max(initial=0.0))
 
 

@@ -38,7 +38,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .regularizers import RegularizerSpec, penalty_gauge_at_zero, penalty_value, prox, subdiff_distance
+from .regularizers import RegularizerSpec, group_norms, penalty_gauge_at_zero, penalty_value, prox, subdiff_distance
 
 __all__ = [
     "Lagrangian",
@@ -291,12 +291,12 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 w = prox(spec, x - hx / ws.frob2, pen_w / (c2 * ws.frob2))
                 new = np.flatnonzero((x == 0.0) & (w != 0.0))
                 # a coordinate's own step, or with a = 0, where whole groups enter, its group's
-                mag = np.abs(w) if a or not c else np.sqrt(np.bincount(labels, w * w))[labels]
+                mag = np.abs(w) if a or not c else np.take(group_norms(spec, w), labels)
                 new = new[mag[new] >= frac * np.max(mag[new], initial=0.0)]
                 new = new[np.argsort(-mag[new])[:max(1, width - np.count_nonzero(x))]]
                 xn[new] = w[new]
             # with a = 0 no sign is fixed: S is every coordinate of a nonzero group, or all of them
-            S = np.flatnonzero(xn if a else np.bincount(labels, xn * xn)[labels] if c else np.ones(ws.n))
+            S = np.flatnonzero(xn if a else np.take(group_norms(spec, xn), labels) if c else np.ones(ws.n))
             if S.size > width:
                 return x, hx, kkt, "width"
             z, s = xn[S], np.sign(xn[S])
@@ -308,7 +308,7 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 grad, hess = quad @ z - lin, quad
                 if c:
                     lab = labels[S]
-                    norms = np.sqrt(np.bincount(lab, z * z))[lab]
+                    norms = np.take(group_norms(spec, z, S), lab)
                     u = z / norms
                     grad = grad + (pen_w * c) * u
                     if np.max(np.abs(grad)) <= 0.5 * tol:
@@ -425,6 +425,14 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
 _MAX_STAGES = 16  # solves of the tenfold walk, and of the secant
 _STAGE_ITERS = 3000  # iteration cap of each eps = 0 solve
 _SUPPORT_REL_TOL = 1e-6  # eps = 0 refit support: |x_i| above this times max|x|
+_UNIT_SCALE_EXP = 400  # b = 0 solves run on y*2^-e past this |e|, e of max|y|; as given they held to -503..507
+
+
+def _norm(v) -> float:
+    """``||v||_2`` taken on ``v`` scaled by the power of two of its largest magnitude, so no square under- or
+    overflows; the scaling is exact, and in the normal range the value is ``np.linalg.norm(v)``'s bit for bit."""
+    e = math.frexp(np.abs(v).max(initial=0.0))[1]
+    return math.ldexp(np.linalg.norm(np.ldexp(v, -e)), e)
 
 
 def support(x) -> np.ndarray:
@@ -472,8 +480,7 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     if not converged:
         x, iters, kkt, converged = _fista(ws, spec, loss_w, pen_w, opts, tol, x, hx, stats)
     r = ws.forward(x) - ws.y
-    rr = float(r @ r)
-    return SolveResult(x, loss_w * rr + pen_w * penalty_value(spec, x), math.sqrt(rr), iters, kkt, converged,
+    return SolveResult(x, loss_w * float(r @ r) + pen_w * penalty_value(spec, x), _norm(r), iters, kkt, converged,
                        {"form": "lagrangian", "lambda": form.lam, "side": form.side, **stats})
 
 
@@ -507,6 +514,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     ``info["stages"]`` lists one ``(lam, residual, iterations)`` entry per
     inner solve, and ``info["inner_solves"]`` counts them; ``info["certified"]``
     says whether the answer carries Fuchs's certificate (zero carries ``theta = 0``).
+    Without a ridge term, a y whose largest entry is beyond ``2^(+-_UNIT_SCALE_EXP)`` is solved
+    at unit scale, and everything returned is mapped back to the caller's units exactly.
 
     Feasibility is judged after the search: a final residual above
     ``eps + feas_tol*max(1, ||y||)`` leads to one least-squares solve on A,
@@ -516,29 +525,36 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     form = problem.form
     if not isinstance(form, Constrained):
         raise ValueError("solve_constrained needs a Constrained-form problem")
-    A, y, eps = problem.A, problem.y, form.eps
+    A, eps = problem.A, form.eps
     spec.check_dimension(A.shape[1])
-    ynorm = float(np.linalg.norm(y))
+    # b = 0 makes R positively homogeneous: x(2^e y, 2^e eps) = 2^e x(y, eps), so each result maps back exactly
+    e = math.frexp(np.abs(problem.y).max(initial=0.0))[1]
+    e = 0 if spec.weights[1] or abs(e) <= _UNIT_SCALE_EXP else e
+    y, eps = np.ldexp(problem.y, -e), math.ldexp(eps, -e)
+    ynorm = _norm(y)
     feas_slack = opts.feas_tol * max(1.0, ynorm)
 
     stages = []
 
-    def result(x, residual, kkt, converged, feasible, certified):  # every return builds this
-        info = {"form": "constrained", "eps": eps, "inner_solves": len(stages), "stages": stages,
-                "feasible": feasible, "certified": certified}
-        return SolveResult(x, penalty_value(spec, x), residual, sum(s[2] for s in stages), kkt,
-                           bool(converged), info)
+    def result(x, residual, kkt, converged, feasible, certified):  # every return, in the caller's units
+        with np.errstate(over="ignore"):  # a value past the float range, such as a tiny y's multiplier, is inf
+            info = {"form": "constrained", "eps": form.eps, "inner_solves": len(stages),
+                    "stages": [(np.ldexp(lam, -e), np.ldexp(r, e), it) for lam, r, it in stages],
+                    "feasible": feasible, "certified": certified}
+            return SolveResult(np.ldexp(x, e), np.ldexp(penalty_value(spec, x), e), np.ldexp(residual, e),
+                               sum(s[2] for s in stages), kkt, bool(converged), info)
 
     if ynorm <= eps:  # zero is optimal, certified by theta = 0
         return result(np.zeros(A.shape[1]), ynorm, 0.0, converged=True, feasible=True, certified=True)
 
     @cache
     def least_residual():  # least squares attains the least residual of any z; solved once
-        return float(np.linalg.norm(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y))
+        return _norm(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y)
 
     def check_feasible(residual):
         if residual > eps + feas_slack and (r_min := least_residual()) > eps + feas_slack:
-            raise InfeasibleError(f"least-squares residual {r_min:.6g} exceeds the noise budget eps={eps:.6g}")
+            raise InfeasibleError(f"least-squares residual {math.ldexp(r_min, e):.6g} exceeds the noise budget "
+                                  f"eps={form.eps:.6g}")
 
     if not problem._frob2 > 0.0:  # a zero A leaves the residual at ||y|| for every z; the workspace refuses it
         check_feasible(ynorm)
@@ -561,12 +577,12 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         gram = ws.sub_gram(S)
         try:
             z = np.linalg.solve(gram, A_S.T @ y)
-            r = float(np.linalg.norm(A_S @ z - y))
+            r = _norm(A_S @ z - y)
             if support(z).size < S.size or r > target:
                 return None
             labels = np.zeros(S.size, np.intp) if spec.partition is None else spec.partition.labels[S]
             # c = 0 skips the group term, which is 0/0 where every z_i^2 underflows
-            g = a * np.sign(z) + (2.0 * b) * z + (c and c * z / np.sqrt(np.bincount(labels, z * z))[labels])
+            g = a * np.sign(z) + (2.0 * b) * z + (c and c * z / np.take(group_norms(spec, z, S), labels))
             theta = A_S @ np.linalg.solve(gram, g)
         except np.linalg.LinAlgError:
             return None

@@ -895,6 +895,37 @@ class TestConstrained:
                 err = np.linalg.norm(scaled - c * base) / (c * np.linalg.norm(base))
                 assert err <= 1e-6, (spec.label(), c, err)
 
+    @staticmethod
+    def float_range_instance():
+        A = np.random.default_rng(0).standard_normal((30, 60))
+        x = np.zeros(60)
+        x[[3, 17, 40]] = (1.0, -2.0, 0.5)
+        return A, A @ x
+
+    @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.clot(0.2),
+                                      RegularizerSpec.sparse_group_lasso(0.2, Partition.contiguous([20] * 3))],
+                             ids=lambda spec: spec.label())
+    def test_scale_equivariance_across_the_float_range(self, spec):
+        # the norm penalties' answer scales with y where sums of squares of y, of the residuals
+        # and of the group blocks would under- or overflow
+        A, y = self.float_range_instance()
+        base = solve_constrained(Problem(A, y, Constrained(0.0)), spec)
+        for k in range(-300, 301, 50):
+            res = solve_constrained(Problem(A, 10.0**k * y, Constrained(0.0)), spec)
+            err = np.max(np.abs(res.x_hat / 10.0**k - base.x_hat)) / np.max(np.abs(base.x_hat))
+            assert err <= 1e-12, (k, err)
+            assert res.info["certified"] == base.info["certified"] and np.isfinite(res.objective), k
+
+    @pytest.mark.parametrize("spec", [RegularizerSpec.elastic_net(0.8), RegularizerSpec.ridge()],
+                             ids=lambda spec: spec.label())
+    def test_ridge_terms_are_not_settled_by_an_under_or_overflowing_norm(self, spec):
+        A, y = self.float_range_instance()
+        tiny = solve_constrained(Problem(A, 1e-165 * y, Constrained(0.0)), spec)
+        assert np.any(tiny.x_hat) or not tiny.info["certified"]  # ||y|| is not zero there
+        with np.errstate(over="ignore"):  # b*||x||^2, and so the objective, exceeds the float range at 1e160
+            huge = solve_constrained(Problem(A, 1e160 * y, Constrained(0.0)), spec)
+        assert not (huge.converged and huge.info["inner_solves"] == 1)  # 1e-9*||y|| is finite there
+
     def test_feasibility_with_positive_eps(self, rng):
         A, x, y = small_instance(rng, noise=0.3)
         eps = 0.5

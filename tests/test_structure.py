@@ -88,6 +88,26 @@ def test_only_the_workspace_reads_the_gram_matrix():
     assert reads[True] and not reads[False], reads[False]
 
 
+def _sqrt_of_a_sum_of_squares(node):
+    """Whether ``node`` is ``np.sqrt(...)`` or ``math.sqrt(...)`` of an ``np.bincount(...)`` or of
+    ``v @ v``, seen through a ``float(...)`` around the argument."""
+    if not (isinstance(node, ast.Call) and node.args and getattr(node.func, "attr", None) == "sqrt"):
+        return False
+    arg = node.args[0]
+    if isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "float" and arg.args:
+        arg = arg.args[0]
+    return (isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "bincount"
+            or isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.MatMult)
+            and ast.dump(arg.left) == ast.dump(arg.right))
+
+
+def test_only_group_norms_takes_a_group_norm():
+    # how a Euclidean group norm is taken is decided in one place, regularizers.group_norms
+    roots = {path.name: _lines(path, _sqrt_of_a_sum_of_squares, "group_norms") for path in MODULES}
+    outside = {name: lines[False] for name, lines in roots.items() if lines[False]}
+    assert roots["regularizers.py"][True] and not outside, outside
+
+
 def _whole_a(node):
     """Whether ``node`` is ``A``, ``<obj>.A`` or a call on ``A`` such as ``np.asarray(A)``."""
     if isinstance(node, ast.Call) and node.args:
