@@ -110,6 +110,8 @@ def _cmd_solve(args):
                          "not both or neither")
     if args.eps is not None and args.lambda_side == "loss":
         raise ValueError("--lambda-side goes with --lambda; a constrained solve (--eps) has no multiplier side")
+    if args.lam is not None and args.feas_tol is not None:
+        raise ValueError("--feas-tol goes with --eps; the multiplier form (--lambda) has no noise budget")
     if args.eps is not None:
         result = solve_constrained(Problem(A, y, Constrained(args.eps)), spec, opts)
     else:

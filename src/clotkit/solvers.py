@@ -10,9 +10,9 @@ Two problem forms are handled:
   prox-gradient step of length ``1/||A||_F^2``.  The route hands its point
   over after ``_ROUTE_ROUNDS`` (32) rounds, at a singular Hessian, or on a
   support too wide to solve, to accelerated proximal gradient descent
-  (FISTA) with a gradient restart and one gradient evaluation (one Gram
-  product, or one forward and one adjoint product; on a large A these read
-  only the support's columns and ``Ax``'s nonzero rows) per iteration.  Only
+  (FISTA) with a gradient restart and one gradient evaluation (one forward
+  and one adjoint product; on a large A these read only the support's
+  columns and ``Ax``'s nonzero rows) per iteration.  Only
   FISTA steps by ``1/sigma^2``, the largest squared singular value of A, found
   by power iteration when FISTA first runs on an (A, y).  FISTA runs the route
   again from its iterate at each failing certificate check whose sign pattern
@@ -161,12 +161,11 @@ class PathPoint:
 
 
 # ---------------------------------------------------------------------------
-# per-(A, y) data-fit state, optionally routed through the Gram matrix
+# per-(A, y) data-fit state
 # ---------------------------------------------------------------------------
 
 _POWER_ITERS = 50
 _POWER_TOL = 1e-10
-_GRAM_MAX_N = 2048  # the Gram matrix holds n^2 floats
 _GATHER_RATIO = 15  # A x, 529x4000, one BLAS thread: 0.03 ms at 3 columns, 0.72 at 250, 0.78 at 280, dense 0.74
 _ROW_GATHER_RATIO = 4  # y's rows kept: A^T v over 69 of them 0.25-0.28 ms, over 138 0.51-0.58, dense 0.65-0.81
 _GATHER_FLOOR = 50_000  # column gather or kept rows: 4-6 us fixed; dense 49x343: 3-4 us, 121x1000: 13-17 us
@@ -179,11 +178,9 @@ class _Workspace:
     FISTA makes; and ``frob2 = ||A||_F^2``, the upper bound on it that the
     active-set route steps by, as the validation of the caller's :class:`Problem` computed it.
 
-    The products ``A^T A x`` and ``A_S^T A_S`` are chosen once, here, from the shape.  A tall-ish
-    problem with at most ``_GRAM_MAX_N`` columns precomputes ``A^T A``; one
-    Gram matvec (n^2 flops) then beats the two rectangular products (2*m*n
-    flops) whenever n < 2m.  Values and residual norms always come from
-    ``Ax - y``, which keeps their precision at any residual size.  ``Ax`` reads only the
+    For every shape ``A^T A x`` is a forward and an adjoint product, and ``A_S^T A_S`` a product of the
+    support's columns.  Values and residual norms come from ``Ax - y``, which keeps their precision at any
+    residual size.  ``Ax`` reads only the
     support's k columns when ``_GATHER_RATIO*k*m + _GATHER_FLOOR <= m*n``.  y's k nonzero rows are
     copied out of A once (``block``) when ``_ROW_GATHER_RATIO*k*n + _GATHER_FLOOR <= m*n``: a
     k-sparse x on DeVore's matrix, with p nonzeros per column, leaves ``Ax`` nonzero in at most k*p
@@ -192,17 +189,15 @@ class _Workspace:
     """
 
     def __init__(self, A, y, frob2):
+        if not frob2 > 0.0:
+            raise ValueError("A must be nonzero")
         m, n = A.shape
-        self.gram = gram = A.T @ A if n <= 2 * m and n <= _GRAM_MAX_N else None
-        self.A, self.y, self.n = A, y, n
+        self.A, self.y, self.n, self.frob2 = A, y, n, frob2
         spare = A.size - _GATHER_FLOOR  # the widest gathers that pay; none does on a small A
         self.max_cols, rows = spare / (_GATHER_RATIO * m), np.flatnonzero(y)
         keep = 0 < rows.size <= spare / (_ROW_GATHER_RATIO * n)
         self.rows, self.block = (rows, A[rows]) if keep else (None, None)
         self.aty = self.adjoint(y)
-        self.frob2 = float(np.trace(gram)) if gram is not None else frob2
-        if not self.frob2 > 0.0:
-            raise ValueError("A must be nonzero")
 
     @cached_property
     def sigma2(self):
@@ -226,14 +221,14 @@ class _Workspace:
         return self.A.T @ v
 
     def normal(self, x):
-        return self.adjoint(self.forward(x)) if self.gram is None else self.gram @ x
+        return self.adjoint(self.forward(x))
 
     def half_grad(self, x):
         return self.normal(x) - self.aty
 
     def sub_gram(self, S):
-        """``A_S^T A_S``: a block of the Gram matrix when the workspace holds it, else a symmetric product."""
-        return (A_S := self.A[:, S]).T @ A_S if self.gram is None else self.gram[np.ix_(S, S)]
+        """``A_S^T A_S``, a symmetric product of the support's columns."""
+        return (A_S := self.A[:, S]).T @ A_S
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +448,9 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     its ``route_give_up``: None when the route certified the solve, else the
     reason of its last hand-over, ``"rounds"``, ``"singular"`` or ``"width"``.
     ``iterations`` counts FISTA's iterations and ``info`` its ``restarts`` and
-    ``backtracks``; ``grad_evals`` counts the gradient evaluations (Gram
-    products, or forward-plus-adjoint pairs) of both, and one at the start
-    only from a nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60
+    ``backtracks``; ``grad_evals`` counts the gradient evaluations
+    (forward-plus-adjoint pairs) of both, and one at the start only from a
+    nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60
     halvings.
     """
     opts = opts or SolverOptions()

@@ -101,6 +101,17 @@ class TestSolveCommand:
         if expected == EXIT_INPUT:
             assert out == "" and err.startswith("error:") and "--lambda-side" in err
 
+    @pytest.mark.parametrize("form, expected", [(("--lambda", "0.1"), EXIT_INPUT), (("--eps", "0.1"), EXIT_OK)],
+                             ids=["lambda", "eps"])
+    def test_feas_tol_goes_with_eps_only(self, capsys, io_dir, form, expected):
+        # the multiplier form reads no noise budget, so its slack is refused rather than echoed
+        code = main(["solve", "--reg", "lasso", *form, "--feas-tol", "0.5",
+                     "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv")])
+        out, err = capsys.readouterr()
+        assert code == expected
+        if expected == EXIT_INPUT:
+            assert out == "" and err.startswith("error:") and "--feas-tol" in err
+
     def test_nonconvergence_exit_code(self, capsys, tmp_path, rng):
         A = rng.standard_normal((10, 30))
         fileio.write_matrix_csv(tmp_path / "A.csv", A)

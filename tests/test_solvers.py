@@ -364,13 +364,9 @@ class TestWorkspace:
         assert "sigma2" not in vars(ws)
         assert res.info["grad_evals"] == res.info["route_rounds"]  # the cold start made no product
 
-    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "direct"])
-    def test_fista_computes_sigma2_once(self, gram, monkeypatch):
-        if not gram:
-            monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
+    def test_fista_computes_sigma2_once(self):
         A, y, lam = twin_instance()  # the route gives up at a singular Hessian
         ws = workspace(A, y)
-        assert (ws.gram is not None) == gram
         products, normal = [], ws.normal
         ws.normal = lambda x: products.append(1) or normal(x)
         power = []
@@ -379,28 +375,20 @@ class TestWorkspace:
             res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), RegularizerSpec.lasso(), TIGHT, ws)
             assert res.converged and res.iterations > 0
             power.append(len(products) - res.info["grad_evals"])
-        gram_ref = A.T @ A
-        expected, made = power_iteration_ref((lambda v: gram_ref @ v) if gram else (lambda v: A.T @ (A @ v)), 5)
+        expected, made = power_iteration_ref(lambda v: A.T @ (A @ v), 5)
         assert ws.sigma2 == expected and power == [made, 0]
         assert ws.sigma2 == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-8)
 
-    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "direct"])
-    def test_route_step_bound_is_above_sigma2(self, gram, monkeypatch):
-        if not gram:
-            monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
+    def test_route_step_bound_is_above_sigma2(self):
         for A in (fixture_matrix("gaussian", 30, 40, seed=11),
                   fixture_matrix("gaussian", 30, 20, seed=3) * np.logspace(0, -2, 20),
                   np.asfortranarray(fixture_matrix("gaussian", 30, 40, seed=12)),
                   fixture_matrix("gaussian", 30, 80, seed=13)[:, ::2]):  # laid out by column, and strided
             ws = workspace(A, np.ones(30))
-            assert (ws.gram is not None) == gram
             assert ws.frob2 == pytest.approx(np.linalg.norm(A, "fro") ** 2, rel=1e-12)
             assert ws.frob2 >= ws.sigma2 and ws.frob2 >= np.linalg.norm(A, 2) ** 2
 
-    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "direct"])
-    def test_zero_matrix_is_refused_as_before(self, gram, monkeypatch):
-        if not gram:
-            monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
+    def test_zero_matrix_is_refused_as_before(self):
         A, y, lasso = np.zeros((3, 2)), np.ones(3), RegularizerSpec.lasso()
         for solve in (lambda: solve_lagrangian(Problem(A, y, Lagrangian(1.0)), lasso),
                       lambda: solution_path(Problem(A, y, Lagrangian(1.0)), lasso, [1.0]),
@@ -411,18 +399,29 @@ class TestWorkspace:
         with pytest.raises(InfeasibleError, match="^least-squares residual"):
             solve_constrained(Problem(A, y, Constrained(0.5)), lasso)
 
-    @pytest.mark.parametrize("A, gram", [
-        (fixture_matrix("gaussian", 30, 36, seed=5), True), (devore_matrix(DeVoreParams(5, 2)), False)],
+    # "gram" is the near-square shape a precomputed A^T A once served; both now take the column product
+    @pytest.mark.parametrize("A, shape", [
+        (fixture_matrix("gaussian", 30, 36, seed=5), (30, 36)), (devore_matrix(DeVoreParams(5, 2)), (25, 125))],
         ids=["gram", "direct"])
-    def test_sub_gram_is_the_support_gram(self, A, gram):
+    def test_sub_gram_is_the_support_gram(self, A, shape):
         ws = workspace(A, np.ones(A.shape[0]))
-        assert (ws.gram is not None) == gram and A.shape == ((30, 36) if gram else (25, 125))
+        assert A.shape == shape
         for S in (np.array([], np.intp), np.array([7]), np.array([0, 3, 11, 20, 35])):
             got, ref = ws.sub_gram(S), A[:, S].T @ A[:, S]
             assert got.shape == (S.size, S.size)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    GATHERED = fixture_matrix("gaussian", 100, 1000, seed=4)  # wide (no Gram matrix), and big enough to gather
+    @pytest.mark.parametrize("m, n", [(50, 40), (30, 36), (600, 1000)], ids=["50x40", "30x36", "600x1000"])
+    def test_workspace_holds_no_n_by_n_array(self, m, n):
+        # no shape precomputes A^T A: every product reads A or its columns and rows, a solve included
+        A = fixture_matrix("gaussian", m, n, seed=0)
+        spec, y = RegularizerSpec.clot(0.2), A[:, :3] @ np.array([1.0, -2.0, 0.5])
+        ws = workspace(A, y)
+        res = solve_lagrangian(Problem(A, y, Lagrangian(0.1 * lambda_zero_threshold(spec, A, y))), spec, _ws=ws)
+        assert res.converged
+        assert not [name for name, value in vars(ws).items() if np.shape(value) == (n, n)]
+
+    GATHERED = fixture_matrix("gaussian", 100, 1000, seed=4)  # big enough to gather
 
     def test_forward_product_over_the_support(self):
         A = self.GATHERED
@@ -741,23 +740,6 @@ class TestRouting:
         assert len(gathered.info["stages"]) == len(dense.info["stages"])
         np.testing.assert_allclose([s[0] for s in gathered.info["stages"]], [s[0] for s in dense.info["stages"]],
                                    rtol=1e-15)
-
-    def test_gram_and_direct_routing_agree(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((60, 40))
-        x = np.zeros(40)
-        x[rng.choice(40, size=3, replace=False)] = rng.standard_normal(3)
-        prob = Problem(A, A @ x, Constrained(0.0))
-        spec = RegularizerSpec.clot(0.2)
-        gram = solve_constrained(prob, spec)  # 40 <= 2*60 columns: the shape picks the Gram route
-        monkeypatch.setattr(solvers, "_GRAM_MAX_N", 0)
-        direct = solve_constrained(prob, spec)
-        assert gram.converged and direct.converged
-        np.testing.assert_allclose(gram.x_hat, direct.x_hat, rtol=0,
-                                   atol=1e-6 * np.linalg.norm(direct.x_hat))
-        assert max(gram.iterations, direct.iterations) <= 2 * min(gram.iterations, direct.iterations)
-        # the route certifies both walks without a FISTA iteration: they must also take the same stages
-        assert [s[0] for s in gram.info["stages"]] == [s[0] for s in direct.info["stages"]]
 
 
 class TestConstrained:

@@ -82,12 +82,6 @@ def test_only_the_regularizer_spec_reads_the_penalty_kind():
     assert reads["regularizers.py"][True] and not outside, outside
 
 
-def test_only_the_workspace_reads_the_gram_matrix():
-    # the choice between the Gram matrix and A's columns is made in one place
-    reads = _solvers_lines(lambda node: isinstance(node, ast.Attribute) and node.attr == "gram", "_Workspace")
-    assert reads[True] and not reads[False], reads[False]
-
-
 def _sqrt_of_a_sum_of_squares(node):
     """Whether ``node`` is ``np.sqrt(...)`` or ``math.sqrt(...)`` of an ``np.bincount(...)`` or of
     ``v @ v``, seen through a ``float(...)`` around the argument."""
