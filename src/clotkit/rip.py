@@ -199,13 +199,16 @@ def _lex_runs(n: int, k: int, spare: int = 0):
         yield from (prefixes[start:start + step] for start in range(0, len(prefixes), step))
 
 
+def _last_columns(prefixes, stop: int):
+    """How many supports each prefix heads, and their last columns: those after it, below ``stop``."""
+    counts = stop - 1 - (last := prefixes.max(axis=1, initial=-1))
+    return counts, np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+
+
 def _extend(prefixes, stop: int):
-    """Each prefix followed by every column after its last element and below
-    ``stop``, one support per row, in order, with contiguous columns."""
-    last = prefixes.max(axis=1, initial=-1)
-    counts = stop - 1 - last
-    cols = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
-    return np.vstack([np.repeat(prefixes.T, counts, axis=1), cols]).T
+    """Each prefix followed by each of its ``_last_columns``, one support per row, in order."""
+    counts, cols = _last_columns(prefixes, stop)
+    return np.vstack([np.repeat(prefixes.T, counts, axis=1), cols]).T  # contiguous columns
 
 
 def _deviations(subs):
@@ -214,26 +217,32 @@ def _deviations(subs):
     return np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
 
 
+def _gershgorin(gram, prefixes):
+    """A run's prefix ends, last columns and Gershgorin bounds ``max_i(|G_ii - 1| + sum_{j != i} |G_ij|)``."""
+    n, (counts, cols) = len(gram), _last_columns(prefixes, len(gram))
+    fold = np.maximum(fold := np.abs(gram - np.eye(n)), fold.T).ravel()  # for either triangle eigvalsh reads
+    bound, last = np.zeros((2, cols.size))  # last is row c's; every sum runs in support order, from 0
+    for p in prefixes.T:
+        last += (entry := fold[np.repeat(p * n, counts) + cols])
+        np.maximum(bound, np.repeat(sum(fold[p * n + q] for q in prefixes.T), counts) + entry, out=bound)
+    return np.cumsum(counts), cols, np.maximum(bound, last + fold[cols * (n + 1)], out=bound)
+
+
 def _best_first_route(gram, prefixes, best):
-    """A run's first maximal deviation and its support.  Supports go to ``eigvalsh``
-    in batches, the ``_BATCH`` largest Gershgorin bounds ``max_i(|G_ii - 1| +
-    sum_{j != i} |G_ij|)`` first and then by descending bound, while their bound
-    lies within ``_SKIP_MARGIN`` (relative) of the best deviation so far."""
-    supports = _extend(prefixes, len(gram))
-    flat = np.abs(gram - np.eye(len(gram))).ravel()
-    bound = np.maximum.reduce([sum(flat[r + s] for s in supports.T) for r in (supports * len(gram)).T])
-    dev = np.full(bound.size, -np.inf)
-    floor = lambda: best - _SKIP_MARGIN * max(1.0, abs(best))
+    """A run's first maximal deviation and its support.  Supports go to ``eigvalsh`` (and are built) in batches of
+    ``_BATCH``, by descending ``_gershgorin`` bound, while it lies within ``_SKIP_MARGIN`` (relative) of the best."""
+    ends, cols, bound = _gershgorin(gram, prefixes)
+    support = lambda j: np.concatenate((prefixes[np.searchsorted(ends, j, "right")], cols[j, None]), axis=1)
+    dev, floor = np.full(bound.size, -np.inf), lambda: best - _SKIP_MARGIN * max(1.0, abs(best))
     batch, rest = np.argpartition(-bound, min(_BATCH, bound.size) - 1)[:_BATCH], None
     while (batch := batch[bound[batch] >= floor()]).size:
-        dev[batch] = _deviations(gram[supports[batch, :, None], supports[batch, None, :]])
+        dev[batch] = _deviations(gram[(sent := support(batch))[:, :, None], sent[:, None, :]])
         best = max(best, dev[batch].max())
         if rest is None:  # sort only the bounds that can still reach the best
             rest = np.flatnonzero((bound >= floor()) & np.isneginf(dev))
             rest = rest[np.argsort(-bound[rest])]
         batch, rest = rest[:_BATCH], rest[_BATCH:]
-    j = int(np.argmax(dev))
-    return dev[j], supports[j]
+    return dev.max(), support([np.argmax(dev)])[0]
 
 
 def _pattern_route(gram, k: int, count: int):
@@ -309,12 +318,9 @@ def exact_rip(A, k: int) -> RipEstimate:
     visited.  Refuses a non-finite matrix and over ``_SUBSET_GUARD`` supports.
     """
     A, k = _matrix_and_order(A, k)
-    n = A.shape[1]
-    count = math.comb(n, k)
+    n, count = A.shape[1], math.comb(A.shape[1], k)
     if count > _SUBSET_GUARD:
-        raise ValueError(
-            f"C({n},{k}) = {count} supports exceeds the enumeration guard of {_SUBSET_GUARD}"
-        )
+        raise ValueError(f"C({n},{k}) = {count} supports exceeds the enumeration guard of {_SUBSET_GUARD}")
     gram = A.T @ A
     route, ceiling = _pattern_route(gram, k, count) or (_best_first_route, np.inf)
 

@@ -569,9 +569,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         if not 0 < S.size <= A.shape[0]:
             return None
         A_S, (a, b, c) = A[:, S], spec.weights
-        gram = ws.sub_gram(S)
         try:
-            z = np.linalg.solve(gram, A_S.T @ y)
+            z = np.linalg.solve(gram := A_S.T @ A_S, A_S.T @ y)
             r = _norm(A_S @ z - y)
             if support(z).size < S.size or r > target:
                 return None

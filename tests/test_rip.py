@@ -438,6 +438,65 @@ def test_best_first_sends_few_supports_to_eigvalsh(monkeypatch):
     assert 0 < sum(rows) < 0.01 * math.comb(36, 4)
 
 
+def test_best_first_builds_only_prefixes_and_batches(monkeypatch):
+    built = []
+
+    def counted(prefixes, stop):
+        built.append(len(supports := extend(prefixes, stop)))
+        return supports
+
+    extend = rip._extend
+    monkeypatch.setattr(rip, "_extend", counted)
+    assert exact_rip(_gaussian(), 4).supports == math.comb(36, 4)
+    # the size-3 prefixes and their own prefixes, never the 58,905 supports
+    assert sum(built) == math.comb(35, 3) + math.comb(34, 2) + 33 < math.comb(36, 4)
+
+
+def _prefixes(n, k):
+    """Every size-``(k - 1)`` prefix of a size-``k`` subset of ``range(n)``, as one run."""
+    return np.array(list(combinations(range(n - 1), k - 1)), dtype=np.intp).reshape(-1, k - 1)
+
+
+def test_gershgorin_bound_is_the_k_squared_sum_bit_for_bit():
+    A, n, k = _gaussian(), 36, 3
+    gram = A.T @ A
+    assert np.array_equal(gram, gram.T)  # folding |G - I| with its transpose then changes nothing
+    prefixes = _prefixes(n, k)
+    ends, cols, bound = rip._gershgorin(gram, prefixes)
+    supports = rip._extend(prefixes, n)
+    counts = np.diff(ends, prepend=0)
+    np.testing.assert_array_equal(np.column_stack([np.repeat(prefixes, counts, axis=0), cols]), supports)
+    flat = np.abs(gram - np.eye(n)).ravel()
+    rows = [sum(flat[r + s] for s in supports.T) for r in (supports * n).T]  # row by row, in support order
+    assert np.array_equal(bound, np.maximum.reduce(rows))
+
+
+def _star_gram():
+    """Unit diagonal; column 0 overlaps columns 1 and 2 by 0.5, a deviation of sqrt(2)/2 on (0, 1, 2),
+    and columns 3 and 4 overlap by 0.6."""
+    gram = np.eye(6)
+    gram[0, 1:3] = gram[1:3, 0] = 0.5
+    gram[3, 4] = gram[4, 3] = 0.6
+    return gram
+
+
+@pytest.mark.parametrize("make", [_star_gram, lambda: _gaussian().T @ _gaussian()], ids=["star", "gaussian"])
+@pytest.mark.parametrize("batch", [1, rip._BATCH])
+@pytest.mark.parametrize("transpose", [False, True], ids=["upper_shrunk", "lower_shrunk"])
+def test_best_first_bound_holds_for_either_triangle(monkeypatch, make, batch, transpose):
+    # eigvalsh reads the lower triangle.  With the upper one shrunk, row-by-row sums bound the star's
+    # (0, 1, 2) by 0.5, under both its sqrt(2)/2 and the 0.6 of the supports holding (3, 4)
+    gram, k = make(), 3
+    shrunk = np.tril(gram) + 0.1 * np.triu(gram, 1)
+    shrunk = shrunk.T if transpose else shrunk
+    monkeypatch.setattr(rip, "_BATCH", batch)
+    supports = np.array(list(combinations(range(len(gram)), k)))
+    devs = rip._deviations(shrunk[supports[:, :, None], supports[:, None, :]])
+    dev, support = rip._best_first_route(shrunk, _prefixes(len(gram), k), -np.inf)
+    assert dev == devs.max()
+    assert tuple(support) == tuple(supports[np.argmax(devs)])
+
+
 @pytest.mark.parametrize("seed", [700, 746, 815, 921])
 def test_single_support_batches_find_the_maximum(monkeypatch, seed):
     # on these draws a walk that takes the supports left after the first batch
