@@ -315,7 +315,7 @@ def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> f
         zero = norms == 0
         t = t - (w * c) * x / _per_coordinate(spec.partition, norms + zero)
     thr = w * a
-    gap = np.where(x != 0, np.abs(t - thr * np.sign(x)), np.maximum(np.abs(t) - thr, 0.0))
+    gap = np.maximum(np.abs(t - thr * np.sign(x)) - thr * (x == 0), 0.0)  # |t| - thr, floored at 0, where x is 0
     if c and np.count_nonzero(zero):  # the coordinates of a zero group count through the group's Euclidean gap
         gap = np.where(_per_coordinate(spec.partition, zero),
                        _per_coordinate(spec.partition, group_norms(spec, gap) - w * c), gap)

@@ -217,10 +217,10 @@ def _deviations(subs):
     return np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
 
 
-def _gershgorin(gram, prefixes):
+def _gershgorin(fold, prefixes):
     """A run's prefix ends, last columns and Gershgorin bounds ``max_i(|G_ii - 1| + sum_{j != i} |G_ij|)``."""
-    n, (counts, cols) = len(gram), _last_columns(prefixes, len(gram))
-    fold = np.maximum(fold := np.abs(gram - np.eye(n)), fold.T).ravel()  # for either triangle eigvalsh reads
+    n, (counts, cols) = len(fold), _last_columns(prefixes, len(fold))
+    fold = fold.ravel()
     bound, last = np.zeros((2, cols.size))  # last is row c's; every sum runs in support order, from 0
     for p in prefixes.T:
         last += (entry := fold[np.repeat(p * n, counts) + cols])
@@ -228,21 +228,27 @@ def _gershgorin(gram, prefixes):
     return np.cumsum(counts), cols, np.maximum(bound, last + fold[cols * (n + 1)], out=bound)
 
 
-def _best_first_route(gram, prefixes, best):
-    """A run's first maximal deviation and its support.  Supports go to ``eigvalsh`` (and are built) in batches of
-    ``_BATCH``, by descending ``_gershgorin`` bound, while it lies within ``_SKIP_MARGIN`` (relative) of the best."""
-    ends, cols, bound = _gershgorin(gram, prefixes)
-    support = lambda j: np.concatenate((prefixes[np.searchsorted(ends, j, "right")], cols[j, None]), axis=1)
-    dev, floor = np.full(bound.size, -np.inf), lambda: best - _SKIP_MARGIN * max(1.0, abs(best))
-    batch, rest = np.argpartition(-bound, min(_BATCH, bound.size) - 1)[:_BATCH], None
-    while (batch := batch[bound[batch] >= floor()]).size:
-        dev[batch] = _deviations(gram[(sent := support(batch))[:, :, None], sent[:, None, :]])
-        best = max(best, dev[batch].max())
-        if rest is None:  # sort only the bounds that can still reach the best
-            rest = np.flatnonzero((bound >= floor()) & np.isneginf(dev))
-            rest = rest[np.argsort(-bound[rest])]
-        batch, rest = rest[:_BATCH], rest[_BATCH:]
-    return dev.max(), support([np.argmax(dev)])[0]
+def _best_first_route(gram):
+    """A route giving a run's first maximal deviation and its support.  Supports go to ``eigvalsh`` (and are built)
+    in batches of ``_BATCH``, by descending ``_gershgorin`` bound, while it lies within ``_SKIP_MARGIN`` (relative)
+    of the best."""
+    fold = np.maximum(fold := np.abs(gram - np.eye(len(gram))), fold.T)  # for either triangle eigvalsh reads; once
+
+    def route(prefixes, best):
+        ends, cols, bound = _gershgorin(fold, prefixes)
+        support = lambda j: np.concatenate((prefixes[np.searchsorted(ends, j, "right")], cols[j, None]), axis=1)
+        dev, floor = np.full(bound.size, -np.inf), lambda: best - _SKIP_MARGIN * max(1.0, abs(best))
+        batch, rest = np.argpartition(-bound, min(_BATCH, bound.size) - 1)[:_BATCH], None
+        while (batch := batch[bound[batch] >= floor()]).size:
+            dev[batch] = _deviations(gram[(sent := support(batch))[:, :, None], sent[:, None, :]])
+            best = max(best, dev[batch].max())
+            if rest is None:  # sort only the bounds that can still reach the best
+                rest = np.flatnonzero((bound >= floor()) & np.isneginf(dev))
+                rest = rest[np.argsort(-bound[rest])]
+            batch, rest = rest[:_BATCH], rest[_BATCH:]
+        return dev.max(), support([np.argmax(dev)])[0]
+
+    return route
 
 
 def _pattern_route(gram, k: int, count: int):
@@ -258,12 +264,14 @@ def _pattern_route(gram, k: int, count: int):
     front, so every deviation equals the best-first route's.  The route is taken
     only when the code table is no larger than the support count and has at most
     ``_CHUNK`` candidates, and never at ``k = 1``: there sorting all ``n**2``
-    Gram values would cost more than the whole enumeration.
+    Gram values would cost more than the whole enumeration; nor are they sorted
+    when one row alone has more distinct values than the table allows.
     """
-    if k == 1:
+    rows, cols = np.tril_indices(k)
+    if k == 1 or (np.count_nonzero(np.diff(np.sort(gram[0]))) + 1) ** rows.size > count:
         return None
     values, idx = np.unique(gram, return_inverse=True)
-    d, n, (rows, cols) = values.size, len(gram), np.tril_indices(k)
+    d, n = values.size, len(gram)
     size = d ** rows.size
     if size > count:
         return None
@@ -283,7 +291,7 @@ def _pattern_route(gram, k: int, count: int):
     scaled = [np.ascontiguousarray(idx.T) * w for w in weights[-k:-1]]
     scaled[-1] += idx.diagonal()
 
-    def route(_gram, prefixes, _best):
+    def route(prefixes, _best):
         head = idx[prefixes[:, rows[:-k]], prefixes[:, cols[:-k]]] @ weights[:-k]
         codes = sum((w[p] for w, p in zip(scaled, prefixes.T)), head[:, None])
         at = np.flatnonzero(np.arange(n) > prefixes[:, -1:])  # the run's supports in order
@@ -322,11 +330,11 @@ def exact_rip(A, k: int) -> RipEstimate:
     if count > _SUBSET_GUARD:
         raise ValueError(f"C({n},{k}) = {count} supports exceeds the enumeration guard of {_SUBSET_GUARD}")
     gram = A.T @ A
-    route, ceiling = _pattern_route(gram, k, count) or (_best_first_route, np.inf)
+    route, ceiling = _pattern_route(gram, k, count) or (_best_first_route(gram), np.inf)
 
     best, best_support, visited = -np.inf, None, 0
     for prefixes in _lex_runs(n, k):
-        dev, support = route(gram, prefixes, best)
+        dev, support = route(prefixes, best)
         visited += int((n - 1 - prefixes.max(axis=1, initial=-1)).sum())
         if dev > best:
             best, best_support = float(dev), tuple(int(i) for i in support)

@@ -198,6 +198,7 @@ class _Workspace:
         keep = 0 < rows.size <= spare / (_ROW_GATHER_RATIO * n)
         self.rows, self.block = (rows, A[rows]) if keep else (None, None)
         self.aty = self.adjoint(y)
+        self.aty_max = float(abs(self.aty).max())  # ||A^T y||_inf, which scales every solve's tolerance
 
     @cached_property
     def sigma2(self):
@@ -212,7 +213,7 @@ class _Workspace:
         return lam
 
     def forward(self, x):
-        narrow = self.max_cols > 0 and (S := np.flatnonzero(x)).size <= self.max_cols
+        narrow = self.max_cols > 0 and (S := x.nonzero()[0]).size <= self.max_cols
         return self.A[:, S] @ x[S] if narrow else self.A @ x
 
     def adjoint(self, v):
@@ -272,8 +273,10 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     (``A_S^T A_S`` is then singular), than A has rows.
     """
     a, b, c = spec.weights
-    c2 = 2.0 * loss_w
+    c2, pc, (m, e) = 2.0 * loss_w, pen_w * c, math.frexp(loss_w)
+    step = math.ldexp(pen_w / (2.0 * m * ws.frob2), -e)  # pen_w/(c2*frob2) bit for bit, where c2*frob2 overflows
     labels = np.zeros(ws.n, np.intp) if spec.partition is None else spec.partition.labels
+    grouped = spec.partition is not None and spec.partition.g > 1  # else the group term couples all of S
     width = _NEWTON_MAX_SUPPORT if b else min(_NEWTON_MAX_SUPPORT, ws.A.shape[0])
     optimal, frac = False, _BATCH_FRAC
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -281,61 +284,64 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
             kkt = subdiff_distance(spec, x, -c2 * hx, pen_w)
             if kkt <= tol or rounds == _ROUTE_ROUNDS:
                 return x, hx, kkt, None if kkt <= tol else "rounds"
-            xn, new = x.copy(), []
-            if optimal or not np.any(x):
-                w = prox(spec, x - hx / ws.frob2, pen_w / (c2 * ws.frob2))
-                new = np.flatnonzero((x == 0.0) & (w != 0.0))
-                # a coordinate's own step, or with a = 0, where whole groups enter, its group's
-                mag = np.abs(w) if a or not c else np.take(group_norms(spec, w), labels)
-                new = new[mag[new] >= frac * np.max(mag[new], initial=0.0)]
-                new = new[np.argsort(-mag[new])[:max(1, width - np.count_nonzero(x))]]
+            xn, new = x.copy(), ()
+            if optimal or not np.count_nonzero(x):
+                w = prox(spec, x - hx / ws.frob2, step)
+                new = ((x == 0.0) & (w != 0.0)).nonzero()[0]
+                if new.size > 1:  # a coordinate's own step, or with a = 0, where whole groups enter, its group's
+                    mag = abs(w[new]) if a or not c else np.take(group_norms(spec, w), labels[new])
+                    big = mag >= frac * mag.max()
+                    new = new[big][np.argsort(-mag[big])[:max(1, width - np.count_nonzero(x))]]
                 xn[new] = w[new]
             # with a = 0 no sign is fixed: S is every coordinate of a nonzero group, or all of them
-            S = np.flatnonzero(xn if a else np.take(group_norms(spec, xn), labels) if c else np.ones(ws.n))
+            S = (xn if a else np.take(group_norms(spec, xn), labels) if c else np.ones(ws.n)).nonzero()[0]
             if S.size > width:
                 return x, hx, kkt, "width"
-            z, s = xn[S], np.sign(xn[S])
+            z, lab = xn[S], labels[S]
             quad = c2 * ws.sub_gram(S)
             quad.flat[::S.size + 1] += 2.0 * pen_w * b
-            lin = c2 * ws.aty[S] - (pen_w * a) * s  # restricted gradient = quad @ z - lin + group term
+            lin = c2 * ws.aty[S] - (pen_w * a) * np.sign(z)  # restricted gradient = quad @ z - lin + group term
             optimal, steps = True, 0
             while S.size and steps < (_NEWTON_STEPS if c else 1):
                 grad, hess = quad @ z - lin, quad
                 if c:
-                    lab = labels[S]
-                    norms = np.take(group_norms(spec, z, S), lab)
+                    norms = group_norms(spec, z, S)
+                    norms = norms[lab] if grouped else norms
                     u = z / norms
-                    grad = grad + (pen_w * c) * u
-                    if np.max(np.abs(grad)) <= 0.5 * tol:
+                    grad += pc * u
+                    if abs(grad).max() <= 0.5 * tol:
                         break
-                    hess = np.diag(1.0 / norms) - (lab[:, None] == lab) * np.outer(u, u / norms)
-                    hess = quad + (pen_w * c) * hess
+                    hess = np.multiply.outer(u, u / norms)  # made pc*(diag(1/norms) - it), masked to groups
+                    hess.flat[::S.size + 1] -= 1.0 / norms
+                    hess *= -pc * (lab[:, None] == lab) if grouped else -pc
+                    hess += quad
                 try:
                     d = np.linalg.solve(hess, grad)
                 except np.linalg.LinAlgError:
                     return x, hx, kkt, "singular"
                 stats["route_solves"] += 1
-                if not np.all(np.isfinite(d)):
+                if not np.isfinite(d).all():
                     return x, hx, kkt, "singular"
-                # with a = 0 no sign is fixed: a group reaches zero where the step turns it round
-                units = np.arange(S.size) if a else labels[S]
-                zz, zd, dd = (v if a else np.bincount(units, v) for v in (z * (z - d), z * d, d * d))
-                if (a or c) and np.any(cross := (zz <= 0.0) & (dd > 0.0)):  # drop the first to reach zero
-                    ratio = np.where(cross, zd / dd, np.inf)
-                    j = int(np.argmin(ratio))
-                    keep = units != j
-                    z, S, s, lin = (z - ratio[j] * d)[keep], S[keep], s[keep], lin[keep]
+                # a coordinate crosses zero, or with a = 0 a group reaches zero where the step turns it round
+                zz, dd = z * (z - d), d * d
+                if not a:
+                    zz, dd = np.bincount(lab, zz), np.bincount(lab, dd)
+                if (a or c) and np.count_nonzero(cross := (zz <= 0.0) & (dd > 0.0)):  # drop the first to reach zero
+                    ratio = np.where(cross, (z * d if a else np.bincount(lab, z * d)) / dd, np.inf)
+                    j = int(ratio.argmin())
+                    keep = (np.arange(S.size) if a else lab) != j
+                    z, S, lab, lin = (z - ratio[j] * d)[keep], S[keep], lab[keep], lin[keep]
                     quad = quad[keep][:, keep]
                     continue
                 steps += 1
                 z = z - d
-                if not c or np.max(np.abs(d)) <= 1e-12 * np.max(np.abs(z)):
+                if not c or abs(d).max() <= 1e-12 * abs(z).max():
                     break
             else:
                 optimal = False
             x = np.zeros(ws.n)
             x[S] = z
-            if len(new) and not np.any(x[new]):
+            if len(new) and not np.count_nonzero(x[new]):
                 frac = 0.0  # the leading violators did not stay on their own: take them all
             hx = ws.half_grad(x)
             stats["grad_evals"] += 1
@@ -460,13 +466,13 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     n = problem.A.shape[1]
     spec.check_dimension(n)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (n,) or not np.all(np.isfinite(x)):
+    if x.shape != (n,) or not np.isfinite(x).all():
         raise ValueError(f"x0 must be a finite 1-D vector of length {n}, got shape {x.shape}")
     ws = _ws or _Workspace(problem.A, problem.y, problem._frob2)
     loss_w, pen_w = form.weights
 
-    tol = opts.kkt_tol * max(1.0, 2.0 * loss_w * float(np.max(np.abs(ws.aty), initial=0.0)))
-    warm = bool(np.any(x))  # at zero the half-gradient is -A^T y, which costs no product
+    tol = opts.kkt_tol * max(1.0, 2.0 * loss_w * ws.aty_max)
+    warm = bool(x.any())  # at zero the half-gradient is -A^T y, which costs no product
     stats = {"restarts": 0, "backtracks": 0, "grad_evals": int(warm), "step_search_exhausted": False,
              "route_rounds": 0, "route_solves": 0, "route_give_up": None}
     hx = ws.half_grad(x) if warm else -ws.aty
@@ -557,7 +563,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     gauge = penalty_gauge_at_zero(spec, ws.aty)
     exact_zero = np.isfinite(gauge) and gauge > 0
     lam0 = 1.0 / (2.0 * gauge) if exact_zero else \
-        1.0 / (2.0 * max(float(np.max(np.abs(ws.aty), initial=0.0)), 1e-12))
+        1.0 / (2.0 * max(ws.aty_max, 1e-12))
     target = eps if eps > 0 else 1e-9 * ynorm  # relative, so eps = 0 is scale-equivariant
     inner_opts = replace(opts, kkt_tol=opts.kkt_tol * eps / ynorm) if eps > 0 else \
         replace(opts, max_iters=min(opts.max_iters, _STAGE_ITERS))

@@ -389,7 +389,7 @@ def test_pattern_route_solves_each_sub_gram_matrix_once(monkeypatch, make):
     assert np.isin(lower[:, rows == cols], diag).all() and np.isin(lower[:, rows > cols], below).all()
     assert len(np.unique(np.concatenate([lower, distinct]), axis=0)) == len(lower)  # covers them all
     for prefixes in rip._lex_runs(n, k):
-        route(gram, prefixes, -np.inf)
+        route(prefixes, -np.inf)
     assert len(sent) == 1  # none during it
 
 
@@ -452,6 +452,35 @@ def test_best_first_builds_only_prefixes_and_batches(monkeypatch):
     assert sum(built) == math.comb(35, 3) + math.comb(34, 2) + 33 < math.comb(36, 4)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_pattern_route_refuses_a_gaussian_gram_without_sorting_it(monkeypatch, k):
+    A, sizes, unique = _gaussian(), [], np.unique
+
+    def counted(values, *args, **kwargs):
+        sizes.append(np.size(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    assert rip._pattern_route(A.T @ A, k, math.comb(36, k)) is None
+    assert all(size < 36 * 36 for size in sizes)  # its first row alone has too many distinct values
+
+
+def test_best_first_folds_the_gram_matrix_once_per_call(monkeypatch):
+    folds, gershgorin = [], rip._gershgorin
+
+    def spy(fold, prefixes):
+        folds.append(fold)
+        return gershgorin(fold, prefixes)
+
+    monkeypatch.setattr(rip, "_gershgorin", spy)
+    monkeypatch.setattr(rip, "_CHUNK", 7)  # one prefix per run
+    A = _gaussian()
+    assert (est := exact_rip(A, 3)).supports == math.comb(36, 3)
+    assert len(folds) == math.comb(35, 2) and all(fold is folds[0] for fold in folds)
+    delta, support = rip_ref(A, 3)
+    assert est.delta_k == pytest.approx(delta, abs=1e-12) and est.argmax_support == support
+
+
 def _prefixes(n, k):
     """Every size-``(k - 1)`` prefix of a size-``k`` subset of ``range(n)``, as one run."""
     return np.array(list(combinations(range(n - 1), k - 1)), dtype=np.intp).reshape(-1, k - 1)
@@ -462,7 +491,7 @@ def test_gershgorin_bound_is_the_k_squared_sum_bit_for_bit():
     gram = A.T @ A
     assert np.array_equal(gram, gram.T)  # folding |G - I| with its transpose then changes nothing
     prefixes = _prefixes(n, k)
-    ends, cols, bound = rip._gershgorin(gram, prefixes)
+    ends, cols, bound = rip._gershgorin(np.abs(gram - np.eye(n)), prefixes)
     supports = rip._extend(prefixes, n)
     counts = np.diff(ends, prepend=0)
     np.testing.assert_array_equal(np.column_stack([np.repeat(prefixes, counts, axis=0), cols]), supports)
@@ -492,7 +521,7 @@ def test_best_first_bound_holds_for_either_triangle(monkeypatch, make, batch, tr
     monkeypatch.setattr(rip, "_BATCH", batch)
     supports = np.array(list(combinations(range(len(gram)), k)))
     devs = rip._deviations(shrunk[supports[:, :, None], supports[:, None, :]])
-    dev, support = rip._best_first_route(shrunk, _prefixes(len(gram), k), -np.inf)
+    dev, support = rip._best_first_route(shrunk)(_prefixes(len(gram), k), -np.inf)
     assert dev == devs.max()
     assert tuple(support) == tuple(supports[np.argmax(devs)])
 

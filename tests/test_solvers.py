@@ -557,6 +557,24 @@ class TestNewtonFinish:
         if spec.weights[0] == 0.0 and spec.partition is not None:  # gl: a group the Newton step
             assert res.info["route_rounds"] <= 2  # turns round is dropped whole, not by coordinates
 
+    @pytest.mark.parametrize("spec, work", [
+        (RegularizerSpec.clot(0.3), [(0, 0, 0), (4, 12, 4), (1, 3, 2), (2, 4, 3), (3, 5, 4), (3, 7, 4), (5, 9, 6),
+                                     (4, 11, 5), (3, 8, 4), (4, 9, 5), (2, 6, 3), (3, 6, 4)]),
+        (RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([10] * 4)),
+         [(0, 0, 0), (4, 12, 4), (3, 10, 4), (2, 6, 3), (5, 14, 6), (4, 12, 5), (4, 10, 5), (3, 9, 4), (3, 10, 4),
+          (3, 10, 4), (2, 5, 3), (1, 2, 2)]),
+    ], ids=["clot", "sgl"])
+    def test_path_work_is_pinned(self, spec, work):
+        # (route_rounds, route_solves, grad_evals) per point: a Newton step with a wrong group-term
+        # Hessian (unmasked across groups, say) still ends at a point the certificate accepts, so only
+        # the work it took shows the fault
+        A, y = self.sparse_instance()
+        grid = lambda_zero_threshold(spec, A, y) * np.logspace(0, -3, 12)
+        points = solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid)
+        assert all(p.result.converged and p.result.iterations == 0 for p in points)
+        assert [tuple(p.result.info[k] for k in ("route_rounds", "route_solves", "grad_evals"))
+                for p in points] == work
+
     def test_zero_group_whose_leader_is_too_weak_alone_enters_whole(self):
         # CLOT from zero, A = I: the leading violator alone is inside its threshold
         # (2 - 1.05 < 1.05), the four together are not (0.95^2 + 3*0.35^2 > 1.05^2),
@@ -907,6 +925,16 @@ class TestConstrained:
         with np.errstate(over="ignore"):  # b*||x||^2, and so the objective, exceeds the float range at 1e160
             huge = solve_constrained(Problem(A, 1e160 * y, Constrained(0.0)), spec)
         assert not (huge.converged and huge.info["inner_solves"] == 1)  # 1e-9*||y|| is finite there
+
+    @pytest.mark.parametrize("scale", [1e-306, 1e-307])
+    def test_elastic_net_near_the_bottom_of_the_float_range(self, scale):
+        # the first stage's multiplier is about 1e307 there; the route's prox step does not overflow
+        A, y = self.float_range_instance()
+        res = solve_constrained(Problem(A, scale * y, Constrained(0.0)), RegularizerSpec.elastic_net(0.8))
+        assert res.converged and res.info["certified"] and res.info["inner_solves"] == 1
+        truth = np.zeros(60)
+        truth[[3, 17, 40]] = (1.0, -2.0, 0.5)
+        assert np.max(np.abs(res.x_hat / scale - truth)) <= 1e-12 * 2.0
 
     def test_feasibility_with_positive_eps(self, rng):
         A, x, y = small_instance(rng, noise=0.3)
