@@ -381,10 +381,14 @@ def run_grouping_paths(seed: int = 0) -> StudyReport:
     """Coefficient trajectories of CLOT, EN, and lasso on the two-factor
     fixture, over each method's own descending multiplier grid."""
     config = {"seed": seed, "n_lambdas": 61, **_FIXTURE}
-    series, spread_stats, window = {}, {}, {}
+    series = {}
+    spread_stats = {}
+    window = {}
     for label, (lam_max, grid, betas) in _fixture_paths(config, ("clot", "en", "lasso")).items():
-        series[label] = {"lambda": grid.tolist(),
-                         **{f"beta{i + 1}": betas[:, i].tolist() for i in range(betas.shape[1])}}
+        series[label] = {
+            "lambda": grid.tolist(),
+            **{f"beta{i + 1}": betas[:, i].tolist() for i in range(betas.shape[1])},
+        }
         # mid-range: multipliers between 10% and 60% of the zero threshold,
         # i.e. after the trio activates but before weak regularization lets
         # the unpenalized ill-conditioning take over
@@ -410,7 +414,8 @@ def run_grouping_paths(seed: int = 0) -> StudyReport:
 
 def _longest_increasing_run(values, tol=1e-12):
     """Start/end (inclusive) of the longest strictly increasing run."""
-    best, start = (0, 0), 0
+    best = (0, 0)
+    start = 0
     for i in range(1, len(values)):
         if values[i] <= values[i - 1] + tol:
             start = i
@@ -434,21 +439,30 @@ def run_path_nonequivalence(seed: int = 0) -> StudyReport:
     runs = {label: _longest_increasing_run(betas[:, 0]) for label, (_, _, betas) in fits.items()}
     for label, (lo, hi) in runs.items():
         if hi - lo < 5:
-            raise RuntimeError(f"first coefficient of the {label} path is not monotone over a usable range")
+            raise RuntimeError(f"first coefficient of the {label} path is not monotone "
+                               f"over a usable range")
 
-    (c_lo, c_hi), (e_lo, e_hi) = runs["clot"], runs["en"]
+    c_lo, c_hi = runs["clot"]
+    e_lo, e_hi = runs["en"]
     (_, grid_c, path_c), (_, grid_e, path_e) = fits["clot"], fits["en"]
-    path_c, lam_c = path_c[c_lo:c_hi + 1], grid_c[c_lo:c_hi + 1]
-    path_e, lam_e = path_e[e_lo:e_hi + 1], grid_e[e_lo:e_hi + 1]
-    beta1_c, beta1_e = path_c[:, 0], path_e[:, 0]
-    keep = (beta1_c >= max(beta1_c.min(), beta1_e.min())) & (beta1_c <= min(beta1_c.max(), beta1_e.max()))
+    beta1_c = path_c[c_lo:c_hi + 1, 0]
+    beta1_e = path_e[e_lo:e_hi + 1, 0]
+    lam_c = grid_c[c_lo:c_hi + 1]
+    lam_e = grid_e[e_lo:e_hi + 1]
+    lo_val = max(beta1_c.min(), beta1_e.min())
+    hi_val = min(beta1_c.max(), beta1_e.max())
+    keep = (beta1_c >= lo_val) & (beta1_c <= hi_val)
     if keep.sum() < 5:
         raise RuntimeError("first-coefficient ranges of the two paths barely overlap")
 
-    b1, lam_c_kept = beta1_c[keep], lam_c[keep]
+    b1 = beta1_c[keep]
+    lam_c_kept = lam_c[keep]
     lam_en_mapped = np.interp(b1, beta1_e, lam_e)
-    en_matched = np.column_stack([np.interp(b1, beta1_e, path_e[:, col]) for col in range(path_e.shape[1])])
-    clot_matched = path_c[keep]
+    en_matched = np.column_stack([
+        np.interp(b1, beta1_e, path_e[e_lo:e_hi + 1, col])
+        for col in range(path_e.shape[1])
+    ])
+    clot_matched = path_c[c_lo:c_hi + 1][keep]
     diff = np.linalg.norm(clot_matched - en_matched, axis=1)
     ref = np.linalg.norm(clot_matched, axis=1)
 

@@ -267,11 +267,10 @@ def _pattern_route(gram, k: int, count: int):
     Gram values would cost more than the whole enumeration; nor are they sorted
     when one row alone has more distinct values than the table allows.
     """
-    rows, cols = np.tril_indices(k)
-    if k == 1 or (np.count_nonzero(np.diff(np.sort(gram[0]))) + 1) ** rows.size > count:
+    if k == 1 or (np.count_nonzero(np.diff(np.sort(gram[0]))) + 1) ** (k * (k + 1) // 2) > count:
         return None
     values, idx = np.unique(gram, return_inverse=True)
-    d, n = values.size, len(gram)
+    d, n, (rows, cols) = values.size, len(gram), np.tril_indices(k)
     size = d ** rows.size
     if size > count:
         return None

@@ -273,10 +273,8 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     (``A_S^T A_S`` is then singular), than A has rows.
     """
     a, b, c = spec.weights
-    c2, pc, (m, e) = 2.0 * loss_w, pen_w * c, math.frexp(loss_w)
-    step = math.ldexp(pen_w / (2.0 * m * ws.frob2), -e)  # pen_w/(c2*frob2) bit for bit, where c2*frob2 overflows
+    c2, pc = 2.0 * loss_w, pen_w * c
     labels = np.zeros(ws.n, np.intp) if spec.partition is None else spec.partition.labels
-    grouped = spec.partition is not None and spec.partition.g > 1  # else the group term couples all of S
     width = _NEWTON_MAX_SUPPORT if b else min(_NEWTON_MAX_SUPPORT, ws.A.shape[0])
     optimal, frac = False, _BATCH_FRAC
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -286,7 +284,8 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 return x, hx, kkt, None if kkt <= tol else "rounds"
             xn, new = x.copy(), ()
             if optimal or not np.count_nonzero(x):
-                w = prox(spec, x - hx / ws.frob2, step)
+                m, e = math.frexp(loss_w)  # the step pen_w/(c2*frob2) bit for bit, also where c2*frob2 overflows
+                w = prox(spec, x - hx / ws.frob2, np.ldexp(pen_w / (2.0 * m * ws.frob2), -e))
                 new = ((x == 0.0) & (w != 0.0)).nonzero()[0]
                 if new.size > 1:  # a coordinate's own step, or with a = 0, where whole groups enter, its group's
                     mag = abs(w[new]) if a or not c else np.take(group_norms(spec, w), labels[new])
@@ -305,15 +304,14 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
             while S.size and steps < (_NEWTON_STEPS if c else 1):
                 grad, hess = quad @ z - lin, quad
                 if c:
-                    norms = group_norms(spec, z, S)
-                    norms = norms[lab] if grouped else norms
+                    norms = np.take(group_norms(spec, z, S), lab)
                     u = z / norms
                     grad += pc * u
                     if abs(grad).max() <= 0.5 * tol:
                         break
                     hess = np.multiply.outer(u, u / norms)  # made pc*(diag(1/norms) - it), masked to groups
                     hess.flat[::S.size + 1] -= 1.0 / norms
-                    hess *= -pc * (lab[:, None] == lab) if grouped else -pc
+                    hess *= -pc * (lab[:, None] == lab)
                     hess += quad
                 try:
                     d = np.linalg.solve(hess, grad)

@@ -926,6 +926,22 @@ class TestConstrained:
             huge = solve_constrained(Problem(A, 1e160 * y, Constrained(0.0)), spec)
         assert not (huge.converged and huge.info["inner_solves"] == 1)  # 1e-9*||y|| is finite there
 
+    def test_clot_lagrangian_whose_support_norm_underflows(self):
+        # only the constrained form rescales y: at 1e-160 the route's z @ z on CLOT's one group is 0,
+        # whose Newton step is handed over as singular rather than raising a division error
+        A, y = self.float_range_instance()
+        spec, s = RegularizerSpec.clot(0.2), 1e-160
+        lam = 0.5 * lambda_zero_threshold(spec, A, y)
+        res = solve_lagrangian(Problem(A, s * y, Lagrangian(s * lam)), spec, SolverOptions(1e-8 * s, max_iters=20))
+        assert res.info["route_give_up"] is not None and np.all(np.isfinite(res.x_hat))
+
+    def test_certified_start_takes_no_prox_step(self):
+        # a loss weight near the bottom of the float range certifies zero at the first check; the
+        # prox step 1/(2*lam*||A||_F^2), past the float range there, is never taken
+        A, y = self.float_range_instance()
+        res = solve_lagrangian(Problem(A, y, Lagrangian(1e-320, side="loss")), RegularizerSpec.elastic_net(0.8))
+        assert res.converged and res.info["route_rounds"] == 0 and not np.any(res.x_hat)
+
     @pytest.mark.parametrize("scale", [1e-306, 1e-307])
     def test_elastic_net_near_the_bottom_of_the_float_range(self, scale):
         # the first stage's multiplier is about 1e307 there; the route's prox step does not overflow
