@@ -130,7 +130,7 @@ def grouping_check(A_std, y_centered, x_hat, lam: float, mu: float,
 
     ynorm = float(np.linalg.norm(y))
     group_of = part.labels
-    norms = group_norms(spec, x)
+    norms = group_norms(x, part)
     full_norm = float(np.linalg.norm(x))
 
     for i, j in itertools.combinations(np.flatnonzero(x).tolist(), 2):

@@ -209,13 +209,21 @@ def _soft(v: np.ndarray, t: float) -> np.ndarray:
     return v - np.minimum(np.maximum(v, -t), t)
 
 
-def group_norms(spec: RegularizerSpec, v: np.ndarray, at=None):
+def group_norms(v: np.ndarray, partition: Optional[Partition] = None, at=None):
     """Euclidean norm of each group of the float vector ``v``: a float for one group (no partition, or one
-    block), else one per group from one ``bincount``.  ``v``'s entries sit at the coordinates ``at`` (default all)."""
-    groups = spec.partition
-    if groups is None or groups.g == 1:
-        return math.sqrt(v @ v)
-    return np.sqrt(np.bincount(groups.labels if at is None else groups.labels[at], v * v, groups.g))
+    block), else one per group from one ``bincount``.  ``v``'s entries sit at the coordinates ``at`` (default all).
+
+    A (largest) norm outside ``[2**-300, 2**300]``, where a sum of squares may have under- or overflowed, is
+    taken again on ``v`` scaled by the power of two of its largest entry.  That is exact, so the norms scale with
+    ``v`` across the float range (Blue, ACM TOMS 1978), and in range they are the plain sums' bit for bit."""
+    if one := partition is None or partition.g == 1:
+        norms = math.sqrt(np.vdot(v, v))  # unlike v @ v, reports no overflow, which the rescale answers
+    else:
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.bincount(partition.labels if at is None else partition.labels[at], v * v, partition.g))
+    if not 2.0**-300 <= (norms if one else norms.max()) <= 2.0**300 and (e := math.frexp(abs(v).max(initial=0.0))[1]):
+        return np.ldexp(group_norms(np.ldexp(v, -e), partition, at), e)
+    return norms
 
 
 def _per_coordinate(groups: Optional[Partition], per_group):
@@ -229,7 +237,7 @@ def penalty_value(spec: RegularizerSpec, z) -> float:
     spec.check_dimension(z.size)
     a, b, c = spec.weights  # a zero weight skips its sum, which may overflow: 0 * inf is NaN
     return ((a and a * float(np.abs(z).sum())) + (b and b * float(z @ z))
-            + (c and c * float(np.add.reduce(group_norms(spec, z)))))
+            + (c and c * float(np.add.reduce(group_norms(z, spec.partition)))))
 
 
 def prox(spec: RegularizerSpec, v, step: float) -> np.ndarray:
@@ -243,7 +251,7 @@ def prox(spec: RegularizerSpec, v, step: float) -> np.ndarray:
     t = step * c
     if t:  # zero also when step*c underflows
         u = u * _per_coordinate(spec.partition,
-                                1.0 - t / np.maximum(group_norms(spec, u), t))
+                                1.0 - t / np.maximum(group_norms(u, spec.partition), t))
     if b:
         u = u / (1.0 + 2.0 * step * b)
     return u
@@ -266,7 +274,7 @@ def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
     if not c:
         return float(np.max(np.abs(v))) / a if a else np.inf
     if not a:
-        return float(np.max(group_norms(spec, v))) / c
+        return float(np.max(group_norms(v, spec.partition))) / c
 
     # Both terms (Ndiaye et al., NeurIPS 2016): with |v_g| sorted down to u_1 >= u_2 >= ..., a group's
     # gauge s keeps its top j entries above a*s, where sum_{i<=j} (u_i - a*s)^2 = c^2 s^2.  Entry k is
@@ -311,14 +319,14 @@ def subdiff_distance(spec: RegularizerSpec, x, target, weight: float = 1.0) -> f
     if b:
         t = t - (2.0 * w * b) * x
     if c:
-        norms = group_norms(spec, x)
+        norms = group_norms(x, spec.partition)
         zero = norms == 0
-        t = t - (w * c) * x / _per_coordinate(spec.partition, norms + zero)
+        t = t - x * ((w * c) / _per_coordinate(spec.partition, norms + zero))  # w and the norms scale alike: ratio first
     thr = w * a
     gap = np.maximum(np.abs(t - thr * np.sign(x)) - thr * (x == 0), 0.0)  # |t| - thr, floored at 0, where x is 0
     if c and np.count_nonzero(zero):  # the coordinates of a zero group count through the group's Euclidean gap
         gap = np.where(_per_coordinate(spec.partition, zero),
-                       _per_coordinate(spec.partition, group_norms(spec, gap) - w * c), gap)
+                       _per_coordinate(spec.partition, group_norms(gap, spec.partition) - w * c), gap)
     return float(gap.max(initial=0.0))
 
 
@@ -339,5 +347,5 @@ def sparsity_index(x, k: int, norm: str = "l1") -> float:
     if norm == "l1":
         return float(np.sum(np.abs(tail)))
     if norm == "l2":
-        return float(np.linalg.norm(tail))
+        return float(group_norms(tail))
     raise ValueError(f"unknown norm {norm!r}; expected 'l1' or 'l2'")

@@ -203,10 +203,10 @@ class _Workspace:
     @cached_property
     def sigma2(self):
         v = np.random.default_rng(0).standard_normal(self.n)
-        v /= np.linalg.norm(v)
+        v /= group_norms(v)
         lam = lam_prev = 0.0
         for _ in range(_POWER_ITERS):
-            lam = float(np.linalg.norm(w := self.normal(v)))
+            lam = float(group_norms(w := self.normal(v)))
             if abs(lam - lam_prev) <= _POWER_TOL * lam:
                 break
             v, lam_prev = w / lam, lam
@@ -288,12 +288,12 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 w = prox(spec, x - hx / ws.frob2, np.ldexp(pen_w / (2.0 * m * ws.frob2), -e))
                 new = ((x == 0.0) & (w != 0.0)).nonzero()[0]
                 if new.size > 1:  # a coordinate's own step, or with a = 0, where whole groups enter, its group's
-                    mag = abs(w[new]) if a or not c else np.take(group_norms(spec, w), labels[new])
+                    mag = abs(w[new]) if a or not c else np.take(group_norms(w, spec.partition), labels[new])
                     big = mag >= frac * mag.max()
                     new = new[big][np.argsort(-mag[big])[:max(1, width - np.count_nonzero(x))]]
                 xn[new] = w[new]
             # with a = 0 no sign is fixed: S is every coordinate of a nonzero group, or all of them
-            S = (xn if a else np.take(group_norms(spec, xn), labels) if c else np.ones(ws.n)).nonzero()[0]
+            S = (xn if a else np.take(group_norms(xn, spec.partition), labels) if c else np.ones(ws.n)).nonzero()[0]
             if S.size > width:
                 return x, hx, kkt, "width"
             z, lab = xn[S], labels[S]
@@ -304,7 +304,7 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
             while S.size and steps < (_NEWTON_STEPS if c else 1):
                 grad, hess = quad @ z - lin, quad
                 if c:
-                    norms = np.take(group_norms(spec, z, S), lab)
+                    norms = np.take(group_norms(z, spec.partition, S), lab)
                     u = z / norms
                     grad += pc * u
                     if abs(grad).max() <= 0.5 * tol:
@@ -377,8 +377,7 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
             d = w - z
             dd = float(d @ d)
             excess = c * float(d @ (hw - hz)) - dd / step
-            if excess <= 1e-9 * dd / step or excess <= 1e-14 * c * np.sqrt(dd) * (
-                    np.linalg.norm(hw) + np.linalg.norm(hz)):
+            if excess <= 1e-9 * dd / step or excess <= 1e-14 * c * group_norms(d) * (group_norms(hw) + group_norms(hz)):
                 return w, hw, d
         raise _StepSearchExhausted
 
@@ -427,13 +426,6 @@ _SUPPORT_REL_TOL = 1e-6  # eps = 0 refit support: |x_i| above this times max|x|
 _UNIT_SCALE_EXP = 400  # b = 0 solves run on y*2^-e past this |e|, e of max|y|; as given they held to -503..507
 
 
-def _norm(v) -> float:
-    """``||v||_2`` taken on ``v`` scaled by the power of two of its largest magnitude, so no square under- or
-    overflows; the scaling is exact, and in the normal range the value is ``np.linalg.norm(v)``'s bit for bit."""
-    e = math.frexp(np.abs(v).max(initial=0.0))[1]
-    return math.ldexp(np.linalg.norm(np.ldexp(v, -e)), e)
-
-
 def support(x) -> np.ndarray:
     """Indices of the entries of ``x`` above ``1e-6`` times its largest magnitude."""
     return np.flatnonzero(np.abs(x) > _SUPPORT_REL_TOL * np.max(np.abs(x), initial=0.0))
@@ -479,7 +471,7 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     if not converged:
         x, iters, kkt, converged = _fista(ws, spec, loss_w, pen_w, opts, tol, x, hx, stats)
     r = ws.forward(x) - ws.y
-    return SolveResult(x, loss_w * float(r @ r) + pen_w * penalty_value(spec, x), _norm(r), iters, kkt, converged,
+    return SolveResult(x, loss_w * float(r @ r) + pen_w * penalty_value(spec, x), group_norms(r), iters, kkt, converged,
                        {"form": "lagrangian", "lambda": form.lam, "side": form.side, **stats})
 
 
@@ -530,7 +522,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     e = math.frexp(np.abs(problem.y).max(initial=0.0))[1]
     e = 0 if spec.weights[1] or abs(e) <= _UNIT_SCALE_EXP else e
     y, eps = np.ldexp(problem.y, -e), math.ldexp(eps, -e)
-    ynorm = _norm(y)
+    ynorm = group_norms(y)
     feas_slack = opts.feas_tol * max(1.0, ynorm)
 
     stages = []
@@ -548,7 +540,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
 
     @cache
     def least_residual():  # least squares attains the least residual of any z; solved once
-        return _norm(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y)
+        return group_norms(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y)
 
     def check_feasible(residual):
         if residual > eps + feas_slack and (r_min := least_residual()) > eps + feas_slack:
@@ -575,12 +567,12 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         A_S, (a, b, c) = A[:, S], spec.weights
         try:
             z = np.linalg.solve(gram := A_S.T @ A_S, A_S.T @ y)
-            r = _norm(A_S @ z - y)
+            r = group_norms(A_S @ z - y)
             if support(z).size < S.size or r > target:
                 return None
             labels = np.zeros(S.size, np.intp) if spec.partition is None else spec.partition.labels[S]
-            # c = 0 skips the group term, which is 0/0 where every z_i^2 underflows
-            g = a * np.sign(z) + (2.0 * b) * z + (c and c * z / np.take(group_norms(spec, z, S), labels))
+            # c = 0 skips the group term and its norms
+            g = a * np.sign(z) + (2.0 * b) * z + (c and c * z / np.take(group_norms(z, spec.partition, S), labels))
             theta = A_S @ np.linalg.solve(gram, g)
         except np.linalg.LinAlgError:
             return None

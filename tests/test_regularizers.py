@@ -149,6 +149,23 @@ class TestHomogeneityAndTriangle:
         right = abs(c) * penalty_value(spec, np.asarray(z))
         assert left == pytest.approx(right, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [-1000, -560, 560, 1000])
+    @pytest.mark.parametrize("spec", [RegularizerSpec.clot(0.2),
+                                      RegularizerSpec.group_lasso(Partition.contiguous([4] * 3)),
+                                      RegularizerSpec.sparse_group_lasso(0.2, Partition.contiguous([4] * 3))],
+                             ids=lambda spec: spec.label())
+    def test_norm_penalties_scale_exactly_by_powers_of_two(self, spec, k):
+        # at 2^k every sum of squares under- or overflows; scaling by a power of two is exact, and so is each answer
+        rng, s = np.random.default_rng(1), 2.0**k
+        v, t = rng.standard_normal(12), rng.standard_normal(12)
+        A, y = rng.standard_normal((8, 12)), rng.standard_normal(8)
+        assert penalty_value(spec, s * v) == s * penalty_value(spec, v)
+        assert np.array_equal(prox(spec, s * v, s * 0.8), s * prox(spec, v, 0.8))  # zeros a group
+        assert penalty_gauge_at_zero(spec, s * v) == s * penalty_gauge_at_zero(spec, v)
+        assert lambda_zero_threshold(spec, A, s * y) == s * lambda_zero_threshold(spec, A, y)
+        for x in (np.where(np.arange(12) // 4 == 1, 0.0, v), np.zeros(12)):  # a zero group, and zero
+            assert subdiff_distance(spec, s * x, s * t, s * 0.7) == s * subdiff_distance(spec, x, t, 0.7)
+
 
 class TestProx:
     def test_rejects_nonpositive_step(self):

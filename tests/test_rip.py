@@ -465,6 +465,29 @@ def test_pattern_route_refuses_a_gaussian_gram_without_sorting_it(monkeypatch, k
     assert all(size < 36 * 36 for size in sizes)  # its first row alone has too many distinct values
 
 
+def test_pattern_route_refuses_a_code_table_larger_than_the_support_count(monkeypatch):
+    # column 0 is e_1 and row 0 of the others is zero, so Gram row 0 holds 2 distinct values and passes
+    # the first-row check; the whole Gram matrix holds 41, and 41**3 codes outnumber the C(10, 2) supports
+    A = np.zeros((8, 10))
+    A[:, 1:] = np.random.default_rng(3).standard_normal((8, 9))
+    A[0], A[0, 0] = 0.0, 1.0
+    A /= np.linalg.norm(A, axis=0)
+    sizes, unique = [], np.unique
+
+    def counted(values, *args, **kwargs):
+        sizes.append(np.size(values))
+        return unique(values, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "unique", counted)
+        assert rip._pattern_route(A.T @ A, 2, math.comb(10, 2)) is None
+    assert sizes == [100]  # refused only after sorting the whole Gram matrix
+    delta, support = rip_ref(A, 2)
+    est = exact_rip(A, 2)
+    assert est.delta_k == pytest.approx(delta, abs=1e-12) and est.argmax_support == support == (1, 8)
+    assert est.delta_k == pytest.approx(0.80297, abs=1e-5)
+
+
 def test_best_first_folds_the_gram_matrix_once_per_call(monkeypatch):
     folds, gershgorin = [], rip._gershgorin
 

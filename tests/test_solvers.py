@@ -926,14 +926,23 @@ class TestConstrained:
             huge = solve_constrained(Problem(A, 1e160 * y, Constrained(0.0)), spec)
         assert not (huge.converged and huge.info["inner_solves"] == 1)  # 1e-9*||y|| is finite there
 
-    def test_clot_lagrangian_whose_support_norm_underflows(self):
-        # only the constrained form rescales y: at 1e-160 the route's z @ z on CLOT's one group is 0,
-        # whose Newton step is handed over as singular rather than raising a division error
+    @pytest.mark.parametrize("spec", [RegularizerSpec.clot(0.2),
+                                      RegularizerSpec.sparse_group_lasso(0.2, Partition.contiguous([20] * 3)),
+                                      RegularizerSpec.group_lasso(Partition.contiguous([20] * 3))],
+                             ids=lambda spec: spec.label())
+    def test_lagrangian_norm_penalties_across_the_float_range(self, spec):
+        # only the constrained form rescales y; here the group norms of the route, the certificate and the
+        # penalty under- or overflow at s unless taken at unit scale, and lam and kkt_tol scale with y
         A, y = self.float_range_instance()
-        spec, s = RegularizerSpec.clot(0.2), 1e-160
         lam = 0.5 * lambda_zero_threshold(spec, A, y)
-        res = solve_lagrangian(Problem(A, s * y, Lagrangian(s * lam)), spec, SolverOptions(1e-8 * s, max_iters=20))
-        assert res.info["route_give_up"] is not None and np.all(np.isfinite(res.x_hat))
+        base = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec)
+        assert base.info["route_give_up"] is None
+        for s in (1e-300, 1e-165, 1e-160, 1e150, 1e160):
+            with np.errstate(over="ignore"):  # ||y - Ax||^2, and so the objective, exceeds the float range at 1e160
+                res = solve_lagrangian(Problem(A, s * y, Lagrangian(s * lam)), spec, SolverOptions(1e-8 * min(1.0, s)))
+            assert res.converged and res.info["route_give_up"] is None, (s, res.info)
+            err = np.max(np.abs(res.x_hat / s - base.x_hat)) / np.max(np.abs(base.x_hat))
+            assert err <= 1e-12, (s, err)
 
     def test_certified_start_takes_no_prox_step(self):
         # a loss weight near the bottom of the float range certifies zero at the first check; the

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,23 +84,38 @@ def test_only_the_regularizer_spec_reads_the_penalty_kind():
 
 
 def _sqrt_of_a_sum_of_squares(node):
-    """Whether ``node`` is ``np.sqrt(...)`` or ``math.sqrt(...)`` of an ``np.bincount(...)`` or of
-    ``v @ v``, seen through a ``float(...)`` around the argument."""
+    """Whether ``node`` is ``np.sqrt(...)`` or ``math.sqrt(...)`` of an ``np.bincount(...)``, of ``v @ v`` or of
+    ``np.vdot(v, v)``, seen through a ``float(...)`` around the argument."""
     if not (isinstance(node, ast.Call) and node.args and getattr(node.func, "attr", None) == "sqrt"):
         return False
     arg = node.args[0]
     if isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "float" and arg.args:
         arg = arg.args[0]
-    return (isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "bincount"
-            or isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.MatMult)
-            and ast.dump(arg.left) == ast.dump(arg.right))
+    attr = isinstance(arg, ast.Call) and getattr(arg.func, "attr", None)
+    pair = (arg.args if attr == "vdot" else (arg.left, arg.right) if isinstance(arg, ast.BinOp)
+            and isinstance(arg.op, ast.MatMult) else ())
+    return attr == "bincount" or len(pair) == 2 and ast.dump(pair[0]) == ast.dump(pair[1])
+
+
+def _norm_helper(node):
+    """Whether ``node`` calls a norm helper (``np.linalg.norm``, ``math.hypot``, ``math.dist``, ``np.hypot``) or
+    defines a function named for a norm (``_norm``, ``l2_norm``; not ``normal``)."""
+    if isinstance(node, ast.FunctionDef):
+        return re.search(r"(^|_)norms?(_|\d|$)", node.name) is not None
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (getattr(func, "attr", None) or getattr(func, "id", None)) in (
+        "norm", "hypot", "dist")
 
 
 def test_only_group_norms_takes_a_group_norm():
-    # how a Euclidean group norm is taken is decided in one place, regularizers.group_norms
+    # how a Euclidean norm is taken is decided in one place, regularizers.group_norms, which keeps it scale-safe;
+    # in the penalty functions and the solvers no other helper takes one
     roots = {path.name: _lines(path, _sqrt_of_a_sum_of_squares, "group_norms") for path in MODULES}
     outside = {name: lines[False] for name, lines in roots.items() if lines[False]}
     assert roots["regularizers.py"][True] and not outside, outside
+    helpers = {name: _lines(path, _norm_helper, "group_norms")[False] for path in MODULES
+               if (name := path.name) in ("regularizers.py", "solvers.py")}
+    assert len(helpers) == 2 and not any(helpers.values()), helpers
 
 
 def _whole_a(node):
