@@ -38,7 +38,8 @@ def _emit(args, outputs: dict, wall_time_s: float) -> None:
         "wall_time_s": wall_time_s,
         "outputs": outputs,
     }
-    text = json.dumps(envelope, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(envelope, default=_json_default)  # read back with each NaN and +-Infinity as null
+    text = json.dumps(json.loads(text, parse_constant=lambda _: None), indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

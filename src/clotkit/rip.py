@@ -31,6 +31,7 @@ __all__ = [
 
 _SUBSET_GUARD = 10_000_000
 _CHUNK = 200_000  # supports per enumeration block
+_FIRST_RUN = 4096  # split first run; devore(5,2) k=3, 1 BLAS thread: 0.93-0.94 ms, 2048: 1.10-1.12, unsplit 3.2-3.3
 _BATCH = 64  # supports per eigvalsh call on the best-first route
 _SKIP_MARGIN = 1e-9  # relative; keeps every support whose float deviation could tie the best
 _RNSP_SLACK = 1e-9  # relative tolerance of the null-space inequality
@@ -184,19 +185,26 @@ class RipEstimate:
     supports: int = field(compare=False)  # supports visited before the enumeration stopped
 
 
-def _lex_runs(n: int, k: int, spare: int = 0):
+def _lex_runs(n: int, k: int, first=None, spare: int = 0):
     """Every size-``k`` subset of ``range(n - spare)`` in lexicographic order,
     as runs of at most ``max(1, _CHUNK // n)`` size-``(k - 1)`` prefixes, each
     run's supports listed by ``_extend(run, n - spare)``.  The prefixes are the
     subsets one size smaller, built the same way with one more column spare so
-    that each has an extension."""
+    that each has an extension.  Given ``first`` supports, only the first run is
+    split, into runs from ``max(1, first // n)`` prefixes doubling in size."""
     if k == 1:
         yield np.empty((1, 0), dtype=np.intp)
         return
-    step = max(1, _CHUNK // n)
-    for run in _lex_runs(n, k - 1, spare + 1):
+    step, size = max(1, _CHUNK // n), max(1, (first or _CHUNK) // n)
+    for run in _lex_runs(n, k - 1, spare=spare + 1):
         prefixes = _extend(run, n - spare - 1)
-        yield from (prefixes[start:start + step] for start in range(0, len(prefixes), step))
+        for start in range(0, len(prefixes), step):
+            block = prefixes[start:start + step]
+            while size < len(block):  # the first run only
+                yield block[:size]
+                block, size = block[size:], 2 * size
+            yield block
+            size = step
 
 
 def _last_columns(prefixes, stop: int):
@@ -263,20 +271,20 @@ def _pattern_route(gram, k: int, count: int):
     diagonal and the rest from below it, goes through ``eigvalsh`` once, up
     front, so every deviation equals the best-first route's.  The route is taken
     only when the code table is no larger than the support count and has at most
-    ``_CHUNK`` candidates, and never at ``k = 1``: there sorting all ``n**2``
-    Gram values would cost more than the whole enumeration; nor are they sorted
+    ``_CHUNK`` candidates, and never at ``k = 1``: there sorting the Gram values
+    it reads would cost more than the whole enumeration; nor are they sorted
     when one row alone has more distinct values than the table allows.
     """
     if k == 1 or (np.count_nonzero(np.diff(np.sort(gram[0]))) + 1) ** (k * (k + 1) // 2) > count:
         return None
-    values, idx = np.unique(gram, return_inverse=True)
+    values = np.unique(gram[np.tri(len(gram), dtype=bool)], return_counts=True)[0]  # the triangle read
     d, n, (rows, cols) = values.size, len(gram), np.tril_indices(k)
     size = d ** rows.size
     if size > count:
         return None
-    idx = idx.reshape(gram.shape).astype(np.min_scalar_type(size))  # every code is below size
-    present = lambda v: np.flatnonzero(np.bincount(v))  # sorted; np.unique would import numpy.ma
-    diag, below = present(idx.diagonal()), present(idx[np.tril_indices(n, -1)])
+    idx = np.searchsorted(values, gram).astype(np.min_scalar_type(size))  # every code is below size
+    present = lambda v: np.flatnonzero(np.bincount(v))  # sorted; np.unique imports numpy.ma unless counting
+    diag, below = present(idx.diagonal()), present(idx[np.tri(n, k=-1, dtype=bool)])
     if diag.size ** k * below.size ** (rows.size - k) > _CHUNK:  # one block's worth of matrices
         return None
     digits = np.meshgrid(*(below if r > c else diag for r, c in zip(rows, cols)), indexing="ij")
@@ -320,7 +328,8 @@ def exact_rip(A, k: int) -> RipEstimate:
     is the first one attaining the maximum.  A Gram matrix with few distinct
     values (a binary construction such as DeVore's) is evaluated once per
     candidate overlap pattern, stopping at a support that reaches the largest;
-    any other best-first, sending to ``eigvalsh`` only the supports whose
+    only under that ceiling is the first run split, from ``_FIRST_RUN`` supports.
+    Any other goes best-first, sending to ``eigvalsh`` only the supports whose
     Gershgorin bound can reach the best so far.  ``supports`` counts those
     visited.  Refuses a non-finite matrix and over ``_SUBSET_GUARD`` supports.
     """
@@ -332,7 +341,7 @@ def exact_rip(A, k: int) -> RipEstimate:
     route, ceiling = _pattern_route(gram, k, count) or (_best_first_route(gram), np.inf)
 
     best, best_support, visited = -np.inf, None, 0
-    for prefixes in _lex_runs(n, k):
+    for prefixes in _lex_runs(n, k, _FIRST_RUN if ceiling < np.inf else None):
         dev, support = route(prefixes, best)
         visited += int((n - 1 - prefixes.max(axis=1, initial=-1)).sum())
         if dev > best:

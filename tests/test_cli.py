@@ -11,7 +11,7 @@ import pytest
 import clotkit
 from clotkit import experiments, fileio, solvers
 from clotkit.cli import _THREAD_VARS, EXIT_INPUT, EXIT_NOCONV, EXIT_OK, build_parser, main
-from clotkit.matrices import DeVoreParams, devore_matrix
+from clotkit.matrices import DeVoreParams, devore_matrix, fixture_matrix
 from clotkit.regularizers import RegularizerSpec
 
 SCHEMA = json.loads(
@@ -20,10 +20,18 @@ SCHEMA = json.loads(
 )
 
 
+def strict_json(text):
+    """Parse JSON, refusing the ``NaN``, ``Infinity`` and ``-Infinity`` that ``json.loads`` accepts."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    envelope = json.loads(out) if out.strip() else None
+    envelope = strict_json(out) if out.strip() else None
     if envelope is not None:
         jsonschema.validate(envelope, SCHEMA)
     return code, envelope
@@ -573,6 +581,23 @@ class TestEnvelope:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(var in os.environ for var in _THREAD_VARS)
+
+    def test_non_finite_outputs_are_strict_json_nulls(self, capsys, tmp_path):
+        # the s = 1e160 Lagrangian CLOT solve: ||y - Ax||^2, and so the objective, leaves the float range
+        A, x, s, spec = fixture_matrix("gaussian", 30, 60, seed=0), np.zeros(60), 1e160, RegularizerSpec.clot(0.2)
+        x[[3, 17, 40]] = (1.0, -2.0, 0.5)
+        lam = s * 0.5 * solvers.lambda_zero_threshold(spec, A, A @ x)
+        fileio.write_matrix_csv(tmp_path / "A.csv", A)
+        fileio.write_vector_csv(tmp_path / "y.csv", A @ (s * x))
+        A, y = fileio.read_matrix_csv(tmp_path / "A.csv"), fileio.read_vector_csv(tmp_path / "y.csv")
+        with np.errstate(over="ignore"):
+            want = solvers.solve_lagrangian(solvers.Problem(A, y, solvers.Lagrangian(lam)), spec)
+            code, env = run_cli(capsys, "solve", "--reg", "clot", "--mu", "0.2", "--lambda", repr(lam),
+                                "-A", str(tmp_path / "A.csv"), "-y", str(tmp_path / "y.csv"))
+        assert want.objective == math.inf and np.isfinite(want.x_hat).all()
+        assert code == EXIT_OK and env["outputs"]["converged"]
+        assert env["outputs"]["objective"] is None
+        assert env["outputs"]["x_hat"] == want.x_hat.tolist()
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_INPUT

@@ -338,13 +338,14 @@ def test_exact_rip_matches_per_support_reference(make, k, patterned):
     assert est.argmax_support == support
 
 
+@pytest.mark.parametrize("first", [None, 1, 3, 50])
 @pytest.mark.parametrize("chunk", [1, 7, rip._CHUNK])
-def test_enumeration_is_lexicographic(monkeypatch, chunk):
+def test_enumeration_is_lexicographic(monkeypatch, chunk, first):
     monkeypatch.setattr(rip, "_CHUNK", chunk)
     longest = 0
     for n in range(1, 10):
         for k in range(1, n + 1):
-            runs = list(rip._lex_runs(n, k))
+            runs = list(rip._lex_runs(n, k, first))
             assert all(0 < len(run) <= max(1, chunk // n) for run in runs)
             assert all((run.max(axis=1, initial=-1) < n - 1).all() for run in runs)  # each extends
             supports = [rip._extend(run, n) for run in runs]
@@ -398,15 +399,49 @@ def _cycle_incidence(n=18):
     return np.eye(n) + np.roll(np.eye(n), 1, axis=0)
 
 
-@pytest.mark.parametrize("k, runs", [(3, 1), (4, 2)])
+# the first 1,600-prefix run is split into 32, 64, 128, 256, 512 and 608 prefixes
+@pytest.mark.parametrize("k, runs", [(3, 1), (4, 7)])
 def test_devore_enumeration_stops_at_the_run_reaching_the_ceiling(k, runs):
     A = devore_matrix(DeVoreParams(5, 2), normalize=True)
     est = exact_rip(A, k)
     assert est.delta_k == pytest.approx((k - 1) * 2 / 5, abs=1e-12)  # (k-1) times the coherence
     assert est.argmax_support == (0, 26, 52, 78)[:k]
-    supports = [rip._extend(run, 125) for run in islice(rip._lex_runs(125, k), runs)]
+    supports = [rip._extend(run, 125) for run in islice(rip._lex_runs(125, k, rip._FIRST_RUN), runs)]
     assert (supports[-1] == est.argmax_support).all(axis=1).any()
     assert est.supports == sum(map(len, supports)) < math.comb(125, k)
+
+
+_devore_5_2 = lambda: devore_matrix(DeVoreParams(5, 2), normalize=True)
+
+
+@pytest.mark.parametrize("make, k", [(_uneven_binary, 2), (_uneven_binary, 3), (_devore_rows_permuted, 2),
+                                     (_devore_rows_permuted, 3), (_cycle_incidence, 3), (_devore_5_2, 2),
+                                     (_devore_5_2, 3), (_devore_5_2, 4)],
+                         ids=["binary_k2", "binary_k3", "devore_permuted_k2", "devore_permuted_k3", "cycle_k3",
+                              "devore_k2", "devore_k3", "devore_k4"])
+def test_first_run_split_keeps_the_answer_and_visits_no_more(monkeypatch, make, k):
+    A = make()
+    assert rip._pattern_route(A.T @ A, k, math.comb(A.shape[1], k)) is not None
+    split = exact_rip(A, k)
+    monkeypatch.setattr(rip, "_FIRST_RUN", None)
+    whole = exact_rip(A, k)
+    assert (split.delta_k, split.argmax_support) == (whole.delta_k, whole.argmax_support)
+    assert split.supports <= whole.supports
+
+
+def test_best_first_route_runs_are_not_split(monkeypatch):
+    firsts = []
+
+    def spy(n, k, first=None, spare=0):
+        if not spare:  # the outermost level
+            firsts.append(first)
+        return lex_runs(n, k, first, spare)
+
+    lex_runs = rip._lex_runs
+    monkeypatch.setattr(rip, "_lex_runs", spy)
+    assert exact_rip(_gaussian(), 3).supports == math.comb(36, 3)
+    assert exact_rip(_devore_rows_permuted(), 3).supports == 3440
+    assert firsts == [None, rip._FIRST_RUN]
 
 
 # 8 candidate codes: at a chunk of 7 the best-first route runs, at 8 the pattern route
@@ -481,7 +516,7 @@ def test_pattern_route_refuses_a_code_table_larger_than_the_support_count(monkey
     with monkeypatch.context() as patch:
         patch.setattr(np, "unique", counted)
         assert rip._pattern_route(A.T @ A, 2, math.comb(10, 2)) is None
-    assert sizes == [100]  # refused only after sorting the whole Gram matrix
+    assert sizes == [55]  # refused only after sorting the diagonal and the triangle below it
     delta, support = rip_ref(A, 2)
     est = exact_rip(A, 2)
     assert est.delta_k == pytest.approx(delta, abs=1e-12) and est.argmax_support == support == (1, 8)
