@@ -30,6 +30,7 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 def _emit(args, outputs: dict, wall_time_s: float) -> None:
     import clotkit
+    from clotkit import fileio
 
     envelope = {
         "tool": {"name": "clotkit", "version": clotkit.__version__},
@@ -38,21 +39,12 @@ def _emit(args, outputs: dict, wall_time_s: float) -> None:
         "wall_time_s": wall_time_s,
         "outputs": outputs,
     }
-    text = json.dumps(envelope, default=_json_default)  # read back with each NaN and +-Infinity as null
-    text = json.dumps(json.loads(text, parse_constant=lambda _: None), indent=2, sort_keys=True, allow_nan=False)
+    text = fileio.strict_json(envelope)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
-
-
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _is_triplet(path) -> bool:

@@ -17,6 +17,7 @@ from importlib import resources
 
 import numpy as np
 
+from .fileio import strict_json
 from .grouping import preprocess
 from .matrices import DeVoreParams, devore_matrix
 from .regularizers import RegularizerSpec
@@ -61,7 +62,7 @@ class StudyReport:
     series: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return strict_json(asdict(self))
 
     def write(self, out_dir) -> list:
         """Write report.json plus one CSV per series; returns the paths."""

@@ -13,6 +13,7 @@ by line, which raises the error naming the line.
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -137,3 +138,9 @@ def _read_triplet_by_line(path) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: entry ({i}, {j}) repeats line {seen[i, j]}")
         A[i, j], seen[i, j] = v, lineno
     return A
+
+
+def strict_json(obj) -> str:
+    """``obj`` as indented JSON with sorted keys, numpy values as lists and each NaN and +-Infinity as null."""
+    text = json.dumps(obj, default=lambda v: v.tolist())  # numpy values; read back with NaN and +-Infinity as null
+    return json.dumps(json.loads(text, parse_constant=lambda _: None), indent=2, sort_keys=True, allow_nan=False)

@@ -32,6 +32,7 @@ __all__ = [
 _SUBSET_GUARD = 10_000_000
 _CHUNK = 200_000  # supports per enumeration block
 _FIRST_RUN = 4096  # split first run; devore(5,2) k=3, 1 BLAS thread: 0.93-0.94 ms, 2048: 1.10-1.12, unsplit 3.2-3.3
+_SEED_PREFIXES = 1024  # seeds longer first runs; gaussian 30x36 k=4 1.7 ms, 2048: 2.4, 512: 1.3 but seeds k=3, +38%
 _BATCH = 64  # supports per eigvalsh call on the best-first route
 _SKIP_MARGIN = 1e-9  # relative; keeps every support whose float deviation could tie the best
 _RNSP_SLACK = 1e-9  # relative tolerance of the null-space inequality
@@ -225,36 +226,83 @@ def _deviations(subs):
     return np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
 
 
+def _prefix_sums(fold, prefixes):
+    """Each prefix row's sum of ``fold`` over the prefix, one array per prefix column, summed in prefix order."""
+    flat, n = fold.ravel(), len(fold)
+    return [sum(flat[p * n + q] for q in prefixes.T) for p in prefixes.T]
+
+
 def _gershgorin(fold, prefixes):
     """A run's prefix ends, last columns and Gershgorin bounds ``max_i(|G_ii - 1| + sum_{j != i} |G_ij|)``."""
     n, (counts, cols) = len(fold), _last_columns(prefixes, len(fold))
-    fold = fold.ravel()
+    sums, fold = _prefix_sums(fold, prefixes), fold.ravel()
     bound, last = np.zeros((2, cols.size))  # last is row c's; every sum runs in support order, from 0
-    for p in prefixes.T:
+    for p, row in zip(prefixes.T, sums):
         last += (entry := fold[np.repeat(p * n, counts) + cols])
-        np.maximum(bound, np.repeat(sum(fold[p * n + q] for q in prefixes.T), counts) + entry, out=bound)
+        np.maximum(bound, np.repeat(row, counts) + entry, out=bound)
     return np.cumsum(counts), cols, np.maximum(bound, last + fold[cols * (n + 1)], out=bound)
 
 
-def _best_first_route(gram):
-    """A route giving a run's first maximal deviation and its support.  Supports go to ``eigvalsh`` (and are built)
-    in batches of ``_BATCH``, by descending ``_gershgorin`` bound, while it lies within ``_SKIP_MARGIN`` (relative)
-    of the best."""
-    fold = np.maximum(fold := np.abs(gram - np.eye(len(gram))), fold.T)  # for either triangle eigvalsh reads; once
+def _tails(fold):
+    """``T[i, j] = max(fold[i, j:])`` and ``D[j] = max(diag(fold)[j:])``."""
+    return np.maximum.accumulate(fold[:, ::-1], axis=1)[:, ::-1], np.maximum.accumulate(fold.diagonal()[::-1])[::-1]
 
-    def route(prefixes, best):
+
+def _ceilings(fold, tails, prefixes):
+    """Each prefix's Gershgorin and spectral ceilings, over the supports extending it by a later column ``c``.
+
+    With ``R_i`` prefix row ``p_i``'s sum, ``t_i = T[p_i, last + 1]`` and ``d = D[last + 1]`` (``tails``), the first,
+    ``max(max_i(R_i + t_i), sum_i t_i + d)``, is at least each support's ``_gershgorin`` bound, bit for bit, since
+    its sums run in the same order over entries no smaller.  The second, ``max(max_i R_i, d) + sqrt(sum_i t_i**2)``,
+    bounds ``||G_S - I||_2`` by the norms of its prefix block, its ``|G_cc - 1|`` and its last column."""
+    (table, diagonal), first = tails, prefixes[:, -1] + 1
+    sums, ends, d = _prefix_sums(fold, prefixes), [table[p, first] for p in prefixes.T], diagonal[first]
+    gershgorin = np.maximum(np.max([r + t for r, t in zip(sums, ends)], axis=0), sum(ends) + d)
+    return gershgorin, np.maximum(np.max(sums, axis=0), d) + np.sqrt(sum(t * t for t in ends))
+
+
+def _floor(best):
+    """The least bound that can still reach ``best``: ``_SKIP_MARGIN`` (relative) keeps float ties."""
+    return best - _SKIP_MARGIN * max(1.0, abs(best))
+
+
+def _best_first_route(gram):
+    """A route giving a run's first maximal deviation and its support.  Once the enumeration has a best, only the
+    prefixes whose ``_ceilings`` reach it are bounded; a first run of over ``_SEED_PREFIXES`` prefixes first finds one
+    among that many with the highest ceilings.  The bounded supports go to ``eigvalsh`` (and are built) in batches of
+    ``_BATCH``, by descending ``_gershgorin`` bound, while it lies within ``_SKIP_MARGIN`` (relative) of the best."""
+    fold = np.maximum(fold := np.abs(gram - np.eye(len(gram))), fold.T)  # for either triangle eigvalsh reads; once
+    tails = None  # built on the first run that is pruned
+
+    def bounded(prefixes, best):
         ends, cols, bound = _gershgorin(fold, prefixes)
         support = lambda j: np.concatenate((prefixes[np.searchsorted(ends, j, "right")], cols[j, None]), axis=1)
-        dev, floor = np.full(bound.size, -np.inf), lambda: best - _SKIP_MARGIN * max(1.0, abs(best))
+        dev = np.full(bound.size, -np.inf)
         batch, rest = np.argpartition(-bound, min(_BATCH, bound.size) - 1)[:_BATCH], None
-        while (batch := batch[bound[batch] >= floor()]).size:
+        while (batch := batch[bound[batch] >= _floor(best)]).size:
             dev[batch] = _deviations(gram[(sent := support(batch))[:, :, None], sent[:, None, :]])
             best = max(best, dev[batch].max())
             if rest is None:  # sort only the bounds that can still reach the best
-                rest = np.flatnonzero((bound >= floor()) & np.isneginf(dev))
+                rest = np.flatnonzero((bound >= _floor(best)) & np.isneginf(dev))
                 rest = rest[np.argsort(-bound[rest])]
             batch, rest = rest[:_BATCH], rest[_BATCH:]
         return dev.max(), support([np.argmax(dev)])[0]
+
+    def route(prefixes, best):
+        nonlocal tails
+        if best == -np.inf and len(prefixes) <= _SEED_PREFIXES:
+            return bounded(prefixes, best)
+        tails = tails or _tails(fold)
+        ceiling, found = np.minimum(*_ceilings(fold, tails, prefixes)), []
+        seed = np.zeros(len(prefixes), dtype=bool)
+        if best == -np.inf:  # a large first run: the seed's best prunes the rest
+            seed[np.argpartition(-ceiling, _SEED_PREFIXES - 1)[:_SEED_PREFIXES]] = True
+            found.append(bounded(prefixes[seed], best))
+            best = found[0][0]
+        if (rest := ~seed & (ceiling >= _floor(best))).any():
+            found.append(bounded(prefixes[rest], best))
+        # the larger deviation, and of equal ones the first support; no support of a pruned prefix can tie
+        return min(found, key=lambda r: (-r[0], tuple(r[1])), default=(-np.inf, None))
 
     return route
 
@@ -271,11 +319,10 @@ def _pattern_route(gram, k: int, count: int):
     diagonal and the rest from below it, goes through ``eigvalsh`` once, up
     front, so every deviation equals the best-first route's.  The route is taken
     only when the code table is no larger than the support count and has at most
-    ``_CHUNK`` candidates, and never at ``k = 1``: there sorting the Gram values
-    it reads would cost more than the whole enumeration; nor are they sorted
-    when one row alone has more distinct values than the table allows.
+    ``_CHUNK`` candidates; the Gram values are not sorted when one row alone has
+    more distinct values than the table allows.
     """
-    if k == 1 or (np.count_nonzero(np.diff(np.sort(gram[0]))) + 1) ** (k * (k + 1) // 2) > count:
+    if (np.count_nonzero(np.diff(np.sort(gram[0]))) + 1) ** (k * (k + 1) // 2) > count:
         return None
     values = np.unique(gram[np.tri(len(gram), dtype=bool)], return_counts=True)[0]  # the triangle read
     d, n, (rows, cols) = values.size, len(gram), np.tril_indices(k)
@@ -325,25 +372,37 @@ def exact_rip(A, k: int) -> RipEstimate:
     Supports of size below ``k`` are dominated by eigenvalue interlacing, so
     only exact size-``k`` subsets are visited, in lexicographic order, each
     size-``(k - 1)`` prefix extended by every later column; the reported support
-    is the first one attaining the maximum.  A Gram matrix with few distinct
-    values (a binary construction such as DeVore's) is evaluated once per
-    candidate overlap pattern, stopping at a support that reaches the largest;
-    only under that ceiling is the first run split, from ``_FIRST_RUN`` supports.
-    Any other goes best-first, sending to ``eigvalsh`` only the supports whose
-    Gershgorin bound can reach the best so far.  ``supports`` counts those
-    visited.  Refuses a non-finite matrix and over ``_SUBSET_GUARD`` supports.
+    is the first one attaining the maximum.  At ``k = 1`` that is ``|G_ii - 1|``
+    in closed form.  A Gram matrix with few distinct values (a binary
+    construction such as DeVore's) is evaluated once per candidate overlap
+    pattern, stopping at a support that reaches the largest; only under that
+    ceiling is the first run split, from ``_FIRST_RUN`` supports.  Any other
+    goes best-first: once there is a best, a run bounds only the prefixes whose
+    ceiling (the smaller of a Gershgorin and a spectral bound over all their
+    extensions) can reach it, and a first run of over ``_SEED_PREFIXES``
+    prefixes finds its best among that many with the highest ceilings first;
+    of the supports bounded, only those whose Gershgorin bound can reach the
+    best so far go to ``eigvalsh``.  ``supports`` counts every support of the
+    runs reached, pruned or bounded.  Refuses a non-finite matrix or Gram
+    matrix, and over ``_SUBSET_GUARD`` supports.
     """
     A, k = _matrix_and_order(A, k)
     n, count = A.shape[1], math.comb(A.shape[1], k)
     if count > _SUBSET_GUARD:
         raise ValueError(f"C({n},{k}) = {count} supports exceeds the enumeration guard of {_SUBSET_GUARD}")
-    gram = A.T @ A
+    with np.errstate(over="ignore"):  # refused just below
+        gram = A.T @ A
+    if not np.isfinite(gram).all():
+        raise ValueError("the Gram matrix A^T A has non-finite entries")
+    if k == 1:  # eigvalsh of a 1x1 matrix returns its entry
+        dev = np.abs(gram.diagonal() - 1.0)
+        return RipEstimate(1, float(dev.max()), (int(np.argmax(dev)),), n)
     route, ceiling = _pattern_route(gram, k, count) or (_best_first_route(gram), np.inf)
 
     best, best_support, visited = -np.inf, None, 0
     for prefixes in _lex_runs(n, k, _FIRST_RUN if ceiling < np.inf else None):
         dev, support = route(prefixes, best)
-        visited += int((n - 1 - prefixes.max(axis=1, initial=-1)).sum())
+        visited += int((n - 1 - prefixes[:, -1]).sum())
         if dev > best:
             best, best_support = float(dev), tuple(int(i) for i in support)
         if best >= ceiling:  # no later support can exceed it

@@ -375,6 +375,13 @@ class TestExperimentCommand:
         assert all(v <= 1e-3 for v in env["outputs"]["tables"]["clot_rel_err"].values())
         assert (tmp_path / "scaling_report.json").exists()
 
+    def test_grouping_report_file_is_strict_json(self, capsys, tmp_path):
+        code, env = run_cli(capsys, "experiment", "--study", "grouping", "--out-dir", str(tmp_path))
+        assert code == EXIT_OK
+        report = strict_json((tmp_path / "grouping_paths_report.json").read_text())
+        assert report["metadata"]["trio_spread"]["lasso"]["max"] is None  # the lasso's ratio is unbounded
+        assert report["metadata"] == env["outputs"]["metadata"]
+
     def test_comparison_with_config_file(self, capsys, tmp_path):
         cfg = {
             "name": "cli_tiny",

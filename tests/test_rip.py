@@ -274,6 +274,13 @@ class TestExactRip:
         with pytest.raises(ValueError, match="non-finite"):  # NaN was reported ok, margin inf
             rnsp_check(A, 1, rho=0.5, tau=1.0, trials=30)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_overflowing_gram_matrix_is_refused(self, k):
+        # finite entries whose column norms overflow: once reported as delta_2 = 0 with no support
+        A = np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 1.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match="Gram matrix"):
+            exact_rip(A, k)
+
 
 def _devore_rows_permuted():
     A = devore_matrix(DeVoreParams(5, 2), normalize=True)
@@ -314,14 +321,15 @@ def _gaussian_triplicated():
     return A
 
 
+# patterned is None at k = 1, which takes neither route: delta_1 is max |G_ii - 1| in closed form
 @pytest.mark.parametrize("make, k, patterned", [
-    (_devore_rows_permuted, 1, False), (_devore_rows_permuted, 2, True),
+    (_devore_rows_permuted, 1, None), (_devore_rows_permuted, 2, True),
     (_devore_rows_permuted, 3, True),
     (lambda: devore_matrix(DeVoreParams(5, 2), normalize=False), 2, True),
-    (_uneven_binary, 1, False), (_uneven_binary, 2, True), (_uneven_binary, 3, True),
-    (_duplicated_pair, 1, False), (_duplicated_pair, 2, True),
+    (_uneven_binary, 1, None), (_uneven_binary, 2, True), (_uneven_binary, 3, True),
+    (_duplicated_pair, 1, None), (_duplicated_pair, 2, True),
     (_gaussian, 2, False), (_gaussian, 3, False),
-    (_gaussian, 1, False), (_gaussian, 4, False), (_gaussian_permuted, 3, False),
+    (_gaussian, 1, None), (_gaussian, 4, False), (_gaussian_permuted, 3, False),
     (_gaussian_duplicated, 2, False), (_gaussian_duplicated, 3, False),
     (_gaussian_triplicated, 2, False),
 ], ids=["devore_k1", "devore_k2", "devore_k3", "devore_unnormalised_k2", "binary_k1",
@@ -330,8 +338,8 @@ def _gaussian_triplicated():
         "gaussian_duplicated_k3", "gaussian_triplicated_k2"])
 def test_exact_rip_matches_per_support_reference(make, k, patterned):
     A = make()
-    pattern_route = rip._pattern_route(A.T @ A, k, math.comb(A.shape[1], k))
-    assert (pattern_route is not None) == patterned
+    if patterned is not None:
+        assert (rip._pattern_route(A.T @ A, k, math.comb(A.shape[1], k)) is not None) == patterned
     delta, support = rip_ref(A, k)
     est = exact_rip(A, k)
     assert est.delta_k == pytest.approx(delta, abs=1e-12)
@@ -524,17 +532,24 @@ def test_pattern_route_refuses_a_code_table_larger_than_the_support_count(monkey
 
 
 def test_best_first_folds_the_gram_matrix_once_per_call(monkeypatch):
-    folds, gershgorin = [], rip._gershgorin
+    folds, gershgorin, tailed, tails = [], rip._gershgorin, [], rip._tails
 
     def spy(fold, prefixes):
         folds.append(fold)
         return gershgorin(fold, prefixes)
 
+    def counted(fold):
+        tailed.append(fold)
+        return tails(fold)
+
     monkeypatch.setattr(rip, "_gershgorin", spy)
+    monkeypatch.setattr(rip, "_tails", counted)
     monkeypatch.setattr(rip, "_CHUNK", 7)  # one prefix per run
     A = _gaussian()
     assert (est := exact_rip(A, 3)).supports == math.comb(36, 3)
-    assert len(folds) == math.comb(35, 2) and all(fold is folds[0] for fold in folds)
+    # the runs whose prefix's ceiling reaches the best are bounded, all from the one fold
+    assert 0 < len(folds) < math.comb(35, 2) and all(fold is folds[0] for fold in folds)
+    assert len(tailed) == 1 and tailed[0] is folds[0]  # T and D, built on the first pruned run
     delta, support = rip_ref(A, 3)
     assert est.delta_k == pytest.approx(delta, abs=1e-12) and est.argmax_support == support
 
@@ -556,6 +571,63 @@ def test_gershgorin_bound_is_the_k_squared_sum_bit_for_bit():
     flat = np.abs(gram - np.eye(n)).ravel()
     rows = [sum(flat[r + s] for s in supports.T) for r in (supports * n).T]  # row by row, in support order
     assert np.array_equal(bound, np.maximum.reduce(rows))
+
+
+@pytest.mark.parametrize("make", [_gaussian, _gaussian_duplicated, _devore_5_2],
+                         ids=["gaussian", "duplicated", "devore"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_prefix_ceilings_bound_every_extension(make, k):
+    A = make()
+    gram, n = A.T @ A, A.shape[1]
+    fold = np.maximum(fold := np.abs(gram - np.eye(n)), fold.T)
+    prefixes = _prefixes(n, k)
+    if len(prefixes) > 2000:  # devore at k = 3 and 4: a sample, with every extension of each
+        prefixes = prefixes[np.sort(np.random.default_rng(k).choice(len(prefixes), 2000, replace=False))]
+    gershgorin, spectral = rip._ceilings(fold, rip._tails(fold), prefixes)
+    ends, _, bound = rip._gershgorin(fold, prefixes)
+    counts = np.diff(ends, prepend=0)
+    assert (bound <= np.repeat(gershgorin, counts)).all()  # bit for bit: the same sums of no smaller entries
+    supports = rip._extend(prefixes, n)
+    devs = rip._deviations(gram[supports[:, :, None], supports[:, None, :]])
+    ceiling = np.repeat(np.minimum(gershgorin, spectral), counts)
+    assert (devs <= ceiling + 1e-12 * np.maximum(1.0, ceiling)).all()  # float rounding, far inside _SKIP_MARGIN
+    if k > 2:  # at k = 2 the two coincide
+        assert (spectral < gershgorin).any() and (gershgorin < spectral).any()  # each decides somewhere
+
+
+@pytest.mark.parametrize("make", [_gaussian, _gaussian_duplicated, _gaussian_triplicated],
+                         ids=["gaussian", "duplicated", "triplicated"])
+@pytest.mark.parametrize("k, seed", [(2, 4), (2, 7), (3, 1), (3, 4), (4, 3)])  # 4, 7: the maximum in a later run
+def test_seeded_and_pruned_runs_keep_the_first_maximal_support(monkeypatch, make, k, seed):
+    bounded, gershgorin = [], rip._gershgorin
+
+    def spy(fold, prefixes):
+        bounded.append(len(prefixes))
+        return gershgorin(fold, prefixes)
+
+    monkeypatch.setattr(rip, "_gershgorin", spy)
+    monkeypatch.setattr(rip, "_SEED_PREFIXES", 4)
+    monkeypatch.setattr(rip, "_CHUNK", 36 * 10)  # runs of 10 prefixes: the first seeded, every later one pruned
+    A = make()[:, np.random.default_rng(seed).permutation(36)]
+    est = exact_rip(A, k)
+    assert est.supports == math.comb(36, k)
+    assert bounded[0] == 4 and sum(bounded) < math.comb(35, k - 1)
+    delta, support = rip_ref(A, k)
+    assert est.delta_k == pytest.approx(delta, abs=1e-12) and est.argmax_support == support
+
+
+def test_seeded_run_reports_the_first_of_a_tie_split_by_the_seed(monkeypatch):
+    # (0, 1, 5) and (2, 3, 4) hold one sub-Gram matrix up to order; prefix (2, 3)'s ceiling, 1.0, is the
+    # run's highest, and (0, 1)'s, 0.807, still reaches the tie, so the seed finds the later of the two
+    gram = np.eye(6)
+    for i, j, value in [(0, 1, 0.1), (0, 5, 0.5), (1, 5, 0.5), (2, 3, 0.5), (2, 4, 0.5), (3, 4, 0.1)]:
+        gram[i, j] = gram[j, i] = value
+    supports = np.array(list(combinations(range(6), 3)))
+    devs = rip._deviations(gram[supports[:, :, None], supports[:, None, :]])
+    assert supports[devs == devs.max()].tolist() == [[0, 1, 5], [2, 3, 4]]  # tied bit for bit
+    monkeypatch.setattr(rip, "_SEED_PREFIXES", 1)
+    dev, support = rip._best_first_route(gram)(_prefixes(6, 3), -np.inf)
+    assert dev == devs.max() and tuple(support) == (0, 1, 5)
 
 
 def _star_gram():
@@ -601,12 +673,14 @@ def test_single_support_batches_find_the_maximum(monkeypatch, seed):
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 8), n=st.integers(1, 10), k=st.integers(1, 3), rank=st.integers(0, 8),
        scaled=st.booleans(), duplicated=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       batch=st.sampled_from([1, rip._BATCH]))
+       batch=st.sampled_from([1, rip._BATCH]), pruned=st.booleans())
 # tied maxima whose float Gershgorin bound lies below their float deviation
-@example(m=5, n=10, k=3, rank=6, scaled=False, duplicated=True, seed=14409, batch=1)
-@example(m=2, n=8, k=3, rank=3, scaled=True, duplicated=True, seed=32459, batch=1)
+@example(m=5, n=10, k=3, rank=6, scaled=False, duplicated=True, seed=14409, batch=1, pruned=False)
+@example(m=2, n=8, k=3, rank=3, scaled=True, duplicated=True, seed=32459, batch=1, pruned=False)
+@example(m=5, n=10, k=3, rank=6, scaled=False, duplicated=True, seed=14409, batch=1, pruned=True)
+@example(m=2, n=8, k=3, rank=3, scaled=True, duplicated=True, seed=32459, batch=1, pruned=True)
 def test_exact_rip_matches_reference_on_small_matrices(m, n, k, rank, scaled, duplicated, seed,
-                                                       batch):
+                                                       batch, pruned):
     assume(k <= n)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, min(rank, m))) @ rng.standard_normal((min(rank, m), n)) / m
@@ -615,7 +689,8 @@ def test_exact_rip_matches_reference_on_small_matrices(m, n, k, rank, scaled, du
     if duplicated:
         A = A[:, rng.integers(0, n, size=n)]
     delta, support = rip_ref(A, k)
-    with mock.patch.object(rip, "_BATCH", batch):
+    # pruned: runs of two prefixes, the first seeded with one, every later one pruned by its ceiling
+    with mock.patch.multiple(rip, _BATCH=batch, **({"_SEED_PREFIXES": 1, "_CHUNK": 2 * n} if pruned else {})):
         est = exact_rip(A, k)
     assert est.argmax_support == support
     assert est.delta_k == pytest.approx(delta, abs=1e-12)
