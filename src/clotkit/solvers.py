@@ -423,7 +423,6 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
 _MAX_STAGES = 16  # solves of the tenfold walk, and of the secant
 _STAGE_ITERS = 3000  # iteration cap of each eps = 0 solve
 _SUPPORT_REL_TOL = 1e-6  # eps = 0 refit support: |x_i| above this times max|x|
-_UNIT_SCALE_EXP = 400  # b = 0 solves run on y*2^-e past this |e|, e of max|y|; as given they held to -503..507
 
 
 def support(x) -> np.ndarray:
@@ -505,34 +504,35 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     ``info["stages"]`` lists one ``(lam, residual, iterations)`` entry per
     inner solve, and ``info["inner_solves"]`` counts them; ``info["certified"]``
     says whether the answer carries Fuchs's certificate (zero carries ``theta = 0``).
-    Without a ridge term, a y whose largest entry is beyond ``2^(+-_UNIT_SCALE_EXP)`` is solved
-    at unit scale, and everything returned is mapped back to the caller's units exactly.
+    A penalty homogeneous of degree p (1 without a ridge term, 2 for ridge alone) is solved on
+    ``(y*2^-e, eps*2^-e)``, e the binary exponent of ``max|y|``; x and the residuals map back by
+    ``2^e``, the objective by ``2^(p*e)`` and the multipliers by ``2^((p-2)*e)``, all exactly.
+    The mixed elastic net is not homogeneous and is solved as given.
 
-    Feasibility is judged after the search: a final residual above
-    ``eps + feas_tol*max(1, ||y||)`` leads to one least-squares solve on A,
-    and ``InfeasibleError`` when that residual is above the threshold too.
+    Feasibility is judged after the search: a final residual above ``eps + feas_tol*||y||`` leads
+    to one least-squares solve on A, and ``InfeasibleError`` when that residual is above it too.
     """
     opts = opts or SolverOptions()
     form = problem.form
     if not isinstance(form, Constrained):
         raise ValueError("solve_constrained needs a Constrained-form problem")
-    A, eps = problem.A, form.eps
+    A, eps, (a, b, c) = problem.A, form.eps, spec.weights
     spec.check_dimension(A.shape[1])
-    # b = 0 makes R positively homogeneous: x(2^e y, 2^e eps) = 2^e x(y, eps), so each result maps back exactly
-    e = math.frexp(np.abs(problem.y).max(initial=0.0))[1]
-    e = 0 if spec.weights[1] or abs(e) <= _UNIT_SCALE_EXP else e
+    # R of degree p: x(2^e y, 2^e eps) = 2^e x(y, eps), R by 2^(pe), lam by 2^((p-2)e); the mixed EN has no p
+    p = 1 if not b else 0 if a or c else 2
+    e = math.frexp(np.abs(problem.y).max(initial=0.0))[1] if p else 0
     y, eps = np.ldexp(problem.y, -e), math.ldexp(eps, -e)
     ynorm = group_norms(y)
-    feas_slack = opts.feas_tol * max(1.0, ynorm)
+    feas_slack = opts.feas_tol * ynorm
 
     stages = []
 
     def result(x, residual, kkt, converged, feasible, certified):  # every return, in the caller's units
         with np.errstate(over="ignore"):  # a value past the float range, such as a tiny y's multiplier, is inf
             info = {"form": "constrained", "eps": form.eps, "inner_solves": len(stages),
-                    "stages": [(np.ldexp(lam, -e), np.ldexp(r, e), it) for lam, r, it in stages],
+                    "stages": [(np.ldexp(lam, (p - 2) * e), np.ldexp(r, e), it) for lam, r, it in stages],
                     "feasible": feasible, "certified": certified}
-            return SolveResult(np.ldexp(x, e), np.ldexp(penalty_value(spec, x), e), np.ldexp(residual, e),
+            return SolveResult(np.ldexp(x, e), np.ldexp(penalty_value(spec, x), p * e), np.ldexp(residual, e),
                                sum(s[2] for s in stages), kkt, bool(converged), info)
 
     if ynorm <= eps:  # zero is optimal, certified by theta = 0
@@ -564,7 +564,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         S = support(x)
         if not 0 < S.size <= A.shape[0]:
             return None
-        A_S, (a, b, c) = A[:, S], spec.weights
+        A_S = A[:, S]
         try:
             z = np.linalg.solve(gram := A_S.T @ A_S, A_S.T @ y)
             r = group_norms(A_S @ z - y)
@@ -582,8 +582,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         return (xp, r, dist) if dist <= opts.kkt_tol * max(1.0, float(np.max(np.abs(g)))) else None
 
     def solve_at(lam, x0):
-        stage = copy.copy(problem)  # validated once, as the caller's problem; only the form differs
-        stage.form = Lagrangian(lam, "loss")
+        stage = copy.copy(problem)  # validated once, as the caller's problem; only y's scale and the form differ
+        stage.y, stage.form = y, Lagrangian(lam, "loss")
         res = solve_lagrangian(stage, spec, inner_opts, _ws=ws, x0=x0)
         stages.append((lam, res.residual_l2, res.iterations))
         return res
@@ -644,7 +644,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
         feasible = residual <= feas_slack
         converged = feasible and (inner.converged or cert is not None)
     else:
-        feasible = residual <= eps * (1.0 + opts.feas_tol) + 1e-12
+        feasible = residual <= eps * (1.0 + opts.feas_tol)
         converged = settled(residual) and inner.converged  # an unsettled search is not hidden
     return result(x, residual, kkt, converged, feasible, cert is not None)
 

@@ -314,6 +314,18 @@ def _gaussian_duplicated():
     return A
 
 
+def _near_tie():
+    """Unit columns with Gram matrix I + symmetric noise of at most 0.01, except G[0, 1] = 0.5 and
+    G[3, 4] = 0.505: at k = 2 each prefix's ceiling is its own largest deviation, exactly, so in runs of
+    one prefix the later maximum, 0.005 above the first run's, is kept only by a ceiling compared with
+    the best itself."""
+    noise = np.triu(np.random.default_rng(0).uniform(-0.01, 0.01, (13, 13)), 1)
+    G = np.eye(13) + noise + noise.T
+    G[0, 1] = G[1, 0] = 0.5
+    G[3, 4] = G[4, 3] = 0.505
+    return np.linalg.cholesky(G).T
+
+
 def _gaussian_triplicated():
     """Column 20 copied over columns 7 and 29: three exactly tied maxima at k=2."""
     A = _gaussian_duplicated()
@@ -331,11 +343,11 @@ def _gaussian_triplicated():
     (_gaussian, 2, False), (_gaussian, 3, False),
     (_gaussian, 1, None), (_gaussian, 4, False), (_gaussian_permuted, 3, False),
     (_gaussian_duplicated, 2, False), (_gaussian_duplicated, 3, False),
-    (_gaussian_triplicated, 2, False),
+    (_gaussian_triplicated, 2, False), (_near_tie, 2, False),
 ], ids=["devore_k1", "devore_k2", "devore_k3", "devore_unnormalised_k2", "binary_k1",
         "binary_k2", "binary_k3", "duplicated_k1", "duplicated_k2", "gaussian_k2", "gaussian_k3",
         "gaussian_k1", "gaussian_k4", "gaussian_permuted_k3", "gaussian_duplicated_k2",
-        "gaussian_duplicated_k3", "gaussian_triplicated_k2"])
+        "gaussian_duplicated_k3", "gaussian_triplicated_k2", "near_tie_k2"])
 def test_exact_rip_matches_per_support_reference(make, k, patterned):
     A = make()
     if patterned is not None:
@@ -363,8 +375,8 @@ def test_enumeration_is_lexicographic(monkeypatch, chunk, first):
 
 
 @pytest.mark.parametrize("make, k", [(_uneven_binary, 3), (_gaussian, 2), (_gaussian, 3),
-                                     (_devore_rows_permuted, 3), (_gaussian, 4)],
-                         ids=["binary", "gaussian", "gaussian_k3", "devore_k3", "gaussian_k4"])
+                                     (_devore_rows_permuted, 3), (_gaussian, 4), (_near_tie, 2)],
+                         ids=["binary", "gaussian", "gaussian_k3", "devore_k3", "gaussian_k4", "near_tie"])
 def test_chunk_boundaries_do_not_change_the_answer(monkeypatch, make, k):
     A = make()
     whole = exact_rip(A, k)

@@ -390,9 +390,10 @@ class TestWorkspace:
 
     def test_zero_matrix_is_refused_as_before(self):
         A, y, lasso = np.zeros((3, 2)), np.ones(3), RegularizerSpec.lasso()
+        slack = Constrained(np.linalg.norm(y / 10) * (1 - 5e-7))  # ||y|| above eps, within feas_tol*||y||
         for solve in (lambda: solve_lagrangian(Problem(A, y, Lagrangian(1.0)), lasso),
                       lambda: solution_path(Problem(A, y, Lagrangian(1.0)), lasso, [1.0]),
-                      lambda: solve_constrained(Problem(A, y / 10, Constrained(np.linalg.norm(y / 10) - 5e-7)), lasso)):
+                      lambda: solve_constrained(Problem(A, y / 10, slack), lasso)):
             with pytest.raises(ValueError, match="^A must be nonzero$") as raised:
                 solve()
             assert not isinstance(raised.value, InfeasibleError)
@@ -515,8 +516,10 @@ class TestWorkspace:
         problem = Problem(A, A @ x, Constrained(0.0))
         res = solve_constrained(problem, spec)
         assert len(checks) == 1 and res.info["certified"] and len(seen) == res.info["inner_solves"] > 1
-        assert [p.form for p in seen] == [Lagrangian(lam, "loss") for lam, _, _ in res.info["stages"]]
-        assert all(p.A is problem.A and p.y is problem.y for p in seen) and problem.form == Constrained(0.0)
+        e = math.frexp(np.abs(problem.y).max())[1]  # the stages solve y*2^-e, with the multipliers lam*2^e
+        assert [p.form for p in seen] == [Lagrangian(np.ldexp(lam, e), "loss") for lam, _, _ in res.info["stages"]]
+        assert all(p.A is problem.A and p.y is seen[0].y for p in seen) and problem.form == Constrained(0.0)
+        assert np.array_equal(seen[0].y, np.ldexp(problem.y, -e))
         checks.clear(), seen.clear()
         grid = lambda_zero_threshold(spec, A, A @ x) * np.logspace(0, -2, 5)
         template = Problem(A, A @ x, Lagrangian(1.0))
@@ -781,15 +784,25 @@ class TestConstrained:
                                 RegularizerSpec.lasso())
         assert np.all(res.x_hat == 0.0)
 
-    @pytest.mark.parametrize("A, y, eps", [
-        (np.array([[1.0], [0.0]]), np.array([0.0, 1.0]), 0.5),  # residual >= 1 no matter what
-        (np.random.default_rng(3).standard_normal((40, 10)), np.random.default_rng(4).standard_normal(40), 0.0),
-        (np.random.default_rng(3).standard_normal((40, 10)), np.random.default_rng(4).standard_normal(40), 0.5),
-        (np.zeros((3, 2)), np.ones(3), 0.5),  # judged without a search
-    ], ids=["2x1", "gaussian_40x10_eps0", "gaussian_40x10_eps0.5", "zero_matrix"])
-    def test_infeasible_raises(self, A, y, eps):
+    @pytest.mark.parametrize("A, y, eps, spec", [
+        (np.array([[1.0], [0.0]]), np.array([0.0, 1.0]), 0.5, RegularizerSpec.lasso()),  # residual >= 1 no matter what
+        (np.random.default_rng(3).standard_normal((40, 10)), np.random.default_rng(4).standard_normal(40), 0.0,
+         RegularizerSpec.lasso()),
+        (np.random.default_rng(3).standard_normal((40, 10)), np.random.default_rng(4).standard_normal(40), 0.5,
+         RegularizerSpec.lasso()),
+        (np.zeros((3, 2)), np.ones(3), 0.5, RegularizerSpec.lasso()),  # judged without a search
+    ] + [  # a least residual of 0.72*||y|| is infeasible however small ||y|| is
+        (A, s * y, eps * s, spec)
+        for A, y in [(lambda rng: (rng.standard_normal((40, 20)), rng.standard_normal(40)))(np.random.default_rng(3))]
+        for s in (1e-7, 1e-10) for eps in (0.0, 0.5)
+        for spec in (RegularizerSpec.clot(0.2), RegularizerSpec.lasso(), RegularizerSpec.elastic_net(0.8),
+                     RegularizerSpec.ridge())
+    ], ids=["2x1", "gaussian_40x10_eps0", "gaussian_40x10_eps0.5", "zero_matrix"] + [
+        f"tall_40x20_s{s:g}_eps{eps:g}s_{spec}" for s in (1e-7, 1e-10) for eps in (0, 0.5)
+        for spec in ("clot", "lasso", "en", "ridge")])
+    def test_infeasible_raises(self, A, y, eps, spec):
         with pytest.raises(InfeasibleError, match="^least-squares residual"):
-            solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.lasso())
+            solve_constrained(Problem(A, y, Constrained(eps)), spec)
 
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_infeasible_walk_stops_early(self, monkeypatch, eps):
@@ -839,10 +852,10 @@ class TestConstrained:
         assert np.allclose(res.x_hat, x, atol=1e-6)
 
     def test_zero_matrix_within_the_slack_is_refused(self):
-        # ||y|| is above eps but within the feasibility slack: not infeasible
+        # ||y|| is above eps but within the feasibility slack feas_tol*||y||: not infeasible
         y = np.full(3, 0.1)
         with pytest.raises(ValueError, match="A must be nonzero"):
-            solve_constrained(Problem(np.zeros((3, 2)), y, Constrained(np.linalg.norm(y) - 5e-7)),
+            solve_constrained(Problem(np.zeros((3, 2)), y, Constrained(np.linalg.norm(y) * (1 - 5e-7))),
                               RegularizerSpec.lasso())
 
     @pytest.mark.parametrize("eps, name, expected", [
@@ -903,18 +916,32 @@ class TestConstrained:
         return A, A @ x
 
     @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.clot(0.2),
-                                      RegularizerSpec.sparse_group_lasso(0.2, Partition.contiguous([20] * 3))],
+                                      RegularizerSpec.sparse_group_lasso(0.2, Partition.contiguous([20] * 3)),
+                                      RegularizerSpec.group_lasso(Partition.contiguous([20] * 3)),
+                                      RegularizerSpec.ridge()],
                              ids=lambda spec: spec.label())
     def test_scale_equivariance_across_the_float_range(self, spec):
-        # the norm penalties' answer scales with y where sums of squares of y, of the residuals
+        # every homogeneous penalty's answer scales with y where sums of squares of y, of the residuals
         # and of the group blocks would under- or overflow
         A, y = self.float_range_instance()
+        ridge = spec == RegularizerSpec.ridge()  # its eps = 0 walk stops within 1e-9*||y||, which y's mantissa moves
         base = solve_constrained(Problem(A, y, Constrained(0.0)), spec)
         for k in range(-300, 301, 50):
             res = solve_constrained(Problem(A, 10.0**k * y, Constrained(0.0)), spec)
             err = np.max(np.abs(res.x_hat / 10.0**k - base.x_hat)) / np.max(np.abs(base.x_hat))
-            assert err <= 1e-12, (k, err)
-            assert res.info["certified"] == base.info["certified"] and np.isfinite(res.objective), k
+            assert err <= (1e-6 if ridge else 1e-12), (k, err)
+            assert res.info["certified"] == base.info["certified"], k
+            assert np.isfinite(res.objective) or ridge and k >= 200, k  # ||x||^2 exceeds the float range there
+        # a power of two scales y, eps and every result exactly, so the answers are the same bits
+        for eps in (0.0, 0.05 * np.linalg.norm(y)):
+            base = solve_constrained(Problem(A, y, Constrained(eps)), spec)
+            for k in (-1000, -500, -1, 1, 500, 900):
+                res = solve_constrained(Problem(A, np.ldexp(y, k), Constrained(math.ldexp(eps, k))), spec)
+                assert np.array_equal(res.x_hat, np.ldexp(base.x_hat, k)), (eps, k)
+                with np.errstate(over="ignore"):  # a multiplier past the float range is inf on both sides
+                    stages = [(np.ldexp(lam, 0 if ridge else -k), np.ldexp(r, k), it)
+                              for lam, r, it in base.info["stages"]]
+                assert res.info["stages"] == stages, (eps, k)
 
     @pytest.mark.parametrize("spec", [RegularizerSpec.elastic_net(0.8), RegularizerSpec.ridge()],
                              ids=lambda spec: spec.label())
@@ -925,6 +952,12 @@ class TestConstrained:
         with np.errstate(over="ignore"):  # b*||x||^2, and so the objective, exceeds the float range at 1e160
             huge = solve_constrained(Problem(A, 1e160 * y, Constrained(0.0)), spec)
         assert not (huge.converged and huge.info["inner_solves"] == 1)  # 1e-9*||y|| is finite there
+        if spec == RegularizerSpec.ridge():  # ridge at eps = 0 is the least-norm solution at every scale
+            for s in (1e-300, 1e-165, 1e-40, 1e-24, 1e-12, 1.0, 1e100, 1e160):
+                res = solve_constrained(Problem(A, s * y, Constrained(0.0)), spec)
+                ref = np.linalg.pinv(A) @ (s * y) / s
+                err = np.max(np.abs(res.x_hat / s - ref)) / np.max(np.abs(ref))
+                assert res.converged and err <= 1e-5, (s, err)
 
     @pytest.mark.parametrize("spec", [RegularizerSpec.clot(0.2),
                                       RegularizerSpec.sparse_group_lasso(0.2, Partition.contiguous([20] * 3)),
@@ -1126,11 +1159,12 @@ class TestConstrained:
         y = A @ x + 0.1 * np.random.default_rng(7).standard_normal(20)
         eps, tol = 0.05, SolverOptions().feas_tol
         real, inner = solvers.solve_lagrangian, []
+        unit = math.ldexp(eps, -math.frexp(np.abs(y).max())[1])  # the stages solve at unit scale
 
         def outside(*args, **kwargs):
             res = real(*args, **kwargs)
-            if abs(res.residual_l2 - eps) <= tol * eps:
-                moved = eps + math.copysign(2 * tol * eps, res.residual_l2 - eps)
+            if abs(res.residual_l2 - unit) <= tol * unit:
+                moved = unit + math.copysign(2 * tol * unit, res.residual_l2 - unit)
                 res = dataclasses.replace(res, residual_l2=moved)
             inner.append(res)
             return res
