@@ -12,9 +12,10 @@ Two problem forms are handled:
   support too wide to solve, to accelerated proximal gradient descent
   (FISTA) with a gradient restart and one gradient evaluation (one forward
   and one adjoint product; on a large A these read only the support's
-  columns and ``Ax``'s nonzero rows) per iteration.  Only
-  FISTA steps by ``1/sigma^2``, the largest squared singular value of A, found
-  by power iteration when FISTA first runs on an (A, y).  FISTA runs the route
+  columns and ``Ax``'s nonzero rows) per iteration.  FISTA steps by
+  ``1/L``, L a curvature bound kept per (A, y): it starts at
+  ``||A||_F^2/min(m, n)``, at most the largest squared singular value of A,
+  and doubles while the descent lemma fails.  FISTA runs the route
   again from its iterate at each failing certificate check whose sign pattern
   held since the previous one;
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
@@ -34,7 +35,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -57,7 +58,7 @@ __all__ = [
 
 
 class InfeasibleError(ValueError):
-    """The noise-constrained program has an empty feasible set, as judged after the search."""
+    """The noise-constrained program has an empty feasible set, as :func:`solve_constrained` judges it."""
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,6 @@ class PathPoint:
 # per-(A, y) data-fit state
 # ---------------------------------------------------------------------------
 
-_POWER_ITERS = 50
-_POWER_TOL = 1e-10
 _GATHER_RATIO = 15  # A x, 529x4000, one BLAS thread: 0.03 ms at 3 columns, 0.72 at 250, 0.78 at 280, dense 0.74
 _ROW_GATHER_RATIO = 4  # y's rows kept: A^T v over 69 of them 0.25-0.28 ms, over 138 0.51-0.58, dense 0.65-0.81
 _GATHER_FLOOR = 50_000  # column gather or kept rows: 4-6 us fixed; dense 49x343: 3-4 us, 121x1000: 13-17 us
@@ -173,10 +172,11 @@ _GATHER_FLOOR = 50_000  # column gather or kept rows: 4-6 us fixed; dense 49x343
 
 class _Workspace:
     """Per-(A, y) state shared across warm-started solves: the half-gradient
-    ``A^T(Ax - y)`` of ``||Ax - y||^2``; ``sigma2``, the largest squared
-    singular value of A, found by power iteration on first read, which only
-    FISTA makes; and ``frob2 = ||A||_F^2``, the upper bound on it that the
-    active-set route steps by, as the validation of the caller's :class:`Problem` computed it.
+    ``A^T(Ax - y)`` of ``||Ax - y||^2``; ``frob2 = ||A||_F^2``, as the validation of the caller's
+    :class:`Problem` computed it, the bound on ``sigma_max(A)^2`` that the active-set route steps by;
+    and ``curv``, FISTA's curvature bound L.  The squared singular values sum to ``frob2``, so L starts
+    at ``frob2/min(m, n) <= sigma_max^2``; FISTA doubles it where the descent lemma fails, so it stays
+    below ``2*sigma_max^2``, and each later solve on the workspace starts from the raised L.
 
     For every shape ``A^T A x`` is a forward and an adjoint product, and ``A_S^T A_S`` a product of the
     support's columns.  Values and residual norms come from ``Ax - y``, which keeps their precision at any
@@ -192,25 +192,13 @@ class _Workspace:
         if not frob2 > 0.0:
             raise ValueError("A must be nonzero")
         m, n = A.shape
-        self.A, self.y, self.n, self.frob2 = A, y, n, frob2
+        self.A, self.y, self.n, self.frob2, self.curv = A, y, n, frob2, frob2 / min(m, n)
         spare = A.size - _GATHER_FLOOR  # the widest gathers that pay; none does on a small A
         self.max_cols, rows = spare / (_GATHER_RATIO * m), np.flatnonzero(y)
         keep = 0 < rows.size <= spare / (_ROW_GATHER_RATIO * n)
         self.rows, self.block = (rows, A[rows]) if keep else (None, None)
         self.aty = self.adjoint(y)
         self.aty_max = float(abs(self.aty).max())  # ||A^T y||_inf, which scales every solve's tolerance
-
-    @cached_property
-    def sigma2(self):
-        v = np.random.default_rng(0).standard_normal(self.n)
-        v /= group_norms(v)
-        lam = lam_prev = 0.0
-        for _ in range(_POWER_ITERS):
-            lam = float(group_norms(w := self.normal(v)))
-            if abs(lam - lam_prev) <= _POWER_TOL * lam:
-                break
-            v, lam_prev = w / lam, lam
-        return lam
 
     def forward(self, x):
         narrow = self.max_cols > 0 and (S := x.nonzero()[0]).size <= self.max_cols
@@ -237,7 +225,7 @@ class _Workspace:
 # evaluation per iteration
 # ---------------------------------------------------------------------------
 
-_MAX_HALVINGS = 60
+_MAX_HALVINGS = 60  # doublings of FISTA's curvature bound, each halving its step, in one step search
 _CHECK_EVERY = 10  # iterations between certificate checks
 _ROUTE_ROUNDS = 32  # rounds of one active-set route before it hands over to FISTA
 _BATCH_FRAC = 0.5  # violators added together: prox steps within this fraction of the largest
@@ -359,26 +347,25 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
     ends the solve, and on a give-up FISTA goes on from its own iterate.
     """
     c = 2.0 * loss_w  # gradient of the smooth part = c * h
-    step = 1.0 / (c * ws.sigma2)
+    m, e = math.frexp(loss_w)  # the step 1/(c*L) enters as hz/L and pen_w/(c*L), also where c*L overflows
 
     def descend(z, hz):
-        """Prox-gradient step ``d`` from z to w.  For the quadratic the
-        descent lemma reads ``c * d^T(h_w - h_z) <= |d|^2 / step``; the step
-        is halved only when that fails beyond rounding and the power
-        iteration's tolerance."""
-        nonlocal step
-        for halving in range(_MAX_HALVINGS + 1):
-            if halving:
-                step *= 0.5
+        """Prox-gradient step from z to w; returns ``(w, h_w, u)``, ``u`` the step's
+        direction ``d/|d|`` (0 for no step).  For the quadratic the descent lemma is
+        ``|Ad|^2 <= L*|d|^2``, read as ``u^T(h_w - h_z) <= L*|d|``, which neither
+        under- nor overflows; L doubles only when that fails beyond rounding."""
+        for doubling in range(_MAX_HALVINGS + 1):
+            if doubling:
+                ws.curv *= 2.0
                 stats["backtracks"] += 1
-            w = prox(spec, z - (step * c) * hz, step * pen_w)
+            w = prox(spec, z - hz / ws.curv, np.ldexp(pen_w / (2.0 * m * ws.curv), -e))
             hw = ws.half_grad(w)
             stats["grad_evals"] += 1
             d = w - z
-            dd = float(d @ d)
-            excess = c * float(d @ (hw - hz)) - dd / step
-            if excess <= 1e-9 * dd / step or excess <= 1e-14 * c * group_norms(d) * (group_norms(hw) + group_norms(hz)):
-                return w, hw, d
+            u = d / (dn := group_norms(d) or 1.0)
+            excess = float(u @ (hw - hz)) - ws.curv * dn
+            if excess <= 0.0 or excess <= 1e-14 * (group_norms(hw) + group_norms(hz)):
+                return w, hw, u
         raise _StepSearchExhausted
 
     z, hz, t = x, hx, 1.0
@@ -387,13 +374,14 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
     try:
         while iters < opts.max_iters:
             iters += 1
-            w, hw, d = descend(z, hz)
+            w, hw, u = descend(z, hz)
             wx = w - x
-            if float(d @ wx) < 0.0:
+            if float(u @ wx) < 0.0:
                 # momentum points uphill (O'Donoghue & Candes): redo the step from x
                 stats["restarts"] += 1
                 t = 1.0
-                w, hw, wx = descend(x, hx)
+                w, hw, _ = descend(x, hx)
+                wx = w - x
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             z = w + beta * wx
@@ -509,8 +497,9 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     ``2^e``, the objective by ``2^(p*e)`` and the multipliers by ``2^((p-2)*e)``, all exactly.
     The mixed elastic net is not homogeneous and is solved as given.
 
-    Feasibility is judged after the search: a final residual above ``eps + feas_tol*||y||`` leads
-    to one least-squares solve on A, and ``InfeasibleError`` when that residual is above it too.
+    Feasibility is judged where the walk's residual stops falling (by less than ``feas_tol``, relatively)
+    before any stage meets the target, and after the search: a residual above ``eps + feas_tol*||y||``
+    leads to one least-squares solve on A, and ``InfeasibleError`` when that residual is above it too.
     """
     opts = opts or SolverOptions()
     form = problem.form

@@ -1,8 +1,7 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is written against the mathematical definitions only, in
-plain Python (numpy only for symmetric eigenvalues, and for the matrix
-products of the power iteration's reference), so it shares no code path with
+plain Python (numpy only for symmetric eigenvalues), so it shares no code path with
 the package implementations it checks.
 """
 
@@ -122,25 +121,6 @@ def rip_ref(A, k):
         if dev > best:
             best, best_support = dev, support
     return max(best, 0.0), best_support
-
-
-def power_iteration_ref(apply, n, iters=50, tol=1e-10):
-    """``(estimate, products)`` of the largest eigenvalue of the positive
-    semidefinite operator ``apply`` by power iteration: from the unit vector
-    along ``np.random.default_rng(0).standard_normal(n)``, the estimate is
-    ``|apply(v)|`` and the next v is ``apply(v)`` over it, until two successive
-    estimates agree to ``tol`` relative, the estimate is zero, or ``iters``
-    products were made."""
-    v = np.random.default_rng(0).standard_normal(n)
-    v = v / np.linalg.norm(v)
-    previous = 0.0
-    for products in range(1, iters + 1):
-        w = apply(v)
-        estimate = float(np.linalg.norm(w))
-        if estimate == 0.0 or abs(estimate - previous) <= tol * estimate:
-            break
-        v, previous = w / estimate, estimate
-    return estimate, products
 
 
 def triplet_text_ref(A):

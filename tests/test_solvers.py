@@ -24,7 +24,7 @@ from clotkit.solvers import (
     solve_lagrangian,
 )
 
-from oracles import power_iteration_ref, scalar_lasso_scan
+from oracles import scalar_lasso_scan
 
 TIGHT = SolverOptions(kkt_tol=1e-10)
 FAMILY = [RegularizerSpec.lasso(), RegularizerSpec.ridge(), RegularizerSpec.elastic_net(0.5),
@@ -324,9 +324,7 @@ class TestSolveStats:
             # route round and per FISTA step
             assert info["grad_evals"] == ((x0 is not None) + res.iterations + info["restarts"]
                                           + info["backtracks"] + info["route_rounds"])
-            # every product made is counted, apart from the power iteration that FISTA starts with
-            power = len(products) - info["grad_evals"]
-            assert power == 0 if res.iterations == 0 else power > 0
+            assert len(products) == info["grad_evals"]  # every product made is counted
             assert info["step_search_exhausted"] is False
             work.append((info["route_rounds"] > 0, res.iterations > 0))
         assert work == [(True, False), (True, False), (False, True), (True, True), (True, False)]
@@ -340,10 +338,10 @@ class TestSolveStats:
         assert res.info["restarts"] >= 1
 
     def test_exhausted_step_search_is_reported(self, rng, monkeypatch):
-        without_route(monkeypatch)  # the route, which needs no sigma2, certifies this solve
+        without_route(monkeypatch)  # the route certifies this solve before FISTA takes a step
         A, _, y = small_instance(rng, noise=0.1)
         ws = workspace(A, y)
-        ws.sigma2 *= 1e-30  # a step 1e30 too long: 60 halvings cannot repair it
+        ws.curv *= 1e-30  # a step 1e30 too long: 60 halvings cannot repair it
         res = solve_lagrangian(Problem(A, y, Lagrangian(0.05)), RegularizerSpec.lasso(), _ws=ws)
         assert res.info["step_search_exhausted"] is True
         assert not res.converged
@@ -351,33 +349,34 @@ class TestSolveStats:
 
 
 class TestWorkspace:
-    """The power iteration for sigma2 runs only when FISTA steps; the route steps by ||A||_F^2."""
+    """FISTA steps by a curvature bound L that starts at ||A||_F^2/min(m, n) and only FISTA
+    raises; the route steps by ||A||_F^2."""
 
     @pytest.mark.parametrize("spec", [
         RegularizerSpec.lasso(), RegularizerSpec.clot(0.3), RegularizerSpec.group_lasso(Partition.contiguous([5] * 8))],
         ids=["lasso", "clot", "gl"])
-    def test_route_certified_solve_leaves_sigma2_uncomputed(self, spec):
+    def test_route_certified_solve_leaves_the_curvature_bound_at_its_start(self, spec):
         A, y = TestNewtonFinish.sparse_instance()
         ws = workspace(A, y)
         res = solve_lagrangian(Problem(A, y, Lagrangian(0.1 * lambda_zero_threshold(spec, A, y))), spec, _ws=ws)
         assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
-        assert "sigma2" not in vars(ws)
+        assert ws.curv == ws.frob2 / min(A.shape)
         assert res.info["grad_evals"] == res.info["route_rounds"]  # the cold start made no product
 
-    def test_fista_computes_sigma2_once(self):
+    def test_fista_raises_its_curvature_bound_below_twice_sigma2(self):
         A, y, lam = twin_instance()  # the route gives up at a singular Hessian
         ws = workspace(A, y)
-        products, normal = [], ws.normal
-        ws.normal = lambda x: products.append(1) or normal(x)
-        power = []
+        start, sigma2 = ws.frob2 / min(A.shape), np.linalg.norm(A, 2) ** 2
+        assert ws.curv == start <= sigma2  # the squared singular values sum to ||A||_F^2
+        raised = []
         for _ in range(2):
-            products.clear()
             res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), RegularizerSpec.lasso(), TIGHT, ws)
             assert res.converged and res.iterations > 0
-            power.append(len(products) - res.info["grad_evals"])
-        expected, made = power_iteration_ref(lambda v: A.T @ (A @ v), 5)
-        assert ws.sigma2 == expected and power == [made, 0]
-        assert ws.sigma2 == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-8)
+            raised.append((res.info["backtracks"], ws.curv))
+        # each backtrack doubles L, and the second solve starts from the L the first one raised
+        (first, after_first), (second, after_second) = raised
+        assert first > 0 and after_first == start * 2**first and after_second == after_first * 2**second
+        assert start <= after_second <= 2.0 * sigma2
 
     def test_route_step_bound_is_above_sigma2(self):
         for A in (fixture_matrix("gaussian", 30, 40, seed=11),
@@ -386,7 +385,7 @@ class TestWorkspace:
                   fixture_matrix("gaussian", 30, 80, seed=13)[:, ::2]):  # laid out by column, and strided
             ws = workspace(A, np.ones(30))
             assert ws.frob2 == pytest.approx(np.linalg.norm(A, "fro") ** 2, rel=1e-12)
-            assert ws.frob2 >= ws.sigma2 and ws.frob2 >= np.linalg.norm(A, 2) ** 2
+            assert ws.frob2 >= np.linalg.norm(A, 2) ** 2
 
     def test_zero_matrix_is_refused_as_before(self):
         A, y, lasso = np.zeros((3, 2)), np.ones(3), RegularizerSpec.lasso()
@@ -977,6 +976,23 @@ class TestConstrained:
             err = np.max(np.abs(res.x_hat / s - base.x_hat)) / np.max(np.abs(base.x_hat))
             assert err <= 1e-12, (s, err)
 
+    @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.clot(0.2)], ids=lambda spec: spec.label())
+    def test_fista_alone_across_the_float_range(self, spec, monkeypatch):
+        # FISTA's step, its descent test and its restart test neither under- nor overflow: lam and the
+        # certificate's tolerance scale with y, so every answer follows the unit-scale solve's iterates
+        without_route(monkeypatch)
+        A, y = self.float_range_instance()
+        lam, g = 0.5 * lambda_zero_threshold(spec, A, y), 2.0 * np.max(np.abs(A.T @ y))
+        base = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec)
+        assert base.converged and base.iterations > 0
+        for s in (1e-300, 1e150, 1e160):
+            kkt_tol = 1e-8 * s * max(1.0, g) / max(1.0, s * g)  # the tolerance is kkt_tol*max(1, s*g)
+            with np.errstate(over="ignore"):  # ||y - Ax||^2, and so the objective, exceeds the float range at 1e160
+                res = solve_lagrangian(Problem(A, s * y, Lagrangian(s * lam)), spec, SolverOptions(kkt_tol))
+            assert res.converged and res.iterations > 0 and not res.info["step_search_exhausted"], (s, res.info)
+            err = np.max(np.abs(res.x_hat / s - base.x_hat)) / np.max(np.abs(base.x_hat))
+            assert err <= 1e-12, (s, err)
+
     def test_certified_start_takes_no_prox_step(self):
         # a loss weight near the bottom of the float range certifies zero at the first check; the
         # prox step 1/(2*lam*||A||_F^2), past the float range there, is never taken
@@ -984,9 +1000,10 @@ class TestConstrained:
         res = solve_lagrangian(Problem(A, y, Lagrangian(1e-320, side="loss")), RegularizerSpec.elastic_net(0.8))
         assert res.converged and res.info["route_rounds"] == 0 and not np.any(res.x_hat)
 
-    @pytest.mark.parametrize("scale", [1e-306, 1e-307])
+    @pytest.mark.parametrize("scale", [1e-306, 1e-307, 1e-308, 1e-309])
     def test_elastic_net_near_the_bottom_of_the_float_range(self, scale):
-        # the first stage's multiplier is about 1e307 there; the route's prox step does not overflow
+        # the first stage's multiplier is 6e304 to 6e307 there; at the last two the route hands over
+        # to FISTA, and neither prox step overflows
         A, y = self.float_range_instance()
         res = solve_constrained(Problem(A, scale * y, Constrained(0.0)), RegularizerSpec.elastic_net(0.8))
         assert res.converged and res.info["certified"] and res.info["inner_solves"] == 1
