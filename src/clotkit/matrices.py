@@ -46,10 +46,10 @@ def next_prime(q: int) -> int:
 def devore_threshold(t: float, k: int, delta: float, n: int, r: int):
     """The two competing lower bounds on the prime: the RIP-order term
     ``(ceil(t*k) - 1) * r / delta`` and the dimension term ``n^(1/(r+1))``."""
-    if delta <= 0 or delta >= 1:
+    if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if t <= 0 or k < 1 or n < 1 or r < 1:
-        raise ValueError("t, k, n, r must be positive")
+    if not (0 < t * k < math.inf and k >= 1 and n >= 1 and r >= 1):
+        raise ValueError(f"t, k, n, r must be positive and t * k finite, got t={t}, k={k}, n={n}, r={r}")
     order = math.ceil(t * k)
     rip_term = (order - 1) * r / delta
     dim_term = n ** (1.0 / (r + 1))

@@ -249,16 +249,12 @@ def _tails(fold):
 
 
 def _ceilings(fold, tails, prefixes):
-    """Each prefix's Gershgorin and spectral ceilings, over the supports extending it by a later column ``c``.
-
-    With ``R_i`` prefix row ``p_i``'s sum, ``t_i = T[p_i, last + 1]`` and ``d = D[last + 1]`` (``tails``), the first,
-    ``max(max_i(R_i + t_i), sum_i t_i + d)``, is at least each support's ``_gershgorin`` bound, bit for bit, since
-    its sums run in the same order over entries no smaller.  The second, ``max(max_i R_i, d) + sqrt(sum_i t_i**2)``,
-    bounds ``||G_S - I||_2`` by the norms of its prefix block, its ``|G_cc - 1|`` and its last column."""
+    """Each prefix's ceiling over the supports extending it by a later column ``c``: with ``R_i`` prefix row ``p_i``'s
+    sum and ``T``, ``D`` the ``tails``, ``max(max_i R_i, D[last + 1]) + sqrt(sum_i T[p_i, last + 1]**2)`` bounds
+    ``||G_S - I||_2`` by the norms of its prefix block, its ``|G_cc - 1|`` and its last column."""
     (table, diagonal), first = tails, prefixes[:, -1] + 1
-    sums, ends, d = _prefix_sums(fold, prefixes), [table[p, first] for p in prefixes.T], diagonal[first]
-    gershgorin = np.maximum(np.max([r + t for r, t in zip(sums, ends)], axis=0), sum(ends) + d)
-    return gershgorin, np.maximum(np.max(sums, axis=0), d) + np.sqrt(sum(t * t for t in ends))
+    column = np.sqrt(sum(table[p, first] ** 2 for p in prefixes.T))  # at least each extension's last-column norm
+    return np.maximum(np.max(_prefix_sums(fold, prefixes), axis=0), diagonal[first]) + column
 
 
 def _floor(best):
@@ -268,9 +264,9 @@ def _floor(best):
 
 def _best_first_route(gram):
     """A route giving a run's first maximal deviation and its support.  Once the enumeration has a best, only the
-    prefixes whose ``_ceilings`` reach it are bounded; a first run of over ``_SEED_PREFIXES`` prefixes first finds one
-    among that many with the highest ceilings.  The bounded supports go to ``eigvalsh`` (and are built) in batches of
-    ``_BATCH``, by descending ``_gershgorin`` bound, while it lies within ``_SKIP_MARGIN`` (relative) of the best."""
+    prefixes whose spectral ``_ceilings`` reach it are bounded; a first run of over ``_SEED_PREFIXES`` prefixes
+    first finds one among its ``_SEED_PREFIXES`` highest.  The bounded supports go to ``eigvalsh`` (and are built) in
+    batches of ``_BATCH``, by descending ``_gershgorin`` bound, while it lies within ``_SKIP_MARGIN`` of the best."""
     fold = np.maximum(fold := np.abs(gram - np.eye(len(gram))), fold.T)  # for either triangle eigvalsh reads; once
     tails = None  # built on the first run that is pruned
 
@@ -293,7 +289,7 @@ def _best_first_route(gram):
         if best == -np.inf and len(prefixes) <= _SEED_PREFIXES:
             return bounded(prefixes, best)
         tails = tails or _tails(fold)
-        ceiling, found = np.minimum(*_ceilings(fold, tails, prefixes)), []
+        ceiling, found = _ceilings(fold, tails, prefixes), []
         seed = np.zeros(len(prefixes), dtype=bool)
         if best == -np.inf:  # a large first run: the seed's best prunes the rest
             seed[np.argpartition(-ceiling, _SEED_PREFIXES - 1)[:_SEED_PREFIXES]] = True
@@ -378,13 +374,13 @@ def exact_rip(A, k: int) -> RipEstimate:
     pattern, stopping at a support that reaches the largest; only under that
     ceiling is the first run split, from ``_FIRST_RUN`` supports.  Any other
     goes best-first: once there is a best, a run bounds only the prefixes whose
-    ceiling (the smaller of a Gershgorin and a spectral bound over all their
-    extensions) can reach it, and a first run of over ``_SEED_PREFIXES``
-    prefixes finds its best among that many with the highest ceilings first;
-    of the supports bounded, only those whose Gershgorin bound can reach the
-    best so far go to ``eigvalsh``.  ``supports`` counts every support of the
-    runs reached, pruned or bounded.  Refuses a non-finite matrix or Gram
-    matrix, and over ``_SUBSET_GUARD`` supports.
+    ceiling (a spectral bound over all their extensions) can reach it, and a
+    first run of over ``_SEED_PREFIXES`` prefixes finds its best among that
+    many with the highest ceilings first; of the supports bounded, only those
+    whose Gershgorin bound can reach the best so far go to ``eigvalsh``.
+    ``supports`` counts every support of the runs reached, pruned or bounded.
+    Refuses a non-finite matrix or Gram matrix, and over ``_SUBSET_GUARD``
+    supports.
     """
     A, k = _matrix_and_order(A, k)
     n, count = A.shape[1], math.comb(A.shape[1], k)

@@ -1,12 +1,12 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is written against the mathematical definitions only, in
-plain Python (numpy only for symmetric eigenvalues), so it shares no code path with
-the package implementations it checks.
+plain Python (numpy for symmetric eigenvalues, which ``rip_ref`` batches), so it
+shares no code path with the package implementations it checks.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -110,16 +110,17 @@ def scalar_lasso_scan(y_i, lam, span=20.0, points=2_000_001):
     return 0.0 if f(0.0) <= f(mid) else mid
 
 
-def rip_ref(A, k):
+def rip_ref(A, k, chunk=8192):
     """``(delta_k, argmax_support)`` by one ``eigvalsh`` per size-``k`` support,
-    keeping the first support in lexicographic order that attains the maximum."""
-    gram = A.T @ A
+    keeping the first support in lexicographic order that attains the maximum.
+    The supports go through one stacked ``eigvalsh`` per ``chunk`` of them."""
+    gram, supports = A.T @ A, combinations(range(A.shape[1]), k)
     best, best_support = -math.inf, None
-    for support in combinations(range(A.shape[1]), k):
-        evals = np.linalg.eigvalsh(gram[np.ix_(support, support)])
-        dev = max(evals[-1] - 1.0, 1.0 - evals[0])
-        if dev > best:
-            best, best_support = dev, support
+    while (block := np.fromiter(islice(supports, chunk), dtype=(np.intp, k))).size:
+        evals = np.linalg.eigvalsh(gram[block[:, :, None], block[:, None, :]])
+        devs = np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
+        if devs[j := np.argmax(devs)] > best:  # the first maximum of the chunk
+            best, best_support = devs[j], tuple(int(i) for i in block[j])
     return max(best, 0.0), best_support
 
 

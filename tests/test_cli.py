@@ -329,6 +329,17 @@ class TestMatrixCommand:
         assert code == EXIT_INPUT and captured.out == "" and not out.exists()
         assert captured.err.startswith(f"error: matrix {argv[0]} ") and flag in captured.err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["--t", "inf"], "t=inf"), (["--t", "1e308", "--k", "3"], "t=1e+308"), (["--t", "nan"], "t=nan"),
+        (["--delta", "nan"], "delta must lie in (0, 1), got nan"),
+    ], ids=["t_inf", "t_k_overflow", "t_nan", "delta_nan"])
+    def test_non_finite_threshold_input_is_an_input_error(self, capsys, argv, shown):
+        # main reports only ValueError and OSError: an OverflowError from math.ceil(t * k) would escape it
+        code = main(["matrix", "devore", "--n", "100", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("error: ") and shown in captured.err
+
     @pytest.mark.parametrize("flag", ["--n-truncate", "--n"])
     def test_zero_columns_is_an_input_error(self, capsys, tmp_path, flag):
         # an explicit 0 once read as "not given" and wrote all 27 columns

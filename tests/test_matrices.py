@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -77,6 +78,15 @@ class TestMinPrime:
             devore_threshold(1.5, 3, 0.0, 100, 2)
         with pytest.raises(ValueError):
             devore_threshold(1.5, 0, 0.4, 100, 2)
+
+    @pytest.mark.parametrize("t, k, delta, shown", [
+        (math.inf, 3, 0.4, "t=inf"), (1e308, 3, 0.4, "t=1e+308"), (math.nan, 3, 0.4, "t=nan"),
+        (-1.5, -3, 0.4, "k=-3"), (1.5, 3, math.nan, "delta must lie in (0, 1), got nan")])
+    def test_non_finite_or_negative_inputs_are_refused(self, t, k, delta, shown):
+        # NaN fails every comparison, so only a check that it passes can refuse it
+        for f in (devore_threshold, devore_min_prime):
+            with pytest.raises(ValueError, match=re.escape(shown)):
+                f(t, k, delta, 100, 2)
 
 
 class TestDeVoreMatrix:

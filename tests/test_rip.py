@@ -595,16 +595,28 @@ def test_prefix_ceilings_bound_every_extension(make, k):
     prefixes = _prefixes(n, k)
     if len(prefixes) > 2000:  # devore at k = 3 and 4: a sample, with every extension of each
         prefixes = prefixes[np.sort(np.random.default_rng(k).choice(len(prefixes), 2000, replace=False))]
-    gershgorin, spectral = rip._ceilings(fold, rip._tails(fold), prefixes)
-    ends, _, bound = rip._gershgorin(fold, prefixes)
-    counts = np.diff(ends, prepend=0)
-    assert (bound <= np.repeat(gershgorin, counts)).all()  # bit for bit: the same sums of no smaller entries
+    counts, _ = rip._last_columns(prefixes, n)
+    ceiling = np.repeat(rip._ceilings(fold, rip._tails(fold), prefixes), counts)
     supports = rip._extend(prefixes, n)
     devs = rip._deviations(gram[supports[:, :, None], supports[:, None, :]])
-    ceiling = np.repeat(np.minimum(gershgorin, spectral), counts)
     assert (devs <= ceiling + 1e-12 * np.maximum(1.0, ceiling)).all()  # float rounding, far inside _SKIP_MARGIN
-    if k > 2:  # at k = 2 the two coincide
-        assert (spectral < gershgorin).any() and (gershgorin < spectral).any()  # each decides somewhere
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+def test_best_first_route_bounds_few_of_the_gaussian_supports(monkeypatch, seed):
+    # across these orders 1,040-1,306 of the 6,545 prefixes and 13,669-15,965 of the 58,905 supports are bounded
+    bounded, gershgorin = [], rip._gershgorin
+
+    def spy(fold, prefixes):
+        ends, cols, bound = gershgorin(fold, prefixes)
+        bounded.append((len(prefixes), cols.size))
+        return ends, cols, bound
+
+    monkeypatch.setattr(rip, "_gershgorin", spy)
+    A = _gaussian() if seed is None else _gaussian()[:, np.random.default_rng(seed).permutation(36)]
+    assert exact_rip(A, 4).supports == math.comb(36, 4)
+    prefixes, supports = np.sum(bounded, axis=0)
+    assert prefixes < 1500 and supports < 18_000
 
 
 @pytest.mark.parametrize("make", [_gaussian, _gaussian_duplicated, _gaussian_triplicated],
@@ -629,7 +641,7 @@ def test_seeded_and_pruned_runs_keep_the_first_maximal_support(monkeypatch, make
 
 
 def test_seeded_run_reports_the_first_of_a_tie_split_by_the_seed(monkeypatch):
-    # (0, 1, 5) and (2, 3, 4) hold one sub-Gram matrix up to order; prefix (2, 3)'s ceiling, 1.0, is the
+    # (0, 1, 5) and (2, 3, 4) hold one sub-Gram matrix up to order; prefix (2, 3)'s ceiling, 1.01, is the
     # run's highest, and (0, 1)'s, 0.807, still reaches the tie, so the seed finds the later of the two
     gram = np.eye(6)
     for i, j, value in [(0, 1, 0.1), (0, 5, 0.5), (1, 5, 0.5), (2, 3, 0.5), (2, 4, 0.5), (3, 4, 0.1)]:
