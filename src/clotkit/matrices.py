@@ -48,8 +48,8 @@ def devore_threshold(t: float, k: int, delta: float, n: int, r: int):
     ``(ceil(t*k) - 1) * r / delta`` and the dimension term ``n^(1/(r+1))``."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (0 < t * k < math.inf and k >= 1 and n >= 1 and r >= 1):
-        raise ValueError(f"t, k, n, r must be positive and t * k finite, got t={t}, k={k}, n={n}, r={r}")
+    if not (0 < t * k * r / delta < math.inf and k >= 1 and n >= 1 and r >= 1):  # bounds rip_term, NaN refused
+        raise ValueError(f"t, k, n, r must be positive and t*k*r/delta finite, got t={t}, k={k}, n={n}, r={r}")
     order = math.ceil(t * k)
     rip_term = (order - 1) * r / delta
     dim_term = n ** (1.0 / (r + 1))

@@ -110,13 +110,14 @@ def scalar_lasso_scan(y_i, lam, span=20.0, points=2_000_001):
     return 0.0 if f(0.0) <= f(mid) else mid
 
 
-def rip_ref(A, k, chunk=8192):
+def rip_ref(A, k):
     """``(delta_k, argmax_support)`` by one ``eigvalsh`` per size-``k`` support,
     keeping the first support in lexicographic order that attains the maximum.
-    The supports go through one stacked ``eigvalsh`` per ``chunk`` of them."""
+    The supports go through one stacked ``eigvalsh`` per 8,192 of them; the
+    chunk size does not change the result."""
     gram, supports = A.T @ A, combinations(range(A.shape[1]), k)
     best, best_support = -math.inf, None
-    while (block := np.fromiter(islice(supports, chunk), dtype=(np.intp, k))).size:
+    while (block := np.fromiter(islice(supports, 8192), dtype=(np.intp, k))).size:
         evals = np.linalg.eigvalsh(gram[block[:, :, None], block[:, None, :]])
         devs = np.maximum(evals[:, -1] - 1.0, 1.0 - evals[:, 0])
         if devs[j := np.argmax(devs)] > best:  # the first maximum of the chunk

@@ -332,9 +332,11 @@ class TestMatrixCommand:
     @pytest.mark.parametrize("argv, shown", [
         (["--t", "inf"], "t=inf"), (["--t", "1e308", "--k", "3"], "t=1e+308"), (["--t", "nan"], "t=nan"),
         (["--delta", "nan"], "delta must lie in (0, 1), got nan"),
-    ], ids=["t_inf", "t_k_overflow", "t_nan", "delta_nan"])
+        (["--t", "1e308", "--k", "1"], "t=1e+308"), (["--t", "1e308", "--k", "1", "--r", "1"], "t=1e+308"),
+    ], ids=["t_inf", "t_k_overflow", "t_nan", "delta_nan", "rip_term_int_overflow", "rip_term_inf"])
     def test_non_finite_threshold_input_is_an_input_error(self, capsys, argv, shown):
-        # main reports only ValueError and OSError: an OverflowError from math.ceil(t * k) would escape it
+        # main reports only ValueError and OSError: an OverflowError from math.ceil(t * k), from
+        # (ceil(t*k) - 1) * r / delta or from the ceil of an infinite threshold would escape it
         code = main(["matrix", "devore", "--n", "100", *argv])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""

@@ -79,14 +79,16 @@ class TestMinPrime:
         with pytest.raises(ValueError):
             devore_threshold(1.5, 0, 0.4, 100, 2)
 
-    @pytest.mark.parametrize("t, k, delta, shown", [
-        (math.inf, 3, 0.4, "t=inf"), (1e308, 3, 0.4, "t=1e+308"), (math.nan, 3, 0.4, "t=nan"),
-        (-1.5, -3, 0.4, "k=-3"), (1.5, 3, math.nan, "delta must lie in (0, 1), got nan")])
-    def test_non_finite_or_negative_inputs_are_refused(self, t, k, delta, shown):
-        # NaN fails every comparison, so only a check that it passes can refuse it
+    @pytest.mark.parametrize("t, k, delta, r, shown", [
+        (math.inf, 3, 0.4, 2, "t=inf"), (1e308, 3, 0.4, 2, "t=1e+308"), (math.nan, 3, 0.4, 2, "t=nan"),
+        (-1.5, -3, 0.4, 2, "k=-3"), (1.5, 3, math.nan, 2, "delta must lie in (0, 1), got nan"),
+        (1e308, 1, 0.4, 2, "t=1e+308"), (1e308, 1, 0.4, 1, "t=1e+308")])
+    def test_non_finite_or_negative_inputs_are_refused(self, t, k, delta, r, shown):
+        # NaN fails every comparison, so only a check that it passes can refuse it; a finite t*k can
+        # still overflow (ceil(t*k) - 1) * r / delta, the int-to-float division or its ceil
         for f in (devore_threshold, devore_min_prime):
             with pytest.raises(ValueError, match=re.escape(shown)):
-                f(t, k, delta, 100, 2)
+                f(t, k, delta, 100, r)
 
 
 class TestDeVoreMatrix:
