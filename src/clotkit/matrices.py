@@ -29,6 +29,8 @@ __all__ = [
     "coherence",
 ]
 
+_MAX_ENTRIES = 2**28  # a DeVore matrix's p^2 * n entries: 2 GiB of floats
+
 
 def is_prime(q: int) -> bool:
     q = int(q)
@@ -48,10 +50,14 @@ def devore_threshold(t: float, k: int, delta: float, n: int, r: int):
     ``(ceil(t*k) - 1) * r / delta`` and the dimension term ``n^(1/(r+1))``."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (0 < t * k * r / delta < math.inf and k >= 1 and n >= 1 and r >= 1):  # bounds rip_term, NaN refused
-        raise ValueError(f"t, k, n, r must be positive and t*k*r/delta finite, got t={t}, k={k}, n={n}, r={r}")
+    if not (0 < t * k * r / delta < math.inf and k >= 1 and 1 <= n <= _MAX_ENTRIES and r >= 1):  # NaN refused
+        raise ValueError(f"t, k, n, r must be positive, t*k*r/delta finite and n at most {_MAX_ENTRIES}, "
+                         f"got t={t}, k={k}, n={n}, r={r}")
     order = math.ceil(t * k)
     rip_term = (order - 1) * r / delta
+    if rip_term > math.isqrt(_MAX_ENTRIES):  # a prime above it has p^2 past the size cap; bounds the prime search
+        raise ValueError(f"the RIP-order term (ceil(t*k) - 1)*r/delta = {rip_term:g} is past "
+                         f"{math.isqrt(_MAX_ENTRIES)}, got t={t}, k={k}, delta={delta}, r={r}")
     dim_term = n ** (1.0 / (r + 1))
     return rip_term, dim_term
 
@@ -81,15 +87,16 @@ class DeVoreParams:
     n_truncate: Optional[int] = None
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
         if self.r < 1:
             raise ValueError(f"r must be at least 1, got {self.r}")
-        if self.n_truncate is not None:
-            if not 1 <= self.n_truncate <= self.p ** (self.r + 1):
-                raise ValueError(
-                    f"n_truncate={self.n_truncate} outside 1..{self.p ** (self.r + 1)}"
-                )
+        cols = self.p ** min(self.r + 1, 64)  # p^(r+1) for any prime the cap admits: p^64 is past it
+        if self.p * self.p * (cols if self.n_truncate is None else self.n_truncate) > _MAX_ENTRIES:
+            raise ValueError(f"a DeVore matrix with p={self.p}, r={self.r}, n_truncate={self.n_truncate} "
+                             f"has more than {_MAX_ENTRIES} entries")
+        if not is_prime(self.p):
+            raise ValueError(f"p={self.p} is not prime")
+        if self.n_truncate is not None and not 1 <= self.n_truncate <= cols:
+            raise ValueError(f"n_truncate={self.n_truncate} outside 1..{cols}")
 
     @property
     def shape(self):

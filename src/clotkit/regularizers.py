@@ -1,14 +1,9 @@
 """Penalty functions for sparse regression: values, proxes, certificates, sparsity index.
 
 The six penalties are one family, ``a*||z||_1 + b*||z||_2^2 + c*sum_g ||z_g||_2``,
-with weights ``(a, b, c)`` and groups ``g``:
-
-    ``L1``    lasso               (1, 0, 0)
-    ``L2SQ``  ridge               (0, 1, 0)
-    ``EN``    elastic net         (mu, 1 - mu, 0)
-    ``CLOT``  one group           (1 - mu, 0, mu)
-    ``GL``    group lasso         (0, 0, 1)
-    ``SGL``   sparse group lasso  (1 - mu, 0, mu)
+with weights ``(a, b, c)`` and groups ``g``.  Each kind is one of two mixtures,
+``(mu, 1 - mu, 0)`` with the l2 term squared or ``(1 - mu, 0, mu)``, with a
+fixed or a free ``mu``, with or without groups: one row of ``_ROWS`` each.
 
 GL and SGL take their groups from a partition; CLOT is SGL with one group
 covering every coordinate.  With ``c = 0`` the coordinates act as singleton
@@ -67,8 +62,14 @@ class PenaltyKind(str, Enum):
         return {"lasso": cls.L1, "ridge": cls.L2SQ}.get(value)
 
 
-_GROUPED = (PenaltyKind.GL, PenaltyKind.SGL)
-_MU_KINDS = (PenaltyKind.EN, PenaltyKind.CLOT, PenaltyKind.SGL)
+_ROWS = {  # kind: (the mu it fixes, None where mu is free; its l2 term is squared; it takes groups)
+    PenaltyKind.L1: (0.0, False, False),     # lasso               (1, 0, 0)
+    PenaltyKind.L2SQ: (0.0, True, False),    # ridge               (0, 1, 0)
+    PenaltyKind.EN: (None, True, False),     # elastic net         (mu, 1 - mu, 0)
+    PenaltyKind.CLOT: (None, False, False),  # one group           (1 - mu, 0, mu)
+    PenaltyKind.GL: (1.0, False, True),      # group lasso         (0, 0, 1)
+    PenaltyKind.SGL: (None, False, True),    # sparse group lasso  (1 - mu, 0, mu)
+}
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,8 @@ class Partition:
 class RegularizerSpec:
     """Which penalty to use, with its mixing parameter and group structure.
 
-    ``mu`` is required to lie in [0, 1] for EN, CLOT, and SGL.  GL ignores
-    ``mu`` (it behaves as SGL with mu = 1).  GL and SGL require a partition,
-    and no other kind takes one: CLOT is one group of all coordinates.
+    The kind's row of ``_ROWS`` either fixes ``mu`` or requires it to lie in
+    [0, 1], and says whether the kind requires a partition or refuses one.
 
     Construction resolves the spec to the family's ``weights`` ``(a, b, c)``;
     the ``partition`` gives the groups of the group term (None: one group of
@@ -147,26 +147,17 @@ class RegularizerSpec:
 
     def __post_init__(self):
         kind = PenaltyKind(self.kind.lower() if isinstance(self.kind, str) else self.kind)
-        object.__setattr__(self, "kind", kind)
+        fixed, squared, grouped = _ROWS[kind]
         mu = float(self.mu)
-        if kind in _MU_KINDS and not 0.0 <= mu <= 1.0:
+        if fixed is None and not 0.0 <= mu <= 1.0:
             raise ValueError(f"mu={mu} outside [0, 1] for {kind.value}")
-        if kind is PenaltyKind.GL:
-            mu = 1.0
-        if kind in (PenaltyKind.L1, PenaltyKind.L2SQ):
-            mu = 0.0
+        if grouped != (self.partition is not None):
+            raise ValueError(f"{kind.value} requires a partition" if grouped else f"{kind.value} takes no partition; "
+                             "only gl and sgl do, and sgl is CLOT's penalty over groups")
+        mu = mu if fixed is None else fixed
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "mu", mu)
-        if kind in _GROUPED and self.partition is None:
-            raise ValueError(f"{kind.value} requires a partition")
-        if kind not in _GROUPED and self.partition is not None:
-            raise ValueError(f"{kind.value} takes no partition; only gl and sgl do, "
-                             "and sgl is CLOT's penalty over groups")
-        weights = {
-            PenaltyKind.L1: (1.0, 0.0, 0.0),
-            PenaltyKind.L2SQ: (0.0, 1.0, 0.0),
-            PenaltyKind.EN: (mu, 1.0 - mu, 0.0),
-        }.get(kind, (1.0 - mu, 0.0, mu))
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", (mu, 1.0 - mu, 0.0) if squared else (1.0 - mu, 0.0, mu))
 
     # -- convenience constructors -------------------------------------------
     @classmethod
@@ -199,7 +190,7 @@ class RegularizerSpec:
             raise ValueError(f"vector has length {n} but the partition covers {self.partition.n}")
 
     def label(self) -> str:
-        if self.kind in _MU_KINDS:
+        if _ROWS[self.kind][0] is None:
             return f"{self.kind.value}(mu={self.mu:g})"
         return self.kind.value
 

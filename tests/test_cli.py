@@ -342,6 +342,19 @@ class TestMatrixCommand:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("error: ") and shown in captured.err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["--t", "1e20", "--k", "1", "--n", "100"], "t=1e+20"),
+        (["--p", "1000000000000000003", "--n", "10"], "p=1000000000000000003"),
+        (["--p", "1000003", "--n", "10"], "p=1000003"), (["--p", "101"], "p=101, r=2, n_truncate=None"),
+    ], ids=["threshold", "prime_test", "rows", "columns"])
+    def test_a_matrix_past_the_size_cap_is_an_input_error(self, capsys, tmp_path, argv, shown):
+        # each once hung in the prime search or ended in numpy's allocation error, which main does not report
+        out = tmp_path / "m.csv"
+        code = main(["matrix", "devore", *argv, "--matrix-out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and shown in captured.err
+
     @pytest.mark.parametrize("flag", ["--n-truncate", "--n"])
     def test_zero_columns_is_an_input_error(self, capsys, tmp_path, flag):
         # an explicit 0 once read as "not given" and wrote all 27 columns

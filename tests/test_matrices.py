@@ -100,6 +100,28 @@ class TestDeVoreMatrix:
         with pytest.raises(ValueError):
             DeVoreParams(5, 2, 126)
 
+    @pytest.mark.parametrize("p, r, n", [(1000000000000000003, 2, 10), (1000003, 2, 10), (101, 2, None),
+                                         (5, 10**12, None)], ids=["prime_test", "rows", "columns", "degree"])
+    def test_a_matrix_past_the_size_cap_is_refused_before_any_prime_test(self, p, r, n):
+        # trial division up to sqrt(1e18 + 3), or forming 5**(10**12 + 1), would not return
+        with pytest.raises(ValueError, match=f"^a DeVore matrix with p={p}, r={r}, n_truncate={n} has more than"):
+            DeVoreParams(p, r, n)
+
+    def test_the_size_cap_admits_a_matrix_of_exactly_its_entries(self):
+        # 25 x 10,737,418 entries is the cap rounded down; the parameters allocate nothing
+        assert DeVoreParams(5, 12, 2**28 // 25).shape == (25, 2**28 // 25)
+        with pytest.raises(ValueError, match="has more than 268435456 entries"):
+            DeVoreParams(5, 12, 2**28 // 25 + 1)
+
+    @pytest.mark.parametrize("t, n, shown", [(1e20, 100, "= 5e+20 is past 16384, got t=1e+20, k=1, delta=0.4"),
+                                             (1.5, 2**28 + 1, "n=268435457")], ids=["rip_term", "dim_term"])
+    def test_a_threshold_past_the_size_cap_is_refused_before_the_prime_search(self, t, n, shown):
+        for f in (devore_threshold, devore_min_prime):
+            with pytest.raises(ValueError, match=re.escape(shown)):
+                f(t, 1, 0.4, n, 2)
+        # an order-1 rip term is 0 whatever r/delta is: the dimension term alone sets the prime
+        assert devore_min_prime(1.0, 1, 1e-5, 100, 2) == 5
+
     def test_p2_r1_hand_enumeration(self):
         # polynomials over the two-element field, constant coefficient fastest:
         # 0, 1, x, x+1; rows are (x, y) pairs in row-major order

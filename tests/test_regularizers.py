@@ -55,6 +55,24 @@ class TestSpecValidation:
         spec = RegularizerSpec.group_lasso(Partition.single(2))
         assert spec.mu == 1.0
 
+    @pytest.mark.parametrize("kind, given, grouped, mu, weights, label", [
+        ("l1", 0.7, False, 0.0, (1.0, 0.0, 0.0), "l1"), ("lasso", 0.7, False, 0.0, (1.0, 0.0, 0.0), "l1"),
+        ("l2sq", 0.7, False, 0.0, (0.0, 1.0, 0.0), "l2sq"), ("ridge", 0.7, False, 0.0, (0.0, 1.0, 0.0), "l2sq"),
+        ("en", 0.3, False, 0.3, (0.3, 0.7, 0.0), "en(mu=0.3)"),
+        ("clot", 0.3, False, 0.3, (0.7, 0.0, 0.3), "clot(mu=0.3)"),
+        ("gl", 0.7, True, 1.0, (0.0, 0.0, 1.0), "gl"),
+        ("sgl", 0.3, True, 0.3, (0.7, 0.0, 0.3), "sgl(mu=0.3)"),
+    ], ids=["l1", "lasso", "l2sq", "ridge", "en", "clot", "gl", "sgl"])
+    def test_each_kind_fixes_or_keeps_mu_and_resolves_to_its_weights(self, kind, given, grouped, mu, weights,
+                                                                       label):
+        part = Partition.contiguous([2, 2])
+        spec = RegularizerSpec(kind, given, part if grouped else None)
+        assert spec.mu == mu and spec.weights == weights and spec.label() == label
+        value = spec.kind.value
+        with pytest.raises(ValueError, match=f"^{value} requires a partition$" if grouped
+                           else f"^{value} takes no partition; only gl and sgl do"):
+            RegularizerSpec(kind, given, None if grouped else part)
+
     def test_string_kind_coercion(self):
         assert RegularizerSpec("clot", 0.3).kind is PenaltyKind.CLOT
         assert RegularizerSpec("lasso") == RegularizerSpec.lasso()

@@ -703,6 +703,8 @@ def test_single_support_batches_find_the_maximum(monkeypatch, seed):
 @example(m=2, n=8, k=3, rank=3, scaled=True, duplicated=True, seed=32459, batch=1, pruned=False)
 @example(m=5, n=10, k=3, rank=6, scaled=False, duplicated=True, seed=14409, batch=1, pruned=True)
 @example(m=2, n=8, k=3, rank=3, scaled=True, duplicated=True, seed=32459, batch=1, pruned=True)
+# fails when a prefix whose ceiling lies less than 0.01 above the best found so far is pruned
+@example(m=3, n=3, k=2, rank=1, scaled=False, duplicated=False, seed=0, batch=1, pruned=True)
 def test_exact_rip_matches_reference_on_small_matrices(m, n, k, rank, scaled, duplicated, seed,
                                                        batch, pruned):
     assume(k <= n)
