@@ -114,12 +114,13 @@ def devore_matrix(params: DeVoreParams, normalize: bool = True) -> np.ndarray:
     p, r = params.p, params.r
     m, n = params.shape
     cols = np.arange(n, dtype=np.int64)
-    digits = [(cols // p**i) % p for i in range(r + 1)]  # digits[i] = coefficient of x^i
+    d = next(d for d in range(1, r + 2) if p**d >= n)  # the columns' base-p digits; higher coefficients are 0
+    digits = [(cols // p**i) % p for i in range(d)]  # digits[i] = coefficient of x^i
     M = np.zeros((m, n))
     one = 1.0 / math.sqrt(p) if normalize else 1.0
     for x in range(p):
-        val = digits[r].copy()
-        for i in range(r - 1, -1, -1):
+        val = digits[d - 1].copy()
+        for i in range(d - 2, -1, -1):
             val = (val * x + digits[i]) % p
         M[x * p + val, cols] = one
     return M

@@ -256,6 +256,11 @@ def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
     ``lam >= 2 * gauge(A^T y)``.  Penalties with neither an l1 nor a group
     term (ridge, and EN with mu = 0) have gauge infinity for nonzero ``v``.
     With both terms it is the largest of the groups' gauges, each in closed form.
+
+    Entries below ``a*max|v|/(a + c)`` are dropped before the sort, exactly:
+    the group holding ``max|v|`` has gauge ``s >= max|v|/(a + c)``, so none
+    of them is on (above ``a*s``) there, and a group that had one on has a
+    gauge below ``max|v|/(a + c)``, which dropping entries only lowers.
     """
     v = np.asarray(v, dtype=float)
     spec.check_dimension(v.size)
@@ -271,20 +276,25 @@ def penalty_gauge_at_zero(spec: RegularizerSpec, v) -> float:
     # gauge s keeps its top j entries above a*s, where sum_{i<=j} (u_i - a*s)^2 = c^2 s^2.  Entry k is
     # among them when s = u_k/a is inside already, sum_{i<k} (u_i - u_k)^2 < (c*u_k/a)^2, summed over
     # u_1 - u_i so that ties with the largest cancel; the root is taken from sums centred per group.
-    labels = np.zeros(v.size, np.intp) if spec.partition is None else spec.partition.labels
-    order = np.argsort(-np.abs(v))
+    u = np.abs(v)
+    keep = np.flatnonzero(u >= a / (a + c) * u.max())  # see the docstring; a/(a + c) <= 1 keeps max|v|
+    u = u[keep]
+    labels = np.zeros(keep.size, np.intp) if spec.partition is None else spec.partition.labels[keep]
+    order = np.argsort(-u)
     order = order[np.argsort(labels[order], kind="stable")]  # by group, largest first in each
-    lab, u = labels[order], np.abs(v)[order]
-    first = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])  # each group's largest entry
+    lab, u = labels[order], u[order]
+    starts = np.r_[True, lab[1:] != lab[:-1]]
+    first, lab = np.flatnonzero(starts), np.cumsum(starts) - 1  # each group's largest; groups renumbered densely
     top = u[first]
-    u = u / np.where(top > 0.0, top, 1.0)[lab]  # each group's largest is 1
+    u = u / top[lab]  # each group's largest is 1
     rank, d = np.arange(u.size) - first[lab], 1.0 - u
     sums = [(p := np.cumsum(w) - w) - p[first][lab] for w in (d, d * d)]  # over the group's earlier entries
     j = np.bincount(lab, rank * d * d - 2.0 * d * sums[0] + sums[1] < (c / a * u) ** 2)
+    j = np.maximum(j, 1)  # the largest is always on, also where (c/a)^2 underflows
     on = rank < j[lab]
     s1, s2 = np.bincount(lab, on * u), np.bincount(lab, on * u * u)
-    q = np.bincount(lab, (on * (u - (s1 / np.maximum(j, 1))[lab])) ** 2)
-    root = np.sqrt(np.maximum(c * c * s2 - a * a * j * q, 0.0)) + (s2 == 0)  # a zero group's gauge is 0
+    q = np.bincount(lab, (on * (u - (s1 / j)[lab])) ** 2)
+    root = np.sqrt(np.maximum(c * c * s2 - a * a * j * q, 0.0))
     return float(np.max(top * s2 / (a * s1 + root)))
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is written against the mathematical definitions only, in
-plain Python (numpy for symmetric eigenvalues, which ``rip_ref`` batches), so it
-shares no code path with the package implementations it checks.
+plain Python (numpy for symmetric eigenvalues, which ``rip_ref`` batches, and
+for the cases ``prox_oracle`` descends on together), so it shares no code
+path with the package implementations it checks.
 """
 
 import math
@@ -33,55 +34,76 @@ def prox_objective(kind, mu, groups, z, v, step):
 
 
 def _ternary_min(f, lo, hi, iters=48):
+    """Ternary search on [lo, hi]; lo and hi may be arrays of intervals searched together."""
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
+        left = f(m1) <= f(m2)
+        lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
     return 0.5 * (lo + hi)
 
 
-def prox_oracle(kind, mu, groups, v, step, sweeps=40):
-    """Coordinate descent with exact 1-D ternary-search minimization.
+def prox_oracle(cases, sweeps=40):
+    """Coordinate descent with exact 1-D ternary-search minimization, on a
+    batch of ``(kind, mu, groups, v, step)`` cases at once (numpy over the cases).
 
     Multi-started (at v, v/2, and 0) because the Euclidean-norm terms are
-    non-smooth at a zero group; the best start wins.  Returns (z, objective).
+    non-smooth at a zero group; the best start wins, and zero if it is lower
+    still.  A case's descent stops at the first sweep that moves no coordinate
+    by 1e-10 of its search radius.  Returns ``(z, objective)``: ``z`` has one
+    row per case, zero past the case's length.
     """
-    n = len(v)
-    radius = max(max(abs(x) for x in v), 1.0) * 2.0 + step
+    size = np.array([len(case[3]) for case in cases])
+    width, B = int(size.max()), len(cases)
+    V, member, weights = np.zeros((B, width)), np.zeros((B, width, width)), np.zeros((B, 3))
+    for row, (kind, mu, groups, v, _) in enumerate(cases):
+        V[row, :len(v)] = v
+        if kind in ("l1", "l2sq", "en"):  # no groups: a*||z||_1 + b*||z||^2, as in penalty_ref
+            groups = [range(len(v))]
+            weights[row] = {"l1": (1.0, 0.0, 0.0), "l2sq": (0.0, 1.0, 0.0), "en": (mu, 1 - mu, 0.0)}[kind]
+        else:  # sum over groups of (1 - mu)*||z_g||_1 + mu*||z_g||_2
+            weights[row] = (1 - mu, 0.0, mu)
+        for g, idx in enumerate(groups):
+            member[row, g, list(idx)] = 1.0
+    steps = np.array([case[4] for case in cases], dtype=float)
+    # the three starts of case r are rows r, B + r and 2B + r
+    V, member, weights, steps, size = (np.concatenate([x] * 3) for x in (V, member, weights, steps, size))
+    radius = np.maximum(np.abs(V).max(axis=1), 1.0) * 2.0 + steps
 
-    def solve_from(z0):
-        z = list(z0)
-        for _ in range(sweeps):
-            moved = 0.0
-            for i in range(n):
-                def slice_obj(t, i=i):
-                    old = z[i]
-                    z[i] = t
-                    val = prox_objective(kind, mu, groups, z, v, step)
-                    z[i] = old
-                    return val
+    def objective(z, rows):
+        a, b, c = weights[rows].T
+        penalty = (a * np.einsum("rgd,rd->r", member[rows], np.abs(z)) + b * (z * z).sum(axis=1)
+                   + c * np.sqrt(np.einsum("rgd,rd->rg", member[rows], z * z)).sum(axis=1))
+        return steps[rows] * penalty + 0.5 * ((z - V[rows]) ** 2).sum(axis=1)
 
-                t_star = _ternary_min(slice_obj, -radius, radius)
-                if slice_obj(0.0) <= slice_obj(t_star):
-                    t_star = 0.0
-                moved = max(moved, abs(t_star - z[i]))
-                z[i] = t_star
-            if moved < 1e-10 * radius:
-                break
-        return z, prox_objective(kind, mu, groups, z, v, step)
+    z = np.concatenate([V[:B], 0.5 * V[:B], 0.0 * V[:B]])
+    active = np.ones(3 * B, bool)
+    for _ in range(sweeps):
+        moved = np.zeros(3 * B)
+        for i in range(width):
+            rows = np.flatnonzero(active & (i < size))
 
-    best = None
-    for z0 in (list(v), [0.5 * x for x in v], [0.0] * n):
-        z, obj = solve_from(z0)
-        if best is None or obj < best[1]:
-            best = (z, obj)
-    zero_obj = prox_objective(kind, mu, groups, [0.0] * n, v, step)
-    if zero_obj < best[1]:
-        best = ([0.0] * n, zero_obj)
-    return best
+            def slice_obj(t, rows=rows, i=i):
+                w = z[rows]
+                w[:, i] = t
+                return objective(w, rows)
+
+            t_star = _ternary_min(slice_obj, -radius[rows], radius[rows])
+            t_star[slice_obj(0.0) <= slice_obj(t_star)] = 0.0
+            moved[rows] = np.maximum(moved[rows], np.abs(t_star - z[rows, i]))
+            z[rows, i] = t_star
+        active &= moved >= 1e-10 * radius
+        if not active.any():
+            break
+
+    obj = objective(z, np.arange(3 * B)).reshape(3, B)
+    best = np.argmin(obj, axis=0)  # the first start of the lowest objective
+    z, obj = z.reshape(3, B, width)[best, np.arange(B)], obj[best, np.arange(B)]
+    zero_obj = np.array([prox_objective(kind, mu, groups, [0.0] * len(v), v, step)
+                         for kind, mu, groups, v, step in cases])
+    zero = zero_obj < obj
+    z[zero], obj[zero] = 0.0, zero_obj[zero]
+    return z, obj
 
 
 def sparsity_index_ref(x, k, norm):
@@ -107,7 +129,7 @@ def scalar_lasso_scan(y_i, lam, span=20.0, points=2_000_001):
 
     lo, hi = -span, span
     mid = _ternary_min(f, lo, hi, iters=200)
-    return 0.0 if f(0.0) <= f(mid) else mid
+    return 0.0 if f(0.0) <= f(mid) else float(mid)
 
 
 def rip_ref(A, k):

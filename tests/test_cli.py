@@ -355,6 +355,14 @@ class TestMatrixCommand:
         assert code == EXIT_INPUT and captured.out == "" and not out.exists()
         assert captured.err.startswith("error: ") and shown in captured.err
 
+    def test_a_large_degree_the_size_cap_admits_is_built(self, capsys, tmp_path):
+        # once an OverflowError traceback from the digit loop, 5**i for i up to r
+        out = tmp_path / "m.csv"
+        code, env = run_cli(capsys, "matrix", "devore", "--p", "5", "--r", "100000", "--n", "10",
+                            "--matrix-out", str(out))
+        assert code == EXIT_OK and env["outputs"]["shape"] == [25, 10]
+        np.testing.assert_array_equal(fileio.read_matrix_csv(out), devore_matrix(DeVoreParams(5, 1, 10)))
+
     @pytest.mark.parametrize("flag", ["--n-truncate", "--n"])
     def test_zero_columns_is_an_input_error(self, capsys, tmp_path, flag):
         # an explicit 0 once read as "not given" and wrote all 27 columns

@@ -122,6 +122,12 @@ class TestDeVoreMatrix:
         # an order-1 rip term is 0 whatever r/delta is: the dimension term alone sets the prime
         assert devore_min_prime(1.0, 1, 1e-5, 100, 2) == 5
 
+    @pytest.mark.parametrize("r", [100_000, 10**12])
+    def test_a_large_degree_builds_from_the_digits_its_columns_have(self, r):
+        # the first 10 polynomials have no coefficient above x^1, so the matrix is r = 1's; the digit
+        # loop once formed 5**i for every i up to r and overflowed int64
+        np.testing.assert_array_equal(devore_matrix(DeVoreParams(5, r, 10)), devore_matrix(DeVoreParams(5, 1, 10)))
+
     def test_p2_r1_hand_enumeration(self):
         # polynomials over the two-element field, constant coefficient fastest:
         # 0, 1, x, x+1; rows are (x, y) pairs in row-major order

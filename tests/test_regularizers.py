@@ -202,9 +202,9 @@ class TestProx:
         out = prox(CLOT_HALF, np.array(v), 1.0)
         # threshold then Euclidean shrink
         np.testing.assert_allclose(out, [2.2093809, 3.0931333], atol=1e-6)
-        _, obj_star = prox_oracle("clot", 0.5, [[0, 1]], v, 1.0)
+        _, obj_star = prox_oracle([("clot", 0.5, [[0, 1]], v, 1.0)])
         obj = prox_objective("clot", 0.5, [[0, 1]], out.tolist(), v, 1.0)
-        assert abs(obj - obj_star) <= 1e-6
+        assert abs(obj - obj_star[0]) <= 1e-6
 
     @pytest.mark.parametrize("spec", [
         RegularizerSpec.lasso(), RegularizerSpec.ridge(), RegularizerSpec.elastic_net(0.4),
@@ -365,8 +365,9 @@ class TestGaugeAtZero:
     """With both an l1 and a group term the gauge is solved in closed form per group;
     the bisection it replaced is kept here as its reference."""
 
-    def test_matches_bisection_on_random_draws(self):
-        rng = np.random.default_rng(2016)
+    @pytest.mark.parametrize("seed", [2016, 0, 1])  # seeds 0 and 1 hold near-tie SGL draws that cancellation broke
+    def test_matches_bisection_on_random_draws(self, seed):
+        rng = np.random.default_rng(seed)
         cases = []
         for draw in range(2000):
             n = int(rng.integers(1, 41))
@@ -400,7 +401,8 @@ class TestGaugeAtZero:
          np.array([0.0, 1.0, 0.0, 0.0, -2.0, 0.0, 0.5]), None),  # an all-zero group beside a nonzero one
         (RegularizerSpec.clot(1e-12), np.array([1.0, -1.0, 1.0 - 1e-13, 0.3, 4e-3]), None),
         (RegularizerSpec.clot(1.0 - 1e-12), np.array([1.0, -1e-6, 3.0, 0.0, 2e3]), None),
-    ], ids=["one_nonzero", "ties", "zero_group", "mu_near_0", "mu_near_1"])
+        (RegularizerSpec.clot(1e-170), np.array([1.0, -0.5, 0.2]), 1.0),  # (c/a)^2 underflows; the largest is on
+    ], ids=["one_nonzero", "ties", "zero_group", "mu_near_0", "mu_near_1", "mu_squared_underflows"])
     def test_edge_cases(self, spec, v, exact):
         gauge = penalty_gauge_at_zero(spec, v)
         assert gauge == pytest.approx(gauges_by_bisection([(spec, v)])[0], rel=1e-12, abs=0)
@@ -408,6 +410,30 @@ class TestGaugeAtZero:
             assert gauge == pytest.approx(exact, rel=1e-14, abs=0)
         if spec.partition is not None:  # the zero group adds nothing: the gauge is the other group's
             assert gauge == pytest.approx(penalty_gauge_at_zero(RegularizerSpec.clot(spec.mu), v), rel=1e-15)
+
+    @pytest.mark.parametrize("case", ["three_dominant", "sgl_blocks", "split_near_ties", "all_equal"])
+    def test_wide_vectors_match_bisection(self, case):
+        # 100,000 entries, where only those above a*max|v|/(a + c) are sorted
+        n, rng = 100_000, np.random.default_rng(46)
+        v = rng.choice([-1.0, 1.0], n) * rng.uniform(0.0, 1.0, n)
+        if case == "three_dominant":
+            v[[7, 40_000, 99_999]] = (50.0, -49.0, 48.5)
+            spec = RegularizerSpec.clot(0.3)
+        elif case == "sgl_blocks":  # most blocks hold no entry above the bound
+            v[rng.choice(n, 30, replace=False)] *= 3.0
+            spec = RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([10] * (n // 10)))
+        elif case == "split_near_ties":  # a cluster within 1e-13..1e-7 of the largest, over both halves
+            near = rng.choice(n, 40, replace=False)
+            v[near] = np.sign(v[near]) * (1.0 - 10.0 ** rng.uniform(-13, -7, 40))
+            v[3] = 1.0
+            spec = RegularizerSpec.sparse_group_lasso(1e-9, Partition.contiguous([n // 2, n // 2]))
+        else:  # nothing is screened out: every entry is on
+            v = np.full(n, -2.5)
+            spec = RegularizerSpec.clot(0.3)
+        gauge = penalty_gauge_at_zero(spec, v)
+        assert gauge == pytest.approx(gauges_by_bisection([(spec, v)])[0], rel=1e-12, abs=0)
+        if case == "all_equal":
+            assert gauge == pytest.approx(2.5 / (0.7 + 0.3 / math.sqrt(n)), rel=1e-14, abs=0)
 
     def test_partition_size_is_checked(self):
         spec, v = RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([2, 2])), np.array([3.0, -1.0, 0.5])
