@@ -239,7 +239,7 @@ class _StepSearchExhausted(ArithmeticError):
 
 def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     """Active-set Newton on ``loss_w*||Ax - y||^2 + pen_w*R(x)`` from ``x``,
-    whose half-gradient is ``hx``.
+    whose half-gradient is ``hx``; the larger weight lies in [1, 2).
 
     The certificate at ``tol`` is checked before each round, and each round
     costs one gradient evaluation, at its end.  While the support S is not
@@ -272,8 +272,7 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 return x, hx, kkt, None if kkt <= tol else "rounds"
             xn, new = x.copy(), ()
             if optimal or not np.count_nonzero(x):
-                m, e = math.frexp(loss_w)  # the step pen_w/(c2*frob2) bit for bit, also where c2*frob2 overflows
-                w = prox(spec, x - hx / ws.frob2, np.ldexp(pen_w / (2.0 * m * ws.frob2), -e))
+                w = prox(spec, x - hx / ws.frob2, pen_w / (c2 * ws.frob2))
                 new = ((x == 0.0) & (w != 0.0)).nonzero()[0]
                 if new.size > 1:  # a coordinate's own step, or with a = 0, where whole groups enter, its group's
                     mag = abs(w[new]) if a or not c else np.take(group_norms(w, spec.partition), labels[new])
@@ -335,8 +334,8 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
 
 
 def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx, stats):
-    """FISTA on ``loss_w*||Ax - y||^2 + pen_w*R(x)`` from ``x``; returns
-    ``(x, iterations, kkt, converged)``.
+    """FISTA on ``loss_w*||Ax - y||^2 + pen_w*R(x)`` from ``x``, the larger
+    weight in [1, 2); returns ``(x, iterations, kkt, converged)``.
 
     The half-gradient ``h = A^T(Ax - y)`` (``hx`` at ``x``) is carried next to
     each point.  It is affine, so the extrapolated point's ``h`` is the same
@@ -346,8 +345,7 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
     (or the start), :func:`_route` runs from the iterate; a certified point
     ends the solve, and on a give-up FISTA goes on from its own iterate.
     """
-    c = 2.0 * loss_w  # gradient of the smooth part = c * h
-    m, e = math.frexp(loss_w)  # the step 1/(c*L) enters as hz/L and pen_w/(c*L), also where c*L overflows
+    c = 2.0 * loss_w  # gradient of the smooth part = c * h; the step 1/(c*L) enters as hz/L and pen_w/(c*L)
 
     def descend(z, hz):
         """Prox-gradient step from z to w; returns ``(w, h_w, u)``, ``u`` the step's
@@ -358,7 +356,7 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
             if doubling:
                 ws.curv *= 2.0
                 stats["backtracks"] += 1
-            w = prox(spec, z - hz / ws.curv, np.ldexp(pen_w / (2.0 * m * ws.curv), -e))
+            w = prox(spec, z - hz / ws.curv, pen_w / (c * ws.curv))
             hw = ws.half_grad(w)
             stats["grad_evals"] += 1
             d = w - z
@@ -423,18 +421,16 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     """Solve the multiplier form of the program given by ``problem.form``,
     starting from ``x0`` (zero by default; else a finite vector of length n).
 
-    The active-set route (:func:`_route`) runs first, and FISTA only when it
-    gives up.  Either way ``kkt_residual`` comes from the same subgradient
-    check at the same tolerance; non-convergence sets ``converged=False``
-    instead of raising.  ``info`` counts the route's ``route_rounds`` (one
-    gradient evaluation each) and ``route_solves`` (linear solves), and names
-    its ``route_give_up``: None when the route certified the solve, else the
-    reason of its last hand-over, ``"rounds"``, ``"singular"`` or ``"width"``.
-    ``iterations`` counts FISTA's iterations and ``info`` its ``restarts`` and
-    ``backtracks``; ``grad_evals`` counts the gradient evaluations
-    (forward-plus-adjoint pairs) of both, and one at the start only from a
-    nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60
-    halvings.
+    The active-set route (:func:`_route`) runs first, and FISTA only when it gives up, both on the objective
+    over ``2^e``, exactly, with e chosen so that the larger weight lies in [1, 2): the tolerance and the steps
+    stay in the float range at any multiplier.  Either way ``kkt_residual`` comes from the same subgradient
+    check at the same tolerance, times ``2^e``; non-convergence, or a gap past the float range in the caller's
+    units, sets ``converged=False`` instead of raising.  ``info`` counts the route's ``route_rounds`` (one
+    gradient evaluation each) and ``route_solves`` (linear solves), and names its ``route_give_up``: None when
+    the route certified the solve, else the reason of its last hand-over, ``"rounds"``, ``"singular"`` or
+    ``"width"``.  ``iterations`` counts FISTA's iterations and ``info`` its ``restarts`` and ``backtracks``;
+    ``grad_evals`` counts the gradient evaluations (forward-plus-adjoint pairs) of both, and one at the start
+    only from a nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60 halvings.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -447,18 +443,20 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
         raise ValueError(f"x0 must be a finite 1-D vector of length {n}, got shape {x.shape}")
     ws = _ws or _Workspace(problem.A, problem.y, problem._frob2)
     loss_w, pen_w = form.weights
-
-    tol = opts.kkt_tol * max(1.0, 2.0 * loss_w * ws.aty_max)
+    e = math.frexp(max(loss_w, pen_w))[1] - 1  # the objective over 2^e, exactly: the larger weight in [1, 2)
+    lw, pw = math.ldexp(loss_w, -e), math.ldexp(pen_w, -e)
+    tol = opts.kkt_tol * max(2.0**-e, 2.0 * lw * ws.aty_max)
     warm = bool(x.any())  # at zero the half-gradient is -A^T y, which costs no product
     stats = {"restarts": 0, "backtracks": 0, "grad_evals": int(warm), "step_search_exhausted": False,
              "route_rounds": 0, "route_solves": 0, "route_give_up": None}
     hx = ws.half_grad(x) if warm else -ws.aty
-    x, hx, kkt, stats["route_give_up"] = _route(ws, spec, loss_w, pen_w, tol, x, hx, stats)
+    x, hx, kkt, stats["route_give_up"] = _route(ws, spec, lw, pw, tol, x, hx, stats)
     iters, converged = 0, stats["route_give_up"] is None
     if not converged:
-        x, iters, kkt, converged = _fista(ws, spec, loss_w, pen_w, opts, tol, x, hx, stats)
-    r = ws.forward(x) - ws.y
-    return SolveResult(x, loss_w * float(r @ r) + pen_w * penalty_value(spec, x), group_norms(r), iters, kkt, converged,
+        x, iters, kkt, converged = _fista(ws, spec, lw, pw, opts, tol, x, hx, stats)
+    kkt, r = kkt * 2.0**e, ws.forward(x) - ws.y  # the gap in the caller's units; past the float range it is inf
+    return SolveResult(x, loss_w * float(r @ r) + pen_w * penalty_value(spec, x), group_norms(r), iters, kkt,
+                       converged and kkt < math.inf,  # an inf gap certifies nothing
                        {"form": "lagrangian", "lambda": form.lam, "side": form.side, **stats})
 
 
@@ -470,7 +468,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     the zero-solution threshold, ``lam`` grows tenfold per warm-started solve
     until the residual meets the target: ``eps``, or ``1e-9*||y||`` when
     ``eps = 0``.  A penalty with no exact zero solution (ridge) whose first
-    solve is already inside the budget walks ``lam`` down instead.
+    solve is already inside the budget walks ``lam`` down instead.  ``lam`` is
+    capped at the largest float, and a stage there that misses the target ends the walk.
 
     ``eps > 0``: an Illinois-safeguarded secant on ``(log lam, log residual)``
     closes the last bracket and stops once the residual is within
@@ -541,8 +540,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     ws = _Workspace(A, y, problem._frob2)
     gauge = penalty_gauge_at_zero(spec, ws.aty)
     exact_zero = np.isfinite(gauge) and gauge > 0
-    lam0 = 1.0 / (2.0 * gauge) if exact_zero else \
-        1.0 / (2.0 * max(ws.aty_max, 1e-12))
+    lam0 = min(0.5 / (gauge if exact_zero else max(ws.aty_max, 1e-12)), float(np.finfo(float).max))
     target = eps if eps > 0 else 1e-9 * ynorm  # relative, so eps = 0 is scale-equivariant
     inner_opts = replace(opts, kkt_tol=opts.kkt_tol * eps / ynorm) if eps > 0 else \
         replace(opts, max_iters=min(opts.max_iters, _STAGE_ITERS))
@@ -583,7 +581,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     k, step, r_prev = 0, 1, ynorm
     for _ in range(_MAX_STAGES):
         k += step
-        lam = lam0 * 10.0**k
+        lam = min(lam0 * 10.0**k, float(np.finfo(float).max))  # Lagrangian refuses an infinite multiplier
         res = solve_at(lam, None if res is None else res.x_hat)
         if hi is None and res.residual_l2 > r_prev * (1.0 - opts.feas_tol):
             check_feasible(res.residual_l2)  # the residual stopped falling short of the budget
@@ -597,7 +595,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
             step = -1  # no exact zero solution below: walk down to bracket the budget
         else:
             lo = (lam, res.residual_l2)
-            if hi is not None:
+            if hi is not None or lam == np.finfo(float).max:  # no larger multiplier to try
                 break
 
     def settled(r):
@@ -606,7 +604,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     if eps > 0 and lo is not None and hi is not None and not settled(hi[1]):
         # Illinois secant on f(t) = log(residual / eps), t = log(lam)
         t_lo, f_lo = math.log(lo[0]), math.log(lo[1] / eps)
-        t_hi, f_hi = math.log(hi[0]), math.log(max(hi[1], 1e-300) / eps)
+        t_hi, f_hi = math.log(hi[0]), math.log(max(hi[1] / eps, 1e-300))
         side = 0
         for _ in range(_MAX_STAGES):
             t = t_hi - f_hi * (t_hi - t_lo) / (f_hi - f_lo)
@@ -614,7 +612,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
             if settled(res.residual_l2):
                 best = res
                 break
-            f = math.log(max(res.residual_l2, 1e-300) / eps)
+            f = math.log(max(res.residual_l2 / eps, 1e-300))
             if f < 0:
                 t_hi, f_hi, best = t, f, res
                 if side == 1:

@@ -178,6 +178,39 @@ class TestSolveCommand:
         # 2*||y - x||^2 + ||x||_1 soft-thresholds y at 1/4; the penalty side would at 1
         np.testing.assert_allclose(expected, [0.75, 0.0, 0.0], atol=1e-8)
 
+    def test_loss_side_lambda_at_the_top_of_the_float_range(self, capsys, tmp_path):
+        # the certificate's tolerance, kkt_tol*2*lam*||A^T y||_inf in the caller's units, is past the float range
+        # at lam = 1e308: the solve checks it on its objective over 2^e, e the exponent of lam
+        A, x = fixture_matrix("gaussian", 30, 60, seed=0), np.zeros(60)
+        x[[3, 17, 40]] = (1.0, -2.0, 0.5)
+        fileio.write_matrix_csv(tmp_path / "A.csv", A)
+        fileio.write_vector_csv(tmp_path / "y.csv", A @ x)
+        x_hat = {}
+        for lam in ("1e300", "1e308"):
+            code, env = run_cli(capsys, "solve", "--reg", "lasso", "--lambda", lam, "--lambda-side", "loss",
+                                "-A", str(tmp_path / "A.csv"), "-y", str(tmp_path / "y.csv"))
+            out = env["outputs"]
+            assert code == EXIT_OK and out["converged"] and out["kkt_residual"] is not None, (lam, out)
+            x_hat[lam] = np.array(out["x_hat"])
+        assert np.max(np.abs(x_hat["1e308"] - x_hat["1e300"])) <= 1e-12 * np.max(np.abs(x_hat["1e300"]))
+        assert np.max(np.abs(x_hat["1e308"] - x)) <= 1e-12 * 2.0
+
+    @pytest.mark.parametrize("scale, expected", [("1e-308", EXIT_OK), ("1e-309", EXIT_NOCONV), ("1e-310", EXIT_NOCONV)])
+    def test_elastic_net_at_the_bottom_of_the_float_range(self, capsys, tmp_path, scale, expected):
+        # EN is not homogeneous, so y keeps its scale: at 1e-308 the first multiplier, 1.7e308, certifies the
+        # truth; below it the multiplier that would move EN off zero is past the float range, and the walk
+        # stops at the largest float, unconverged
+        A, x = fixture_matrix("gaussian", 30, 60, seed=0), np.zeros(60)
+        x[[3, 17, 40]] = (1.0, -2.0, 0.5)
+        fileio.write_matrix_csv(tmp_path / "A.csv", A)
+        fileio.write_vector_csv(tmp_path / "y.csv", A @ (float(scale) * x))
+        code, env = run_cli(capsys, "solve", "--reg", "en", "--mu", "0.8", "--eps", "0",
+                            "-A", str(tmp_path / "A.csv"), "-y", str(tmp_path / "y.csv"))
+        out = env["outputs"]
+        assert code == expected and out["converged"] == out["info"]["certified"] == (expected == EXIT_OK), out
+        if expected == EXIT_OK:
+            assert np.max(np.abs(np.array(out["x_hat"]) / float(scale) - x)) <= 1e-12 * 2.0
+
     @pytest.mark.parametrize("text", ['[[0, "x"], [2]]', '{"a": 1}', '[[0, 1], 2]'])
     def test_malformed_groups_file_is_an_input_error(self, capsys, io_dir, tmp_path, text):
         groups = tmp_path / "groups.json"

@@ -10,7 +10,8 @@ from clotkit import experiments
 from clotkit.grouping import preprocess
 from clotkit.kkt import kkt_residual
 from clotkit.matrices import DeVoreParams, devore_matrix, fixture_matrix
-from clotkit.regularizers import Partition, RegularizerSpec, penalty_gauge_at_zero, penalty_value, subdiff_distance
+from clotkit.regularizers import (Partition, RegularizerSpec, group_norms, penalty_gauge_at_zero, penalty_value,
+                                  subdiff_distance)
 from clotkit import solvers
 from clotkit.solvers import (
     Constrained,
@@ -649,14 +650,15 @@ class TestNewtonFinish:
             events.clear()
             res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, x0=warm)
             warm = res.x_hat
-            assert res.converged and events[0] == "route" and events[1][1] > tol
+            scaled = tol * 2.0**-(math.frexp(max(1.0, lam))[1] - 1)  # the spied gaps are of the objective over 2^e
+            assert res.converged and events[0] == "route" and events[1][1] > scaled
             # the start's check is the route's first; the check after each later entry
             # is the route's own, of FISTA's point
             checks = [1] + [k for k in range(2, len(events)) if "route" not in (events[k], events[k - 1])]
             for prev, k in zip(checks, checks[1:]):
                 (held, _), (signs, gap) = events[prev], events[k]
                 entered = k + 1 < len(events) and events[k + 1] == "route"
-                assert entered == (gap > tol and np.array_equal(signs, held))
+                assert entered == (gap > scaled and np.array_equal(signs, held))
                 entries += entered
         assert entries >= 1
         # a nudged solution fails at the start and passes at FISTA's first check
@@ -908,11 +910,17 @@ class TestConstrained:
                 assert err <= 1e-6, (spec.label(), c, err)
 
     @staticmethod
-    def float_range_instance():
-        A = np.random.default_rng(0).standard_normal((30, 60))
+    def float_range_truth(kind="raw"):
         x = np.zeros(60)
-        x[[3, 17, 40]] = (1.0, -2.0, 0.5)
-        return A, A @ x
+        x[[3, 17, 40]] = (1.5, -2.0, 0.7) if kind == "sqrt30" else (1.0, -2.0, 0.5)
+        return x
+
+    @classmethod
+    def float_range_instance(cls, kind="raw"):
+        # default_rng(0)'s 30x60 Gaussian as drawn ("raw"), over sqrt(30) ("sqrt30"), or with unit columns ("unit")
+        A = np.random.default_rng(0).standard_normal((30, 60))
+        A = A / np.sqrt(30.0) if kind == "sqrt30" else A / np.linalg.norm(A, axis=0) if kind == "unit" else A
+        return A, A @ cls.float_range_truth(kind)
 
     @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.clot(0.2),
                                       RegularizerSpec.sparse_group_lasso(0.2, Partition.contiguous([20] * 3)),
@@ -993,6 +1001,25 @@ class TestConstrained:
             err = np.max(np.abs(res.x_hat / s - base.x_hat)) / np.max(np.abs(base.x_hat))
             assert err <= 1e-12, (s, err)
 
+    @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.elastic_net(0.8),
+                                      RegularizerSpec.clot(0.2)], ids=lambda spec: spec.label())
+    def test_loss_side_multiplier_at_the_top_of_the_float_range(self, spec):
+        # lam*||y - Az||^2 + R(z) is solved over 2^e, e the exponent of lam: in the caller's units its tolerance,
+        # kkt_tol*2*lam*||A^T y||_inf, is past the float range there, and any point would pass it
+        A, y = self.float_range_instance("sqrt30")
+        base = solve_lagrangian(Problem(A, y, Lagrangian(1e300, "loss")), spec)
+        assert base.converged and np.any(base.x_hat)
+        for lam in (5e307, 1e308, np.finfo(float).max):
+            res = solve_lagrangian(Problem(A, y, Lagrangian(lam, "loss")), spec)
+            assert res.converged and np.isfinite(res.kkt_residual), (lam, res.kkt_residual, res.info)
+            err = np.max(np.abs(res.x_hat - base.x_hat)) / np.max(np.abs(base.x_hat))
+            assert err <= 1e-12, (lam, err)
+        # on 1e150*y the gap itself is past the float range in the caller's units: the answer is found, and
+        # reported as not converged
+        res = solve_lagrangian(Problem(A, 1e150 * y, Lagrangian(1e300, "loss")), spec)
+        assert not res.converged and res.kkt_residual == math.inf
+        assert np.max(np.abs(res.x_hat / 1e150 - base.x_hat)) <= 1e-12 * np.max(np.abs(base.x_hat))
+
     def test_certified_start_takes_no_prox_step(self):
         # a loss weight near the bottom of the float range certifies zero at the first check; the
         # prox step 1/(2*lam*||A||_F^2), past the float range there, is never taken
@@ -1000,16 +1027,36 @@ class TestConstrained:
         res = solve_lagrangian(Problem(A, y, Lagrangian(1e-320, side="loss")), RegularizerSpec.elastic_net(0.8))
         assert res.converged and res.info["route_rounds"] == 0 and not np.any(res.x_hat)
 
-    @pytest.mark.parametrize("scale", [1e-306, 1e-307, 1e-308, 1e-309])
-    def test_elastic_net_near_the_bottom_of_the_float_range(self, scale):
-        # the first stage's multiplier is 6e304 to 6e307 there; at the last two the route hands over
-        # to FISTA, and neither prox step overflows
-        A, y = self.float_range_instance()
+    @pytest.mark.parametrize("kind, scale", [("raw", 1e-306), ("raw", 1e-307), ("raw", 1e-308), ("raw", 1e-309),
+                                             ("unit", 1e-308), ("sqrt30", 1e-308)],
+                             ids=["1e-306", "1e-307", "1e-308", "1e-309", "unit-1e-308", "sqrt30-1e-308"])
+    def test_elastic_net_near_the_bottom_of_the_float_range(self, kind, scale):
+        # the first stage's multiplier is 6e304 to 6e307 on the raw instance, and 1.5e308 to 1.8e308 on the other
+        # two, where twice it overflows; the solve scales its objective so that the larger weight is in [1, 2)
+        A, y = self.float_range_instance(kind)
         res = solve_constrained(Problem(A, scale * y, Constrained(0.0)), RegularizerSpec.elastic_net(0.8))
         assert res.converged and res.info["certified"] and res.info["inner_solves"] == 1
-        truth = np.zeros(60)
-        truth[[3, 17, 40]] = (1.0, -2.0, 0.5)
-        assert np.max(np.abs(res.x_hat / scale - truth)) <= 1e-12 * 2.0
+        assert np.max(np.abs(res.x_hat / scale - self.float_range_truth(kind))) <= 1e-12 * 2.0
+
+    @pytest.mark.parametrize("kind, scale", [("unit", 1e-309), ("unit", 1e-310), ("sqrt30", 1e-309),
+                                             ("sqrt30", 1e-310), ("raw", 1e-310)])
+    def test_elastic_net_whose_multiplier_leaves_the_float_range(self, kind, scale):
+        # the multiplier that would move EN off zero is past the float range: the walk's first stage is at the
+        # largest float, and misses the target there
+        A, y = self.float_range_instance(kind)
+        res = solve_constrained(Problem(A, scale * y, Constrained(0.0)), RegularizerSpec.elastic_net(0.8))
+        assert not res.converged and not res.info["certified"] and res.info["inner_solves"] == 1
+        assert res.info["stages"][0][0] == np.finfo(float).max
+
+    @pytest.mark.parametrize("kind", ["raw", "unit", "sqrt30"])
+    def test_elastic_net_budget_near_the_bottom_of_the_float_range(self, kind):
+        # the secant reads the residual relative to eps, which stays in range where both are below 1e-300
+        A, y = self.float_range_instance(kind)
+        y = 1e-309 * y
+        eps = 0.05 * group_norms(y)
+        res = solve_constrained(Problem(A, y, Constrained(eps)), RegularizerSpec.elastic_net(0.8))
+        assert res.residual_l2 <= group_norms(y)
+        assert not res.converged or abs(res.residual_l2 - eps) <= 1e-6 * eps
 
     def test_feasibility_with_positive_eps(self, rng):
         A, x, y = small_instance(rng, noise=0.3)
