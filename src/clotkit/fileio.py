@@ -5,10 +5,11 @@ point, scientific notation accepted; vectors are single-column CSVs.  The
 sparse triplet format starts with a header line ``m n nnz`` followed by one
 ``row col value`` line per structural nonzero, no ``(row, col)`` twice.
 Values are written with 17 significant digits so a write/read round trip
-reproduces every float bit.  Triplet files are written and read by numpy
-passes.  A file the reading pass refuses (any error or warning in it, a wrong
-entry count, an index outside the matrix, a repeated entry) is read again line
-by line, which raises the error naming the line.
+reproduces every float bit.  CSV matrices are read, and triplet files written
+and read, by numpy passes.  A file the reading pass refuses (any error or
+warning in it; for a triplet file also a wrong entry count, an index outside
+the matrix, a repeated entry) is read again line by line, which raises the
+error naming the line.
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ def _lines(path, sep):
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """Read a CSV matrix by one ``np.loadtxt`` pass, warnings as errors (its warning on an empty file
+    among them); a file that pass refuses is read again line by line, which raises the error naming the line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+    except Exception:
+        pass
+    return _read_matrix_csv_by_line(path)
+
+
+def _read_matrix_csv_by_line(path) -> np.ndarray:
     rows = []
     for lineno, _, fields in _lines(path, ","):
         if rows and len(fields) != len(rows[0]):

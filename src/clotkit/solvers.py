@@ -5,8 +5,8 @@ Two problem forms are handled:
 * Lagrangian, either ``||y - Az||^2 + lam*R(z)`` (multiplier on the penalty)
   or ``lam*||y - Az||^2 + R(z)`` (multiplier on the loss), solved first by an
   active-set Newton route: Newton steps on the support with its signs fixed,
-  a coordinate dropped where a step crosses zero, and the zero groups that
-  violate optimality added once the support is optimal, started by one
+  the coordinates a step carries across zero dropped, and the zero groups
+  that violate optimality added once the support is optimal, started by one
   prox-gradient step of length ``1/||A||_F^2``.  The route hands its point
   over after ``_ROUTE_ROUNDS`` (32) rounds, at a singular Hessian, or on a
   support too wide to solve, to accelerated proximal gradient descent
@@ -209,11 +209,8 @@ class _Workspace:
             return v[self.rows] @ self.block
         return self.A.T @ v
 
-    def normal(self, x):
-        return self.adjoint(self.forward(x))
-
     def half_grad(self, x):
-        return self.normal(x) - self.aty
+        return self.adjoint(self.forward(x)) - self.aty
 
     def sub_gram(self, S):
         """``A_S^T A_S``, a symmetric product of the support's columns."""
@@ -248,11 +245,14 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     ``loss_w*||A_S z - y||^2 + pen_w*(a*s^T z + b*||z||^2 + c*sum_g ||z_g||)``,
     one exact step without the group term.  A step on which a coordinate
     crosses zero (with ``a = 0``, a group turns round) stops at the first
-    crossing, drops it and goes on from there.  Once S is optimal, a round
-    first adds the zero coordinates where one prox-gradient step is nonzero
-    (the prox judges each zero group), at that step's values: those within
-    ``_BATCH_FRAC`` of the largest, or all of them once such a batch was
-    dropped whole, and the largest first where S would outgrow its width.
+    crossing and drops, with ``a > 0``, every coordinate it flips (a block
+    exchange, Kim & Park 2010) until one of them re-enters, and from then
+    on only the first crossing (with ``a = 0``, its group).  Once S is
+    optimal, a round first adds the zero coordinates where one prox-gradient
+    step is nonzero (the prox judges each zero group), at that step's
+    values: from a nonzero ``x`` all of them, from zero those within
+    ``_BATCH_FRAC`` of the largest or all once such a batch was dropped
+    whole, and the largest first where S would outgrow its width.
 
     Returns ``(x, hx, kkt, reason)``.  ``reason`` is None when the certificate
     passes, else why the route hands its last point over: ``"rounds"`` after
@@ -264,7 +264,8 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     c2, pc = 2.0 * loss_w, pen_w * c
     labels = np.zeros(ws.n, np.intp) if spec.partition is None else spec.partition.labels
     width = _NEWTON_MAX_SUPPORT if b else min(_NEWTON_MAX_SUPPORT, ws.A.shape[0])
-    optimal, frac = False, _BATCH_FRAC
+    optimal, frac, block = False, 0.0 if np.count_nonzero(x) else _BATCH_FRAC, bool(a)
+    flipped = np.zeros(ws.n, bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for rounds in range(_ROUTE_ROUNDS + 1):
             kkt = subdiff_distance(spec, x, -c2 * hx, pen_w)
@@ -278,6 +279,7 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                     mag = abs(w[new]) if a or not c else np.take(group_norms(w, spec.partition), labels[new])
                     big = mag >= frac * mag.max()
                     new = new[big][np.argsort(-mag[big])[:max(1, width - np.count_nonzero(x))]]
+                block = block and not np.count_nonzero(flipped[new])  # a flipped coordinate re-enters: one at a time
                 xn[new] = w[new]
             # with a = 0 no sign is fixed: S is every coordinate of a nonzero group, or all of them
             S = (xn if a else np.take(group_norms(xn, spec.partition), labels) if c else np.ones(ws.n)).nonzero()[0]
@@ -311,10 +313,14 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 zz, dd = z * (z - d), d * d
                 if not a:
                     zz, dd = np.bincount(lab, zz), np.bincount(lab, dd)
-                if (a or c) and np.count_nonzero(cross := (zz <= 0.0) & (dd > 0.0)):  # drop the first to reach zero
+                if (a or c) and np.count_nonzero(cross := (zz <= 0.0) & (dd > 0.0)):  # stop at the first to reach zero
                     ratio = np.where(cross, (z * d if a else np.bincount(lab, z * d)) / dd, np.inf)
                     j = int(ratio.argmin())
-                    keep = (np.arange(S.size) if a else lab) != j
+                    if block:
+                        flipped[S[cross]] = True
+                    else:  # the first alone, or with a = 0 its group
+                        cross = (np.arange(S.size) if a else lab) == j
+                    keep = ~cross
                     z, S, lab, lin = (z - ratio[j] * d)[keep], S[keep], lab[keep], lin[keep]
                     quad = quad[keep][:, keep]
                     continue
@@ -430,7 +436,8 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     the route certified the solve, else the reason of its last hand-over, ``"rounds"``, ``"singular"`` or
     ``"width"``.  ``iterations`` counts FISTA's iterations and ``info`` its ``restarts`` and ``backtracks``;
     ``grad_evals`` counts the gradient evaluations (forward-plus-adjoint pairs) of both, and one at the start
-    only from a nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60 halvings.
+    only from a nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60 halvings.  A multiplier at which the
+    route's or FISTA's first prox threshold rounds to 0, so that no coordinate could move, is refused.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -445,6 +452,8 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     loss_w, pen_w = form.weights
     e = math.frexp(max(loss_w, pen_w))[1] - 1  # the objective over 2^e, exactly: the larger weight in [1, 2)
     lw, pw = math.ldexp(loss_w, -e), math.ldexp(pen_w, -e)
+    if not pw / (2.0 * lw * max(ws.frob2, ws.curv)) > 0.0:  # the route's and FISTA's prox thresholds at their steps
+        raise ValueError(f"lam={form.lam!r} rounds the prox threshold of this problem to 0")
     tol = opts.kkt_tol * max(2.0**-e, 2.0 * lw * ws.aty_max)
     warm = bool(x.any())  # at zero the half-gradient is -A^T y, which costs no product
     stats = {"restarts": 0, "backtracks": 0, "grad_evals": int(warm), "step_search_exhausted": False,

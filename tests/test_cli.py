@@ -195,6 +195,16 @@ class TestSolveCommand:
         assert np.max(np.abs(x_hat["1e308"] - x_hat["1e300"])) <= 1e-12 * np.max(np.abs(x_hat["1e300"]))
         assert np.max(np.abs(x_hat["1e308"] - x)) <= 1e-12 * 2.0
 
+    def test_lambda_whose_prox_threshold_rounds_to_zero_is_an_input_error(self, capsys, tmp_path):
+        A = np.random.default_rng(0).standard_normal((30, 60))
+        fileio.write_matrix_csv(tmp_path / "A.csv", A)
+        fileio.write_vector_csv(tmp_path / "y.csv", A[:, 3])
+        code = main(["solve", "--reg", "lasso", "--lambda", "5e-324",
+                     "-A", str(tmp_path / "A.csv"), "-y", str(tmp_path / "y.csv")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: lam=5e-324 ")
+
     @pytest.mark.parametrize("scale, expected", [("1e-308", EXIT_OK), ("1e-309", EXIT_NOCONV), ("1e-310", EXIT_NOCONV)])
     def test_elastic_net_at_the_bottom_of_the_float_range(self, capsys, tmp_path, scale, expected):
         # EN is not homogeneous, so y keeps its scale: at 1e-308 the first multiplier, 1.7e308, certifies the

@@ -212,6 +212,8 @@ class TestFileIO:
         write_matrix_csv(path, A)
         back = read_matrix_csv(path)
         np.testing.assert_array_equal(back, A)
+        # the per-line reader that names errors is the reference for the numpy pass
+        np.testing.assert_array_equal(fileio._read_matrix_csv_by_line(path), A)
 
     def test_vector_round_trip(self, tmp_path, rng):
         v = rng.standard_normal(9)
@@ -234,6 +236,16 @@ class TestFileIO:
         with pytest.raises(ValueError, match=r"bad.csv:2: column 2"):
             read_matrix_csv(path)
 
+    def test_csv_error_after_a_blank_line_names_its_line_in_the_file(self, tmp_path):
+        # the numpy pass counts rows, not lines: the line reader it falls back on names the file's line
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0\n\n3.0,oops\n")
+        with pytest.raises(ValueError, match=r"bad.csv:3: column 2: not a number: 'oops'$"):
+            read_matrix_csv(path)
+        path.write_text("1.0,2.0\n\n3.0\n")
+        with pytest.raises(ValueError, match=r"bad.csv:3: expected 2 columns, found 1$"):
+            read_matrix_csv(path)
+
     def test_csv_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1.0,2.0\n3.0\n")
@@ -243,6 +255,8 @@ class TestFileIO:
     def test_csv_blank_lines_and_empty_files(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0\n\n3.0,4.0\n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("1.0,2.0\n \t\n3.0,4.0\n")  # the numpy pass refuses the line; the line reader skips it
         np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
         path.write_text("1.0,2.0,3.0\n")  # a vector may also be one row
         np.testing.assert_array_equal(read_vector_csv(path), [1.0, 2.0, 3.0])

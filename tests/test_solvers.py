@@ -314,8 +314,8 @@ class TestSolveStats:
         for A, y, lam, spec, rounds, x0 in cases:
             monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", rounds)
             ws = workspace(A, y)
-            products, normal = [], ws.normal
-            ws.normal = lambda x: products.append(1) or normal(x)
+            products, half_grad = [], ws.half_grad
+            ws.half_grad = lambda x: products.append(1) or half_grad(x)
             res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT, ws, x0=x0)
             info = res.info
             assert res.converged
@@ -561,11 +561,11 @@ class TestNewtonFinish:
             assert res.info["route_rounds"] <= 2  # turns round is dropped whole, not by coordinates
 
     @pytest.mark.parametrize("spec, work", [
-        (RegularizerSpec.clot(0.3), [(0, 0, 0), (4, 12, 4), (1, 3, 2), (2, 4, 3), (3, 5, 4), (3, 7, 4), (5, 9, 6),
-                                     (4, 11, 5), (3, 8, 4), (4, 9, 5), (2, 6, 3), (3, 6, 4)]),
+        (RegularizerSpec.clot(0.3), [(0, 0, 0), (4, 12, 4), (1, 3, 2), (2, 4, 3), (3, 5, 4), (3, 7, 4), (4, 9, 5),
+                                     (4, 11, 5), (4, 11, 5), (4, 12, 5), (2, 6, 3), (4, 11, 5)]),
         (RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([10] * 4)),
-         [(0, 0, 0), (4, 12, 4), (3, 10, 4), (2, 6, 3), (5, 14, 6), (4, 12, 5), (4, 10, 5), (3, 9, 4), (3, 10, 4),
-          (3, 10, 4), (2, 5, 3), (1, 2, 2)]),
+         [(0, 0, 0), (4, 12, 4), (2, 10, 3), (2, 6, 3), (2, 8, 3), (3, 10, 4), (3, 9, 4), (2, 8, 3), (3, 9, 4),
+          (4, 15, 5), (2, 5, 3), (1, 2, 2)]),
     ], ids=["clot", "sgl"])
     def test_path_work_is_pinned(self, spec, work):
         # (route_rounds, route_solves, grad_evals) per point: a Newton step with a wrong group-term
@@ -589,6 +589,44 @@ class TestNewtonFinish:
         assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
         assert np.all(res.x_hat > 0.0) and res.info["route_rounds"] == 2
         assert kkt_residual(np.eye(4), y, res.x_hat, spec, 2.1) <= cert_tol(np.eye(4), y, TIGHT.kkt_tol)
+
+    def test_warm_start_enters_every_violator_in_one_round(self):
+        # lasso, A = I, lam = 1: from the exact x_0, the zero coordinates' prox steps are (1.5, 0.2, 0.05)/4,
+        # the last two under half the largest; a warm start takes all three in its first entering round
+        y = np.array([3.0, 2.0, 0.7, 0.55])
+        res = solve_lagrangian(Problem(np.eye(4), y, Lagrangian(1.0)), RegularizerSpec.lasso(), TIGHT,
+                               x0=[2.5, 0.0, 0.0, 0.0])
+        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        assert np.allclose(res.x_hat, y - 0.5, rtol=0, atol=1e-12)
+        assert res.info["route_rounds"] == res.info["route_solves"] == 2  # S = {0}, then all four
+
+    def test_one_newton_step_drops_every_coordinate_it_flips(self):
+        # lasso, A = I, lam = 1, from (1, 1, 1): the step to y - 0.5 = (1.5, -0.8, -0.7) flips the last two,
+        # which belong at zero; both go at the first crossing, and one re-solve on S = {0} ends the round
+        y = np.array([2.0, -0.3, -0.2])
+        res = solve_lagrangian(Problem(np.eye(3), y, Lagrangian(1.0)), RegularizerSpec.lasso(), TIGHT,
+                               x0=[1.0, 1.0, 1.0])
+        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        assert res.x_hat.tolist() == [1.5, 0.0, 0.0]
+        assert res.info["route_rounds"] == 1 and res.info["route_solves"] == 2
+
+    def test_near_duplicate_column_path_is_route_certified(self):
+        # a coordinate dropped with a flipped block that re-enters turns the route back to single drops:
+        # without that, the last point of this path cycles past the route's rounds into FISTA
+        rng = np.random.default_rng(12)
+        m = int(rng.integers(15, 61))
+        A = rng.standard_normal((m, 40))
+        A[:, 1] = A[:, 0] + 1e-3 * rng.standard_normal(m)
+        beta = np.zeros(40)
+        beta[rng.choice(40, 5, replace=False)] = 2.0 * rng.standard_normal(5)
+        y = A @ beta + 0.1 * rng.standard_normal(m)
+        spec = RegularizerSpec.lasso()
+        grid = lambda_zero_threshold(spec, A, y) * np.logspace(0, -3, 15)
+        points = solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid)
+        assert all(p.result.converged and p.result.iterations == 0 for p in points)
+        assert sum(p.result.info["route_rounds"] for p in points) <= 40
+        for p in points:
+            assert kkt_residual(A, y, p.result.x_hat, spec, p.lam) <= cert_tol(A, y, SolverOptions().kkt_tol)
 
     @pytest.mark.parametrize("reason", ["rounds", "singular", "width"])
     def test_each_give_up_hands_over_to_fista(self, reason, monkeypatch):
@@ -1026,6 +1064,17 @@ class TestConstrained:
         A, y = self.float_range_instance()
         res = solve_lagrangian(Problem(A, y, Lagrangian(1e-320, side="loss")), RegularizerSpec.elastic_net(0.8))
         assert res.converged and res.info["route_rounds"] == 0 and not np.any(res.x_hat)
+
+    @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.clot(0.2),
+                                      RegularizerSpec.elastic_net(0.8), RegularizerSpec.ridge()],
+                             ids=lambda spec: spec.label())
+    def test_multiplier_whose_prox_threshold_rounds_to_zero_is_refused(self, spec):
+        # at the smallest subnormal the route's first threshold, lam/(2*||A||_F^2), rounds to 0: no coordinate
+        # could move, and the solve names lam instead of failing inside prox; at 1e-320 it is still positive
+        A = np.random.default_rng(0).standard_normal((30, 60))
+        with pytest.raises(ValueError, match=r"^lam=5e-324 "):
+            solve_lagrangian(Problem(A, A[:, 3], Lagrangian(5e-324)), spec)
+        assert solve_lagrangian(Problem(A, A[:, 3], Lagrangian(1e-320)), spec).converged
 
     @pytest.mark.parametrize("kind, scale", [("raw", 1e-306), ("raw", 1e-307), ("raw", 1e-308), ("raw", 1e-309),
                                              ("unit", 1e-308), ("sqrt30", 1e-308)],
