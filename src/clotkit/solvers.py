@@ -28,6 +28,9 @@ Two problem forms are handled:
 Every Lagrangian solve is certified by the penalty family's subgradient
 distance, after every route round and every ``_CHECK_EVERY`` (10) FISTA
 iterations; failure to converge is reported through the result, not raised.
+A solution path starts each point at a secant prediction and the route's entry
+rule there: one gradient evaluation (none at zero) and one prox per answer but
+the last.
 """
 
 from __future__ import annotations
@@ -234,6 +237,23 @@ class _StepSearchExhausted(ArithmeticError):
     pass
 
 
+def _labels_width(ws: _Workspace, spec):  # each coordinate's group, and the widest support the route solves on
+    return (np.zeros(ws.n, np.intp) if spec.partition is None else spec.partition.labels,
+            _NEWTON_MAX_SUPPORT if spec.weights[1] else min(_NEWTON_MAX_SUPPORT, ws.A.shape[0]))
+
+
+def _entering(ws: _Workspace, spec, labels, width, x, hx, threshold, frac):
+    """:func:`_route`'s entering coordinates ``new`` at ``x`` (half-gradient ``hx``) and its step ``w``."""
+    w = prox(spec, x - hx / ws.frob2, threshold)
+    new = ((x == 0.0) & (w != 0.0)).nonzero()[0]
+    if new.size > 1:  # a coordinate's own step, or with a = 0, where whole groups enter, its group's
+        a, _, c = spec.weights
+        mag = abs(w[new]) if a or not c else np.take(group_norms(w, spec.partition), labels[new])
+        big = mag >= frac * mag.max()
+        new = new[big][np.argsort(-mag[big])[:max(1, width - np.count_nonzero(x))]]
+    return new, w
+
+
 def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     """Active-set Newton on ``loss_w*||Ax - y||^2 + pen_w*R(x)`` from ``x``,
     whose half-gradient is ``hx``; the larger weight lies in [1, 2).
@@ -262,8 +282,8 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     """
     a, b, c = spec.weights
     c2, pc = 2.0 * loss_w, pen_w * c
-    labels = np.zeros(ws.n, np.intp) if spec.partition is None else spec.partition.labels
-    width = _NEWTON_MAX_SUPPORT if b else min(_NEWTON_MAX_SUPPORT, ws.A.shape[0])
+    labels, width = _labels_width(ws, spec)
+    one = spec.partition is None or spec.partition.g == 1
     optimal, frac, block = False, 0.0 if np.count_nonzero(x) else _BATCH_FRAC, bool(a)
     flipped = np.zeros(ws.n, bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -273,12 +293,7 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 return x, hx, kkt, None if kkt <= tol else "rounds"
             xn, new = x.copy(), ()
             if optimal or not np.count_nonzero(x):
-                w = prox(spec, x - hx / ws.frob2, pen_w / (c2 * ws.frob2))
-                new = ((x == 0.0) & (w != 0.0)).nonzero()[0]
-                if new.size > 1:  # a coordinate's own step, or with a = 0, where whole groups enter, its group's
-                    mag = abs(w[new]) if a or not c else np.take(group_norms(w, spec.partition), labels[new])
-                    big = mag >= frac * mag.max()
-                    new = new[big][np.argsort(-mag[big])[:max(1, width - np.count_nonzero(x))]]
+                new, w = _entering(ws, spec, labels, width, x, hx, pen_w / (c2 * ws.frob2), frac)
                 block = block and not np.count_nonzero(flipped[new])  # a flipped coordinate re-enters: one at a time
                 xn[new] = w[new]
             # with a = 0 no sign is fixed: S is every coordinate of a nonzero group, or all of them
@@ -287,20 +302,21 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 return x, hx, kkt, "width"
             z, lab = xn[S], labels[S]
             quad = c2 * ws.sub_gram(S)
-            quad.flat[::S.size + 1] += 2.0 * pen_w * b
+            if b:
+                quad.flat[::S.size + 1] += 2.0 * pen_w * b
             lin = c2 * ws.aty[S] - (pen_w * a) * np.sign(z)  # restricted gradient = quad @ z - lin + group term
             optimal, steps = True, 0
             while S.size and steps < (_NEWTON_STEPS if c else 1):
                 grad, hess = quad @ z - lin, quad
                 if c:
-                    norms = np.take(group_norms(z, spec.partition, S), lab)
-                    u = z / norms
+                    norms = group_norms(z, spec.partition, S)  # one norm for one group, which needs no mask
+                    u = z / (norms if one else (norms := np.take(norms, lab)))
                     grad += pc * u
                     if abs(grad).max() <= 0.5 * tol:
                         break
                     hess = np.multiply.outer(u, u / norms)  # made pc*(diag(1/norms) - it), masked to groups
                     hess.flat[::S.size + 1] -= 1.0 / norms
-                    hess *= -pc * (lab[:, None] == lab)
+                    hess *= -pc if one else -pc * (lab[:, None] == lab)
                     hess += quad
                 try:
                     d = np.linalg.solve(hess, grad)
@@ -648,9 +664,10 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
 def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: SolverOptions = None):
     """Solve the Lagrangian program along a strictly monotone multiplier grid.
 
-    Each point is warm-started from the previous one.  A bad grid is refused
-    before the first solve; otherwise every point is returned, and any error
-    a solve raises propagates.
+    Each point starts at :func:`_predict`'s secant and entering set, and the route corrects from there at
+    the usual certificate.  Outside its solves the path takes, per answer but the last, one gradient
+    evaluation (a forward and an adjoint product; none at zero) and one prox.  A bad grid is refused
+    before the first solve; otherwise every point is returned, and any error a solve raises propagates.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -666,14 +683,39 @@ def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: So
         raise ValueError("lambda_grid entries must be positive and finite")
 
     ws = _Workspace(problem.A, problem.y, problem._frob2)
-    points, warm = [], None
-    for lam in grid:
+    forms = [Lagrangian(float(lam), form.side) for lam in grid]
+    points, warm, last = [], None, None
+    for k, point_form in enumerate(forms):
         point = copy.copy(problem)  # validated once, as the caller's problem; only the form differs
-        point.form = Lagrangian(float(lam), form.side)
+        point.form = point_form
         res = solve_lagrangian(point, spec, opts, _ws=ws, x0=warm)
-        warm = res.x_hat
-        points.append(PathPoint(float(lam), res))
+        points.append(PathPoint(point_form.lam, res))
+        if k + 1 < len(forms):
+            here = (point_form, res.x_hat)
+            warm, last = _predict(ws, spec, forms[k + 1], here, last), here
     return points
+
+
+def _predict(ws: _Workspace, spec, nxt: Lagrangian, here, last):
+    """A path's start at ``nxt`` from the answers before it, each ``(form, x)``: the secant through ``last``
+    and ``here`` in penalty over loss weight, on which a lasso path is piecewise linear (Efron et al.
+    2004), or ``here`` alone, zero where it crosses zero; then every violator of the route's entry rule at
+    ``nxt``, on the secant's half-gradient, a strong rule (Tibshirani et al. 2012).  A prediction that is
+    not finite, or a prox threshold that is not positive and finite, leaves the start at ``here``'s x."""
+    (form, x), (loss_w, pen_w) = here, nxt.weights
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xp = x.copy()
+        if last is not None:
+            t0, t1, t2 = (f.weights[1] / f.weights[0] for f in (last[0], form, nxt))
+            xp = x + (t2 - t1) / (t1 - t0) * (x - last[1])
+        gp = ws.half_grad(xp) if xp.any() else -ws.aty  # affine in x: the secant of the answers' half-gradients
+        xp[np.sign(xp) != np.sign(x)] = 0.0
+        threshold = pen_w / (2.0 * loss_w * ws.frob2)
+        if not (np.isfinite(xp - gp / ws.frob2).all() and 0.0 < threshold < math.inf):
+            return x
+    new, w = _entering(ws, spec, *_labels_width(ws, spec), xp, gp, threshold, 0.0)
+    xp[new] = w[new]
+    return xp
 
 
 # ---------------------------------------------------------------------------

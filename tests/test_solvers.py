@@ -561,11 +561,11 @@ class TestNewtonFinish:
             assert res.info["route_rounds"] <= 2  # turns round is dropped whole, not by coordinates
 
     @pytest.mark.parametrize("spec, work", [
-        (RegularizerSpec.clot(0.3), [(0, 0, 0), (4, 12, 4), (1, 3, 2), (2, 4, 3), (3, 5, 4), (3, 7, 4), (4, 9, 5),
-                                     (4, 11, 5), (4, 11, 5), (4, 12, 5), (2, 6, 3), (4, 11, 5)]),
+        (RegularizerSpec.clot(0.3), [(0, 0, 0), (2, 10, 3), (1, 5, 2), (2, 4, 3), (2, 4, 3), (2, 5, 3), (3, 7, 4),
+                                     (2, 5, 3), (3, 7, 4), (2, 3, 3), (2, 6, 3), (1, 2, 2)]),
         (RegularizerSpec.sparse_group_lasso(0.4, Partition.contiguous([10] * 4)),
-         [(0, 0, 0), (4, 12, 4), (2, 10, 3), (2, 6, 3), (2, 8, 3), (3, 10, 4), (3, 9, 4), (2, 8, 3), (3, 9, 4),
-          (4, 15, 5), (2, 5, 3), (1, 2, 2)]),
+         [(0, 0, 0), (2, 12, 3), (1, 7, 2), (1, 4, 2), (1, 6, 2), (1, 4, 2), (2, 6, 3), (2, 7, 3), (2, 6, 3),
+          (2, 6, 3), (1, 2, 2), (1, 2, 2)]),
     ], ids=["clot", "sgl"])
     def test_path_work_is_pinned(self, spec, work):
         # (route_rounds, route_solves, grad_evals) per point: a Newton step with a wrong group-term
@@ -1336,16 +1336,56 @@ class TestSolutionPath:
             solution_path(prob, RegularizerSpec.lasso(), [1.0, -0.5])
 
     def test_warm_equals_cold(self, rng):
-        A, _, y = small_instance(rng, noise=0.2)
-        spec = RegularizerSpec.clot(0.4)
-        lam_max = lambda_zero_threshold(spec, A, y)
-        grid = lam_max * np.logspace(0, -3, 12)
-        prob = Problem(A, y, Lagrangian(1.0))
-        warm = solution_path(prob, spec, grid, TIGHT)
-        for point in warm:
-            cold = solve_lagrangian(Problem(A, y, Lagrangian(point.lam, "penalty")), spec, TIGHT)
-            scale = max(1.0, np.linalg.norm(cold.x_hat))
-            assert np.linalg.norm(point.result.x_hat - cold.x_hat) / scale <= 1e-6
+        # CLOT(0.4) on 12 x 20, then every penalty of the family on 40 x 30, where the route certifies every
+        # solve, each on a decreasing and an increasing penalty-side grid and a loss-side one: each predicted
+        # start, corrected by the route, lands where a solve from zero does
+        small, tall = small_instance(rng, noise=0.2), small_instance(rng, m=40, n=30, noise=0.2)
+        for (A, _, y), spec in [(small, RegularizerSpec.clot(0.4))] + [(tall, spec) for spec in FAMILY]:
+            top = lambda_zero_threshold(spec, A, y) if spec.weights[0] or spec.weights[2] else 1.0  # ridge: no zero
+            for side, grid in (("penalty", top * np.logspace(0, -3, 12)), ("penalty", top * np.logspace(-3, 0, 12)),
+                               ("loss", np.logspace(0, 3, 12) / top)):
+                for point in solution_path(Problem(A, y, Lagrangian(1.0, side)), spec, grid, TIGHT):
+                    cold = solve_lagrangian(Problem(A, y, Lagrangian(point.lam, side)), spec, TIGHT)
+                    assert point.result.converged and cold.converged, (spec.label(), side, point.lam)
+                    scale = max(1.0, np.linalg.norm(cold.x_hat))
+                    assert np.linalg.norm(point.result.x_hat - cold.x_hat) / scale <= 1e-6, (spec.label(), side)
+
+    @pytest.mark.parametrize("side", ["penalty", "loss"])
+    def test_lasso_path_on_one_support_is_predicted_exactly(self, side):
+        # a tall A and a dense truth: on this stretch every coordinate stays nonzero with its sign, so the lasso
+        # answer is affine in lam (in 1/lam on the loss side), and the secant through the two answers before a
+        # point is that point's answer: from the third point on, the start is certified before any round
+        A = fixture_matrix("gaussian", 40, 8, seed=3)
+        beta = np.array([2.0, -1.5, 1.0, 3.0, -2.5, 1.2, -1.0, 2.2])
+        y, spec = A @ beta, RegularizerSpec.lasso()
+        lams = np.array([0.3, 0.25, 0.22, 0.15, 0.1, 0.04, 0.01])  # unevenly spaced
+        grid = lams if side == "penalty" else 1.0 / lams
+        points = solution_path(Problem(A, y, Lagrangian(1.0, side)), spec, grid, TIGHT)
+        for point in points:
+            assert point.result.converged and np.array_equal(np.sign(point.result.x_hat), np.sign(beta))
+            cold = solve_lagrangian(Problem(A, y, Lagrangian(point.lam, side)), spec, TIGHT)
+            assert np.max(np.abs(point.result.x_hat - cold.x_hat)) <= 1e-12 * np.max(np.abs(beta))
+        assert [p.result.info["route_rounds"] for p in points[2:]] == [0] * 5
+        assert all(p.result.info["route_rounds"] for p in points[:2])
+
+    def test_prediction_past_the_float_range_starts_from_the_last_answer(self):
+        # where the next multiplier's prox threshold rounds to 0 no entry is predicted, and the solve
+        # refuses the multiplier with its own message, as it does cold
+        A, _ = TestConstrained.float_range_instance()
+        y, lasso = A[:, 3], RegularizerSpec.lasso()
+        with pytest.raises(ValueError, match="^lam=5e-324 rounds the prox threshold"):
+            solution_path(Problem(A, y, Lagrangian(1.0)), lasso, [1e-320, 5e-324])
+        # loss side on (1e10 A, 1e-300 y): the threshold 1/(2*lam*||A||_F^2) underflows to 0 at every point,
+        # where the solves, on the objective over a power of two, are in range
+        A, y = 1e10 * A, 1e-300 * (A @ TestConstrained.float_range_truth("raw"))
+        for spec in (lasso, RegularizerSpec.clot(0.2), RegularizerSpec.elastic_net(0.8), RegularizerSpec.ridge()):
+            top = lambda_zero_threshold(spec, A, y) if spec.weights[0] else float(np.max(np.abs(A.T @ y)))
+            grid = 1.0 / (top * np.logspace(0, -3, 8))
+            assert all(p.result.converged for p in solution_path(Problem(A, y, Lagrangian(1.0, "loss")), spec, grid))
+        # a secant past the float range is no start: the last answer is
+        ws = workspace(A, y)
+        x = np.full(60, 1e308)
+        assert solvers._predict(ws, lasso, Lagrangian(0.5), (Lagrangian(1.0), x), (Lagrangian(2.0), -x)) is x
 
     def test_zero_start_of_path(self, rng):
         A, _, y = small_instance(rng)
