@@ -80,7 +80,7 @@ def _build_spec(args, n: int):
 def _solver_options(args):
     from .solvers import SolverOptions
 
-    return SolverOptions(**{name: getattr(args, name) for name in ("kkt_tol", "feas_tol", "max_iters")
+    return SolverOptions(**{name: getattr(args, name) for name in ("kkt_tol", "feas_tol")
                             if getattr(args, name) is not None})
 
 
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--x-out", default=None, help="write the estimate as a CSV vector")
     ps.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=None)
     ps.add_argument("--feas-tol", dest="feas_tol", type=float, default=None)
-    ps.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     ps.set_defaults(func=_cmd_solve)
 
     pc = sub.add_parser("certificate", help="recovery-certificate constants")

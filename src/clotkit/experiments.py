@@ -250,7 +250,7 @@ def _draw_linear_model(model: tuple, rng: np.random.Generator) -> dict:
     return out
 
 
-_COMPARISON_OPTS = SolverOptions(kkt_tol=1e-6, max_iters=2500)
+_COMPARISON_OPTS = SolverOptions(kkt_tol=1e-6)
 
 
 def run_comparison(config: ScenarioConfig) -> StudyReport:
@@ -356,7 +356,7 @@ def _trio_spread(beta_row) -> float:
     return float((trio.max() - trio.min()) / trio.mean())
 
 
-_PATH_OPTS = SolverOptions(kkt_tol=1e-10, max_iters=20000)
+_PATH_OPTS = SolverOptions(kkt_tol=1e-10)
 # fixed settings of the grouping and path studies; each report echoes them
 _FIXTURE = {"n_samples": 100, "mu": 0.5, "decades": 4.0}
 

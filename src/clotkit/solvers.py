@@ -4,20 +4,19 @@ Two problem forms are handled:
 
 * Lagrangian, either ``||y - Az||^2 + lam*R(z)`` (multiplier on the penalty)
   or ``lam*||y - Az||^2 + R(z)`` (multiplier on the loss), solved first by an
-  active-set Newton route: Newton steps on the support with its signs fixed,
+  active-set Newton route: Newton steps on the support with its signs fixed
+  (on A's rows for a support wider than A has rows, which needs a ridge term),
   the coordinates a step carries across zero dropped, and the zero groups
   that violate optimality added once the support is optimal, started by one
   prox-gradient step of length ``1/||A||_F^2``.  The route hands its point
   over after ``_ROUTE_ROUNDS`` (32) rounds, at a singular Hessian, or on a
   support too wide to solve, to accelerated proximal gradient descent
-  (FISTA) with a gradient restart and one gradient evaluation (one forward
-  and one adjoint product; on a large A these read only the support's
-  columns and ``Ax``'s nonzero rows) per iteration.  FISTA steps by
-  ``1/L``, L a curvature bound kept per (A, y): it starts at
-  ``||A||_F^2/min(m, n)``, at most the largest squared singular value of A,
-  and doubles while the descent lemma fails.  FISTA runs the route
-  again from its iterate at each failing certificate check whose sign pattern
-  held since the previous one;
+  (FISTA, step ``1/L`` by :class:`_Workspace`'s curvature bound L) with a
+  gradient restart and one gradient evaluation (one forward and one adjoint
+  product; on a large A these read only the support's columns and ``Ax``'s
+  nonzero rows) per iteration.  FISTA runs the route again from its iterate
+  at each failing certificate check whose sign pattern held since the
+  previous one;
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
   search on the loss-side multiplier: a tenfold warm-started walk until the
   residual meets the budget, then a safeguarded secant that closes the last
@@ -123,28 +122,23 @@ class Problem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and iteration limits.
+    """Tolerances.
 
     ``kkt_tol`` is relative: a Lagrangian solve stops once the subgradient
     gap falls below ``kkt_tol * max(1, |gradient at the origin|_inf)``.
     ``feas_tol`` is the relative slack of the noise budget, and for
     ``eps > 0`` also the width of the residual window the multiplier search
-    aims for.  Both must be positive and finite, and ``max_iters`` an integer
-    of at least 1.  The certificate is checked every ``_CHECK_EVERY`` iterations.
+    aims for.  Both must be positive and finite.
     """
 
     kkt_tol: float = 1e-8
     feas_tol: float = 1e-6
-    max_iters: int = 50_000
 
     def __post_init__(self):
         for name in ("kkt_tol", "feas_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        iters = self.max_iters
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {iters!r}")
 
 
 @dataclass
@@ -230,7 +224,7 @@ _CHECK_EVERY = 10  # iterations between certificate checks
 _ROUTE_ROUNDS = 32  # rounds of one active-set route before it hands over to FISTA
 _BATCH_FRAC = 0.5  # violators added together: prox steps within this fraction of the largest
 _NEWTON_STEPS = 8  # Newton steps of one round when the group term curves the objective
-_NEWTON_MAX_SUPPORT = 256  # wider supports, and with b = 0 those wider than A has rows, go to FISTA
+_MAX_ITERS = 50_000  # FISTA's iteration cap
 
 
 class _StepSearchExhausted(ArithmeticError):
@@ -239,7 +233,7 @@ class _StepSearchExhausted(ArithmeticError):
 
 def _labels_width(ws: _Workspace, spec):  # each coordinate's group, and the widest support the route solves on
     return (np.zeros(ws.n, np.intp) if spec.partition is None else spec.partition.labels,
-            _NEWTON_MAX_SUPPORT if spec.weights[1] else min(_NEWTON_MAX_SUPPORT, ws.A.shape[0]))
+            ws.n if spec.weights[1] else ws.A.shape[0])
 
 
 def _entering(ws: _Workspace, spec, labels, width, x, hx, threshold, frac):
@@ -267,18 +261,20 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     crosses zero (with ``a = 0``, a group turns round) stops at the first
     crossing and drops, with ``a > 0``, every coordinate it flips (a block
     exchange, Kim & Park 2010) until one of them re-enters, and from then
-    on only the first crossing (with ``a = 0``, its group).  Once S is
-    optimal, a round first adds the zero coordinates where one prox-gradient
-    step is nonzero (the prox judges each zero group), at that step's
-    values: from a nonzero ``x`` all of them, from zero those within
-    ``_BATCH_FRAC`` of the largest or all once such a batch was dropped
-    whole, and the largest first where S would outgrow its width.
+    on only the first crossing (with ``a = 0``, its group).  An S wider than A
+    has rows needs a ridge term (so ``c = 0``) and steps on A's rows, by
+    Woodbury's push-through form with ``K = c2*A_S A_S^T + 2*pen_w*b*I``,
+    formed once per round and downdated by the columns a crossing drops.  Once
+    S is optimal, a round first adds the zero coordinates where one
+    prox-gradient step is nonzero (the prox judges each zero group), at that
+    step's values: from a nonzero ``x`` all of them, from zero those within
+    ``_BATCH_FRAC`` of the largest or all once such a batch was dropped whole,
+    and the largest first where S would outgrow its width.
 
     Returns ``(x, hx, kkt, reason)``.  ``reason`` is None when the certificate
     passes, else why the route hands its last point over: ``"rounds"`` after
     ``_ROUTE_ROUNDS`` rounds, ``"singular"`` for a singular Hessian, or
-    ``"width"`` for an S wider than ``_NEWTON_MAX_SUPPORT`` or, when ``b = 0``
-    (``A_S^T A_S`` is then singular), than A has rows.
+    ``"width"`` for an S wider than A has rows when ``b = 0``.
     """
     a, b, c = spec.weights
     c2, pc = 2.0 * loss_w, pen_w * c
@@ -301,13 +297,18 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
             if S.size > width:
                 return x, hx, kkt, "width"
             z, lab = xn[S], labels[S]
-            quad = c2 * ws.sub_gram(S)
+            if wide := S.size > ws.A.shape[0]:  # only a ridge term admits it, so c = 0: quad is K, lin holds s
+                h = math.frexp(ws.frob2)[1] // 2  # A_S over 2^h and K over 4^h: no product leaves y's scale
+                A_S, lin, r = np.ldexp(ws.A[:, S], -h), np.sign(z), a / (2.0 * b)
+                quad = c2 * (A_S @ A_S.T)
+            else:
+                h, quad = 0, c2 * ws.sub_gram(S)
+                lin = c2 * ws.aty[S] - (pen_w * a) * np.sign(z)  # restricted gradient = quad @ z - lin + group term
             if b:
-                quad.flat[::S.size + 1] += 2.0 * pen_w * b
-            lin = c2 * ws.aty[S] - (pen_w * a) * np.sign(z)  # restricted gradient = quad @ z - lin + group term
+                quad.flat[::len(quad) + 1] += math.ldexp(2.0 * pen_w * b, -2 * h)
             optimal, steps = True, 0
             while S.size and steps < (_NEWTON_STEPS if c else 1):
-                grad, hess = quad @ z - lin, quad
+                grad, hess = c2 * (ws.y + r * np.ldexp(A_S @ lin, h)) if wide else quad @ z - lin, quad
                 if c:
                     norms = group_norms(z, spec.partition, S)  # one norm for one group, which needs no mask
                     u = z / (norms if one else (norms := np.take(norms, lab)))
@@ -323,6 +324,8 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 except np.linalg.LinAlgError:
                     return x, hx, kkt, "singular"
                 stats["route_solves"] += 1
+                if wide:  # the step lands on A_S^T K^-1 c2*(y + r*A_S s) - r*s
+                    d = z - (np.ldexp(A_S.T @ d, -h) - r * lin)
                 if not np.isfinite(d).all():
                     return x, hx, kkt, "singular"
                 # a coordinate crosses zero, or with a = 0 a group reaches zero where the step turns it round
@@ -338,7 +341,10 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                         cross = (np.arange(S.size) if a else lab) == j
                     keep = ~cross
                     z, S, lab, lin = (z - ratio[j] * d)[keep], S[keep], lab[keep], lin[keep]
-                    quad = quad[keep][:, keep]
+                    if wide:  # K loses the dropped columns
+                        quad, A_S = quad - c2 * ((A_D := A_S[:, cross]) @ A_D.T), A_S[:, keep]
+                    else:
+                        quad = quad[keep][:, keep]
                     continue
                 steps += 1
                 z = z - d
@@ -355,7 +361,7 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
             stats["route_rounds"] += 1
 
 
-def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx, stats):
+def _fista(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     """FISTA on ``loss_w*||Ax - y||^2 + pen_w*R(x)`` from ``x``, the larger
     weight in [1, 2); returns ``(x, iterations, kkt, converged)``.
 
@@ -389,11 +395,9 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
         raise _StepSearchExhausted
 
     z, hz, t = x, hx, 1.0
-    iters, converged = 0, False
-    signs = np.sign(x)
+    converged, signs = False, np.sign(x)
     try:
-        while iters < opts.max_iters:
-            iters += 1
+        for iters in range(1, _MAX_ITERS + 1):
             w, hw, u = descend(z, hz)
             wx = w - x
             if float(u @ wx) < 0.0:
@@ -408,7 +412,7 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
             hz = hw + beta * (hw - hx)
             x, hx, t = w, hw, t_next
 
-            if iters % _CHECK_EVERY == 0 or iters == opts.max_iters:
+            if iters % _CHECK_EVERY == 0 or iters == _MAX_ITERS:
                 kkt = subdiff_distance(spec, x, -c * hx, pen_w)
                 converged = kkt <= tol
                 prev, signs = signs, np.sign(x)
@@ -429,7 +433,6 @@ def _fista(ws: _Workspace, spec, loss_w, pen_w, opts: SolverOptions, tol, x, hx,
 # ---------------------------------------------------------------------------
 
 _MAX_STAGES = 16  # solves of the tenfold walk, and of the secant
-_STAGE_ITERS = 3000  # iteration cap of each eps = 0 solve
 _SUPPORT_REL_TOL = 1e-6  # eps = 0 refit support: |x_i| above this times max|x|
 
 
@@ -450,9 +453,9 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     units, sets ``converged=False`` instead of raising.  ``info`` counts the route's ``route_rounds`` (one
     gradient evaluation each) and ``route_solves`` (linear solves), and names its ``route_give_up``: None when
     the route certified the solve, else the reason of its last hand-over, ``"rounds"``, ``"singular"`` or
-    ``"width"``.  ``iterations`` counts FISTA's iterations and ``info`` its ``restarts`` and ``backtracks``;
-    ``grad_evals`` counts the gradient evaluations (forward-plus-adjoint pairs) of both, and one at the start
-    only from a nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60 halvings.  A multiplier at which the
+    ``"width"`` (no ridge term).  ``iterations`` counts FISTA's iterations, at most 50,000, and ``info`` its
+    ``restarts`` and ``backtracks``; ``grad_evals`` counts the gradient evaluations (forward-plus-adjoint pairs)
+    of both, and one at the start only from a nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60 halvings.  A multiplier at which the
     route's or FISTA's first prox threshold rounds to 0, so that no coordinate could move, is refused.
     """
     opts = opts or SolverOptions()
@@ -478,7 +481,7 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     x, hx, kkt, stats["route_give_up"] = _route(ws, spec, lw, pw, tol, x, hx, stats)
     iters, converged = 0, stats["route_give_up"] is None
     if not converged:
-        x, iters, kkt, converged = _fista(ws, spec, lw, pw, opts, tol, x, hx, stats)
+        x, iters, kkt, converged = _fista(ws, spec, lw, pw, tol, x, hx, stats)
     kkt, r = kkt * 2.0**e, ws.forward(x) - ws.y  # the gap in the caller's units; past the float range it is inf
     return SolveResult(x, loss_w * float(r @ r) + pen_w * penalty_value(spec, x), group_norms(r), iters, kkt,
                        converged and kkt < math.inf,  # an inf gap certifies nothing
@@ -505,9 +508,8 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     solve pins the residual down only to about 1e-7 relative, so a one-sided
     window can be stepped over.  A search that ends outside the window
     reports ``converged=False``.
-    ``eps = 0``: each solve is capped at 3000 iterations.  The walk ends at the
-    first stage whose normal-equation refit z on its :func:`support` S (at most
-    A's row count wide) keeps S, meets the target and passes
+    ``eps = 0``: the walk ends at the first stage whose normal-equation refit z
+    on its :func:`support` S (at most A's row count wide) keeps S, meets the target and passes
     Fuchs's certificate: ``theta = A_S (A_S^T A_S)^{-1} grad R_S(z)`` with
     ``subdiff_distance(spec, z, A^T theta) <= kkt_tol*max(1, |grad R_S|_inf)``.
     That z is returned, with the distance as ``kkt_residual``.  Otherwise the
@@ -567,8 +569,7 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     exact_zero = np.isfinite(gauge) and gauge > 0
     lam0 = min(0.5 / (gauge if exact_zero else max(ws.aty_max, 1e-12)), float(np.finfo(float).max))
     target = eps if eps > 0 else 1e-9 * ynorm  # relative, so eps = 0 is scale-equivariant
-    inner_opts = replace(opts, kkt_tol=opts.kkt_tol * eps / ynorm) if eps > 0 else \
-        replace(opts, max_iters=min(opts.max_iters, _STAGE_ITERS))
+    inner_opts = replace(opts, kkt_tol=opts.kkt_tol * eps / ynorm) if eps > 0 else opts
 
     def certify(x):
         # (refit, residual, dual distance) when certified; the refit solves the normal

@@ -207,7 +207,7 @@ def test_c5_sgl_recovery_bound_over_groups(devore_5_2, g):
 
 def test_c6_grouping_effect_suite():
     with criterion(6, "grouping effect"):
-        opts = SolverOptions(kkt_tol=1e-10, max_iters=40_000)
+        opts = SolverOptions(kkt_tol=1e-10)
         part = Partition.contiguous([3, 3])
         checked = 0
         for seed in range(50):

@@ -120,12 +120,13 @@ class TestSolveCommand:
         if expected == EXIT_INPUT:
             assert out == "" and err.startswith("error:") and "--feas-tol" in err
 
-    def test_nonconvergence_exit_code(self, capsys, tmp_path, rng):
+    def test_nonconvergence_exit_code(self, capsys, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(solvers, "_MAX_ITERS", 3)
         A = rng.standard_normal((10, 30))
         fileio.write_matrix_csv(tmp_path / "A.csv", A)
         fileio.write_vector_csv(tmp_path / "y.csv", rng.standard_normal(10))
         code, env = run_cli(capsys, "solve", "--reg", "clot", "--mu", "0.5",
-                            "--lambda", "0.001", "--max-iters", "3", "--kkt-tol", "1e-14",
+                            "--lambda", "0.001", "--kkt-tol", "1e-14",
                             "-A", str(tmp_path / "A.csv"), "-y", str(tmp_path / "y.csv"))
         assert code == EXIT_NOCONV
         assert not env["outputs"]["converged"]
@@ -242,8 +243,7 @@ class TestSolveCommand:
         assert err.startswith("error:") and "group" in err
 
     @pytest.mark.parametrize("flag, value", [("--kkt-tol", "nan"), ("--kkt-tol", "0"),
-                                             ("--feas-tol", "-1"), ("--feas-tol", "inf"),
-                                             ("--max-iters", "0")])
+                                             ("--feas-tol", "-1"), ("--feas-tol", "inf")])
     def test_bad_solver_option_is_named(self, capsys, io_dir, flag, value):
         code = main(["solve", "--reg", "lasso", "--eps", "0.5", flag, value,
                      "-A", str(io_dir / "A.csv"), "-y", str(io_dir / "y.csv")])

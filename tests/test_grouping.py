@@ -7,7 +7,7 @@ from clotkit.matrices import fixture_matrix
 from clotkit.regularizers import Partition, RegularizerSpec
 from clotkit.solvers import Lagrangian, Problem, SolverOptions, lambda_zero_threshold, solve_lagrangian
 
-TIGHT = SolverOptions(kkt_tol=1e-10, max_iters=60_000)
+TIGHT = SolverOptions(kkt_tol=1e-10)
 
 
 def solve_std(A, y, spec, lam_pen):

@@ -281,11 +281,12 @@ class TestLagrangian:
         assert res.objective <= obj_zero + 1e-9 * obj_zero
         assert res.objective <= obj_true + 1e-9 * obj_true
 
-    def test_nonconvergence_is_reported_not_raised(self, rng):
+    def test_nonconvergence_is_reported_not_raised(self, rng, monkeypatch):
+        monkeypatch.setattr(solvers, "_MAX_ITERS", 5)
         A, _, y = small_instance(rng, noise=0.3)
         res = solve_lagrangian(Problem(A, y, Lagrangian(1e-6, "penalty")),
                                RegularizerSpec.lasso(),
-                               SolverOptions(kkt_tol=1e-14, max_iters=5))
+                               SolverOptions(kkt_tol=1e-14))
         assert not res.converged
         assert np.isfinite(res.kkt_residual)
 
@@ -600,6 +601,29 @@ class TestNewtonFinish:
         assert np.allclose(res.x_hat, y - 0.5, rtol=0, atol=1e-12)
         assert res.info["route_rounds"] == res.info["route_solves"] == 2  # S = {0}, then all four
 
+    @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 100.0])
+    def test_wide_ridge_support_takes_its_step_on_the_rows(self, lam):
+        # ridge's support is all 400 columns of a 40-row A: one step on A's rows lands on A^T (AA^T + lam*I)^-1 y
+        rng = np.random.default_rng(7)
+        A, y = rng.standard_normal((40, 400)), rng.standard_normal(40)
+        res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), RegularizerSpec.ridge())
+        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        assert res.info["route_rounds"] == res.info["route_solves"] == 1
+        ref = A.T @ np.linalg.solve(A @ A.T + lam * np.eye(40), y)
+        assert np.max(np.abs(res.x_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_wide_elastic_net_support_drops_on_the_rows(self):
+        # EN's support outgrows the 40 rows and the steps there cross zero: the row-side matrix loses the
+        # dropped columns, and the route alone certifies an answer an independent check accepts
+        rng = np.random.default_rng(7)
+        A, y = rng.standard_normal((40, 400)), rng.standard_normal(40)
+        spec = RegularizerSpec.elastic_net(0.5)
+        lam = 1e-2 * lambda_zero_threshold(spec, A, y)
+        res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec)
+        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        assert np.count_nonzero(res.x_hat) > 40 and res.info["route_solves"] > res.info["route_rounds"]
+        assert kkt_residual(A, y, res.x_hat, spec, lam) <= cert_tol(A, y, SolverOptions().kkt_tol)
+
     def test_one_newton_step_drops_every_coordinate_it_flips(self):
         # lasso, A = I, lam = 1, from (1, 1, 1): the step to y - 0.5 = (1.5, -0.8, -0.7) flips the last two,
         # which belong at zero; both go at the first crossing, and one re-solve on S = {0} ends the round
@@ -731,7 +755,7 @@ class TestNewtonFinish:
         # (A, y, spec, multiplier grid, options) of each study's own solves
         if fixture == "c6":
             pre = preprocess(*experiments.grouping_fixture(seed=0, n_samples=100))
-            opts = SolverOptions(kkt_tol=1e-10, max_iters=40_000)
+            opts = SolverOptions(kkt_tol=1e-10)
             cases = [(pre.A, pre.y, spec, [0.1 * lambda_zero_threshold(spec, pre.A, pre.y)], opts)
                      for spec in (RegularizerSpec.clot(0.5),
                                   RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([3, 3])))]
@@ -997,12 +1021,16 @@ class TestConstrained:
         with np.errstate(over="ignore"):  # b*||x||^2, and so the objective, exceeds the float range at 1e160
             huge = solve_constrained(Problem(A, 1e160 * y, Constrained(0.0)), spec)
         assert not (huge.converged and huge.info["inner_solves"] == 1)  # 1e-9*||y|| is finite there
-        if spec == RegularizerSpec.ridge():  # ridge at eps = 0 is the least-norm solution at every scale
-            for s in (1e-300, 1e-165, 1e-40, 1e-24, 1e-12, 1.0, 1e100, 1e160):
-                res = solve_constrained(Problem(A, s * y, Constrained(0.0)), spec)
-                ref = np.linalg.pinv(A) @ (s * y) / s
-                err = np.max(np.abs(res.x_hat / s - ref)) / np.max(np.abs(ref))
-                assert res.converged and err <= 1e-5, (s, err)
+
+    @pytest.mark.parametrize("kind", ["raw", "unit", "sqrt30"])
+    def test_ridge_at_eps_zero_is_least_norm_at_every_scale(self, kind):
+        # each stage's step on A's rows lies in the row space of A, so no stage can leave x a null-space part
+        A, y = self.float_range_instance(kind)
+        for s in (1e-300, 1e-165, 1e-40, 1e-24, 1e-12, 1.0, 1e100, 1e160):
+            res = solve_constrained(Problem(A, s * y, Constrained(0.0)), RegularizerSpec.ridge())
+            ref = np.linalg.pinv(A) @ (s * y) / s
+            err = np.max(np.abs(res.x_hat / s - ref)) / np.max(np.abs(ref))
+            assert res.converged and err <= 1e-8, (s, err)
 
     @pytest.mark.parametrize("spec", [RegularizerSpec.clot(0.2),
                                       RegularizerSpec.sparse_group_lasso(0.2, Partition.contiguous([20] * 3)),
@@ -1313,14 +1341,13 @@ class TestConstrained:
 
     def test_options_are_frozen(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-            "kkt_tol", "feas_tol", "max_iters"]
+            "kkt_tol", "feas_tol"]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            TIGHT.max_iters = 1
+            TIGHT.kkt_tol = 1.0
 
     @pytest.mark.parametrize("name, value", [
         ("kkt_tol", 0.0), ("kkt_tol", -1e-8), ("kkt_tol", math.nan), ("kkt_tol", math.inf),
-        ("feas_tol", -1.0), ("feas_tol", math.nan), ("max_iters", 0), ("max_iters", -5),
-        ("max_iters", 2.5), ("max_iters", True)])
+        ("feas_tol", -1.0), ("feas_tol", math.nan)])
     def test_bad_options_are_refused(self, name, value):
         with pytest.raises(ValueError, match=name):
             SolverOptions(**{name: value})
