@@ -3,20 +3,17 @@
 Two problem forms are handled:
 
 * Lagrangian, either ``||y - Az||^2 + lam*R(z)`` (multiplier on the penalty)
-  or ``lam*||y - Az||^2 + R(z)`` (multiplier on the loss), solved first by an
+  or ``lam*||y - Az||^2 + R(z)`` (multiplier on the loss), solved by an
   active-set Newton route: Newton steps on the support with its signs fixed
-  (on A's rows for a support wider than A has rows, which needs a ridge term),
-  the coordinates a step carries across zero dropped, and the zero groups
-  that violate optimality added once the support is optimal, started by one
-  prox-gradient step of length ``1/||A||_F^2``.  The route hands its point
-  over after ``_ROUTE_ROUNDS`` (32) rounds, at a singular Hessian, or on a
-  support too wide to solve, to accelerated proximal gradient descent
-  (FISTA, step ``1/L`` by :class:`_Workspace`'s curvature bound L) with a
-  gradient restart and one gradient evaluation (one forward and one adjoint
-  product; on a large A these read only the support's columns and ``Ax``'s
-  nonzero rows) per iteration.  FISTA runs the route again from its iterate
-  at each failing certificate check whose sign pattern held since the
-  previous one;
+  (for a support wider than A has rows, on A's rows with a ridge term, on
+  an augmented system with a group term, and along A_S's null space for the
+  lasso), the coordinates a step carries across zero dropped, and the zero
+  groups that violate optimality added once the support is optimal, started
+  by one prox-gradient step of length ``1/||A||_F^2``.  Each round makes one
+  gradient evaluation (one forward and one adjoint product; on a large A
+  these read only the support's columns and ``Ax``'s nonzero rows).  A route
+  that is not certified after ``_ROUTE_ROUNDS`` (1,000) rounds, or whose step
+  is not finite, returns its last point as not converged;
 * noise-constrained, ``min R(z) s.t. ||Az - y||_2 <= eps``, solved by one
   search on the loss-side multiplier: a tenfold warm-started walk until the
   residual meets the budget, then a safeguarded secant that closes the last
@@ -25,8 +22,8 @@ Two problem forms are handled:
   exact dual certificate; no other stage is refit.
 
 Every Lagrangian solve is certified by the penalty family's subgradient
-distance, after every route round and every ``_CHECK_EVERY`` (10) FISTA
-iterations; failure to converge is reported through the result, not raised.
+distance, before every route round; failure to converge is reported through
+the result, not raised.
 A solution path starts each point at a secant prediction and the route's entry
 rule there: one gradient evaluation (none at zero) and one prox per answer but
 the last.
@@ -169,11 +166,8 @@ _GATHER_FLOOR = 50_000  # column gather or kept rows: 4-6 us fixed; dense 49x343
 
 class _Workspace:
     """Per-(A, y) state shared across warm-started solves: the half-gradient
-    ``A^T(Ax - y)`` of ``||Ax - y||^2``; ``frob2 = ||A||_F^2``, as the validation of the caller's
-    :class:`Problem` computed it, the bound on ``sigma_max(A)^2`` that the active-set route steps by;
-    and ``curv``, FISTA's curvature bound L.  The squared singular values sum to ``frob2``, so L starts
-    at ``frob2/min(m, n) <= sigma_max^2``; FISTA doubles it where the descent lemma fails, so it stays
-    below ``2*sigma_max^2``, and each later solve on the workspace starts from the raised L.
+    ``A^T(Ax - y)`` of ``||Ax - y||^2``; and ``frob2 = ||A||_F^2``, as the validation of the caller's
+    :class:`Problem` computed it, the bound on ``sigma_max(A)^2`` that the active-set route steps by.
 
     For every shape ``A^T A x`` is a forward and an adjoint product, and ``A_S^T A_S`` a product of the
     support's columns.  Values and residual norms come from ``Ax - y``, which keeps their precision at any
@@ -189,7 +183,7 @@ class _Workspace:
         if not frob2 > 0.0:
             raise ValueError("A must be nonzero")
         m, n = A.shape
-        self.A, self.y, self.n, self.frob2, self.curv = A, y, n, frob2, frob2 / min(m, n)
+        self.A, self.y, self.n, self.frob2 = A, y, n, frob2
         spare = A.size - _GATHER_FLOOR  # the widest gathers that pay; none does on a small A
         self.max_cols, rows = spare / (_GATHER_RATIO * m), np.flatnonzero(y)
         keep = 0 < rows.size <= spare / (_ROW_GATHER_RATIO * n)
@@ -215,25 +209,21 @@ class _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# accelerated proximal gradient with gradient restart, one gradient
-# evaluation per iteration
+# the active-set Newton route
 # ---------------------------------------------------------------------------
 
-_MAX_HALVINGS = 60  # doublings of FISTA's curvature bound, each halving its step, in one step search
-_CHECK_EVERY = 10  # iterations between certificate checks
-_ROUTE_ROUNDS = 32  # rounds of one active-set route before it hands over to FISTA
+# rounds of one active-set route, the only iteration cap of a Lagrangian solve.  From zero at a small multiplier
+# the route exchanges about one column per round: at 1e-4 of lam_0, 166 rounds on a 200x400 Gaussian and 276
+# on the 529x4000 DeVore matrix
+_ROUTE_ROUNDS = 1000
 _BATCH_FRAC = 0.5  # violators added together: prox steps within this fraction of the largest
-_NEWTON_STEPS = 8  # Newton steps of one round when the group term curves the objective
-_MAX_ITERS = 50_000  # FISTA's iteration cap
+_NEWTON_STEPS = 8  # Newton steps of one round when the group term makes the objective non-quadratic
+_NULL_RTOL = 1e-10  # a singular Hessian's eigenvalues up to this fraction of its largest are taken as zero
 
 
-class _StepSearchExhausted(ArithmeticError):
-    pass
-
-
-def _labels_width(ws: _Workspace, spec):  # each coordinate's group, and the widest support the route solves on
+def _labels_width(ws: _Workspace, spec):  # each coordinate's group, and the route's entering budget (no cap on S)
     return (np.zeros(ws.n, np.intp) if spec.partition is None else spec.partition.labels,
-            ws.n if spec.weights[1] else ws.A.shape[0])
+            ws.n if spec.weights[1] or not spec.weights[0] else ws.A.shape[0])
 
 
 def _entering(ws: _Workspace, spec, labels, width, x, hx, threshold, frac):
@@ -244,8 +234,28 @@ def _entering(ws: _Workspace, spec, labels, width, x, hx, threshold, frac):
         a, _, c = spec.weights
         mag = abs(w[new]) if a or not c else np.take(group_norms(w, spec.partition), labels[new])
         big = mag >= frac * mag.max()
-        new = new[big][np.argsort(-mag[big])[:max(1, width - np.count_nonzero(x))]]
+        # up to the width, then one at a time; a group term past it doubles S's excess, so a support of any
+        # width is reached within the route's rounds
+        k = width - np.count_nonzero(x)
+        new = new[big][np.argsort(-mag[big])[:k if k > 0 else 1 - k if c else 1]]
     return new, w
+
+
+def _newton_step(hess, rhs, tol, singular):
+    """``(d, ray)``: ``hess^-1 rhs``, or where ``hess`` is ``singular`` or ``np.linalg.solve`` finds it so, the
+    least-squares step (eigenvalues up to ``_NULL_RTOL`` of the largest taken as zero), unless ``rhs`` has a part
+    above ``tol/2`` in their null space: that part is a ray (``ray`` True) on which the objective falls linearly."""
+    if not singular:
+        try:
+            return np.linalg.solve(hess, rhs), False
+        except np.linalg.LinAlgError:
+            pass
+    w, V = np.linalg.eigh(hess)
+    null = abs(w) <= _NULL_RTOL * abs(w).max()
+    g = V.T @ rhs
+    if abs(ray := V[:, null] @ g[null]).max(initial=0.0) > 0.5 * tol:
+        return ray, True
+    return V[:, ~null] @ (g[~null] / w[~null]), False
 
 
 def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
@@ -261,32 +271,44 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     crosses zero (with ``a = 0``, a group turns round) stops at the first
     crossing and drops, with ``a > 0``, every coordinate it flips (a block
     exchange, Kim & Park 2010) until one of them re-enters, and from then
-    on only the first crossing (with ``a = 0``, its group).  An S wider than A
-    has rows needs a ridge term (so ``c = 0``) and steps on A's rows, by
+    on only the first crossing (with ``a = 0``, its group).  An S wider than
+    A has rows (m) steps by the weights.  A ridge term steps on A's rows, by
     Woodbury's push-through form with ``K = c2*A_S A_S^T + 2*pen_w*b*I``,
-    formed once per round and downdated by the columns a crossing drops.  Once
-    S is optimal, a round first adds the zero coordinates where one
+    formed once per round and downdated by the columns a crossing drops.  A
+    group term solves the augmented system ``[[P, A_S^T], [A_S, -I/c2]]``,
+    P the group term's Hessian, with the gradient formed from the residual.
+    The lasso's Hessian ``c2*A_S^T A_S`` is singular there, and it moves
+    along A_S's null space where the objective falls, to the first zero,
+    which it drops (a simplex pivot; Osborne, Presnell & Turlach 2000); so
+    does any Hessian that ``np.linalg.solve`` finds singular (duplicate
+    columns), or it takes the least-squares step (:func:`_newton_step`).
+    Once S is optimal, a round first adds the zero coordinates where one
     prox-gradient step is nonzero (the prox judges each zero group), at that
     step's values: from a nonzero ``x`` all of them, from zero those within
-    ``_BATCH_FRAC`` of the largest or all once such a batch was dropped whole,
-    and the largest first where S would outgrow its width.
+    ``_BATCH_FRAC`` of the largest, and the largest first past
+    :func:`_labels_width`'s entering budget (past it, with a group term, as
+    many as S has past it).  Once such a batch is dropped whole, all of them,
+    and with a group term past the budget too: part of a zero group's
+    violators need not descend.  With an l1 term, a group that a crossing
+    leaves within rounding of zero leaves whole.
 
-    Returns ``(x, hx, kkt, reason)``.  ``reason`` is None when the certificate
-    passes, else why the route hands its last point over: ``"rounds"`` after
-    ``_ROUTE_ROUNDS`` rounds, ``"singular"`` for a singular Hessian, or
-    ``"width"`` for an S wider than A has rows when ``b = 0``.
+    Returns ``(x, kkt, reason, rounds)``.  ``reason`` is None when the
+    certificate passes, else why the route gave up: ``"rounds"`` after
+    ``_ROUTE_ROUNDS`` rounds, or ``"singular"`` for a step that is not finite.
     """
     a, b, c = spec.weights
     c2, pc = 2.0 * loss_w, pen_w * c
+    pq, pe = math.frexp(pc)  # pc = pq*2^pe, exactly
     labels, width = _labels_width(ws, spec)
     one = spec.partition is None or spec.partition.g == 1
     optimal, frac, block = False, 0.0 if np.count_nonzero(x) else _BATCH_FRAC, bool(a)
     flipped = np.zeros(ws.n, bool)
+    m = ws.A.shape[0]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for rounds in range(_ROUTE_ROUNDS + 1):
             kkt = subdiff_distance(spec, x, -c2 * hx, pen_w)
             if kkt <= tol or rounds == _ROUTE_ROUNDS:
-                return x, hx, kkt, None if kkt <= tol else "rounds"
+                return x, kkt, None if kkt <= tol else "rounds", rounds
             xn, new = x.copy(), ()
             if optimal or not np.count_nonzero(x):
                 new, w = _entering(ws, spec, labels, width, x, hx, pen_w / (c2 * ws.frob2), frac)
@@ -294,13 +316,14 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 xn[new] = w[new]
             # with a = 0 no sign is fixed: S is every coordinate of a nonzero group, or all of them
             S = (xn if a else np.take(group_norms(xn, spec.partition), labels) if c else np.ones(ws.n)).nonzero()[0]
-            if S.size > width:
-                return x, hx, kkt, "width"
             z, lab = xn[S], labels[S]
-            if wide := S.size > ws.A.shape[0]:  # only a ridge term admits it, so c = 0: quad is K, lin holds s
+            rows, aug = (wide := S.size > m) and b, wide and c
+            if rows:  # a ridge term, so c = 0: quad is K, lin holds s
                 h = math.frexp(ws.frob2)[1] // 2  # A_S over 2^h and K over 4^h: no product leaves y's scale
                 A_S, lin, r = np.ldexp(ws.A[:, S], -h), np.sign(z), a / (2.0 * b)
                 quad = c2 * (A_S @ A_S.T)
+            elif aug:  # a group term: the gradient from the residual, and lin the l1 term's
+                h, A_S, lin, quad = 0, ws.A[:, S], -(pen_w * a) * np.sign(z), None
             else:
                 h, quad = 0, c2 * ws.sub_gram(S)
                 lin = c2 * ws.aty[S] - (pen_w * a) * np.sign(z)  # restricted gradient = quad @ z - lin + group term
@@ -308,41 +331,54 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 quad.flat[::len(quad) + 1] += math.ldexp(2.0 * pen_w * b, -2 * h)
             optimal, steps = True, 0
             while S.size and steps < (_NEWTON_STEPS if c else 1):
-                grad, hess = c2 * (ws.y + r * np.ldexp(A_S @ lin, h)) if wide else quad @ z - lin, quad
+                if rows:
+                    grad = c2 * (ws.y + r * np.ldexp(A_S @ lin, h))
+                else:
+                    grad = c2 * (A_S.T @ (A_S @ z - ws.y)) - lin if aug else quad @ z - lin
+                hess = quad
                 if c:
                     norms = group_norms(z, spec.partition, S)  # one norm for one group, which needs no mask
                     u = z / (norms if one else (norms := np.take(norms, lab)))
                     grad += pc * u
                     if abs(grad).max() <= 0.5 * tol:
                         break
-                    hess = np.multiply.outer(u, u / norms)  # made pc*(diag(1/norms) - it), masked to groups
-                    hess.flat[::S.size + 1] -= 1.0 / norms
-                    hess *= -pc if one else -pc * (lab[:, None] == lab)
-                    hess += quad
-                try:
-                    d = np.linalg.solve(hess, grad)
-                except np.linalg.LinAlgError:
-                    return x, hx, kkt, "singular"
+                    # P = pc*(diag(1/norms) - u u^T/norms), masked to groups, as pq/(norms*2^-pe): the same bits,
+                    # and 1/(norms*2^-pe) is finite where 1/norms overflows, at a subnormal z
+                    hess = np.multiply.outer(u, u / (scaled := np.ldexp(norms, -pe)))
+                    hess.flat[::S.size + 1] -= 1.0 / scaled
+                    hess *= -pq if one else -pq * (lab[:, None] == lab)
+                    if aug:
+                        hess = np.block([[hess, A_S.T], [A_S, np.diag(np.full(m, -1.0 / c2))]])
+                    else:
+                        hess += quad
+                d, ray = _newton_step(hess, np.r_[grad, np.zeros(m)] if aug else grad, tol, S.size > m and not (b or c))
                 stats["route_solves"] += 1
-                if wide:  # the step lands on A_S^T K^-1 c2*(y + r*A_S s) - r*s
+                if rows:  # the step lands on A_S^T K^-1 c2*(y + r*A_S s) - r*s
                     d = z - (np.ldexp(A_S.T @ d, -h) - r * lin)
+                d = d[:S.size]  # the augmented system's tail is c2*A_S d
                 if not np.isfinite(d).all():
-                    return x, hx, kkt, "singular"
-                # a coordinate crosses zero, or with a = 0 a group reaches zero where the step turns it round
-                zz, dd = z * (z - d), d * d
+                    return x, kkt, "singular", rounds
+                # a coordinate crosses zero, or with a = 0 a group reaches zero where the step turns it round;
+                # on a ray every coordinate the step moves toward zero reaches it
+                zz, dd = z * ((0.0 if ray else z) - d), d * d
                 if not a:
                     zz, dd = np.bincount(lab, zz), np.bincount(lab, dd)
                 if (a or c) and np.count_nonzero(cross := (zz <= 0.0) & (dd > 0.0)):  # stop at the first to reach zero
                     ratio = np.where(cross, (z * d if a else np.bincount(lab, z * d)) / dd, np.inf)
                     j = int(ratio.argmin())
-                    if block:
+                    if block and not ray:
                         flipped[S[cross]] = True
                     else:  # the first alone, or with a = 0 its group
                         cross = (np.arange(S.size) if a else lab) == j
-                    keep = ~cross
-                    z, S, lab, lin = (z - ratio[j] * d)[keep], S[keep], lab[keep], lin[keep]
-                    if wide:  # K loses the dropped columns
+                    keep, z = ~cross, z - ratio[j] * d
+                    if a and c:  # a group the stop takes within rounding of zero leaves whole, before it underflows
+                        after = group_norms(z, spec.partition, S)
+                        keep &= (after if one else np.take(after, lab)) > 2.0**-52 * norms
+                    z, S, lab, lin = z[keep], S[keep], lab[keep], lin[keep]
+                    if rows:  # K loses the dropped columns
                         quad, A_S = quad - c2 * ((A_D := A_S[:, cross]) @ A_D.T), A_S[:, keep]
+                    elif aug:
+                        A_S = A_S[:, keep]
                     else:
                         quad = quad[keep][:, keep]
                     continue
@@ -354,78 +390,10 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                 optimal = False
             x = np.zeros(ws.n)
             x[S] = z
-            if len(new) and not np.count_nonzero(x[new]):
-                frac = 0.0  # the leading violators did not stay on their own: take them all
+            if len(new) and not np.count_nonzero(x[new]):  # the leading violators did not stay on their own:
+                frac, width = 0.0, ws.n if c else width  # take them all (a zero group's part may not descend)
             hx = ws.half_grad(x)
             stats["grad_evals"] += 1
-            stats["route_rounds"] += 1
-
-
-def _fista(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
-    """FISTA on ``loss_w*||Ax - y||^2 + pen_w*R(x)`` from ``x``, the larger
-    weight in [1, 2); returns ``(x, iterations, kkt, converged)``.
-
-    The half-gradient ``h = A^T(Ax - y)`` (``hx`` at ``x``) is carried next to
-    each point.  It is affine, so the extrapolated point's ``h`` is the same
-    combination of two freshly evaluated ones and costs no product.
-
-    At each failing check whose sign pattern held since the previous check
-    (or the start), :func:`_route` runs from the iterate; a certified point
-    ends the solve, and on a give-up FISTA goes on from its own iterate.
-    """
-    c = 2.0 * loss_w  # gradient of the smooth part = c * h; the step 1/(c*L) enters as hz/L and pen_w/(c*L)
-
-    def descend(z, hz):
-        """Prox-gradient step from z to w; returns ``(w, h_w, u)``, ``u`` the step's
-        direction ``d/|d|`` (0 for no step).  For the quadratic the descent lemma is
-        ``|Ad|^2 <= L*|d|^2``, read as ``u^T(h_w - h_z) <= L*|d|``, which neither
-        under- nor overflows; L doubles only when that fails beyond rounding."""
-        for doubling in range(_MAX_HALVINGS + 1):
-            if doubling:
-                ws.curv *= 2.0
-                stats["backtracks"] += 1
-            w = prox(spec, z - hz / ws.curv, pen_w / (c * ws.curv))
-            hw = ws.half_grad(w)
-            stats["grad_evals"] += 1
-            d = w - z
-            u = d / (dn := group_norms(d) or 1.0)
-            excess = float(u @ (hw - hz)) - ws.curv * dn
-            if excess <= 0.0 or excess <= 1e-14 * (group_norms(hw) + group_norms(hz)):
-                return w, hw, u
-        raise _StepSearchExhausted
-
-    z, hz, t = x, hx, 1.0
-    converged, signs = False, np.sign(x)
-    try:
-        for iters in range(1, _MAX_ITERS + 1):
-            w, hw, u = descend(z, hz)
-            wx = w - x
-            if float(u @ wx) < 0.0:
-                # momentum points uphill (O'Donoghue & Candes): redo the step from x
-                stats["restarts"] += 1
-                t = 1.0
-                w, hw, _ = descend(x, hx)
-                wx = w - x
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_next
-            z = w + beta * wx
-            hz = hw + beta * (hw - hx)
-            x, hx, t = w, hw, t_next
-
-            if iters % _CHECK_EVERY == 0 or iters == _MAX_ITERS:
-                kkt = subdiff_distance(spec, x, -c * hx, pen_w)
-                converged = kkt <= tol
-                prev, signs = signs, np.sign(x)
-                if not converged and np.array_equal(signs, prev):
-                    xr, _, kr, stats["route_give_up"] = _route(ws, spec, loss_w, pen_w, tol, x, hx, stats)
-                    if stats["route_give_up"] is None:
-                        x, kkt, converged = xr, kr, True
-                if converged:
-                    break
-    except _StepSearchExhausted:
-        stats["step_search_exhausted"] = True
-        kkt = subdiff_distance(spec, x, -c * hx, pen_w)
-    return x, iters, kkt, converged
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +414,15 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     """Solve the multiplier form of the program given by ``problem.form``,
     starting from ``x0`` (zero by default; else a finite vector of length n).
 
-    The active-set route (:func:`_route`) runs first, and FISTA only when it gives up, both on the objective
-    over ``2^e``, exactly, with e chosen so that the larger weight lies in [1, 2): the tolerance and the steps
-    stay in the float range at any multiplier.  Either way ``kkt_residual`` comes from the same subgradient
-    check at the same tolerance, times ``2^e``; non-convergence, or a gap past the float range in the caller's
-    units, sets ``converged=False`` instead of raising.  ``info`` counts the route's ``route_rounds`` (one
-    gradient evaluation each) and ``route_solves`` (linear solves), and names its ``route_give_up``: None when
-    the route certified the solve, else the reason of its last hand-over, ``"rounds"``, ``"singular"`` or
-    ``"width"`` (no ridge term).  ``iterations`` counts FISTA's iterations, at most 50,000, and ``info`` its
-    ``restarts`` and ``backtracks``; ``grad_evals`` counts the gradient evaluations (forward-plus-adjoint pairs)
-    of both, and one at the start only from a nonzero ``x0``.  ``step_search_exhausted`` flags FISTA's 60 halvings.  A multiplier at which the
-    route's or FISTA's first prox threshold rounds to 0, so that no coordinate could move, is refused.
+    The active-set route (:func:`_route`) solves the objective over ``2^e``, exactly, with e chosen so that
+    the larger weight lies in [1, 2): the tolerance and the steps stay in the float range at any multiplier.
+    ``kkt_residual`` is its subgradient check times ``2^e``; a give-up, or a gap past the float range in the
+    caller's units, sets ``converged=False`` instead of raising.  ``iterations`` counts the route's rounds, at
+    most 1,000 (one gradient evaluation each); ``info`` counts its ``route_solves`` (linear solves) and names its
+    ``route_give_up``: None when the route certified the solve, else ``"rounds"`` or ``"singular"``.
+    ``grad_evals`` counts the gradient evaluations (forward-plus-adjoint pairs), one at the start only from a
+    nonzero ``x0``.  A multiplier at which the route's first prox threshold rounds to 0, so that no coordinate
+    could move, is refused.
     """
     opts = opts or SolverOptions()
     form = problem.form
@@ -471,20 +437,16 @@ def solve_lagrangian(problem: Problem, spec: RegularizerSpec, opts: SolverOption
     loss_w, pen_w = form.weights
     e = math.frexp(max(loss_w, pen_w))[1] - 1  # the objective over 2^e, exactly: the larger weight in [1, 2)
     lw, pw = math.ldexp(loss_w, -e), math.ldexp(pen_w, -e)
-    if not pw / (2.0 * lw * max(ws.frob2, ws.curv)) > 0.0:  # the route's and FISTA's prox thresholds at their steps
+    if not pw / (2.0 * lw * ws.frob2) > 0.0:  # the route's prox threshold at its step
         raise ValueError(f"lam={form.lam!r} rounds the prox threshold of this problem to 0")
     tol = opts.kkt_tol * max(2.0**-e, 2.0 * lw * ws.aty_max)
     warm = bool(x.any())  # at zero the half-gradient is -A^T y, which costs no product
-    stats = {"restarts": 0, "backtracks": 0, "grad_evals": int(warm), "step_search_exhausted": False,
-             "route_rounds": 0, "route_solves": 0, "route_give_up": None}
+    stats = {"grad_evals": int(warm), "route_solves": 0}
     hx = ws.half_grad(x) if warm else -ws.aty
-    x, hx, kkt, stats["route_give_up"] = _route(ws, spec, lw, pw, tol, x, hx, stats)
-    iters, converged = 0, stats["route_give_up"] is None
-    if not converged:
-        x, iters, kkt, converged = _fista(ws, spec, lw, pw, tol, x, hx, stats)
+    x, kkt, stats["route_give_up"], rounds = _route(ws, spec, lw, pw, tol, x, hx, stats)
     kkt, r = kkt * 2.0**e, ws.forward(x) - ws.y  # the gap in the caller's units; past the float range it is inf
-    return SolveResult(x, loss_w * float(r @ r) + pen_w * penalty_value(spec, x), group_norms(r), iters, kkt,
-                       converged and kkt < math.inf,  # an inf gap certifies nothing
+    return SolveResult(x, loss_w * float(r @ r) + pen_w * penalty_value(spec, x), group_norms(r), rounds, kkt,
+                       stats["route_give_up"] is None and kkt < math.inf,  # an inf gap certifies nothing
                        {"form": "lagrangian", "lambda": form.lam, "side": form.side, **stats})
 
 

@@ -3,11 +3,13 @@
 Everything here is written against the mathematical definitions only, in
 plain Python (numpy for symmetric eigenvalues, which ``rip_ref`` batches, and
 for the cases ``prox_oracle`` descends on together), so it shares no code
-path with the package implementations it checks.
+path with the package implementations it checks.  ``golden_mismatches``
+compares a study report with its golden record under ``GOLDEN``.
 """
 
 import math
 from itertools import combinations, islice
+from pathlib import Path
 
 import numpy as np
 
@@ -155,3 +157,35 @@ def triplet_text_ref(A):
     m, n = A.shape
     entries = [f"{i} {j} {v:.17g}\n" for i, row in enumerate(A.tolist()) for j, v in enumerate(row) if v != 0]
     return f"{m} {n} {len(entries)}\n" + "".join(entries)
+
+
+# Golden study records: each file is ``StudyReport.to_json()`` of run_grouping_paths(0),
+# run_path_nonequivalence(0), run_scaling("small") or, checked by C7's own run, run_comparison(example4);
+# regenerated only with a CHANGES.md line naming what moved.
+GOLDEN = Path(__file__).parent / "data" / "golden"
+# Across OpenBLAS's Haswell, SkylakeX, Sandybridge, Nehalem and Prescott kernels and 1 or 2 threads, a value moved
+# by at most 1e-11 of its own magnitude (in a list, of the list's largest); a residual, wherever the eps = 0 walk
+# stopped under its 1e-9*||y|| target, by at most 2.1e-6
+_GOLDEN_RTOL, _GOLDEN_RESIDUAL_RTOL = 1e-9, 1e-4
+_GOLDEN_SELECTIONS = ("lambda", "mu")  # a scalar one is a grid point a study selected: compared exactly
+
+
+def golden_mismatches(golden, report, path="", field="", scale=None):
+    """Where the JSON-loaded ``report`` leaves ``golden``: keys, lengths, counts, flags, strings and selections
+    exactly, each other float within its field's tolerance."""
+    if isinstance(golden, dict):
+        if not isinstance(report, dict) or golden.keys() != report.keys():
+            return [f"{path}: keys"]
+        return [bad for k in golden for bad in golden_mismatches(golden[k], report[k], f"{path}/{k}", k)]
+    if isinstance(golden, list):
+        if not isinstance(report, list) or len(golden) != len(report):
+            return [f"{path}: length"]
+        top = max((abs(v) for v in golden + report if isinstance(v, float)), default=0.0)
+        return [bad for i, pair in enumerate(zip(golden, report))
+                for bad in golden_mismatches(*pair, f"{path}/{i}", field, top)]
+    if isinstance(golden, float) and isinstance(report, float) and not (field in _GOLDEN_SELECTIONS and scale is None):
+        rtol = _GOLDEN_RESIDUAL_RTOL if field == "residual" else _GOLDEN_RTOL
+        ok = abs(golden - report) <= rtol * (max(abs(golden), abs(report)) if scale is None else scale)
+    else:
+        ok = type(golden) is type(report) and golden == report
+    return [] if ok else [f"{path}: {golden!r} -> {report!r}"]

@@ -5,6 +5,7 @@ captured output).  Tolerances are fixed here, not tuned at runtime.
 """
 
 import contextlib
+import json
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from clotkit.solvers import (
     solve_lagrangian,
 )
 
-from oracles import prox_objective, prox_oracle
+from oracles import GOLDEN, golden_mismatches, prox_objective, prox_oracle
 
 
 @contextlib.contextmanager
@@ -245,6 +246,9 @@ def test_c7_comparison_study_orderings():
         nnz_ok = 0
         for name in ("example1", "example2", "example3", "example4"):
             report = run_comparison(load_builtin_scenario(name))
+            if name == "example4":  # the golden record is checked on this run
+                golden = json.loads((GOLDEN / "comparison_example4.json").read_text())
+                assert golden_mismatches(golden, json.loads(report.to_json())) == []
             mse = report.tables["median_mse"]
             nnz = report.tables["median_nnz"]
             print(f"  {name}: median mse lasso={mse['lasso']:.2f} clot={mse['clot']:.2f} "

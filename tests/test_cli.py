@@ -121,7 +121,7 @@ class TestSolveCommand:
             assert out == "" and err.startswith("error:") and "--feas-tol" in err
 
     def test_nonconvergence_exit_code(self, capsys, tmp_path, rng, monkeypatch):
-        monkeypatch.setattr(solvers, "_MAX_ITERS", 3)
+        monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", 3)
         A = rng.standard_normal((10, 30))
         fileio.write_matrix_csv(tmp_path / "A.csv", A)
         fileio.write_vector_csv(tmp_path / "y.csv", rng.standard_normal(10))

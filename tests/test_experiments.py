@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from clotkit.experiments import (
 from clotkit.matrices import DeVoreParams, devore_matrix
 from clotkit.regularizers import RegularizerSpec
 from clotkit.solvers import Constrained, Problem, solve_constrained
+
+from oracles import GOLDEN, golden_mismatches
 
 
 def tiny_scenario(seed=7, replications=3, noise=1.5):
@@ -274,11 +275,6 @@ class TestScaling:
             assert res.info["inner_solves"] == 1 and res.info["certified"], row["c"]
             assert list(res.x_hat[:3]) == row["clot"]["first3"], row["c"]
 
-    def test_no_solve_runs_fista(self, scaling_report):
-        # the active-set route certifies every stage, EN's wide supports included
-        for row in scaling_report.records:
-            assert row["clot"]["iterations"] == row["en"]["iterations"] == 0, row
-
     def test_c0_recovers_published_components(self, scaling_report):
         row = next(r for r in scaling_report.records if r["c"] == 0)
         np.testing.assert_allclose(row["clot"]["first3"], (0.8147, 0.9058, 0.1270), atol=1e-6)
@@ -291,36 +287,6 @@ class TestScaling:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
             run_scaling(preset="huge")
-
-
-# Golden study records: each file is ``StudyReport.to_json()`` of run_grouping_paths(0),
-# run_path_nonequivalence(0) or run_scaling("small"), regenerated only with a CHANGES.md line naming what moved.
-GOLDEN = Path(__file__).parent / "data" / "golden"
-# Across OpenBLAS's Haswell, SkylakeX, Sandybridge, Nehalem and Prescott kernels and 1 or 2 threads, a value moved
-# by at most 1e-11 of its own magnitude (in a list, of the list's largest); a residual, wherever the eps = 0 walk
-# stopped under its 1e-9*||y|| target, by at most 2.1e-6
-_GOLDEN_RTOL, _GOLDEN_RESIDUAL_RTOL = 1e-9, 1e-4
-
-
-def golden_mismatches(golden, report, path="", field="", scale=None):
-    """Where the JSON-loaded ``report`` leaves ``golden``: keys, lengths, counts, flags and strings exactly,
-    each float within its field's tolerance."""
-    if isinstance(golden, dict):
-        if not isinstance(report, dict) or golden.keys() != report.keys():
-            return [f"{path}: keys"]
-        return [bad for k in golden for bad in golden_mismatches(golden[k], report[k], f"{path}/{k}", k)]
-    if isinstance(golden, list):
-        if not isinstance(report, list) or len(golden) != len(report):
-            return [f"{path}: length"]
-        top = max((abs(v) for v in golden + report if isinstance(v, float)), default=0.0)
-        return [bad for i, pair in enumerate(zip(golden, report))
-                for bad in golden_mismatches(*pair, f"{path}/{i}", field, top)]
-    if isinstance(golden, float) and isinstance(report, float):
-        rtol = _GOLDEN_RESIDUAL_RTOL if field == "residual" else _GOLDEN_RTOL
-        ok = abs(golden - report) <= rtol * (max(abs(golden), abs(report)) if scale is None else scale)
-    else:
-        ok = type(golden) is type(report) and golden == report
-    return [] if ok else [f"{path}: {golden!r} -> {report!r}"]
 
 
 class TestGoldenRecords:
@@ -339,5 +305,15 @@ class TestGoldenRecords:
         assert golden_mismatches(golden, moved) == ["/records/2/en/first3/0: "
                                                     f"{golden['records'][2]['en']['first3'][0]!r} -> "
                                                     f"{moved['records'][2]['en']['first3'][0]!r}"]
-        moved["records"][2]["en"]["iterations"] = 10
-        assert golden_mismatches(golden, moved)[-1] == "/records/2/en/iterations: 0 -> 10"
+        moved["records"][2]["en"]["iterations"] += 1
+        rounds = golden["records"][2]["en"]["iterations"]
+        assert golden_mismatches(golden, moved)[-1] == f"/records/2/en/iterations: {rounds} -> {rounds + 1}"
+
+    def test_a_moved_selection_is_named(self):
+        golden = json.loads((GOLDEN / "comparison_example4.json").read_text())
+        moved = json.loads(json.dumps(golden))
+        record = moved["records"][7]
+        record["lambda"], record["mu"] = np.nextafter(record["lambda"], 0.0), record["mu"] + 1e-12
+        record["mse"] *= 1.0 + 1e-10
+        assert golden_mismatches(golden, moved) == [
+            f"/records/7/{k}: {golden['records'][7][k]!r} -> {record[k]!r}" for k in ("lambda", "mu")]

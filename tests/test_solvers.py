@@ -11,7 +11,7 @@ from clotkit.grouping import preprocess
 from clotkit.kkt import kkt_residual
 from clotkit.matrices import DeVoreParams, devore_matrix, fixture_matrix
 from clotkit.regularizers import (Partition, RegularizerSpec, group_norms, penalty_gauge_at_zero, penalty_value,
-                                  subdiff_distance)
+                                  prox)
 from clotkit import solvers
 from clotkit.solvers import (
     Constrained,
@@ -44,12 +44,30 @@ def small_instance(rng, m=12, n=20, k=3, noise=0.0):
 
 def twin_instance():
     """C6's duplicated-column fixture and a lasso multiplier at which both twins
-    are nonzero: the route's Hessian is singular there, so the solve reaches FISTA."""
+    are nonzero: the route's Hessian is singular there, so it takes a least-squares step."""
     A = fixture_matrix("gaussian", 40, 5, seed=17)
     A[:, 1] = A[:, 0]
     y = A @ np.array([1.0, 1.0, -0.5, 0.0, 0.3]) + 0.05 * np.random.default_rng(17).standard_normal(40)
     pre = preprocess(A, y)
     return pre.A, pre.y, 0.05 * lambda_zero_threshold(RegularizerSpec.lasso(), pre.A, pre.y)
+
+
+def fista_reference(A, y, spec, lam, tol, x0):
+    """A second solver for the route's answers: FISTA (Beck & Teboulle 2009) on ``||y - Ax||^2 + lam*R(x)`` at the
+    fixed step ``1/(2*sigma_max(A)^2)``, its momentum reset where it points uphill (O'Donoghue & Candes 2015),
+    until the certificate passes at ``tol``.  It shares only ``prox`` and ``kkt_residual`` with the package."""
+    step = 0.5 / np.linalg.norm(A, 2) ** 2
+    x = z = np.asarray(x0, dtype=float)
+    t = 1.0
+    for k in range(1, 100_001):
+        w = prox(spec, z - 2.0 * step * (A.T @ (A @ z - y)), step * lam)
+        if (z - w) @ (w - x) > 0.0:
+            t = 1.0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        z, x, t = w + (t - 1.0) / t_next * (w - x), w, t_next
+        if k % 10 == 0 and kkt_residual(A, y, x, spec, lam) <= tol:
+            return x
+    raise AssertionError(f"the reference did not pass the certificate at {tol} in {k} iterations")
 
 
 def cert_tol(A, y, kkt_tol):
@@ -119,12 +137,6 @@ def scaling_instance():
     x[np.random.default_rng(99).choice(A.shape[1], 3, replace=False)] = (0.8147, 0.9058, 0.1270)
     A.flags.writeable = x.flags.writeable = False
     return A, x
-
-
-def without_route(monkeypatch):
-    """Lagrangian solves without the active-set route: it hands every point straight to FISTA."""
-    monkeypatch.setattr(solvers, "_route",
-                        lambda ws, spec, loss_w, pen_w, tol, x, hx, stats: (x, hx, math.inf, "rounds"))
 
 
 class TestProblemValidation:
@@ -282,7 +294,7 @@ class TestLagrangian:
         assert res.objective <= obj_true + 1e-9 * obj_true
 
     def test_nonconvergence_is_reported_not_raised(self, rng, monkeypatch):
-        monkeypatch.setattr(solvers, "_MAX_ITERS", 5)
+        monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", 5)
         A, _, y = small_instance(rng, noise=0.3)
         res = solve_lagrangian(Problem(A, y, Lagrangian(1e-6, "penalty")),
                                RegularizerSpec.lasso(),
@@ -291,12 +303,12 @@ class TestLagrangian:
         assert np.isfinite(res.kkt_residual)
 
     def test_warm_start_at_solution_needs_no_iterations(self):
-        A, y, lam = twin_instance()  # the cold solve runs FISTA
+        A, y, lam = twin_instance()  # the cold solve takes least-squares steps
         prob = Problem(A, y, Lagrangian(lam))
         spec = RegularizerSpec.lasso()
         cold = solve_lagrangian(prob, spec, TIGHT)
         warm = solve_lagrangian(prob, spec, TIGHT, x0=cold.x_hat)
-        assert cold.iterations > 0 and warm.iterations == 0 and warm.info["route_rounds"] == 0
+        assert warm.iterations == 0
         np.testing.assert_array_equal(warm.x_hat, cold.x_hat)
 
 
@@ -304,9 +316,8 @@ class TestSolveStats:
     def test_gradient_evaluations_are_accounted_for(self, rng, monkeypatch):
         A, _, y = small_instance(rng, noise=0.1)
         twins = twin_instance()
-        # (A, y, lam, spec, route rounds, x0): the route alone, FISTA alone (the route gives up
-        # at once on the twins), both (one round, then FISTA and its re-entries), and the route
-        # from a nonzero warm start
+        # (A, y, lam, spec, route rounds, x0): the route from zero, on the twins' singular Hessian, cut
+        # off after one round, and from a nonzero warm start
         cases = [(A, y, 0.05, RegularizerSpec.lasso(), 32, None),
                  (A, y, 0.05, RegularizerSpec.clot(0.3), 32, None),
                  (*twins, RegularizerSpec.lasso(), 32, None), (A, y, 0.05, RegularizerSpec.clot(0.3), 1, None),
@@ -319,66 +330,17 @@ class TestSolveStats:
             ws.half_grad = lambda x: products.append(1) or half_grad(x)
             res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT, ws, x0=x0)
             info = res.info
-            assert res.converged
-            counts = ("restarts", "backtracks", "grad_evals", "route_rounds", "route_solves")
-            assert all(type(info[k]) is int for k in counts)
-            # one gradient evaluation at a nonzero start (at zero it is -A^T y), then one per
-            # route round and per FISTA step
-            assert info["grad_evals"] == ((x0 is not None) + res.iterations + info["restarts"]
-                                          + info["backtracks"] + info["route_rounds"])
+            assert res.converged == (rounds > 1)
+            assert all(type(k) is int for k in (res.iterations, info["grad_evals"], info["route_solves"]))
+            # one gradient evaluation at a nonzero start (at zero it is -A^T y), then one per route round
+            assert info["grad_evals"] == (x0 is not None) + res.iterations
             assert len(products) == info["grad_evals"]  # every product made is counted
-            assert info["step_search_exhausted"] is False
-            work.append((info["route_rounds"] > 0, res.iterations > 0))
-        assert work == [(True, False), (True, False), (False, True), (True, True), (True, False)]
-
-    def test_ill_conditioned_solve_restarts(self, rng, monkeypatch):
-        without_route(monkeypatch)  # the route certifies this solve before FISTA takes a step
-        A = fixture_matrix("gaussian", 30, 20, seed=3) * np.logspace(0, -2, 20)
-        y = A @ rng.standard_normal(20)
-        res = solve_lagrangian(Problem(A, y, Lagrangian(1e-4)), RegularizerSpec.lasso(), TIGHT)
-        assert res.converged
-        assert res.info["restarts"] >= 1
-
-    def test_exhausted_step_search_is_reported(self, rng, monkeypatch):
-        without_route(monkeypatch)  # the route certifies this solve before FISTA takes a step
-        A, _, y = small_instance(rng, noise=0.1)
-        ws = workspace(A, y)
-        ws.curv *= 1e-30  # a step 1e30 too long: 60 halvings cannot repair it
-        res = solve_lagrangian(Problem(A, y, Lagrangian(0.05)), RegularizerSpec.lasso(), _ws=ws)
-        assert res.info["step_search_exhausted"] is True
-        assert not res.converged
-        assert np.all(np.isfinite(res.x_hat))
+            work.append(res.iterations)
+        assert all(work) and work[3] == 1
 
 
 class TestWorkspace:
-    """FISTA steps by a curvature bound L that starts at ||A||_F^2/min(m, n) and only FISTA
-    raises; the route steps by ||A||_F^2."""
-
-    @pytest.mark.parametrize("spec", [
-        RegularizerSpec.lasso(), RegularizerSpec.clot(0.3), RegularizerSpec.group_lasso(Partition.contiguous([5] * 8))],
-        ids=["lasso", "clot", "gl"])
-    def test_route_certified_solve_leaves_the_curvature_bound_at_its_start(self, spec):
-        A, y = TestNewtonFinish.sparse_instance()
-        ws = workspace(A, y)
-        res = solve_lagrangian(Problem(A, y, Lagrangian(0.1 * lambda_zero_threshold(spec, A, y))), spec, _ws=ws)
-        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
-        assert ws.curv == ws.frob2 / min(A.shape)
-        assert res.info["grad_evals"] == res.info["route_rounds"]  # the cold start made no product
-
-    def test_fista_raises_its_curvature_bound_below_twice_sigma2(self):
-        A, y, lam = twin_instance()  # the route gives up at a singular Hessian
-        ws = workspace(A, y)
-        start, sigma2 = ws.frob2 / min(A.shape), np.linalg.norm(A, 2) ** 2
-        assert ws.curv == start <= sigma2  # the squared singular values sum to ||A||_F^2
-        raised = []
-        for _ in range(2):
-            res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), RegularizerSpec.lasso(), TIGHT, ws)
-            assert res.converged and res.iterations > 0
-            raised.append((res.info["backtracks"], ws.curv))
-        # each backtrack doubles L, and the second solve starts from the L the first one raised
-        (first, after_first), (second, after_second) = raised
-        assert first > 0 and after_first == start * 2**first and after_second == after_first * 2**second
-        assert start <= after_second <= 2.0 * sigma2
+    """Per-(A, y) state: the route steps by ||A||_F^2, and products read only the parts of A they need."""
 
     def test_route_step_bound_is_above_sigma2(self):
         for A in (fixture_matrix("gaussian", 30, 40, seed=11),
@@ -485,7 +447,7 @@ class TestWorkspace:
         A, x = scaling_instance()
         spies = spied_workspaces(monkeypatch)
         res = solve_constrained(Problem(A, A @ x, Constrained(0.0)), RegularizerSpec.clot(0.2))
-        assert res.info["certified"] and res.iterations == 0 and len(spies) == 1
+        assert res.info["certified"] and res.converged and len(spies) == 1
         return spies[0]
 
     def test_route_certified_wide_solve_makes_no_full_width_forward_product(self, monkeypatch):
@@ -530,8 +492,7 @@ class TestWorkspace:
 
 
 class TestNewtonFinish:
-    """The active-set Newton route every Lagrangian solve starts with, and its
-    hand-over to FISTA."""
+    """The active-set Newton route every Lagrangian solve runs, and what it reports when it gives up."""
 
     @staticmethod
     def sparse_instance():
@@ -550,16 +511,16 @@ class TestNewtonFinish:
         lam = 0.1 * lambda_zero_threshold(spec, A, y) if spec.weights != (0.0, 1.0, 0.0) else 1.0
         opts = SolverOptions(kkt_tol=1e-8)
         res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, opts)
-        # the route alone certified the cold solve
-        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        # the route certified the cold solve
+        assert res.converged and res.info["route_give_up"] is None
         assert kkt_residual(A, y, res.x_hat, spec, lam) <= cert_tol(A, y, opts.kkt_tol)
         if spec.weights == (0.0, 1.0, 0.0):  # ridge: one full-vector Newton step
-            assert res.info["route_rounds"] == res.info["route_solves"] == 1
+            assert res.iterations == res.info["route_solves"] == 1
             assert np.all(res.x_hat != 0.0)
         if spec.partition is not None:  # the route started zero groups: the support spans several
             assert len(set(spec.partition.labels[np.flatnonzero(res.x_hat)])) >= 2
         if spec.weights[0] == 0.0 and spec.partition is not None:  # gl: a group the Newton step
-            assert res.info["route_rounds"] <= 2  # turns round is dropped whole, not by coordinates
+            assert res.iterations <= 2  # turns round is dropped whole, not by coordinates
 
     @pytest.mark.parametrize("spec, work", [
         (RegularizerSpec.clot(0.3), [(0, 0, 0), (2, 10, 3), (1, 5, 2), (2, 4, 3), (2, 4, 3), (2, 5, 3), (3, 7, 4),
@@ -569,14 +530,14 @@ class TestNewtonFinish:
           (2, 6, 3), (1, 2, 2), (1, 2, 2)]),
     ], ids=["clot", "sgl"])
     def test_path_work_is_pinned(self, spec, work):
-        # (route_rounds, route_solves, grad_evals) per point: a Newton step with a wrong group-term
+        # (route rounds, route_solves, grad_evals) per point: a Newton step with a wrong group-term
         # Hessian (unmasked across groups, say) still ends at a point the certificate accepts, so only
         # the work it took shows the fault
         A, y = self.sparse_instance()
         grid = lambda_zero_threshold(spec, A, y) * np.logspace(0, -3, 12)
         points = solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid)
-        assert all(p.result.converged and p.result.iterations == 0 for p in points)
-        assert [tuple(p.result.info[k] for k in ("route_rounds", "route_solves", "grad_evals"))
+        assert all(p.result.converged and p.result.info["route_give_up"] is None for p in points)
+        assert [(p.result.iterations, p.result.info["route_solves"], p.result.info["grad_evals"])
                 for p in points] == work
 
     def test_zero_group_whose_leader_is_too_weak_alone_enters_whole(self):
@@ -587,8 +548,8 @@ class TestNewtonFinish:
         y = np.array([1.0, 0.7, 0.7, 0.7])
         spec = RegularizerSpec.clot(0.5)
         res = solve_lagrangian(Problem(np.eye(4), y, Lagrangian(2.1)), spec, TIGHT)
-        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
-        assert np.all(res.x_hat > 0.0) and res.info["route_rounds"] == 2
+        assert res.converged and res.info["route_give_up"] is None
+        assert np.all(res.x_hat > 0.0) and res.iterations == 2
         assert kkt_residual(np.eye(4), y, res.x_hat, spec, 2.1) <= cert_tol(np.eye(4), y, TIGHT.kkt_tol)
 
     def test_warm_start_enters_every_violator_in_one_round(self):
@@ -597,9 +558,9 @@ class TestNewtonFinish:
         y = np.array([3.0, 2.0, 0.7, 0.55])
         res = solve_lagrangian(Problem(np.eye(4), y, Lagrangian(1.0)), RegularizerSpec.lasso(), TIGHT,
                                x0=[2.5, 0.0, 0.0, 0.0])
-        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        assert res.converged and res.info["route_give_up"] is None
         assert np.allclose(res.x_hat, y - 0.5, rtol=0, atol=1e-12)
-        assert res.info["route_rounds"] == res.info["route_solves"] == 2  # S = {0}, then all four
+        assert res.iterations == res.info["route_solves"] == 2  # S = {0}, then all four
 
     @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 100.0])
     def test_wide_ridge_support_takes_its_step_on_the_rows(self, lam):
@@ -607,8 +568,8 @@ class TestNewtonFinish:
         rng = np.random.default_rng(7)
         A, y = rng.standard_normal((40, 400)), rng.standard_normal(40)
         res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), RegularizerSpec.ridge())
-        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
-        assert res.info["route_rounds"] == res.info["route_solves"] == 1
+        assert res.converged and res.info["route_give_up"] is None
+        assert res.iterations == res.info["route_solves"] == 1
         ref = A.T @ np.linalg.solve(A @ A.T + lam * np.eye(40), y)
         assert np.max(np.abs(res.x_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -620,8 +581,8 @@ class TestNewtonFinish:
         spec = RegularizerSpec.elastic_net(0.5)
         lam = 1e-2 * lambda_zero_threshold(spec, A, y)
         res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec)
-        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
-        assert np.count_nonzero(res.x_hat) > 40 and res.info["route_solves"] > res.info["route_rounds"]
+        assert res.converged and res.info["route_give_up"] is None
+        assert np.count_nonzero(res.x_hat) > 40 and res.info["route_solves"] > res.iterations
         assert kkt_residual(A, y, res.x_hat, spec, lam) <= cert_tol(A, y, SolverOptions().kkt_tol)
 
     def test_one_newton_step_drops_every_coordinate_it_flips(self):
@@ -630,13 +591,13 @@ class TestNewtonFinish:
         y = np.array([2.0, -0.3, -0.2])
         res = solve_lagrangian(Problem(np.eye(3), y, Lagrangian(1.0)), RegularizerSpec.lasso(), TIGHT,
                                x0=[1.0, 1.0, 1.0])
-        assert res.converged and res.iterations == 0 and res.info["route_give_up"] is None
+        assert res.converged and res.info["route_give_up"] is None
         assert res.x_hat.tolist() == [1.5, 0.0, 0.0]
-        assert res.info["route_rounds"] == 1 and res.info["route_solves"] == 2
+        assert res.iterations == 1 and res.info["route_solves"] == 2
 
     def test_near_duplicate_column_path_is_route_certified(self):
         # a coordinate dropped with a flipped block that re-enters turns the route back to single drops:
-        # without that, the last point of this path cycles past the route's rounds into FISTA
+        # without that, the last point of this path cycles past the route's rounds
         rng = np.random.default_rng(12)
         m = int(rng.integers(15, 61))
         A = rng.standard_normal((m, 40))
@@ -647,111 +608,40 @@ class TestNewtonFinish:
         spec = RegularizerSpec.lasso()
         grid = lambda_zero_threshold(spec, A, y) * np.logspace(0, -3, 15)
         points = solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid)
-        assert all(p.result.converged and p.result.iterations == 0 for p in points)
-        assert sum(p.result.info["route_rounds"] for p in points) <= 40
+        assert all(p.result.converged and p.result.info["route_give_up"] is None for p in points)
+        assert sum(p.result.iterations for p in points) <= 40
         for p in points:
             assert kkt_residual(A, y, p.result.x_hat, spec, p.lam) <= cert_tol(A, y, SolverOptions().kkt_tol)
 
-    @pytest.mark.parametrize("reason", ["rounds", "singular", "width"])
-    def test_each_give_up_hands_over_to_fista(self, reason, monkeypatch):
-        spec, x0 = RegularizerSpec.lasso(), None
-        if reason == "singular":
-            A, y, lam = twin_instance()
-        elif reason == "rounds":
-            A, y = self.sparse_instance()
-            lam = 0.1 * lambda_zero_threshold(spec, A, y)
-            monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", 1)
-        else:  # a lasso (b = 0) on 10 rows, from a support of all 200 columns
-            A = fixture_matrix("gaussian", 10, 200, seed=0)
-            beta = np.zeros(200)
-            beta[[3, 50, 120]] = (1.0, -1.5, 2.0)
-            y = A @ beta + 0.05 * np.random.default_rng(0).standard_normal(10)
-            lam = 0.1 * lambda_zero_threshold(spec, A, y)
-            x0 = np.ones(200)
-            # from zero, 29 violators are within half of the largest step: the
-            # largest that fit in 10 columns go first, and the route needs no FISTA
-            cold = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT)
-            assert cold.iterations == 0 and cold.info["route_give_up"] is None
-        reasons, real = [], solvers._route
-
-        def spy(*args):
-            out = real(*args)
-            reasons.append(out[3])
-            return out
-
-        monkeypatch.setattr(solvers, "_route", spy)
-        res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT, x0=x0)
-        assert reasons[0] == reason and res.info["route_give_up"] == reasons[-1]
-        assert res.converged and res.iterations > 0
-        assert kkt_residual(A, y, res.x_hat, spec, lam) <= cert_tol(A, y, TIGHT.kkt_tol)
-
-    def test_tried_only_at_a_failing_check(self, monkeypatch):
-        # with no route rounds every solve runs FISTA, and the route's entries show
-        # between the certificate checks: the first at the start, then one after each
-        # failing FISTA check whose sign pattern held since the previous check
+    @pytest.mark.parametrize("reason", ["rounds", "singular", "singular-augmented"])
+    def test_each_give_up_is_reported_unconverged(self, reason, monkeypatch):
         A, y = self.sparse_instance()
-        spec = RegularizerSpec.clot(0.3)
-        tol = cert_tol(A, y, SolverOptions().kkt_tol)
-        events, real_check, real_route = [], solvers.subdiff_distance, solvers._route
+        spec = RegularizerSpec.lasso()
+        lam = 0.1 * lambda_zero_threshold(spec, A, y)
+        if reason == "rounds":
+            monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", 1)
+        else:  # a Newton step past the float range: any, or one of the augmented system of a support past m
+            if reason == "singular-augmented":  # GL's support grows past A's 30 rows, and only then is the system
+                A, y = TestConstrained.float_range_instance()  # wider than A's 60 columns
+                spec, lam = RegularizerSpec.group_lasso(Partition.contiguous([20] * 3)), 1.0
+            real, width = np.linalg.solve, A.shape[1] if reason == "singular-augmented" else 0
+            monkeypatch.setattr(np.linalg, "solve", lambda hess, rhs: np.full_like(rhs, np.inf) if len(rhs) > width
+                                else real(hess, rhs))
+        res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT)
+        assert res.info["route_give_up"] == reason.split("-")[0] and not res.converged
+        assert np.isfinite(res.x_hat).all() and res.kkt_residual > cert_tol(A, y, TIGHT.kkt_tol)
 
-        def check(spec, x, target, weight=1.0):
-            gap = real_check(spec, x, target, weight)
-            events.append((np.sign(x), gap))
-            return gap
-
-        def route(*args):
-            events.append("route")
-            return real_route(*args)
-
-        monkeypatch.setattr(solvers, "_ROUTE_ROUNDS", 0)
-        monkeypatch.setattr(solvers, "subdiff_distance", check)
-        monkeypatch.setattr(solvers, "_route", route)
-        grid = lambda_zero_threshold(spec, A, y) * np.logspace(-0.5, -3, 12)
-        warm, entries = None, 0
-        for lam in grid:
-            events.clear()
-            res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, x0=warm)
-            warm = res.x_hat
-            scaled = tol * 2.0**-(math.frexp(max(1.0, lam))[1] - 1)  # the spied gaps are of the objective over 2^e
-            assert res.converged and events[0] == "route" and events[1][1] > scaled
-            # the start's check is the route's first; the check after each later entry
-            # is the route's own, of FISTA's point
-            checks = [1] + [k for k in range(2, len(events)) if "route" not in (events[k], events[k - 1])]
-            for prev, k in zip(checks, checks[1:]):
-                (held, _), (signs, gap) = events[prev], events[k]
-                entered = k + 1 < len(events) and events[k + 1] == "route"
-                assert entered == (gap > scaled and np.array_equal(signs, held))
-                entries += entered
-        assert entries >= 1
-        # a nudged solution fails at the start and passes at FISTA's first check
-        # with its sign pattern unchanged: the route is entered once, at the start
-        events.clear()
-        nudged = solve_lagrangian(Problem(A, y, Lagrangian(grid[-1])), spec, x0=warm * (1 + 1e-7))
-        assert nudged.converged and nudged.iterations == 10 and events.count("route") == 1
-
-    def test_singular_support_gram_is_refused(self):
+    def test_singular_support_gram_is_route_certified(self):
         A, y, lam = twin_instance()  # the lasso keeps both twins, so A_S^T A_S is singular
         spec = RegularizerSpec.lasso()
         res = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, TIGHT)
-        assert res.converged and res.iterations > 0 and res.info["route_give_up"] == "singular"
-        assert res.x_hat[0] == res.x_hat[1] != 0.0
-        tol = cert_tol(A, y, TIGHT.kkt_tol)
-        assert kkt_residual(A, y, res.x_hat, spec, lam) <= tol
-        ws = workspace(A, y)
-        stats = {"grad_evals": 0, "route_rounds": 0, "route_solves": 0}
-
-        def route(x):
-            return solvers._route(ws, spec, 1.0, lam, tol, x, ws.half_grad(x), stats)
-
-        # from the nudged solution, Newton on both twins meets a singular Hessian ...
-        assert route(1.01 * res.x_hat)[3] == "singular" and stats["route_rounds"] == 0
-        single = res.x_hat.copy()  # ... and with one twin carrying both weights, a regular one
-        single[0], single[1] = 2.0 * single[0], 0.0
-        x, _, kkt, reason = route(1.01 * single)
-        assert reason is None and kkt <= tol and x[1] == 0.0 and stats["route_rounds"] >= 1
+        assert res.converged and res.info["route_give_up"] is None
+        # the least-squares step moves the twins together: they share the weight one column would carry
+        assert res.x_hat[0] != 0.0 and abs(res.x_hat[0] - res.x_hat[1]) <= 1e-12 * abs(res.x_hat[0])
+        assert kkt_residual(A, y, res.x_hat, spec, lam) <= cert_tol(A, y, TIGHT.kkt_tol)
 
     @pytest.mark.parametrize("fixture", ["c6", "c7", "c8"])
-    def test_route_and_fista_alone_agree(self, fixture, monkeypatch):
+    def test_route_and_a_reference_fista_agree(self, fixture):
         # (A, y, spec, multiplier grid, options) of each study's own solves
         if fixture == "c6":
             pre = preprocess(*experiments.grouping_fixture(seed=0, n_samples=100))
@@ -775,22 +665,83 @@ class TestNewtonFinish:
             for spec in (RegularizerSpec.clot(0.5), RegularizerSpec.elastic_net(0.5)):
                 grid = lambda_zero_threshold(spec, pre.A, pre.y) * np.logspace(0, -4, 21)
                 cases.append((pre.A, pre.y, spec, grid, experiments._PATH_OPTS))
-        paths = []
-        for route in (True, False):
-            if not route:
-                without_route(monkeypatch)
-            paths.append([solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid, opts)
-                          for A, y, spec, grid, opts in cases])
         # both answers are certified at tol, so (F convex) their objectives differ by at
         # most tol times their l1 distance, however far apart correlated columns let them lie
-        for (A, y, spec, grid, opts), with_route, alone in zip(cases, *paths):
-            tol = cert_tol(A, y, opts.kkt_tol)
-            for p, q in zip(with_route, alone):
-                assert p.result.converged and q.result.converged
-                for x in (p.result.x_hat, q.result.x_hat):
-                    assert kkt_residual(A, y, x, spec, p.lam) <= tol
-                dx = float(np.sum(np.abs(p.result.x_hat - q.result.x_hat)))
-                assert abs(p.result.objective - q.result.objective) <= tol * dx + 1e-12 * q.result.objective
+        for A, y, spec, grid, opts in cases:
+            tol, ref = cert_tol(A, y, opts.kkt_tol), np.zeros(A.shape[1])
+            objective = lambda x, lam: float(np.sum((y - A @ x) ** 2)) + lam * penalty_value(spec, x)
+            for p in solution_path(Problem(A, y, Lagrangian(1.0)), spec, grid, opts):
+                ref = fista_reference(A, y, spec, p.lam, tol, ref)
+                assert p.result.converged and p.result.info["route_give_up"] is None
+                assert kkt_residual(A, y, p.result.x_hat, spec, p.lam) <= tol
+                dx = float(np.sum(np.abs(p.result.x_hat - ref)))
+                assert abs(objective(p.result.x_hat, p.lam) - objective(ref, p.lam)) <= (
+                    tol * dx + 1e-12 * objective(ref, p.lam))
+
+    @pytest.mark.parametrize("case", ["gl-wide", "lasso-twins", "lasso-eps0-support-of-m", "lasso-warm-200-on-10-rows",
+                                      "clot-subnormal-path", "lasso-ill-conditioned", "clot-warm-path",
+                                      "clot-past-m-plus-32", "sgl-past-m-plus-32", "sgl-split-zero-group"])
+    def test_route_certifies_wide_singular_and_subnormal_supports(self, case, monkeypatch):
+        # each Lagrangian solve, and each inner solve of a constrained one, within the route's rounds: a group
+        # term's support wider than A's 30 rows (the augmented step), a singular lasso Hessian (the least-squares
+        # step), a lasso support one past m (the null-space pivot), one of 200 columns on 10 rows (190 pivots),
+        # a group Newton matrix where z ~ 2e-310, columns scaled over two decades at a small multiplier, a
+        # CLOT grid each warm-started from the last answer, CLOT and SGL optima more than 32 columns past m
+        # (SGL's also drops groups on the way to zero),
+        # and an SGL round whose budget let in two of a zero group's violators, which alone do not descend
+        A, y = TestConstrained.float_range_instance()
+        if case == "sgl-split-zero-group":
+            A, y = fixture_matrix("gaussian", 10, 40, seed=0), np.random.default_rng(10).standard_normal(10)
+            spec = RegularizerSpec.sparse_group_lasso(0.9, Partition.contiguous([10] * 4))
+            lam = 10.0**-0.2 * lambda_zero_threshold(spec, A, y)
+            solves = [solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec)]
+        elif case in ("clot-past-m-plus-32", "sgl-past-m-plus-32"):
+            m, n = (20, 200) if case.startswith("clot") else (10, 400)
+            A, y = fixture_matrix("gaussian", m, n, seed=0), np.random.default_rng(1).standard_normal(m)
+            spec, f = ((RegularizerSpec.clot(0.8), 0.01) if case.startswith("clot") else
+                       (RegularizerSpec.sparse_group_lasso(0.95, Partition.contiguous([100] * 4)), 0.1))
+            solves = [solve_lagrangian(Problem(A, y, Lagrangian(f * lambda_zero_threshold(spec, A, y))), spec)]
+            # one entering coordinate per round past m takes 58 and 74 rounds; doubling the excess, 16 and 18
+            assert np.count_nonzero(solves[0].x_hat) > m + 32 and solves[0].iterations <= 32
+        elif case == "lasso-ill-conditioned":
+            A = fixture_matrix("gaussian", 30, 20, seed=3) * np.logspace(0, -2, 20)
+            y = A @ np.random.default_rng(0).standard_normal(20)
+            solves = [solve_lagrangian(Problem(A, y, Lagrangian(1e-4)), RegularizerSpec.lasso(), TIGHT)]
+        elif case == "clot-warm-path":
+            A, y = self.sparse_instance()
+            spec, warm, solves = RegularizerSpec.clot(0.3), None, []
+            for lam in lambda_zero_threshold(spec, A, y) * np.logspace(-0.5, -3, 12):
+                solves.append(solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec, x0=warm))
+                warm = solves[-1].x_hat
+        elif case == "gl-wide":
+            solves = [solve_lagrangian(Problem(A, y, Lagrangian(1.0)), RegularizerSpec.group_lasso(
+                Partition.contiguous([20] * 3)))]
+        elif case == "lasso-twins":
+            A, y, lam = twin_instance()
+            solves = [solve_lagrangian(Problem(A, y, Lagrangian(lam)), RegularizerSpec.lasso(), TIGHT)]
+        elif case == "lasso-eps0-support-of-m":
+            solves, real = [], solvers.solve_lagrangian
+            monkeypatch.setattr(solvers, "solve_lagrangian", lambda *args, **kw: solves.append(real(*args, **kw))
+                                or solves[-1])
+            y = np.random.default_rng(1).standard_normal(30)
+            res = solve_constrained(Problem(A, y, Constrained(0.0)), RegularizerSpec.lasso())
+            assert res.converged and max(np.count_nonzero(s.x_hat) for s in solves) == 30
+        elif case == "lasso-warm-200-on-10-rows":
+            A, beta = fixture_matrix("gaussian", 10, 200, seed=0), np.zeros(200)
+            beta[[3, 50, 120]] = (1.0, -1.5, 2.0)
+            y = A @ beta + 0.05 * np.random.default_rng(0).standard_normal(10)
+            lam = 0.1 * lambda_zero_threshold(RegularizerSpec.lasso(), A, y)
+            sizes, eigh = [], np.linalg.eigh  # a support pivoted down to 10 columns steps by np.linalg.solve again
+            monkeypatch.setattr(np.linalg, "eigh", lambda hess: sizes.append(len(hess)) or eigh(hess))
+            solves = [solve_lagrangian(Problem(A, y, Lagrangian(lam)), RegularizerSpec.lasso(), TIGHT, x0=np.ones(200))]
+            assert np.count_nonzero(solves[0].x_hat) <= 10 and sizes and min(sizes) > 10
+        else:  # the loss-side path of test_prediction_past_the_float_range_starts_from_the_last_answer
+            A, y, spec = 1e10 * A, 1e-300 * y, RegularizerSpec.clot(0.2)
+            grid = 1.0 / (lambda_zero_threshold(spec, A, y) * np.logspace(0, -3, 8))
+            solves = [p.result for p in solution_path(Problem(A, y, Lagrangian(1.0, "loss")), spec, grid)]
+            assert 0.0 < np.max(np.abs(solves[-1].x_hat)) < 1e-300
+        for res in solves:
+            assert res.converged and res.info["route_give_up"] is None and res.iterations <= solvers._ROUTE_ROUNDS
 
 
 class TestRouting:
@@ -1051,19 +1002,18 @@ class TestConstrained:
             assert err <= 1e-12, (s, err)
 
     @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.clot(0.2)], ids=lambda spec: spec.label())
-    def test_fista_alone_across_the_float_range(self, spec, monkeypatch):
-        # FISTA's step, its descent test and its restart test neither under- nor overflow: lam and the
-        # certificate's tolerance scale with y, so every answer follows the unit-scale solve's iterates
-        without_route(monkeypatch)
+    def test_route_across_the_float_range(self, spec):
+        # the route's steps and certificate neither under- nor overflow: lam and the certificate's tolerance
+        # scale with y, so every answer follows the unit-scale solve
         A, y = self.float_range_instance()
         lam, g = 0.5 * lambda_zero_threshold(spec, A, y), 2.0 * np.max(np.abs(A.T @ y))
         base = solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec)
-        assert base.converged and base.iterations > 0
+        assert base.converged
         for s in (1e-300, 1e150, 1e160):
             kkt_tol = 1e-8 * s * max(1.0, g) / max(1.0, s * g)  # the tolerance is kkt_tol*max(1, s*g)
             with np.errstate(over="ignore"):  # ||y - Ax||^2, and so the objective, exceeds the float range at 1e160
                 res = solve_lagrangian(Problem(A, s * y, Lagrangian(s * lam)), spec, SolverOptions(kkt_tol))
-            assert res.converged and res.iterations > 0 and not res.info["step_search_exhausted"], (s, res.info)
+            assert res.converged and res.info["route_give_up"] is None, (s, res.info)
             err = np.max(np.abs(res.x_hat / s - base.x_hat)) / np.max(np.abs(base.x_hat))
             assert err <= 1e-12, (s, err)
 
@@ -1091,7 +1041,7 @@ class TestConstrained:
         # prox step 1/(2*lam*||A||_F^2), past the float range there, is never taken
         A, y = self.float_range_instance()
         res = solve_lagrangian(Problem(A, y, Lagrangian(1e-320, side="loss")), RegularizerSpec.elastic_net(0.8))
-        assert res.converged and res.info["route_rounds"] == 0 and not np.any(res.x_hat)
+        assert res.converged and res.iterations == 0 and not np.any(res.x_hat)
 
     @pytest.mark.parametrize("spec", [RegularizerSpec.lasso(), RegularizerSpec.clot(0.2),
                                       RegularizerSpec.elastic_net(0.8), RegularizerSpec.ridge()],
@@ -1392,8 +1342,8 @@ class TestSolutionPath:
             assert point.result.converged and np.array_equal(np.sign(point.result.x_hat), np.sign(beta))
             cold = solve_lagrangian(Problem(A, y, Lagrangian(point.lam, side)), spec, TIGHT)
             assert np.max(np.abs(point.result.x_hat - cold.x_hat)) <= 1e-12 * np.max(np.abs(beta))
-        assert [p.result.info["route_rounds"] for p in points[2:]] == [0] * 5
-        assert all(p.result.info["route_rounds"] for p in points[:2])
+        assert [p.result.iterations for p in points[2:]] == [0] * 5
+        assert all(p.result.iterations for p in points[:2])
 
     def test_prediction_past_the_float_range_starts_from_the_last_answer(self):
         # where the next multiplier's prox threshold rounds to 0 no entry is predicted, and the solve
