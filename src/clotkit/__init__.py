@@ -1,8 +1,8 @@
 """Sparse recovery with combined l1/l2 and sparse-group-lasso penalties.
 
 The toolkit covers the full loop: penalty definitions with exact proximal
-maps, first-order solvers for the multiplier and noise-constrained program
-forms, recovery certificates from restricted-isometry constants, the
+maps, an active-set Newton solver for the multiplier and noise-constrained
+program forms, recovery certificates from restricted-isometry constants, the
 deterministic low-coherence binary matrix construction, grouping-effect
 verification on solved instances, and seeded reproductions of the standard
 numerical studies.

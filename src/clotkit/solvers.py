@@ -169,9 +169,8 @@ class _Workspace:
     ``A^T(Ax - y)`` of ``||Ax - y||^2``; and ``frob2 = ||A||_F^2``, as the validation of the caller's
     :class:`Problem` computed it, the bound on ``sigma_max(A)^2`` that the active-set route steps by.
 
-    For every shape ``A^T A x`` is a forward and an adjoint product, and ``A_S^T A_S`` a product of the
-    support's columns.  Values and residual norms come from ``Ax - y``, which keeps their precision at any
-    residual size.  ``Ax`` reads only the
+    For every shape ``A^T A x`` is a forward and an adjoint product; values and residual norms come from
+    ``Ax - y``, which keeps their precision at any residual size.  ``Ax`` reads only the
     support's k columns when ``_GATHER_RATIO*k*m + _GATHER_FLOOR <= m*n``.  y's k nonzero rows are
     copied out of A once (``block``) when ``_ROW_GATHER_RATIO*k*n + _GATHER_FLOOR <= m*n``: a
     k-sparse x on DeVore's matrix, with p nonzeros per column, leaves ``Ax`` nonzero in at most k*p
@@ -202,10 +201,6 @@ class _Workspace:
 
     def half_grad(self, x):
         return self.adjoint(self.forward(x)) - self.aty
-
-    def sub_gram(self, S):
-        """``A_S^T A_S``, a symmetric product of the support's columns."""
-        return (A_S := self.A[:, S]).T @ A_S
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +262,19 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
     known to be optimal, a round takes Newton steps on the objective
     restricted to S and the signs there, where it is smooth:
     ``loss_w*||A_S z - y||^2 + pen_w*(a*s^T z + b*||z||^2 + c*sum_g ||z_g||)``,
-    one exact step without the group term.  A step on which a coordinate
-    crosses zero (with ``a = 0``, a group turns round) stops at the first
-    crossing and drops, with ``a > 0``, every coordinate it flips (a block
-    exchange, Kim & Park 2010) until one of them re-enters, and from then
-    on only the first crossing (with ``a = 0``, its group).  An S wider than
-    A has rows (m) steps by the weights.  A ridge term steps on A's rows, by
-    Woodbury's push-through form with ``K = c2*A_S A_S^T + 2*pen_w*b*I``,
-    formed once per round and downdated by the columns a crossing drops.  A
-    group term solves the augmented system ``[[P, A_S^T], [A_S, -I/c2]]``,
-    P the group term's Hessian, with the gradient formed from the residual.
+    one exact step without the group term; every step reads ``A_S``, S's
+    columns gathered once per round and sliced by each drop.  A step on
+    which a coordinate crosses zero stops at the first crossing and drops
+    every coordinate it flips (a block exchange, Kim & Park 2010) until one
+    of them re-enters, and from then on only the first crossing.  With
+    ``a = 0`` a step stops where a group turns round, nearest zero, and
+    drops the group only if the objective on S does not rise; else the stop
+    counts as a step.  An S wider than A has rows (m) steps by the weights.
+    A ridge term steps on A's rows, by Woodbury's push-through form with
+    ``K = c2*A_S A_S^T + 2*pen_w*b*I``, formed once per round and downdated
+    by the columns a crossing drops.  A group term solves the augmented
+    system ``[[P, A_S^T], [A_S, -I/c2]]``, P the group term's Hessian, with
+    the gradient formed from the residual.
     The lasso's Hessian ``c2*A_S^T A_S`` is singular there, and it moves
     along A_S's null space where the objective falls, to the first zero,
     which it drops (a simplex pivot; Osborne, Presnell & Turlach 2000); so
@@ -318,15 +316,14 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
             S = (xn if a else np.take(group_norms(xn, spec.partition), labels) if c else np.ones(ws.n)).nonzero()[0]
             z, lab = xn[S], labels[S]
             rows, aug = (wide := S.size > m) and b, wide and c
+            h = math.frexp(ws.frob2)[1] // 2 if rows else 0  # on A's rows A_S is over 2^h and K over 4^h, so
+            A_S, s = np.ldexp(ws.A[:, S], -h) if h else ws.A[:, S], np.sign(z)  # no product leaves y's scale
             if rows:  # a ridge term, so c = 0: quad is K, lin holds s
-                h = math.frexp(ws.frob2)[1] // 2  # A_S over 2^h and K over 4^h: no product leaves y's scale
-                A_S, lin, r = np.ldexp(ws.A[:, S], -h), np.sign(z), a / (2.0 * b)
-                quad = c2 * (A_S @ A_S.T)
+                quad, lin, r = c2 * (A_S @ A_S.T), s, a / (2.0 * b)
             elif aug:  # a group term: the gradient from the residual, and lin the l1 term's
-                h, A_S, lin, quad = 0, ws.A[:, S], -(pen_w * a) * np.sign(z), None
-            else:
-                h, quad = 0, c2 * ws.sub_gram(S)
-                lin = c2 * ws.aty[S] - (pen_w * a) * np.sign(z)  # restricted gradient = quad @ z - lin + group term
+                quad, lin = None, -(pen_w * a) * s
+            else:  # restricted gradient = quad @ z - lin + group term
+                quad, lin = c2 * (A_S.T @ A_S), c2 * ws.aty[S] - (pen_w * a) * s
             if b:
                 quad.flat[::len(quad) + 1] += math.ldexp(2.0 * pen_w * b, -2 * h)
             optimal, steps = True, 0
@@ -374,13 +371,15 @@ def _route(ws: _Workspace, spec, loss_w, pen_w, tol, x, hx, stats):
                     if a and c:  # a group the stop takes within rounding of zero leaves whole, before it underflows
                         after = group_norms(z, spec.partition, S)
                         keep &= (after if one else np.take(after, lab)) > 2.0**-52 * norms
-                    z, S, lab, lin = z[keep], S[keep], lab[keep], lin[keep]
+                    elif not a and np.less(*(loss_w * group_norms(A_S @ v - ws.y) ** 2 + pc * np.sum(group_norms(
+                            v, spec.partition, S)) for v in (z, z * keep))):
+                        steps += 1  # leaving would raise the objective on S: the group stays, the stop is a step
+                        continue
                     if rows:  # K loses the dropped columns
-                        quad, A_S = quad - c2 * ((A_D := A_S[:, cross]) @ A_D.T), A_S[:, keep]
-                    elif aug:
-                        A_S = A_S[:, keep]
-                    else:
+                        quad = quad - c2 * ((A_D := A_S[:, cross]) @ A_D.T)
+                    elif not aug:
                         quad = quad[keep][:, keep]
+                    z, S, lab, lin, A_S = z[keep], S[keep], lab[keep], lin[keep], A_S[:, keep]
                     continue
                 steps += 1
                 z = z - d
@@ -566,9 +565,9 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
     # tenfold walk; lo/hi are the last (lam, residual) above/within the target
     lo = (lam0, ynorm) if exact_zero else None
     hi = best = res = cert = None
-    k, step, r_prev = 0, 1, ynorm
+    k, r_prev = 0, ynorm
     for _ in range(_MAX_STAGES):
-        k += step
+        k += 1 if hi is None else -1  # past a stage within the target, no exact zero solution below: walk down
         lam = min(lam0 * 10.0**k, float(np.finfo(float).max))  # Lagrangian refuses an infinite multiplier
         res = solve_at(lam, None if res is None else res.x_hat)
         if hi is None and res.residual_l2 > r_prev * (1.0 - opts.feas_tol):
@@ -580,7 +579,6 @@ def solve_constrained(problem: Problem, spec: RegularizerSpec, opts: SolverOptio
             hi, best = (lam, res.residual_l2), res
             if lo is not None or eps == 0.0:
                 break
-            step = -1  # no exact zero solution below: walk down to bracket the budget
         else:
             lo = (lam, res.residual_l2)
             if hi is not None or lam == np.finfo(float).max:  # no larger multiplier to try
@@ -642,11 +640,9 @@ def solution_path(problem: Problem, spec: RegularizerSpec, lambda_grid, opts: So
     diffs = np.diff(grid)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("lambda_grid must be strictly monotone")
-    if not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ValueError("lambda_grid entries must be positive and finite")
+    forms = [Lagrangian(float(lam), form.side) for lam in grid]  # each refuses a multiplier not positive and finite
 
     ws = _Workspace(problem.A, problem.y, problem._frob2)
-    forms = [Lagrangian(float(lam), form.side) for lam in grid]
     points, warm, last = [], None, None
     for k, point_form in enumerate(forms):
         point = copy.copy(problem)  # validated once, as the caller's problem; only the form differs

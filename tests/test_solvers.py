@@ -363,18 +363,6 @@ class TestWorkspace:
         with pytest.raises(InfeasibleError, match="^least-squares residual"):
             solve_constrained(Problem(A, y, Constrained(0.5)), lasso)
 
-    # "gram" is the near-square shape a precomputed A^T A once served; both now take the column product
-    @pytest.mark.parametrize("A, shape", [
-        (fixture_matrix("gaussian", 30, 36, seed=5), (30, 36)), (devore_matrix(DeVoreParams(5, 2)), (25, 125))],
-        ids=["gram", "direct"])
-    def test_sub_gram_is_the_support_gram(self, A, shape):
-        ws = workspace(A, np.ones(A.shape[0]))
-        assert A.shape == shape
-        for S in (np.array([], np.intp), np.array([7]), np.array([0, 3, 11, 20, 35])):
-            got, ref = ws.sub_gram(S), A[:, S].T @ A[:, S]
-            assert got.shape == (S.size, S.size)
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-
     @pytest.mark.parametrize("m, n", [(50, 40), (30, 36), (600, 1000)], ids=["50x40", "30x36", "600x1000"])
     def test_workspace_holds_no_n_by_n_array(self, m, n):
         # no shape precomputes A^T A: every product reads A or its columns and rows, a solve included
@@ -680,7 +668,8 @@ class TestNewtonFinish:
 
     @pytest.mark.parametrize("case", ["gl-wide", "lasso-twins", "lasso-eps0-support-of-m", "lasso-warm-200-on-10-rows",
                                       "clot-subnormal-path", "lasso-ill-conditioned", "clot-warm-path",
-                                      "clot-past-m-plus-32", "sgl-past-m-plus-32", "sgl-split-zero-group"])
+                                      "clot-past-m-plus-32", "sgl-past-m-plus-32", "sgl-split-zero-group",
+                                      "gl-turned-round"])
     def test_route_certifies_wide_singular_and_subnormal_supports(self, case, monkeypatch):
         # each Lagrangian solve, and each inner solve of a constrained one, within the route's rounds: a group
         # term's support wider than A's 30 rows (the augmented step), a singular lasso Hessian (the least-squares
@@ -688,9 +677,18 @@ class TestNewtonFinish:
         # a group Newton matrix where z ~ 2e-310, columns scaled over two decades at a small multiplier, a
         # CLOT grid each warm-started from the last answer, CLOT and SGL optima more than 32 columns past m
         # (SGL's also drops groups on the way to zero),
-        # and an SGL round whose budget let in two of a zero group's violators, which alone do not descend
+        # an SGL round whose budget let in two of a zero group's violators, which alone do not descend, and GL
+        # steps that turn a group round where dropping it would raise the objective (dropped, two supports cycle)
         A, y = TestConstrained.float_range_instance()
-        if case == "sgl-split-zero-group":
+        if case == "gl-turned-round":
+            A = fixture_matrix("gaussian", 12, 30, seed=3)
+            y = A[:, :3] @ np.array([1.0, -2.0, 0.5]) + 0.1 * np.random.default_rng(3).standard_normal(12)
+            spec = RegularizerSpec.group_lasso(Partition.contiguous([6] * 5))
+            lams = np.array([1e-5, 9.5e-5, 9.1e-4]) * lambda_zero_threshold(spec, A, y)
+            solves = [solve_lagrangian(Problem(A, y, Lagrangian(lam)), spec) for lam in lams]
+            assert all(kkt_residual(A, y, res.x_hat, spec, lam) <= cert_tol(A, y, SolverOptions().kkt_tol)
+                       for res, lam in zip(solves, lams))
+        elif case == "sgl-split-zero-group":
             A, y = fixture_matrix("gaussian", 10, 40, seed=0), np.random.default_rng(10).standard_normal(10)
             spec = RegularizerSpec.sparse_group_lasso(0.9, Partition.contiguous([10] * 4))
             lam = 10.0**-0.2 * lambda_zero_threshold(spec, A, y)
