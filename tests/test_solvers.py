@@ -1374,8 +1374,10 @@ class TestSolutionPath:
         (RegularizerSpec.sparse_group_lasso(0.5, Partition.contiguous([3, 3])), [1.0, 0.5]),
         (RegularizerSpec.lasso(), [1.0, np.inf]),
         (RegularizerSpec.lasso(), [np.nan]),
+        (RegularizerSpec.lasso(), [1.0, 0.0]),
+        (RegularizerSpec.lasso(), [-1.0, -2.0]),
         (RegularizerSpec.lasso(), []),
-    ], ids=["wrong_dimension", "infinite", "nan", "empty"])
+    ], ids=["wrong_dimension", "infinite", "nan", "zero", "negative", "empty"])
     def test_bad_input_raises_before_any_solve(self, rng, monkeypatch, spec, grid):
         A, _, y = small_instance(rng)
 
